@@ -18,14 +18,17 @@
 //	                           cmd/experiments prints for the same knobs
 //	                           (long-polls until the job completes)
 //	GET  /healthz              liveness (503 while draining)
-//	GET  /statsz               job totals + cache hit/miss/eviction counters
+//	GET  /statsz               job totals, cache hit/miss/eviction counters and
+//	                           the launch memo's (launches: hits, misses, joined)
 //
 // Jobs run on one long-lived shared worker pool (the -workers budget
 // bounds total simulation concurrency across all in-flight requests),
 // and every successful table is memoized by its content address
 // (experiment ID + table-affecting knobs): the simulator is
 // deterministic, so a repeated submission is served the byte-identical
-// cached table without simulating anything.
+// cached table without simulating anything. Below that, the pool's
+// launch memo simulates each distinct kernel launch once, so requests
+// that differ only in a knob the model never reads share their work.
 //
 // SIGINT/SIGTERM shut down gracefully: new jobs are rejected with 503,
 // in-flight jobs drain to completion (bounded by -draintimeout), then

@@ -177,10 +177,21 @@ func TestRequestValidation(t *testing.T) {
 		`{"experiment":"fig9","sched":"fifo","wait":true}`,
 		`{"experiment":"fig9","tlactive":-1,"wait":true}`,
 		`not json`,
+		`{"experiment":"fig9","wait":true} {"experiment":"tab1"}`,
+		`{"experiment":"fig9","wait":true}]`,
 	} {
 		if code, _ := postJob(t, hs.URL, body); code != http.StatusBadRequest {
 			t.Errorf("POST %s = %d, want 400", body, code)
 		}
+	}
+	// A misspelt knob is an error that names the field, not a silent run
+	// of the default table under the wrong cache key.
+	code, st := postJob(t, hs.URL, `{"experiment":"fig9","quick":true,"schd":"lrr","wait":true}`)
+	if code != http.StatusBadRequest || !strings.Contains(st.Error, `"schd"`) {
+		t.Errorf("misspelt knob = %d %q, want 400 naming the field", code, st.Error)
+	}
+	if got := getStatsz(t, hs.URL).Jobs.Submitted; got != 0 {
+		t.Errorf("%d rejected requests were admitted as jobs", got)
 	}
 	resp, err := http.Get(hs.URL + "/v1/jobs/job-999")
 	if err != nil {
@@ -189,6 +200,81 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job = %d, want 404", resp.StatusCode)
+	}
+}
+
+// The job table is bounded: every unfinished job plus the newest
+// maxTerminalJobs finished ones. Older IDs answer 404, and a job that
+// has only just finished is still there for its output to be fetched.
+func TestJobTableBounded(t *testing.T) {
+	s, hs := newTestServer(t)
+	s.runExp = func(experiments.Experiment, experiments.Options) (*experiments.Table, error) {
+		return &experiments.Table{ID: "tab1"}, nil
+	}
+	h := s.handler()
+	const submissions = 10000
+	for i := 0; i < submissions; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(`{"experiment":"tab1","wait":true}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("submission %d = %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	s.mu.Lock()
+	held := len(s.jobs)
+	s.mu.Unlock()
+	if held != maxTerminalJobs {
+		t.Errorf("job table holds %d jobs after %d submissions, want the newest %d", held, submissions, maxTerminalJobs)
+	}
+	for id, want := range map[string]int{
+		"job-1": http.StatusNotFound,
+		fmt.Sprintf("job-%d", submissions-maxTerminalJobs):   http.StatusNotFound,
+		fmt.Sprintf("job-%d", submissions-maxTerminalJobs+1): http.StatusOK,
+		fmt.Sprintf("job-%d", submissions):                   http.StatusOK,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+id, nil))
+		if rec.Code != want {
+			t.Errorf("GET %s = %d, want %d", id, rec.Code, want)
+		}
+	}
+
+	code, st := postJob(t, hs.URL, `{"experiment":"tab1"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("async POST = %d %+v", code, st)
+	}
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + st.ID + "/output")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(raw) == 0 {
+		t.Errorf("output of a just-finished job = %d, %d bytes", resp.StatusCode, len(raw))
+	}
+}
+
+// Two requests that differ only in a knob the model never reads
+// (sched "" and "gto" spell the same policy) are different table-cache
+// keys but the same launches: the second simulates nothing, and /statsz
+// says so.
+func TestAliasRequestsShareLaunches(t *testing.T) {
+	_, hs := newTestServer(t)
+	_, first := postJob(t, hs.URL, `{"experiment":"fig12c","quick":true,"sched":"","wait":true}`)
+	cold := getStatsz(t, hs.URL).Launches
+	_, second := postJob(t, hs.URL, `{"experiment":"fig12c","quick":true,"sched":"gto","wait":true}`)
+	if first.Status != statusDone || second.Status != statusDone || first.Cached || second.Cached {
+		t.Fatalf("alias pair = %+v, %+v; want two uncached successes", first, second)
+	}
+	if first.Output != second.Output {
+		t.Error("alias requests rendered different tables")
+	}
+	if cold.Misses != 8 || cold.Hits != 0 || cold.Entries != 8 || cold.Bytes == 0 {
+		t.Errorf("launch counters after the cold request = %+v, want fig12c's 8 launches missed and stored", cold)
+	}
+	warm := getStatsz(t, hs.URL).Launches
+	if warm.Misses != cold.Misses || warm.Hits != 8 || warm.Joined != 0 || warm.Evictions != 0 {
+		t.Errorf("launch counters after the alias request = %+v, want 8 hits and no new miss", warm)
 	}
 }
 

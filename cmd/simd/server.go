@@ -124,6 +124,10 @@ type jobRequest struct {
 	Wait bool `json:"wait"`
 }
 
+// maxTerminalJobs bounds the finished jobs the table remembers, so a
+// long-lived server's memory does not grow with the jobs it has served.
+const maxTerminalJobs = 4096
+
 // server is the simd process state.
 type server struct {
 	pool  *experiments.Pool
@@ -144,8 +148,14 @@ type server struct {
 	jobWG sync.WaitGroup
 
 	mu sync.Mutex
+	// jobs holds every job that has not finished and the newest
+	// maxTerminalJobs that have; older IDs answer 404.
 	//simlint:guardedby mu
 	jobs map[string]*job
+	// terminal is a ring of the finished jobs still in the table, in
+	// finishing order: slot finished%maxTerminalJobs holds the next to go.
+	//simlint:guardedby mu
+	terminal [maxTerminalJobs]string
 	//simlint:guardedby mu
 	nextID int
 	//simlint:guardedby mu
@@ -222,30 +232,36 @@ func (s *server) startJob(e experiments.Experiment, opt experiments.Options, key
 func (s *server) runJob(j *job, e experiments.Experiment, opt experiments.Options) {
 	defer s.jobWG.Done()
 	if out, ok := s.cache.Get(j.key); ok {
-		j.complete(out, true, nil)
-		s.noteFinished(nil)
+		s.finish(j, out, true, nil)
 		return
 	}
 	j.setStatus(statusRunning)
 	tb, err := s.runExp(e, opt)
 	if err != nil {
-		j.complete(nil, false, err)
-		s.noteFinished(err)
+		s.finish(j, nil, false, err)
 		return
 	}
 	out := renderTable(e, tb)
 	s.cache.Put(j.key, out)
-	j.complete(out, false, nil)
-	s.noteFinished(nil)
+	s.finish(j, out, false, nil)
 }
 
-func (s *server) noteFinished(err error) {
+// finish counts a job into the totals, retires the oldest finished job
+// once the table holds maxTerminalJobs of them, and only then completes
+// the job — so whoever its completion wakes already sees it counted.
+func (s *server) finish(j *job, out []byte, cached bool, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	slot := &s.terminal[s.finished%maxTerminalJobs]
+	if *slot != "" {
+		delete(s.jobs, *slot)
+	}
+	*slot = j.id
 	s.finished++
 	if err != nil {
 		s.failed++
 	}
+	s.mu.Unlock()
+	j.complete(out, cached, err)
 }
 
 func (s *server) lookupJob(id string) (*job, bool) {
@@ -289,13 +305,14 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// statszResponse is /statsz's wire form: serving-side job totals plus
-// the cache counters.
+// statszResponse is /statsz's wire form: serving-side job totals, the
+// table cache's counters and the launch memo's.
 type statszResponse struct {
-	Workers  int         `json:"workers"`
-	Draining bool        `json:"draining"`
-	Jobs     statszJobs  `json:"jobs"`
-	Cache    statszCache `json:"cache"`
+	Workers  int            `json:"workers"`
+	Draining bool           `json:"draining"`
+	Jobs     statszJobs     `json:"jobs"`
+	Cache    statszCache    `json:"cache"`
+	Launches statszLaunches `json:"launches"`
 }
 
 type statszJobs struct {
@@ -314,13 +331,28 @@ type statszCache struct {
 	MaxBytes  int64 `json:"max_bytes"`
 }
 
+// statszLaunches is experiments.LaunchStats on the wire: of the
+// launches the served jobs issued, how many simulated (misses), were
+// answered from an earlier identical launch (hits) or waited on a
+// concurrent one (joined).
+type statszLaunches struct {
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Joined    int64 `json:"joined"`
+	Evictions int64 `json:"evictions"`
+	Entries   int64 `json:"entries"`
+	Bytes     int64 `json:"bytes"`
+}
+
 // handleStatsz is the serving layer's counter surface — the sanctioned
-// emitter for every servecache.Stats counter, so a counter added there
-// cannot silently vanish from operations (the statcomplete contract).
+// emitter for every servecache.Stats and experiments.LaunchStats
+// counter, so a counter added there cannot silently vanish from
+// operations (the statcomplete contract).
 //
 //simlint:emitter
 func (s *server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	cs := s.cache.Stats()
+	ls := s.pool.LaunchStats()
 	s.mu.Lock()
 	resp := statszResponse{
 		Workers:  s.pool.Workers(),
@@ -341,14 +373,29 @@ func (s *server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		Bytes:     cs.Bytes,
 		MaxBytes:  cs.MaxBytes,
 	}
+	resp.Launches = statszLaunches{
+		Hits:      ls.Hits,
+		Misses:    ls.Misses,
+		Joined:    ls.Joined,
+		Evictions: ls.Evictions,
+		Entries:   ls.Entries,
+		Bytes:     ls.Bytes,
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	// A misspelt knob must not silently run (and cache) the default
+	// table, so unknown fields and trailing data are errors.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad request body: " + err.Error()})
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad request body: data after the job object"})
 		return
 	}
 	e, err := experiments.ByID(req.Experiment)

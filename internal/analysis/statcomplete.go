@@ -3,13 +3,15 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // The statcomplete analyzer. The classic silently-dropped-counter bug:
 // a field is added to gpu.Stats, accumulated carefully in the
 // simulator, and never surfaces in any report — the number exists and
 // nobody can see it. This analyzer requires every exported numeric
-// field of a struct named Stats in a simulator package to be selected
+// field of a struct named Stats, or named with that suffix (LaunchStats),
+// in a simulator package to be selected
 // somewhere inside a function annotated //simlint:emitter (the
 // sanctioned table/report surface: cmd/tcsim's stats block, the
 // experiments table builders). Non-numeric fields (Trace) are not
@@ -23,6 +25,7 @@ var StatcompleteAnalyzer = &Analyzer{
 func runStatcomplete(m *Module, report func(Diagnostic)) {
 	type statField struct {
 		pkgPath string
+		typ     string
 		name    string
 		pos     Diagnostic
 	}
@@ -34,7 +37,7 @@ func runStatcomplete(m *Module, report func(Diagnostic)) {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != "Stats" {
+				if !ok || !strings.HasSuffix(ts.Name.Name, "Stats") {
 					return true
 				}
 				st, ok := ts.Type.(*ast.StructType)
@@ -56,6 +59,7 @@ func runStatcomplete(m *Module, report func(Diagnostic)) {
 						}
 						fields = append(fields, statField{
 							pkgPath: pkg.Path,
+							typ:     ts.Name.Name,
 							name:    name.Name,
 							pos: Diagnostic{
 								Pos:      m.Fset.Position(name.Pos()),
@@ -72,7 +76,7 @@ func runStatcomplete(m *Module, report func(Diagnostic)) {
 		return
 	}
 
-	// Emitted[pkgPath+"."+field] marks fields selected in any
+	// Emitted[pkgPath+"."+type+"."+field] marks fields selected in any
 	// //simlint:emitter function, matched by package path and struct
 	// name (object identity differs between the source-checked defining
 	// package and export-data importers).
@@ -101,10 +105,10 @@ func runStatcomplete(m *Module, report func(Diagnostic)) {
 						recv = p.Elem()
 					}
 					named, ok := recv.(*types.Named)
-					if !ok || named.Obj().Name() != "Stats" || named.Obj().Pkg() == nil {
+					if !ok || !strings.HasSuffix(named.Obj().Name(), "Stats") || named.Obj().Pkg() == nil {
 						return true
 					}
-					emitted[named.Obj().Pkg().Path()+"."+se.Sel.Name] = true
+					emitted[named.Obj().Pkg().Path()+"."+named.Obj().Name()+"."+se.Sel.Name] = true
 					return true
 				})
 			}
@@ -114,13 +118,13 @@ func runStatcomplete(m *Module, report func(Diagnostic)) {
 	for _, f := range fields {
 		if !sawEmitter {
 			d := f.pos
-			d.Message = "Stats has numeric counters but no //simlint:emitter function exists; annotate the report surface"
+			d.Message = f.typ + " has numeric counters but no //simlint:emitter function exists; annotate the report surface"
 			report(d)
 			return // one diagnostic, not one per field
 		}
-		if !emitted[f.pkgPath+"."+f.name] {
+		if !emitted[f.pkgPath+"."+f.typ+"."+f.name] {
 			d := f.pos
-			d.Message = "Stats." + f.name + " is accumulated but never referenced by a //simlint:emitter function; the counter is silently dropped from every report"
+			d.Message = f.typ + "." + f.name + " is accumulated but never referenced by a //simlint:emitter function; the counter is silently dropped from every report"
 			report(d)
 		}
 	}

@@ -274,16 +274,43 @@ func (o Options) titanV(sms int) (gpu.Config, error) {
 // optional CTA sampling / tracing. The receiver threads the run's
 // cancellation context and cycle-budget watchdog into the simulation,
 // so every experiment's per-point launch is interruptible and bounded.
+//
+// Under a shared pool the launch goes through the pool's memo (memo.go):
+// identical launches — across data points, experiments and, on a serving
+// Pool, requests — simulate once. The returned Stats may therefore be
+// shared with other callers and is read-only, Trace included.
 func (o Options) launchOn(cfg gpu.Config, l *kernels.Launch, elems []wmma.Precision, dims [][2]int,
 	maxCTAs int, trace bool) (*gpu.Stats, error) {
+	argBytes := make([]int, len(elems))
+	for i := range elems {
+		argBytes[i] = dims[i][0] * dims[i][1] * bytesOf(elems[i])
+	}
+	run := func() (*gpu.Stats, error) { return o.simulate(cfg, l, argBytes, maxCTAs, trace) }
+	if o.pool == nil {
+		return run()
+	}
+	key, ok := launchKey(cfg, l, argBytes, maxCTAs, trace)
+	if !ok {
+		return run()
+	}
+	st, err := o.pool.memo.do(o.ctx(), key, run)
+	if err == nil && st.Cycles > gpu.CycleBudget(o.MaxCycles) {
+		// Another caller's larger budget produced this result; ours would
+		// have reaped the run. Let the simulator say so itself.
+		return run()
+	}
+	return st, err
+}
+
+// simulate is launchOn's one simulation path, memoized or not.
+func (o Options) simulate(cfg gpu.Config, l *kernels.Launch, argBytes []int, maxCTAs int, trace bool) (*gpu.Stats, error) {
 	sim, err := gpu.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	mem := newZeroMemory()
-	args := make([]uint64, len(elems))
-	for i := range elems {
-		n := dims[i][0] * dims[i][1] * bytesOf(elems[i])
+	args := make([]uint64, len(argBytes))
+	for i, n := range argBytes {
 		args[i] = mem.alloc(n)
 	}
 	return sim.Run(gpu.LaunchSpec{

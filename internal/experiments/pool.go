@@ -26,6 +26,11 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool's fixed worker count.
 func (p *Pool) Workers() int { return p.workers }
 
+// LaunchStats reports the counters of the pool's launch memo: how many
+// of the launches its jobs issued simulated, and how many were answered
+// by an identical earlier or concurrent one.
+func (p *Pool) LaunchStats() LaunchStats { return p.p.memo.stats() }
+
 // Close shuts the pool down after in-flight jobs drain. Run must not
 // be called after (or concurrently with) Close.
 func (p *Pool) Close() { p.p.close() }

@@ -119,11 +119,14 @@ func callSafely(fn func(i int) error, i int) (err error) {
 type sharedPool struct {
 	jobs chan func()
 	wg   sync.WaitGroup
+	// memo shares launch results between everything that runs on the
+	// pool, for as long as the pool lives (memo.go).
+	memo *launchMemo
 }
 
 // newSharedPool starts a pool of the given size.
 func newSharedPool(workers int) *sharedPool {
-	p := &sharedPool{jobs: make(chan func(), 4*workers)}
+	p := &sharedPool{jobs: make(chan func(), 4*workers), memo: newLaunchMemo(launchMemoBytes)}
 	p.wg.Add(workers)
 	for g := 0; g < workers; g++ {
 		go func() {

@@ -190,6 +190,22 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// AppendLaunchKey appends the config's part of a launch's content
+// address (internal/experiments' launch memo): two configs with equal
+// keys simulate every launch identically. The whole struct is printed
+// in Go syntax, mem.Config included, so a field added later is keyed
+// by default; the only canonicalisation is the exception list below.
+func (c Config) AppendLaunchKey(b []byte) []byte {
+	// Name labels reports; the simulator never reads it.
+	c.Name = ""
+	// New copies TwoLevelActive into the sub-cores' tlCap, which only
+	// the TwoLevel policy consults.
+	if c.Scheduler != TwoLevel {
+		c.TwoLevelActive = 0
+	}
+	return fmt.Appendf(b, "%#v", c)
+}
+
 // tensorOccupancy returns how many cycles one wmma.mma holds the
 // sub-core's tensor-core issue bandwidth — the back-to-back initiation
 // interval between mma operations of different warps sharing the unit.

@@ -24,7 +24,7 @@ type LaunchSpec struct {
 	MaxCTAs int
 	// Trace enables per-instruction latency tracing for the wmma ops.
 	Trace bool
-	// MaxCycles caps the simulated cycle count (0 = the defaultMaxCycles
+	// MaxCycles caps the simulated cycle count (0 = CycleBudget's
 	// backstop). It is the watchdog that reaps a malformed or injected
 	// infinite-loop kernel with an ErrCycleBudget error instead of
 	// letting it occupy a shared pool worker forever.
@@ -37,8 +37,18 @@ type LaunchSpec struct {
 }
 
 // ErrCycleBudget marks a simulation reaped by the LaunchSpec.MaxCycles
-// watchdog (or the defaultMaxCycles backstop). Match with errors.Is.
+// watchdog (or CycleBudget's backstop). Match with errors.Is.
 var ErrCycleBudget = errors.New("cycle budget exceeded")
+
+// CycleBudget resolves a LaunchSpec.MaxCycles value to the budget Run
+// enforces: a run succeeds only if its Stats.Cycles stays within it.
+func CycleBudget(maxCycles uint64) uint64 {
+	const defaultMaxCycles = 4_000_000_000
+	if maxCycles > 0 {
+		return maxCycles
+	}
+	return defaultMaxCycles
+}
 
 // Trace holds sampled per-dynamic-instruction latencies (issue to
 // writeback), the quantity the paper's clock-bracketing microbenchmarks
@@ -189,11 +199,7 @@ func (s *Simulator) Run(spec LaunchSpec) (*Stats, error) {
 		}
 	}
 
-	const defaultMaxCycles = 4_000_000_000
-	budget := uint64(defaultMaxCycles)
-	if spec.MaxCycles > 0 {
-		budget = spec.MaxCycles
-	}
+	budget := CycleBudget(spec.MaxCycles)
 	var iters uint64
 	for {
 		// Cancellation poll, off the per-iteration fast path: checking

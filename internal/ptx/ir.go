@@ -291,6 +291,9 @@ type Kernel struct {
 	// launch. Builder.Build populates it; hand-assembled kernels decode
 	// privately per warp in NewWarp.
 	prog []DInstr
+	// digest is the kernel's content address (see digest.go), set with
+	// prog by Builder.Build.
+	digest string
 }
 
 // Program returns the kernel's decoded instruction cache, or nil for

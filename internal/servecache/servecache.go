@@ -8,9 +8,15 @@
 // the simlint frozen analyzer pins for decoded-kernel programs; the
 // cache itself is mutex-guarded (guardedby-annotated) so any number of
 // request goroutines may hit it concurrently.
+//
+// The LRU itself is generic over its value type: the byte cache of
+// rendered tables (Cache, New) and the launch memo of simulated
+// statistics (internal/experiments) are two instantiations of one
+// bounded, mutex-guarded structure.
 package servecache
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
 )
@@ -35,9 +41,10 @@ type Stats struct {
 	MaxBytes int64
 }
 
-// Cache is a bounded content-addressed byte cache with LRU eviction.
-// The zero value is not usable; call New.
-type Cache struct {
+// LRU is a bounded content-addressed cache with LRU eviction over a
+// byte budget; size prices each value. The zero value is not usable;
+// call NewLRU (or New for the byte cache).
+type LRU[V any] struct {
 	mu sync.Mutex
 	//simlint:guardedby mu
 	entries map[string]*list.Element
@@ -54,22 +61,42 @@ type Cache struct {
 	//simlint:guardedby mu
 	evictions int64
 
-	// maxBytes is immutable after New; 0 disables storage so a serving
-	// process without a cache budget still runs, it just always misses.
+	// maxBytes is immutable after NewLRU; 0 disables storage so a
+	// serving process without a cache budget still runs, it just always
+	// misses.
 	maxBytes int64
+	// size prices a value against the budget; immutable after NewLRU.
+	size func(V) int64
+	// own, when set, turns an admitted value into the cache's private
+	// copy; immutable after construction. Nil stores the value as given.
+	own func(V) V
 }
 
 // entry is one cached payload; val is immutable once stored.
-type entry struct {
-	key string
-	val []byte
+type entry[V any] struct {
+	key  string
+	val  V
+	size int64
 }
 
-// New returns a cache bounded at maxBytes of payload (metadata
+// Cache is the byte cache of rendered tables: an LRU that stores its
+// own copy of every payload.
+type Cache = LRU[[]byte]
+
+// New returns a byte cache bounded at maxBytes of payload (metadata
 // overhead is not counted). maxBytes <= 0 disables caching: every Get
 // misses and Put is a no-op, so callers need no nil checks.
 func New(maxBytes int64) *Cache {
-	c := &Cache{maxBytes: max(maxBytes, 0)}
+	c := NewLRU(maxBytes, func(b []byte) int64 { return int64(len(b)) })
+	c.own = bytes.Clone
+	return c
+}
+
+// NewLRU returns a cache bounded at maxBytes as priced by size at Put
+// time. Values are stored as given and shared with every requester, so
+// they must be immutable once Put.
+func NewLRU[V any](maxBytes int64, size func(V) int64) *LRU[V] {
+	c := &LRU[V]{maxBytes: max(maxBytes, 0), size: size}
 	c.mu.Lock()
 	c.entries = make(map[string]*list.Element)
 	c.lru = list.New()
@@ -77,29 +104,31 @@ func New(maxBytes int64) *Cache {
 	return c
 }
 
-// Get returns the payload stored under key. The returned slice is the
+// Get returns the payload stored under key. The returned value is the
 // cache's own immutable copy, shared with every other requester —
 // callers must treat it as read-only.
-func (c *Cache) Get(key string) ([]byte, bool) {
+func (c *LRU[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
 	c.lru.MoveToFront(el)
-	return el.Value.(*entry).val, true
+	return el.Value.(*entry[V]).val, true
 }
 
-// Put stores a copy of val under key and reports whether it was
-// cached. Payloads larger than the whole budget are rejected rather
-// than evicting everything else; storing under an existing key is a
-// no-op (content addressing: same key, same bytes — re-storing could
-// only churn the copy).
-func (c *Cache) Put(key string, val []byte) bool {
-	if c.maxBytes == 0 || int64(len(val)) > c.maxBytes {
+// Put stores val under key (the byte cache stores a copy) and reports
+// whether it was cached. Payloads larger than the whole budget are
+// rejected rather than evicting everything else; storing under an
+// existing key is a no-op (content addressing: same key, same value —
+// re-storing could only churn the copy).
+func (c *LRU[V]) Put(key string, val V) bool {
+	size := c.size(val)
+	if c.maxBytes == 0 || size > c.maxBytes {
 		return false
 	}
 	c.mu.Lock()
@@ -107,22 +136,24 @@ func (c *Cache) Put(key string, val []byte) bool {
 	if _, dup := c.entries[key]; dup {
 		return true
 	}
-	e := &entry{key: key, val: append([]byte(nil), val...)}
-	c.entries[key] = c.lru.PushFront(e)
-	c.bytes += int64(len(e.val))
+	if c.own != nil {
+		val = c.own(val)
+	}
+	c.entries[key] = c.lru.PushFront(&entry[V]{key: key, val: val, size: size})
+	c.bytes += size
 	for c.bytes > c.maxBytes {
 		back := c.lru.Back()
-		victim := back.Value.(*entry)
+		victim := back.Value.(*entry[V])
 		c.lru.Remove(back)
 		delete(c.entries, victim.key)
-		c.bytes -= int64(len(victim.val))
+		c.bytes -= victim.size
 		c.evictions++
 	}
 	return true
 }
 
 // Stats returns a counter snapshot.
-func (c *Cache) Stats() Stats {
+func (c *LRU[V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
