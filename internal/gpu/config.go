@@ -216,7 +216,7 @@ func (c Config) AppendLaunchKey(b []byte) []byte {
 // sustained throughput to the paper's measured 109.6 of 125 TFLOPS
 // (87.7 %): 8192 FLOP per mma / 36 cycles ≈ 89 % of the 256 FLOP/cycle
 // sub-core peak.
-func (c Config) tensorOccupancy(w wmma.Config) uint64 {
+func (c *Config) tensorOccupancy(w wmma.Config) uint64 {
 	fedpCycles := w.Shape.M * w.Shape.N * w.Shape.K / (32 * wmma.FEDPWidth)
 	if c.TensorCoresPerSubCore == 1 {
 		fedpCycles *= 2
@@ -230,7 +230,7 @@ func (c Config) tensorOccupancy(w wmma.Config) uint64 {
 
 // tensorTiming returns the calibrated HMMA timing for a wmma.mma under
 // this configuration, applying the ablation knobs.
-func (c Config) tensorTiming(cfg wmma.Config) (tcore.Timing, error) {
+func (c *Config) tensorTiming(cfg wmma.Config) (tcore.Timing, error) {
 	t, err := tcore.TimingFor(cfg)
 	if err != nil {
 		return t, err

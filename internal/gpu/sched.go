@@ -416,7 +416,8 @@ func (m *sm) tryWarp(sc *subcore, idx int, now uint64, st *Stats) (issued bool, 
 		// (filtered out of this pass's order) still hold work.
 		return false, now + 1, nil
 	}
-	if ready, at := w.operandsReady(in, now); !ready {
+	// The scoreboard verdict was computed when the warp last issued.
+	if at := w.hazardAt; at > now {
 		sc.stall(w, at)
 		return false, at, nil
 	}

@@ -298,11 +298,13 @@ func (d *dispatcher) done() bool { return d.next >= d.limit }
 
 // fillOne assigns at most one CTA to the SM if occupancy limits allow.
 func (d *dispatcher) fillOne(m *sm) (bool, error) {
-	cfg := d.sim.cfg
+	if d.done() {
+		return false, nil
+	}
+	cfg := &d.sim.cfg
 	k := d.spec.Kernel
 	warpsPerCTA := (d.spec.Block.Count() + 31) / 32
-	if d.done() ||
-		len(m.ctas) >= cfg.MaxCTAsPerSM ||
+	if len(m.ctas) >= cfg.MaxCTAsPerSM ||
 		m.warps+warpsPerCTA > cfg.MaxWarpsPerSM ||
 		m.shared+k.SharedBytes > cfg.SharedPerSM {
 		return false, nil
@@ -419,7 +421,7 @@ func (m *sm) finishWarp(w *simWarp, now uint64) {
 
 // issue executes the instruction functionally and charges its timing.
 func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stats) error {
-	cfg := m.sim.cfg
+	cfg := &m.sim.cfg
 	var res ptx.Result
 	if err := w.warp.StepInto(&res); err != nil {
 		return err
@@ -436,6 +438,7 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 		m.finishWarp(w, now)
 		return nil
 	case ptx.DClassBar:
+		w.noteHazard() // nothing issues before the release: still exact then
 		sc.toBarrier(w)
 		w.cta.atBarrier++
 		m.maybeReleaseBarrier(w.cta, now)
@@ -476,17 +479,17 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 	}
 	// Proactive scoreboard wake: this warp's regReady only changes when
 	// the warp itself issues, so the next instruction's hazard-clear
-	// cycle computed right here is exact. When it is beyond the next
+	// cycle computed right here is exact — tryWarp compares against it
+	// instead of walking the scoreboard again. When it is beyond the next
 	// cycle, park the warp on the wake heap now — it never re-enters the
 	// ready set, so the scheduler stops re-screening a warp whose stall
 	// outcome is already known. Runs in both knob modes (scan mode reads
 	// the same stallUntil through its per-cycle screen) so the policies
 	// keep seeing identical candidate sets.
-	if next := w.warp.PeekD(); next != nil {
-		if at := w.hazardClear(next); at > now+1 {
-			sc.stall(w, at)
-			return nil
-		}
+	w.noteHazard()
+	if w.hazardAt > now+1 {
+		sc.stall(w, w.hazardAt)
+		return nil
 	}
 	// The next instruction of this warp issues no earlier than next cycle.
 	// The warp stays Ready: its sub-core is guaranteed to step again at

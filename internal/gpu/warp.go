@@ -75,6 +75,12 @@ type simWarp struct {
 	regReady   []uint64
 	stallUntil uint64
 	lastIssue  uint64
+	// hazardAt is the hazard-clear cycle of the warp's next instruction,
+	// recorded by issue for tryWarp to compare against. It is exact
+	// because regReady changes only when this warp issues, and needs no
+	// valid flag: a fresh warp has nothing pending, which is the zero
+	// value, and issue records it on every path that leaves the warp live.
+	hazardAt uint64
 	// tlActive marks membership in the TwoLevel policy's active subset.
 	tlActive bool
 	// Intrusive age-list links (event mode): the sub-core chains warps
@@ -464,12 +470,13 @@ func (w *simWarp) hazardClear(in *ptx.DInstr) uint64 {
 	return latest
 }
 
-// operandsReady checks the scoreboard for RAW and WAW hazards.
+// noteHazard records the hazard-clear cycle of the instruction the warp
+// executes next (zero when it has none left).
 //
 //simlint:hotpath
-func (w *simWarp) operandsReady(in *ptx.DInstr, now uint64) (bool, uint64) {
-	if latest := w.hazardClear(in); latest > now {
-		return false, latest
+func (w *simWarp) noteHazard() {
+	w.hazardAt = 0
+	if next := w.warp.PeekD(); next != nil {
+		w.hazardAt = w.hazardClear(next)
 	}
-	return true, now
 }

@@ -2,6 +2,7 @@ package ptx
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -103,31 +104,13 @@ func expandBatch(out []Access, batch []WarpAccess) []Access {
 }
 
 // genLdStAddrs fills the group's address vector and mask for a decoded
-// ld/st. The dominant shape — plain register base, fully active
-// unguarded warp, classified at decode time — indexes the register file
-// directly; everything else goes through the per-lane guard and operand
-// resolution.
+// ld/st: the guard is one mask, and the base operand's vector is copied
+// whole (WarpAccess.Addr is stale in unmasked lanes by contract).
 //
 //simlint:hotpath
 func (w *Warp) genLdStAddrs(d *DInstr, wa *WarpAccess) {
-	nr := w.Kernel.NumRegs
-	if ar := int(d.addrReg); ar >= 0 && d.predID < 0 && w.nLanes == 32 {
-		for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-			wa.Addr[lane] = w.regs[base+ar]
-		}
-		wa.Mask = ^uint32(0)
-		return
-	}
-	var mask uint32
-	a0 := &d.srcs[0]
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		mask |= 1 << lane
-		wa.Addr[lane] = d.val(w, base, lane, a0)
-	}
-	wa.Mask = mask
+	wa.Mask = d.guard(w)
+	wa.Addr = *d.srcVec(w, 0)
 }
 
 // resolveBatchSpace resolves the group's state space in place, exactly
@@ -207,26 +190,19 @@ func (w *Warp) execLoadBatched(d *DInstr, res *Result) {
 //
 //simlint:hotpath
 func (w *Warp) loadGroup(d *DInstr, g *WarpAccess) {
-	nr := w.Kernel.NumRegs
 	nb := uint64(d.membytes)
 	if g.Space == Shared {
-		shared := w.Env.Shared
-		for lane := 0; lane < 32; lane++ {
-			if g.Mask&(1<<lane) == 0 {
-				continue
-			}
-			a := g.Addr[lane]
-			w.unpackLoad(d, lane*nr, shared[a:a+nb])
-		}
+		w.unpackLoad(d, g.Mask, w.Env.Shared, &g.Addr)
 		return
 	}
-	if g.Mask == ^uint32(0) && uniformAddrs(&g.Addr) {
+	// Global data is staged in bulk, lane i's bytes at off[i]. (vecs[0]
+	// is free again: genLdStAddrs copied the base operand out of it.)
+	off := &w.vecs[0]
+	if g.Mask == fullMask && uniformAddrs(&g.Addr) {
 		// Broadcast: all lanes read the same bytes once.
-		buf := w.bulk[:nb]
-		w.Env.Global.Read(g.Addr[0], buf)
-		for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-			w.unpackLoad(d, base, buf)
-		}
+		w.Env.Global.Read(g.Addr[0], w.bulk[:nb])
+		*off = [32]uint64{}
+		w.unpackLoad(d, g.Mask, w.bulk[:nb], off)
 		return
 	}
 	// One Memory.Read per maximal run of consecutive masked lanes with
@@ -240,25 +216,35 @@ func (w *Warp) loadGroup(d *DInstr, g *WarpAccess) {
 		for end < 32 && g.Mask&(1<<end) != 0 && g.Addr[end] == g.Addr[end-1]+nb {
 			end++
 		}
-		n := uint64(end - lane)
-		buf := w.bulk[: n*nb : n*nb]
-		w.Env.Global.Read(g.Addr[lane], buf)
-		for i := lane; i < end; i++ {
-			w.unpackLoad(d, i*nr, buf[uint64(i-lane)*nb:])
+		lo, hi := uint64(lane)*nb, uint64(end)*nb
+		w.Env.Global.Read(g.Addr[lane], w.bulk[lo:hi:hi])
+		for ; lane < end; lane++ {
+			off[lane] = uint64(lane) * nb
 		}
-		lane = end
 	}
+	w.unpackLoad(d, g.Mask, w.bulk[:], off)
 }
 
-// unpackLoad writes one lane's loaded bytes into its destination
-// registers (base is the lane's register-file offset).
-func (w *Warp) unpackLoad(d *DInstr, base int, src []byte) {
+// unpackLoad writes the masked lanes' loaded bytes into the destination
+// registers, one destination vector at a time; lane i's bytes start at
+// src[off[i]].
+//
+//simlint:hotpath
+func (w *Warp) unpackLoad(d *DInstr, mask uint32, src []byte, off *[32]uint64) {
 	if d.In.Width == 16 {
-		w.regs[base+int(d.dsts[0])] = uint64(binary.LittleEndian.Uint16(src))
+		dst := w.regVec(int(d.dsts[0]))
+		for on := mask; on != 0; on &= on - 1 {
+			lane := bits.TrailingZeros32(on) & 31
+			dst[lane] = uint64(binary.LittleEndian.Uint16(src[off[lane]:]))
+		}
 		return
 	}
 	for i := 0; i < int(d.words); i++ {
-		w.regs[base+int(d.dsts[i])] = uint64(binary.LittleEndian.Uint32(src[4*i:]))
+		dst := w.regVec(int(d.dsts[i]))
+		for on := mask; on != 0; on &= on - 1 {
+			lane := bits.TrailingZeros32(on) & 31
+			dst[lane] = uint64(binary.LittleEndian.Uint32(src[off[lane]+uint64(4*i):]))
+		}
 	}
 }
 
@@ -289,7 +275,6 @@ func (w *Warp) execStoreBatched(d *DInstr, res *Result) {
 //
 //simlint:hotpath
 func (w *Warp) storeGroup(d *DInstr, g *WarpAccess) {
-	nr := w.Kernel.NumRegs
 	nb := uint64(d.membytes)
 	if g.Space == Shared {
 		shared := w.Env.Shared
@@ -298,7 +283,7 @@ func (w *Warp) storeGroup(d *DInstr, g *WarpAccess) {
 				continue
 			}
 			a := g.Addr[lane]
-			w.packStore(d, lane*nr, lane, shared[a:a+nb])
+			w.packStore(d, lane, shared[a:a+nb])
 		}
 		return
 	}
@@ -314,22 +299,23 @@ func (w *Warp) storeGroup(d *DInstr, g *WarpAccess) {
 		n := uint64(end - lane)
 		buf := w.bulk[: n*nb : n*nb]
 		for i := lane; i < end; i++ {
-			w.packStore(d, i*nr, i, buf[uint64(i-lane)*nb:uint64(i-lane+1)*nb])
+			w.packStore(d, i, buf[uint64(i-lane)*nb:uint64(i-lane+1)*nb])
 		}
 		w.Env.Global.Write(g.Addr[lane], buf)
 		lane = end
 	}
 }
 
-// packStore serializes one lane's source operands into dst.
-func (w *Warp) packStore(d *DInstr, base, lane int, dst []byte) {
+// packStore serializes one lane's source operands into dst. Stores stay
+// lane-major: overlapping lanes must land in lane order.
+func (w *Warp) packStore(d *DInstr, lane int, dst []byte) {
 	if d.In.Width == 16 {
-		v := d.val(w, base, lane, &d.srcs[1])
+		v := d.val(w, lane, &d.srcs[1])
 		binary.LittleEndian.PutUint16(dst, uint16(v))
 		return
 	}
 	for i := 0; i < int(d.words); i++ {
-		v := d.val(w, base, lane, &d.srcs[1+i])
+		v := d.val(w, lane, &d.srcs[1+i])
 		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
 	}
 }

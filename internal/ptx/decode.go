@@ -2,6 +2,7 @@ package ptx
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/fp16"
@@ -41,10 +42,11 @@ const (
 // srcOp is a pre-resolved source operand: the Operand's discriminated
 // union flattened so the hot register path is a single array index.
 type srcOp struct {
-	kind OperandKind
-	reg  int32
-	sreg SReg
-	imm  uint64
+	kind  OperandKind
+	reg   int32
+	sreg  SReg
+	imm   uint64
+	splat *[32]uint64 // imm in every lane, for srcVec (immediates only)
 }
 
 // DInstr is the decoded, execution-ready form of one Instr. In points
@@ -60,9 +62,8 @@ type DInstr struct {
 	Class DClass
 
 	alu    aluKind
-	shape  srcShape // two-source operand shape for the dBin fast paths
-	cmp    CmpOp    // comparison operator (setp)
-	mask   uint64   // destination truncation mask for integer/bitwise ops
+	cmp    CmpOp  // comparison operator (setp)
+	mask   uint64 // destination truncation mask for integer/bitwise ops
 	cvtFn  func(uint64) uint64
 	dstID  int32 // first destination register, -1 if none
 	predID int32 // guard predicate register, -1 = unguarded
@@ -92,12 +93,9 @@ type DInstr struct {
 	wplan          *fragPlan
 	wA, wB, wC, wD *fragPlan
 
-	// ld/st address-shape classification for the batched access path:
-	// the static state space (Generic resolves per execution) and the
-	// address register when the base operand is a plain register
-	// (-1 for immediate or special-register bases).
-	space   Space
-	addrReg int32
+	// space is the ld/st static state space (Generic resolves per
+	// execution).
+	space Space
 }
 
 // ScoreboardRegs returns the deduplicated register IDs the instruction
@@ -165,18 +163,12 @@ func decodeInstr(k *Kernel, in *Instr, d *DInstr) {
 	d.srcs = make([]srcOp, len(in.Src))
 	for i, o := range in.Src {
 		d.srcs[i] = srcOp{kind: o.Kind, reg: int32(o.Reg.ID), sreg: o.SReg, imm: o.Imm}
-	}
-	switch len(d.srcs) {
-	case 2:
-		switch {
-		case d.srcs[0].kind == OperandReg && d.srcs[1].kind == OperandReg:
-			d.shape = srcRR
-		case d.srcs[0].kind == OperandReg && d.srcs[1].kind == OperandImm:
-			d.shape = srcRI
-		}
-	case 3:
-		if d.srcs[0].kind == OperandReg && d.srcs[1].kind == OperandReg && d.srcs[2].kind == OperandReg {
-			d.shape = srcRRR
+		if o.Kind == OperandImm {
+			splat := new([32]uint64)
+			for lane := range splat {
+				splat[lane] = o.Imm
+			}
+			d.srcs[i].splat = splat
 		}
 	}
 	d.dsts = make([]int32, len(in.Dst))
@@ -205,10 +197,6 @@ func decodeInstr(k *Kernel, in *Instr, d *DInstr) {
 		}
 		d.words = w
 		d.space = in.Space
-		d.addrReg = -1
-		if len(in.Src) > 0 && in.Src[0].Kind == OperandReg {
-			d.addrReg = int32(in.Src[0].Reg.ID)
-		}
 	case OpWmmaLoad, OpWmmaStore:
 		d.membytes = int32(cuda4BitBytes(in.WMap.Elem))
 		d.wplan = planFragment(in.WMap)
@@ -458,35 +446,50 @@ func cvtFnFor(dst, src Type) func(uint64) uint64 {
 	return nil
 }
 
-// laneOn reports whether the lane executes under the decoded guard. base
-// is the lane's precomputed register-file offset.
-func (d *DInstr) laneOn(w *Warp, base, lane int) bool {
-	if !w.Active[lane] {
-		return false
-	}
+// guard resolves the instruction's guard to a lane mask: the populated
+// lanes whose predicate (if any) enables them. Evaluating it once per
+// instruction, before any lane writes, equals testing each lane in turn:
+// a lane's guard reads only that lane's own predicate register.
+//
+//simlint:hotpath
+func (d *DInstr) guard(w *Warp) uint32 {
 	if d.predID < 0 {
-		return true
+		return w.active
 	}
-	return (w.regs[base+int(d.predID)] != 0) != d.pneg
+	var on, neg uint32
+	if d.pneg {
+		neg = 1
+	}
+	for lane, p := range w.regVec(int(d.predID)) {
+		var b uint32
+		if p != 0 {
+			b = 1
+		}
+		on |= (b ^ neg) << lane
+	}
+	return on & w.active
 }
 
-// val fetches a pre-resolved source operand. The register path must stay
-// small enough to inline into the warp-wide executor loops; immediates
-// and special registers take the outlined slow path, as in the
-// interpreted executor.
-func (d *DInstr) val(w *Warp, base, lane int, s *srcOp) uint64 {
-	if s.kind == OperandReg {
-		return w.regs[base+int(s.reg)]
+// srcVec returns the i-th source operand as a 32-lane vector: the
+// register's own vector, the immediate's decode-time splat, or — for a
+// special register — its per-lane values computed into the warp's i-th
+// scratch vector. Every operand being a vector is what lets the
+// warp-wide executors run one loop shape whatever the operand kinds.
+//
+//simlint:hotpath
+func (d *DInstr) srcVec(w *Warp, i int) *[32]uint64 {
+	s := &d.srcs[i]
+	switch s.kind {
+	case OperandReg:
+		return w.regVec(int(s.reg))
+	case OperandImm:
+		return s.splat
 	}
-	return valSlow(w, lane, s)
-}
-
-//go:noinline
-func valSlow(w *Warp, lane int, s *srcOp) uint64 {
-	if s.kind == OperandImm {
-		return s.imm
+	v := &w.vecs[i]
+	for lane := range v {
+		v[lane] = w.sreg(lane, s.sreg)
 	}
-	return w.sreg(lane, s.sreg)
+	return v
 }
 
 // aluTable is the decoded ALU dispatch: one specialized warp-wide
@@ -609,116 +612,64 @@ var aluTable = [nALUKinds]func(*Warp, *DInstr) error{
 // dALUGeneric is the interpreted fallback: the per-lane execALU path for
 // opcode/type pairs without a specialized executor.
 func dALUGeneric(w *Warp, d *DInstr) error {
-	in := d.In
-	nr := w.Kernel.NumRegs
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		if err := w.execALU(lane, in); err != nil {
+	for on := d.guard(w); on != 0; on &= on - 1 {
+		if err := w.execALU(bits.TrailingZeros32(on), d.In); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// The warp-wide executors below share one shape: take the destination
+// and source vectors, resolve the guard to a lane mask, then either run
+// all 32 lanes in a tight loop (fully populated, unguarded — the common
+// case) or walk the mask's set bits. Indexing *[32]uint64 by a lane the
+// compiler knows is below 32 needs no bounds checks.
+
 func dMov(w *Warp, d *DInstr) error {
-	nr := w.Kernel.NumRegs
-	s := &d.srcs[0]
-	dst, m := int(d.dstID), d.mask
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		w.regs[base+dst] = d.val(w, base, lane, s) & m
+	dst, x, m := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.mask
+	for on := d.guard(w); on != 0; on &= on - 1 {
+		lane := bits.TrailingZeros32(on) & 31
+		dst[lane] = x[lane] & m
 	}
 	return nil
 }
 
-// srcShape classifies a two-source instruction's operand kinds at decode
-// time so the hot executors can index the register file directly instead
-// of re-dispatching on operand kind per lane per source.
-type srcShape uint8
-
-const (
-	srcGen srcShape = iota // anything involving special registers, or <2 sources
-	srcRR                  // register, register
-	srcRI                  // register, immediate
-	srcRRR                 // register, register, register (mad)
-)
-
 // dBin runs a warp-wide two-source ALU op; f replicates the interpreted
-// arithmetic exactly (including destination truncation). The dominant
-// operand shapes — reg-reg and reg-imm, classified at decode time — skip
-// the per-lane indirect operand resolution of val entirely.
+// arithmetic exactly (including destination truncation).
+//
+//simlint:hotpath
 func dBin(w *Warp, d *DInstr, f func(x, y uint64) uint64) {
-	nr := w.Kernel.NumRegs
-	a, b := &d.srcs[0], &d.srcs[1]
-	dst := int(d.dstID)
-	full := d.predID < 0 && w.nLanes == 32 // no per-lane guard needed
-	switch d.shape {
-	case srcRR:
-		ra, rb := int(a.reg), int(b.reg)
-		if full {
-			for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-				w.regs[base+dst] = f(w.regs[base+ra], w.regs[base+rb])
-			}
-			return
+	dst, x, y := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1)
+	on := d.guard(w)
+	if on == fullMask {
+		for lane := range dst {
+			dst[lane] = f(x[lane], y[lane])
 		}
-		for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-			if !d.laneOn(w, base, lane) {
-				continue
-			}
-			w.regs[base+dst] = f(w.regs[base+ra], w.regs[base+rb])
-		}
-	case srcRI:
-		ra, imm := int(a.reg), b.imm
-		if full {
-			for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-				w.regs[base+dst] = f(w.regs[base+ra], imm)
-			}
-			return
-		}
-		for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-			if !d.laneOn(w, base, lane) {
-				continue
-			}
-			w.regs[base+dst] = f(w.regs[base+ra], imm)
-		}
-	default:
-		for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-			if !d.laneOn(w, base, lane) {
-				continue
-			}
-			w.regs[base+dst] = f(d.val(w, base, lane, a), d.val(w, base, lane, b))
-		}
+		return
+	}
+	for ; on != 0; on &= on - 1 {
+		lane := bits.TrailingZeros32(on) & 31
+		dst[lane] = f(x[lane], y[lane])
 	}
 }
 
 // dTern runs a warp-wide three-source ALU op; f replicates the
-// interpreted arithmetic exactly. The dominant operand shape — three
-// registers, classified at decode time (srcRRR) — indexes the register
-// file directly, which matters most for the mad executors at the core of
-// every GEMM inner loop.
+// interpreted arithmetic exactly.
+//
+//simlint:hotpath
 func dTern(w *Warp, d *DInstr, f func(x, y, z uint64) uint64) {
-	nr := w.Kernel.NumRegs
-	a, b, c := &d.srcs[0], &d.srcs[1], &d.srcs[2]
-	dst := int(d.dstID)
-	if d.shape == srcRRR {
-		ra, rb, rc := int(a.reg), int(b.reg), int(c.reg)
-		for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-			if !d.laneOn(w, base, lane) {
-				continue
-			}
-			w.regs[base+dst] = f(w.regs[base+ra], w.regs[base+rb], w.regs[base+rc])
+	dst, x, y, z := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1), d.srcVec(w, 2)
+	on := d.guard(w)
+	if on == fullMask {
+		for lane := range dst {
+			dst[lane] = f(x[lane], y[lane], z[lane])
 		}
 		return
 	}
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		w.regs[base+dst] = f(d.val(w, base, lane, a), d.val(w, base, lane, b), d.val(w, base, lane, c))
+	for ; on != 0; on &= on - 1 {
+		lane := bits.TrailingZeros32(on) & 31
+		dst[lane] = f(x[lane], y[lane], z[lane])
 	}
 }
 
@@ -739,59 +690,35 @@ func dMadU64(w *Warp, d *DInstr) error {
 	return nil
 }
 
-// dMadF32 and dMadF16X2 — the inner-loop instruction of the FP32 and
-// packed-half SIMT GEMMs — get fully specialized loops: direct register
-// indexing for the srcRRR shape and no per-lane guard when the warp is
-// fully active and unguarded, with math.FMA compiling to the hardware
-// fused multiply-add.
+// dMadF32 — the inner-loop instruction of the FP32 SIMT GEMM — is dTern
+// with the arithmetic written into the loops, so math.FMA compiles to
+// the hardware fused multiply-add with no call per lane.
+//
+//simlint:hotpath
 func dMadF32(w *Warp, d *DInstr) error {
-	if d.shape != srcRRR {
-		dTern(w, d, func(x, y, z uint64) uint64 {
-			return bitsF32(float32(math.FMA(float64(f32bits(x)), float64(f32bits(y)), float64(f32bits(z)))))
-		})
-		return nil
-	}
-	nr := w.Kernel.NumRegs
-	ra, rb, rc := int(d.srcs[0].reg), int(d.srcs[1].reg), int(d.srcs[2].reg)
-	dst := int(d.dstID)
-	if d.predID < 0 && w.nLanes == 32 {
-		for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-			x, y, z := w.regs[base+ra], w.regs[base+rb], w.regs[base+rc]
-			// fma.rn.f32: a single rounding.
-			w.regs[base+dst] = bitsF32(float32(math.FMA(float64(f32bits(x)), float64(f32bits(y)), float64(f32bits(z)))))
+	dst, x, y, z := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1), d.srcVec(w, 2)
+	on := d.guard(w)
+	if on == fullMask {
+		for lane := range dst {
+			dst[lane] = fmaF32(x[lane], y[lane], z[lane])
 		}
 		return nil
 	}
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		x, y, z := w.regs[base+ra], w.regs[base+rb], w.regs[base+rc]
-		w.regs[base+dst] = bitsF32(float32(math.FMA(float64(f32bits(x)), float64(f32bits(y)), float64(f32bits(z)))))
+	for ; on != 0; on &= on - 1 {
+		lane := bits.TrailingZeros32(on) & 31
+		dst[lane] = fmaF32(x[lane], y[lane], z[lane])
 	}
 	return nil
 }
 
+// fmaF32 is one lane's fma.rn.f32: a single rounding.
+func fmaF32(x, y, z uint64) uint64 {
+	return bitsF32(float32(math.FMA(float64(f32bits(x)), float64(f32bits(y)), float64(f32bits(z)))))
+}
+
+// dMadF16X2 is the packed-half GEMM's inner-loop instruction.
 func dMadF16X2(w *Warp, d *DInstr) error {
-	if d.shape != srcRRR {
-		dTern(w, d, madF16X2)
-		return nil
-	}
-	nr := w.Kernel.NumRegs
-	ra, rb, rc := int(d.srcs[0].reg), int(d.srcs[1].reg), int(d.srcs[2].reg)
-	dst := int(d.dstID)
-	if d.predID < 0 && w.nLanes == 32 {
-		for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-			w.regs[base+dst] = madF16X2(w.regs[base+ra], w.regs[base+rb], w.regs[base+rc])
-		}
-		return nil
-	}
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		w.regs[base+dst] = madF16X2(w.regs[base+ra], w.regs[base+rb], w.regs[base+rc])
-	}
+	dTern(w, d, madF16X2)
 	return nil
 }
 
@@ -805,36 +732,26 @@ func madF16X2(x, y, z uint64) uint64 {
 // dSetp runs a warp-wide integer setp; ord returns the three-way
 // comparison of the two raw source values.
 func dSetp(w *Warp, d *DInstr, ord func(x, y uint64) int) {
-	nr := w.Kernel.NumRegs
-	a, b := &d.srcs[0], &d.srcs[1]
-	dst, cmp := int(d.dstID), d.cmp
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		c := ord(d.val(w, base, lane, a), d.val(w, base, lane, b))
-		w.regs[base+dst] = predBit(cmp, c)
+	dst, x, y, cmp := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1), d.cmp
+	for on := d.guard(w); on != 0; on &= on - 1 {
+		lane := bits.TrailingZeros32(on) & 31
+		dst[lane] = predBit(cmp, ord(x[lane], y[lane]))
 	}
 }
 
 func dSetpF32(w *Warp, d *DInstr) error {
-	nr := w.Kernel.NumRegs
-	a, b := &d.srcs[0], &d.srcs[1]
-	dst, cmp := int(d.dstID), d.cmp
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		x, y := f32bits(d.val(w, base, lane, a)), f32bits(d.val(w, base, lane, b))
+	dst, xs, ys, cmp := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1), d.cmp
+	for on := d.guard(w); on != 0; on &= on - 1 {
+		lane := bits.TrailingZeros32(on) & 31
+		x, y := f32bits(xs[lane]), f32bits(ys[lane])
 		if x != x || y != y { // NaN: only NE holds
+			dst[lane] = 0
 			if cmp == CmpNE {
-				w.regs[base+dst] = 1
-			} else {
-				w.regs[base+dst] = 0
+				dst[lane] = 1
 			}
 			continue
 		}
-		w.regs[base+dst] = predBit(cmp, cmpOrd(x, y))
+		dst[lane] = predBit(cmp, cmpOrd(x, y))
 	}
 	return nil
 }
@@ -863,31 +780,23 @@ func predBit(cmp CmpOp, c int) uint64 {
 }
 
 func dSelp(w *Warp, d *DInstr) error {
-	nr := w.Kernel.NumRegs
-	a, b, p := &d.srcs[0], &d.srcs[1], &d.srcs[2]
-	dst, m := int(d.dstID), d.mask
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		if d.val(w, base, lane, p) != 0 {
-			w.regs[base+dst] = d.val(w, base, lane, a) & m
+	dst, x, y, p, m := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1), d.srcVec(w, 2), d.mask
+	for on := d.guard(w); on != 0; on &= on - 1 {
+		lane := bits.TrailingZeros32(on) & 31
+		if p[lane] != 0 {
+			dst[lane] = x[lane] & m
 		} else {
-			w.regs[base+dst] = d.val(w, base, lane, b) & m
+			dst[lane] = y[lane] & m
 		}
 	}
 	return nil
 }
 
 func dCvt(w *Warp, d *DInstr) error {
-	nr := w.Kernel.NumRegs
-	s := &d.srcs[0]
-	dst, fn := int(d.dstID), d.cvtFn
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		w.regs[base+dst] = fn(d.val(w, base, lane, s))
+	dst, x, fn := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.cvtFn
+	for on := d.guard(w); on != 0; on &= on - 1 {
+		lane := bits.TrailingZeros32(on) & 31
+		dst[lane] = fn(x[lane])
 	}
 	return nil
 }

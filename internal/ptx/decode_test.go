@@ -8,11 +8,19 @@ import (
 // opsCoverageKernel builds a kernel exercising every ALU opcode/type pair
 // with a specialized decoded executor (plus a few that fall back to the
 // generic path), storing every intermediate to global memory so the two
-// execution modes can be compared byte for byte.
-func opsCoverageKernel(t *testing.T) *Kernel {
+// execution modes can be compared byte for byte. guard "p" or "!p" puts
+// every straight-line instruction (stores included) under @p / @!p with
+// p = tid even, so the executors' masked-lane loops run too; "" leaves
+// them unguarded.
+func opsCoverageKernel(t *testing.T, guard string) *Kernel {
 	t.Helper()
 	b := NewBuilder("ops_coverage")
 	out := b.Param("out", U64)
+	gp, gtmp := b.Reg(), b.Reg()
+	b.Mov(U32, gtmp, SR(SRegTidX))
+	b.And(U32, gtmp, R(gtmp), Imm(1))
+	b.Setp(U32, CmpEQ, gp, R(gtmp), Imm(0))
+	guardFrom := len(b.k.Instrs)
 	slot := 0
 	store := func(r Reg) {
 		addr := b.Reg()
@@ -117,6 +125,15 @@ func opsCoverageKernel(t *testing.T) *Kernel {
 	b.At(p, true).Mov(U32, r, Imm(888))
 	store(r)
 
+	// The loop below stays unguarded: its branch must be warp-uniform.
+	if guard != "" {
+		for i := guardFrom; i < len(b.k.Instrs); i++ {
+			if in := &b.k.Instrs[i]; in.Pred == nil {
+				in.Pred, in.PNeg = &gp, guard == "!p"
+			}
+		}
+	}
+
 	// Loop with a predicated backward branch.
 	i, acc, q := b.Reg(), b.Reg(), b.Reg()
 	b.Mov(U32, i, Imm(0))
@@ -133,24 +150,64 @@ func opsCoverageKernel(t *testing.T) *Kernel {
 }
 
 // The decoded table-driven dispatch must produce bit-identical results to
-// the per-lane interpreted path for every operation.
+// the per-lane interpreted path for every operation — on full warps
+// (64-thread blocks) and on a block of one full plus one half warp, with
+// every instruction unguarded, under @p and under @!p.
 func TestDecodedMatchesInterpreted(t *testing.T) {
-	run := func(interpret bool) []byte {
+	run := func(interpret bool, guard string, threads int) []byte {
 		defer SwapInterpretALU(interpret)()
-		k := opsCoverageKernel(t) // decode happens at Build under the mode
+		k := opsCoverageKernel(t, guard) // decode happens at Build under the mode
 		mem := NewFlatMemory(64 << 10)
-		if err := RunGrid(k, mem, D1(2), D1(64), []uint64{0}); err != nil {
+		if err := RunGrid(k, mem, D1(2), D1(threads), []uint64{0}); err != nil {
 			t.Fatal(err)
 		}
 		return mem.Data
 	}
-	decoded := run(false)
-	interpreted := run(true)
-	if !bytes.Equal(decoded, interpreted) {
-		for i := range decoded {
-			if decoded[i] != interpreted[i] {
-				t.Fatalf("first divergence at byte %d (slot %d): decoded %d, interpreted %d",
-					i, i/(32*4), decoded[i], interpreted[i])
+	for _, threads := range []int{64, 48} {
+		images := map[string][]byte{}
+		for _, guard := range []string{"", "p", "!p"} {
+			decoded := run(false, guard, threads)
+			interpreted := run(true, guard, threads)
+			for i := range decoded {
+				if decoded[i] != interpreted[i] {
+					t.Fatalf("%d threads, guard %q: first divergence at byte %d (slot %d): decoded %d, interpreted %d",
+						threads, guard, i, i/(32*4), decoded[i], interpreted[i])
+				}
+			}
+			images[guard] = decoded
+		}
+		// The guards must have switched lanes off, and different ones.
+		if bytes.Equal(images["p"], images[""]) || bytes.Equal(images["!p"], images[""]) || bytes.Equal(images["p"], images["!p"]) {
+			t.Errorf("%d threads: guarded variants did not change the output image", threads)
+		}
+	}
+}
+
+// guard must equal the per-lane interpreted guard (laneEnabled) for any
+// predicate vector, either polarity and any populated-lane set.
+func TestGuardMaskMatchesLaneEnabled(t *testing.T) {
+	k := &Kernel{Name: "guard", NumRegs: 2}
+	p := Reg{ID: 1}
+	for _, threads := range []int{32, 17, 1} {
+		env := &Env{GridDim: D1(1), BlockDim: D1(threads)}
+		w, err := NewWarp(k, env, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lane := 0; lane < 32; lane++ {
+			w.setReg(lane, p, uint64(lane*7%3)) // zero in every third lane
+		}
+		for _, in := range []*Instr{{Op: OpMov}, {Op: OpMov, Pred: &p}, {Op: OpMov, Pred: &p, PNeg: true}} {
+			var d DInstr
+			decodeInstr(k, in, &d)
+			var want uint32
+			for lane := 0; lane < 32; lane++ {
+				if w.laneEnabled(lane, in) {
+					want |= 1 << lane
+				}
+			}
+			if got := d.guard(w); got != want {
+				t.Errorf("%d threads, pred %v neg %v: guard %#x, laneEnabled says %#x", threads, in.Pred != nil, in.PNeg, got, want)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package ptx
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/fp16"
 	"repro/internal/tensor"
@@ -114,9 +115,14 @@ type Warp struct {
 	// AtBarrier is set when the warp executed bar.sync and is waiting for
 	// the rest of the CTA; the CTA driver clears it.
 	AtBarrier bool
-	Active    [32]bool
+	active    uint32 // bit per lane that holds a thread; fixed at construction
 	nLanes    int
-	regs      []uint64 // [lane*NumRegs + reg]
+	// regs is the register file, register-major: register r of lane l
+	// lives at regs[r*32+l], so one register across the warp is one
+	// contiguous 256-byte vector. The accessor family below NewWarp
+	// (reg, setReg, regVec, and val for decoded operands) is the only
+	// code that knows the layout.
+	regs []uint64
 	// prog is the kernel's decoded-instruction cache (shared across all
 	// warps of the kernel; see decode.go).
 	prog []DInstr
@@ -141,6 +147,7 @@ type Warp struct {
 	batchBuf []WarpAccess
 	addrBuf  []uint64
 	pieceBuf []fragPiece
+	vecs     [3][32]uint64     // special-register operand vectors (srcVec), load offsets
 	tiles    [4]*tensor.Matrix // wmma.mma A/B/C/D tile scratch
 	quantBuf []fp16.Float16    // wmma.mma operand quantization scratch
 }
@@ -166,16 +173,16 @@ func NewWarp(k *Kernel, env *Env, id int, args []uint64) (*Warp, error) {
 		w.prog = decodeKernel(k)
 	}
 	w.regs = make([]uint64, 32*k.NumRegs)
-	nThreads := env.BlockDim.Count()
-	for lane := 0; lane < 32; lane++ {
-		linear := id*32 + lane
-		if linear >= nThreads {
-			continue
-		}
-		w.Active[lane] = true
-		w.nLanes++
-		for i, r := range k.ParamRegs {
-			w.regs[lane*k.NumRegs+r.ID] = args[i]
+	if n := env.BlockDim.Count() - id*32; n >= 32 {
+		w.active = fullMask
+	} else if n > 0 {
+		w.active = 1<<n - 1
+	}
+	w.nLanes = bits.OnesCount32(w.active)
+	for i, r := range k.ParamRegs {
+		v := w.regVec(r.ID)
+		for m := w.active; m != 0; m &= m - 1 {
+			v[bits.TrailingZeros32(m)&31] = args[i]
 		}
 	}
 	if w.nLanes == 0 {
@@ -184,8 +191,34 @@ func NewWarp(k *Kernel, env *Env, id int, args []uint64) (*Warp, error) {
 	return w, nil
 }
 
-func (w *Warp) reg(lane int, r Reg) uint64       { return w.regs[lane*w.Kernel.NumRegs+r.ID] }
-func (w *Warp) setReg(lane int, r Reg, v uint64) { w.regs[lane*w.Kernel.NumRegs+r.ID] = v }
+// fullMask is the lane mask of a fully populated, unguarded warp.
+const fullMask = ^uint32(0)
+
+func (w *Warp) reg(lane int, r Reg) uint64       { return w.regs[r.ID*32+lane] }
+func (w *Warp) setReg(lane int, r Reg, v uint64) { w.regs[r.ID*32+lane] = v }
+
+// regVec returns register id across all 32 lanes. Warp-wide executors
+// take one view per operand and index it by lane with no bounds checks.
+func (w *Warp) regVec(id int) *[32]uint64 { return (*[32]uint64)(w.regs[id*32:]) }
+
+// val fetches one lane of a decoded source operand. The register case
+// spells the layout out instead of calling reg because it must stay
+// within the inlining budget of the per-lane store and fallback loops;
+// immediates and special registers take the outlined slow path.
+func (d *DInstr) val(w *Warp, lane int, s *srcOp) uint64 {
+	if s.kind == OperandReg {
+		return w.regs[int(s.reg)*32+lane]
+	}
+	return valSlow(w, lane, s)
+}
+
+//go:noinline
+func valSlow(w *Warp, lane int, s *srcOp) uint64 {
+	if s.kind == OperandImm {
+		return s.imm
+	}
+	return w.sreg(lane, s.sreg)
+}
 
 // tid returns the 3-D thread index of a lane.
 func (w *Warp) tid(lane int) Dim3 {
@@ -249,17 +282,10 @@ func (w *Warp) operand(lane int, o *Operand) uint64 {
 // laneEnabled reports whether the lane executes the instruction under its
 // guard predicate.
 func (w *Warp) laneEnabled(lane int, in *Instr) bool {
-	if !w.Active[lane] {
+	if w.active>>lane&1 == 0 {
 		return false
 	}
-	if in.Pred == nil {
-		return true
-	}
-	p := w.reg(lane, *in.Pred) != 0
-	if in.PNeg {
-		return !p
-	}
-	return p
+	return in.Pred == nil || (w.reg(lane, *in.Pred) != 0) != in.PNeg
 }
 
 // Peek returns the instruction the warp will execute next, or nil if the
@@ -386,28 +412,10 @@ func (w *Warp) step(res *Result) error {
 	return nil
 }
 
-// branchVote evaluates the branch guard across enabled lanes.
+// branchVote evaluates the branch guard across the populated lanes.
 func (w *Warp) branchVote(d *DInstr) (taken, uniform bool) {
-	if d.predID < 0 {
-		return true, true
-	}
-	nr := w.Kernel.NumRegs
-	pid := int(d.predID)
-	first := true
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !w.Active[lane] {
-			continue
-		}
-		p := (w.regs[base+pid] != 0) != d.pneg
-		if first {
-			taken, first = p, false
-			continue
-		}
-		if p != taken {
-			return false, false
-		}
-	}
-	return taken, true
+	on := d.guard(w)
+	return on != 0, on == 0 || on == w.active
 }
 
 func (w *Warp) execLoad(d *DInstr, res *Result) {
@@ -415,13 +423,10 @@ func (w *Warp) execLoad(d *DInstr, res *Result) {
 	words := int(d.words)
 	nbytes := uint64(d.membytes)
 	buf := w.membuf[:nbytes]
-	nr := w.Kernel.NumRegs
 	addr0 := &d.srcs[0]
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		addr := d.val(w, base, lane, addr0)
+	for m := d.guard(w); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		addr := d.val(w, lane, addr0)
 		// Resolve the space once and dispatch directly instead of going
 		// through Env.read (which would re-resolve per lane).
 		sp, a := w.Env.resolveSpace(in.Space, addr)
@@ -432,12 +437,12 @@ func (w *Warp) execLoad(d *DInstr, res *Result) {
 			w.Env.Global.Read(a, buf)
 		}
 		if in.Width == 16 {
-			w.regs[base+int(d.dsts[0])] = uint64(buf[0]) | uint64(buf[1])<<8
+			w.setReg(lane, in.Dst[0], uint64(buf[0])|uint64(buf[1])<<8)
 			continue
 		}
 		for i := 0; i < words; i++ {
 			v := uint64(buf[4*i]) | uint64(buf[4*i+1])<<8 | uint64(buf[4*i+2])<<16 | uint64(buf[4*i+3])<<24
-			w.regs[base+int(d.dsts[i])] = v
+			w.setReg(lane, in.Dst[i], v)
 		}
 	}
 }
@@ -447,21 +452,18 @@ func (w *Warp) execStore(d *DInstr, res *Result) {
 	words := int(d.words)
 	nbytes := uint64(d.membytes)
 	buf := w.membuf[:nbytes]
-	nr := w.Kernel.NumRegs
 	addr0 := &d.srcs[0]
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		addr := d.val(w, base, lane, addr0)
+	for m := d.guard(w); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		addr := d.val(w, lane, addr0)
 		sp, a := w.Env.resolveSpace(in.Space, addr)
 		res.Accesses = append(res.Accesses, Access{Lane: lane, Addr: a, Bits: in.Width, Space: sp, Store: true})
 		if in.Width == 16 {
-			v := d.val(w, base, lane, &d.srcs[1])
+			v := d.val(w, lane, &d.srcs[1])
 			buf[0], buf[1] = byte(v), byte(v>>8)
 		} else {
 			for i := 0; i < words; i++ {
-				v := d.val(w, base, lane, &d.srcs[1+i])
+				v := d.val(w, lane, &d.srcs[1+i])
 				buf[4*i], buf[4*i+1], buf[4*i+2], buf[4*i+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 			}
 		}
@@ -473,29 +475,9 @@ func (w *Warp) execStore(d *DInstr, res *Result) {
 	}
 }
 
-// srcVal fetches one source operand with the lane's register base
-// precomputed. The register path must stay small enough to inline into
-// the ALU lane loops; immediates and special registers take the outlined
-// slow path.
-func (w *Warp) srcVal(base, lane int, o *Operand) uint64 {
-	if o.Kind == OperandReg {
-		return w.regs[base+o.Reg.ID]
-	}
-	return w.srcValSlow(lane, o)
-}
-
-//go:noinline
-func (w *Warp) srcValSlow(lane int, o *Operand) uint64 {
-	if o.Kind == OperandImm {
-		return o.Imm
-	}
-	return w.sreg(lane, o.SReg)
-}
-
 func (w *Warp) execALU(lane int, in *Instr) error {
-	base := lane * w.Kernel.NumRegs
-	get := func(i int) uint64 { return w.srcVal(base, lane, &in.Src[i]) }
-	set := func(v uint64) { w.regs[base+in.Dst[0].ID] = v }
+	get := func(i int) uint64 { return w.operand(lane, &in.Src[i]) }
+	set := func(v uint64) { w.setReg(lane, in.Dst[0], v) }
 
 	switch in.Op {
 	case OpMov:

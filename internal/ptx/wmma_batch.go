@@ -241,11 +241,10 @@ func (w *Warp) execWmmaStoreVec(d *DInstr, res *Result, base, stride uint64) {
 	p := d.wplan
 	elemBytes := uint64(d.membytes)
 	batched := !w.legacy
-	nr := w.Kernel.NumRegs
 	for lane := 0; lane < 32; lane++ {
 		addrs := w.fragLaneAddrs(p, lane, int(stride), base, elemBytes)
 		forEachFragRun(addrs, elemBytes, func(i, j int) {
-			w.storeFragRun(d, lane*nr, lane, addrs[i:j], i, elemBytes)
+			w.storeFragRun(d, lane, addrs[i:j], i, elemBytes)
 		})
 		sp, _ := w.Env.resolveSpace(in.Space, addrs[0])
 		batched = w.emitFragAccesses(res, batched, lane, addrs, m.Elem.Bits(), sp, true)
@@ -257,7 +256,7 @@ func (w *Warp) execWmmaStoreVec(d *DInstr, res *Result, base, stride uint64) {
 // state space, else element by element.
 //
 //simlint:hotpath
-func (w *Warp) storeFragRun(d *DInstr, base, lane int, run []uint64, slot0 int, nb uint64) {
+func (w *Warp) storeFragRun(d *DInstr, lane int, run []uint64, slot0 int, nb uint64) {
 	in := d.In
 	total := uint64(len(run)) * nb
 	sp, a0 := w.Env.resolveSpace(in.Space, run[0])
@@ -265,7 +264,7 @@ func (w *Warp) storeFragRun(d *DInstr, base, lane int, run []uint64, slot0 int, 
 	if w.fragRunUniform(in.Space, run, nb, total, sp, a0, aE, spE) {
 		buf := w.bulk[:total]
 		for i := range run {
-			v := d.val(w, base, lane, &d.srcs[2+slot0+i])
+			v := d.val(w, lane, &d.srcs[2+slot0+i])
 			packFragElem(buf[uint64(i)*nb:], nb, v)
 		}
 		if sp == Shared {
@@ -277,7 +276,7 @@ func (w *Warp) storeFragRun(d *DInstr, base, lane int, run []uint64, slot0 int, 
 	}
 	buf := w.membuf[:nb]
 	for i, a := range run {
-		v := d.val(w, base, lane, &d.srcs[2+slot0+i])
+		v := d.val(w, lane, &d.srcs[2+slot0+i])
 		packFragElem(buf, nb, v)
 		w.Env.write(in.Space, a, buf)
 	}
@@ -301,22 +300,21 @@ func packFragElem(dst []byte, nb, v uint64) {
 //simlint:hotpath
 func (w *Warp) gatherTileVec(d *DInstr, p *fragPlan, srcOff int, elem wmma.Precision, slot int) *tensor.Matrix {
 	t := w.scratchTile(p.rows, p.cols, slot)
-	nr := w.Kernel.NumRegs
 	for s := 0; s < p.slots; s++ {
-		r := int(d.srcs[srcOff+s].reg)
+		r := w.regVec(int(d.srcs[srcOff+s].reg))
 		idx := &p.idx[s]
 		switch elem {
 		case wmma.F16:
-			for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-				t.SetLinear(int(idx[lane]), fp16.FromBits(uint16(w.regs[base+r])).Float64())
+			for lane, v := range r {
+				t.SetLinear(int(idx[lane]), fp16.FromBits(uint16(v)).Float64())
 			}
 		case wmma.F32:
-			for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-				t.SetLinear(int(idx[lane]), float64(f32bits(w.regs[base+r])))
+			for lane, v := range r {
+				t.SetLinear(int(idx[lane]), float64(f32bits(v)))
 			}
 		default: // integer operand types live as s32 values in registers
-			for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-				t.SetLinear(int(idx[lane]), float64(int32(uint32(w.regs[base+r]))))
+			for lane, v := range r {
+				t.SetLinear(int(idx[lane]), float64(int32(uint32(v))))
 			}
 		}
 	}
@@ -329,22 +327,21 @@ func (w *Warp) gatherTileVec(d *DInstr, p *fragPlan, srcOff int, elem wmma.Preci
 //
 //simlint:hotpath
 func (w *Warp) scatterTileVec(d *DInstr, p *fragPlan, elem wmma.Precision, t *tensor.Matrix) {
-	nr := w.Kernel.NumRegs
 	for s := 0; s < p.slots; s++ {
-		r := int(d.dsts[s])
+		r := w.regVec(int(d.dsts[s]))
 		idx := &p.idx[s]
 		switch elem {
 		case wmma.F16:
-			for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-				w.regs[base+r] = uint64(fp16.FromFloat64(t.AtLinear(int(idx[lane]))).Bits())
+			for lane := range r {
+				r[lane] = uint64(fp16.FromFloat64(t.AtLinear(int(idx[lane]))).Bits())
 			}
 		case wmma.F32:
-			for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-				w.regs[base+r] = bitsF32(float32(t.AtLinear(int(idx[lane]))))
+			for lane := range r {
+				r[lane] = bitsF32(float32(t.AtLinear(int(idx[lane]))))
 			}
 		default:
-			for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-				w.regs[base+r] = uint64(uint32(int32(t.AtLinear(int(idx[lane])))))
+			for lane := range r {
+				r[lane] = uint64(uint32(int32(t.AtLinear(int(idx[lane])))))
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package ptx
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fp16"
 	"repro/internal/tensor"
@@ -18,25 +19,16 @@ import (
 // the same value in every enabled lane (wmma base addresses and strides
 // are warp-level values).
 func (w *Warp) uniformOperand(d *DInstr, i int) (uint64, error) {
-	o := &d.srcs[i]
-	var v uint64
-	nr := w.Kernel.NumRegs
-	first := true
-	for lane, base := 0, 0; lane < 32; lane, base = lane+1, base+nr {
-		if !d.laneOn(w, base, lane) {
-			continue
-		}
-		lv := d.val(w, base, lane, o)
-		if first {
-			v, first = lv, false
-			continue
-		}
-		if lv != v {
+	on := d.guard(w)
+	if on == 0 {
+		return 0, fmt.Errorf("ptx: wmma executed with no enabled lanes")
+	}
+	vec := d.srcVec(w, i)
+	v := vec[bits.TrailingZeros32(on)&31]
+	for on &= on - 1; on != 0; on &= on - 1 {
+		if vec[bits.TrailingZeros32(on)&31] != v {
 			return 0, fmt.Errorf("ptx: wmma operand %v not warp-uniform", d.In.Src[i])
 		}
-	}
-	if first {
-		return 0, fmt.Errorf("ptx: wmma executed with no enabled lanes")
 	}
 	return v, nil
 }

@@ -225,9 +225,7 @@ func fragFuzzWarp(nslots int) (*Warp, *DInstr) {
 	k := &Kernel{Name: "fragfuzz", NumRegs: nslots}
 	w := &Warp{Kernel: k, Env: &Env{}}
 	w.nLanes = 32
-	for i := range w.Active {
-		w.Active[i] = true
-	}
+	w.active = fullMask
 	w.regs = make([]uint64, 32*nslots)
 	in := &Instr{Op: OpWmmaMMA}
 	d := &DInstr{In: in, predID: -1}
@@ -287,7 +285,7 @@ func FuzzFragGatherMatchesReference(f *testing.F) {
 		// bitwise (NaN payloads included).
 		for lane := range m.Lanes {
 			for slot, c := range m.Lanes[lane] {
-				w.regs[lane*p.slots+slot] = coordBits(seed, c)
+				w.setReg(lane, Reg{ID: slot}, coordBits(seed, c))
 			}
 		}
 		ref := w.gatherTile(in, m, 0, elem, 0)
