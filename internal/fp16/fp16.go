@@ -214,6 +214,44 @@ func (x Float16) float32Slow() float32 {
 // Float64 returns x converted exactly to float64.
 func (x Float16) Float64() float64 { return float64(x.Float32()) }
 
+// RoundFloat32 rounds f to the nearest binary16 value (ties to even) and
+// returns it widened back to binary32: FromFloat32(f).Float32() without
+// the encode and the table decode. The FP16 accumulation of wmma.mma
+// rounds once per FEDP chunk, so this sits under every multiply-add of an
+// FP16-mode GEMM.
+func RoundFloat32(f float32) float32 {
+	if r, ok := RoundNormal(f); ok {
+		return r
+	}
+	return FromFloat32(f).Float32()
+}
+
+// Bounds of RoundNormal's range, as binary32 magnitudes: the smallest
+// normal binary16 value, and the midpoint between Max and 2^16 — the first
+// magnitude that rounds to infinity.
+const (
+	minNormal32   = 0x38800000 // 2^-14
+	roundsToInf32 = 0x477ff000 // 65520
+)
+
+// RoundNormal is the part of RoundFloat32 that is integer arithmetic on
+// the binary32 image, small enough to inline where RoundFloat32 (which
+// has a call in it) is not: a loop that cannot afford a call per rounding
+// uses r when ok and calls RoundFloat32 otherwise. ok reports that f is
+// ±0 — all a simulation on zeroed memory ever rounds — or has a magnitude
+// in [2^-14, 65520), where the result is a normal binary16 value. The
+// rounding adds half an ulp of the 10-bit significand (less one on an
+// even last bit, so ties go to even) and clears the 13 bits below it; a
+// carry out of the significand bumps the exponent, which is the right
+// answer, and ±0 passes through unchanged. Magnitudes below the normal
+// range, overflow to infinity and NaNs are not ok.
+func RoundNormal(f float32) (r float32, ok bool) {
+	b := math.Float32bits(f)
+	abs := b &^ (1 << 31)
+	r = math.Float32frombits((b + 0xfff + b>>13&1) &^ 0x1fff)
+	return r, abs-minNormal32 < roundsToInf32-minNormal32 || abs == 0
+}
+
 // IsNaN reports whether x is a NaN.
 func (x Float16) IsNaN() bool { return x&expMask == expMask && x&manMask != 0 }
 

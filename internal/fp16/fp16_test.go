@@ -289,6 +289,108 @@ func TestString(t *testing.T) {
 	}
 }
 
+// checkRound holds RoundFloat32, and RoundNormal wherever it claims the
+// input, to the reference conversion bit for bit (NaN payloads included).
+func checkRound(t *testing.T, bits uint32) {
+	f := math.Float32frombits(bits)
+	want := math.Float32bits(FromFloat32(f).Float32())
+	if got := math.Float32bits(RoundFloat32(f)); got != want {
+		t.Fatalf("RoundFloat32(%#08x) = %#08x, want %#08x", bits, got, want)
+	}
+	r, ok := RoundNormal(f)
+	if ok && math.Float32bits(r) != want {
+		t.Fatalf("RoundNormal(%#08x) = %#08x ok, want %#08x", bits, math.Float32bits(r), want)
+	}
+	if a := math.Abs(float64(f)); ok != (a == 0 || a >= 0x1p-14 && a < 65520) {
+		t.Fatalf("RoundNormal(%#08x) ok = %v: want ±0 and the magnitudes in [2^-14, 65520)", bits, ok)
+	}
+}
+
+// RoundFloat32 on every rounding boundary: around each binary16 value's
+// binary32 image, around the midpoint to its successor, and around the
+// range edges (zero, half the smallest subnormal, the smallest normal,
+// the overflow threshold, infinity), ±2 ulp each, both signs.
+func TestRoundFloat32Boundaries(t *testing.T) {
+	around := func(bits uint32) {
+		for d := -2; d <= 2; d++ {
+			b := bits + uint32(d)
+			checkRound(t, b)
+			checkRound(t, b^1<<31)
+		}
+	}
+	for h := 0; h < 0x7c00; h++ {
+		lo := math.Float32bits(Float16(h).Float32())
+		hi := math.Float32bits(Float16(h + 1).Float32()) // 0x7c00 widens to +Inf
+		around(lo)
+		if h+1 < 0x7c00 {
+			around(lo + (hi-lo)/2)
+		}
+	}
+	for _, b := range []uint32{
+		2, 0x33000000, // 2^-25: rounds to zero at or below, up above
+		minNormal32, roundsToInf32,
+		0x47800000, 0x7f7ffffd, 0x7f800000, // 2^16, max float32, +Inf
+		0x7f800003, 0x7fbffffd, 0x7fc00000, 0x7ffffffd, // NaNs
+	} {
+		around(b)
+	}
+}
+
+// RoundFloat32 across every binary32 exponent: the first, a middle and
+// the last significands of each, with all three tie-relevant low-bit
+// patterns.
+func TestRoundFloat32EveryExponent(t *testing.T) {
+	for e := uint32(0); e <= 0xff; e++ {
+		for _, man := range []uint32{0, 1, 0xfff, 0x1000, 0x1001, 0x2fff, 0x3000, 0x3001,
+			0x400000, 0x555555, 0x7fefff, 0x7ff000, 0x7ff001, 0x7fffff} {
+			checkRound(t, e<<23|man)
+			checkRound(t, 1<<31|e<<23|man)
+		}
+	}
+}
+
+// A strided sweep of all 2^32 inputs. The stride is odd, so the low 13
+// bits the rounding decision reads take every value against every
+// exponent; about a second (-short strides wider).
+func TestRoundFloat32Sweep(t *testing.T) {
+	stride := uint64(23)
+	if testing.Short() {
+		stride = 1021
+	}
+	for b := uint64(0); b < 1<<32; b += stride {
+		f := math.Float32frombits(uint32(b))
+		if got, want := RoundFloat32(f), FromFloat32(f).Float32(); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("RoundFloat32(%#08x) = %#08x, want %#08x", b, math.Float32bits(got), math.Float32bits(want))
+		}
+	}
+}
+
+// BenchmarkRoundFloat32 times the per-chunk rounding of FP16 accumulation
+// on a running sum that stays in the normal range, beside the conversion
+// pair it replaces.
+func BenchmarkRoundFloat32(b *testing.B) {
+	b.Run("round", func(b *testing.B) {
+		acc := float32(1)
+		for i := 0; i < b.N; i++ {
+			acc = RoundFloat32(acc*1.0009765625 + 0.001)
+			if acc > 1024 {
+				acc = 1
+			}
+		}
+		_ = acc
+	})
+	b.Run("encode+decode", func(b *testing.B) {
+		acc := float32(1)
+		for i := 0; i < b.N; i++ {
+			acc = FromFloat32(acc*1.0009765625 + 0.001).Float32()
+			if acc > 1024 {
+				acc = 1
+			}
+		}
+		_ = acc
+	})
+}
+
 func BenchmarkFromFloat32(b *testing.B) {
 	var sink Float16
 	for i := 0; i < b.N; i++ {

@@ -93,14 +93,12 @@ type SMPort struct {
 	sharedFree uint64
 
 	// Reusable per-instruction scratch: coalesced sector list, the
-	// shared-memory bank conflict counters (per-lane lists and the
-	// batched pass simulation), and the batched coalescer's dedup set. An
-	// SMPort belongs to exactly one SM of one Simulator, so the scratch
-	// is never shared.
-	sectors  []uint64
-	banks    bankScratch
-	conflict conflictScratch
-	secSet   sectorSet
+	// shared-memory bank conflict counter's per-bank word lists, and the
+	// batched coalescer's dedup set. An SMPort belongs to exactly one SM
+	// of one Simulator, so the scratch is never shared.
+	sectors []uint64
+	banks   bankScratch
+	secSet  sectorSet
 
 	L1Hits, L1Misses   uint64
 	GlobalTransactions uint64
@@ -178,7 +176,7 @@ func (p *SMPort) AccessShared(now uint64, reqs []Request) uint64 {
 
 // AccessSharedVecs is AccessShared for batched warp access groups.
 func (p *SMPort) AccessSharedVecs(now uint64, vecs []AddrVec) uint64 {
-	return p.sharedTiming(now, sharedConflictPassesVecs(&p.conflict, &p.banks, p.sys.cfg, vecs))
+	return p.sharedTiming(now, sharedConflictPassesVecs(&p.banks, p.sys.cfg, vecs))
 }
 
 // sharedTiming charges one shared-memory access of the given pass count.

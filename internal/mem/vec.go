@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // The batched (struct-of-arrays) warp access path. The per-lane Request
 // slice forces the coalescer and the shared-memory conflict counter to
 // re-discover warp structure — uniform broadcasts, unit-stride streams —
@@ -302,18 +304,10 @@ func (s *sectorSet) insert(k uint64) (added, full bool) {
 // serialized bank passes of the access groups, matching the per-lane
 // Request path exactly.
 func SharedConflictPassesVecs(cfg Config, vecs []AddrVec) int {
-	return sharedConflictPassesVecs(&conflictScratch{}, &bankScratch{}, cfg, vecs)
+	return sharedConflictPassesVecs(&bankScratch{}, cfg, vecs)
 }
 
-// conflictScratch holds the pass-simulation state of the pow-2 fallback,
-// reused across accesses.
-type conflictScratch struct {
-	words   []uint64
-	served  []uint64
-	claimed [32]uint64
-}
-
-func sharedConflictPassesVecs(cs *conflictScratch, bs *bankScratch, cfg Config, vecs []AddrVec) int {
+func sharedConflictPassesVecs(bs *bankScratch, cfg Config, vecs []AddrVec) int {
 	pow2 := cfg.BankWidth == 4 && cfg.SharedBanks == 32
 	if !pow2 {
 		return conflictGeneralVecs(bs, cfg, vecs)
@@ -328,7 +322,7 @@ func sharedConflictPassesVecs(cs *conflictScratch, bs *bankScratch, cfg Config, 
 				// words (any ld/st width is ≤16 bytes); duplicates
 				// broadcast, distinct words land in distinct banks — one
 				// pass. Wider vectors (exported API only) wrap the banks
-				// and take the pass simulation.
+				// and are counted word by word.
 				if bytes <= 16 {
 					return 1
 				}
@@ -347,7 +341,7 @@ func sharedConflictPassesVecs(cs *conflictScratch, bs *bankScratch, cfg Config, 
 			}
 		}
 	}
-	return conflictPassSim(cs, vecs)
+	return conflictCount(bs, cfg, vecs)
 }
 
 // conflictFullWarpFast recognizes the two warp shapes GEMM inner loops
@@ -436,61 +430,44 @@ func mirroredHalves(a *[32]uint64) bool {
 	return true
 }
 
-// conflictPassSim simulates the serialized passes directly with a 32-bit
-// bank-occupancy bitmask: each pass claims at most one distinct word per
-// bank and broadcasts its duplicates, so the pass count equals the
-// maximum number of distinct words any bank must serve — the quantity the
-// per-bank distinct-word lists compute — without maintaining the lists.
-// Only valid for the universal 4-byte × 32-bank geometry.
-func conflictPassSim(cs *conflictScratch, vecs []AddrVec) int {
-	items := cs.words[:0]
+// conflictCount computes the pass count of the universal 4-byte × 32-bank
+// geometry in one walk over the accessed words. Each pass serves at most
+// one distinct word per bank and broadcasts its duplicates, so the count
+// is the maximum number of distinct words any bank must serve; and the
+// words of one bank differ only in their row (word/32), so a 128-bit row
+// set per bank holds a bank's distinct words exactly whenever every word
+// lies within 64 rows (8 KiB) of the first — which tile-local accesses,
+// wmma fragment groups included, do. An access that strays further takes
+// the general per-bank lists.
+//
+//simlint:hotpath
+func conflictCount(bs *bankScratch, cfg Config, vecs []AddrVec) int {
+	var rows [32][2]uint64
+	var row0 uint64 // row of the window's low edge, set by the first word
+	first := true
 	for vi := range vecs {
 		v := &vecs[vi]
 		bytes := uint64(v.Bits+7) / 8
-		for lane := 0; lane < 32; lane++ {
+		for lane, a := range v.Addr {
 			if v.Mask&(1<<lane) == 0 {
 				continue
 			}
-			a := v.Addr[lane]
 			for off := uint64(0); off < bytes; off += 4 {
-				items = append(items, (a+off)>>2)
-			}
-		}
-	}
-	cs.words = items
-	n := len(items)
-	if n == 0 {
-		return 1
-	}
-	nw := (n + 63) / 64
-	if cap(cs.served) < nw {
-		cs.served = make([]uint64, nw)
-	}
-	served := cs.served[:nw]
-	for i := range served {
-		served[i] = 0
-	}
-	remaining := n
-	passes := 0
-	for remaining > 0 {
-		passes++
-		var occ uint32
-		for i, wd := range items {
-			if served[i>>6]&(1<<(i&63)) != 0 {
-				continue
-			}
-			b := uint32(wd) & 31
-			if occ&(1<<b) != 0 {
-				if cs.claimed[b] != wd {
-					continue // bank busy with another word this pass
+				w := (a + off) >> 2
+				if first {
+					row0, first = w>>5-64, false
 				}
-			} else {
-				occ |= 1 << b
-				cs.claimed[b] = wd
+				rel := w>>5 - row0
+				if rel >= 128 {
+					return conflictGeneralVecs(bs, cfg, vecs)
+				}
+				rows[w&31][rel>>6] |= 1 << (rel & 63)
 			}
-			served[i>>6] |= 1 << (i & 63)
-			remaining--
 		}
+	}
+	passes := 1
+	for _, r := range rows {
+		passes = max(passes, bits.OnesCount64(r[0])+bits.OnesCount64(r[1]))
 	}
 	return passes
 }

@@ -117,6 +117,65 @@ func TestVecFastPathsMatchReference(t *testing.T) {
 	}
 }
 
+// conflictCount's row window: words within 64 rows (8 KiB) either side
+// of the first word are counted in the per-bank row sets, anything
+// further falls back to the general lists. Both sides of both edges, in
+// both lane orders, must agree with the reference — as must high conflict
+// degrees (every lane in one bank, 16 distinct words per bank across four
+// groups) and words that wrap the address space.
+func TestConflictCountWindow(t *testing.T) {
+	cfg := TitanV()
+	const row = 128 // bytes per bank row
+	strided := func(base uint64, stride int64) [32]uint64 {
+		var a [32]uint64
+		for i := range a {
+			a[i] = base + uint64(int64(i)*stride)
+		}
+		return a
+	}
+	// Lane 0 anchors the window at 1 MiB; lane 31 sits d rows away, the
+	// rest conflict with it two rows apart.
+	edge := func(d int64) [32]uint64 {
+		a := strided(1<<20, 2*row)
+		a[31] = 1<<20 + uint64(d*row)
+		return a
+	}
+	var groups []AddrVec
+	for g := 0; g < 4; g++ {
+		var a [32]uint64
+		for l := range a {
+			a[l] = 1<<15 + uint64(g*4+l%4)*row + uint64(l/4%4)*8
+		}
+		groups = append(groups, vecOf(a, ^uint32(0), 64, false))
+	}
+	cases := []struct {
+		name string
+		vecs []AddrVec
+	}{
+		{"way32", []AddrVec{vecOf(strided(4096, row), ^uint32(0), 32, false)}},
+		{"way32_descending", []AddrVec{vecOf(strided(1<<20, -row), ^uint32(0), 32, false)}},
+		{"way32_wide", []AddrVec{vecOf(strided(4096, row), ^uint32(0), 128, false)}},
+		{"edge_above_in", []AddrVec{vecOf(edge(63), ^uint32(0), 32, false)}},
+		{"edge_above_out", []AddrVec{vecOf(edge(64), ^uint32(0), 32, false)}},
+		{"edge_below_in", []AddrVec{vecOf(edge(-64), ^uint32(0), 32, false)}},
+		{"edge_below_out", []AddrVec{vecOf(edge(-65), ^uint32(0), 32, false)}},
+		{"edge_span_crosses", []AddrVec{vecOf(edge(63), ^uint32(0), 128, false),
+			vecOf(strided(1<<20+63*row+120, 4), ^uint32(0), 128, false)}},
+		{"straggler_partial_mask", []AddrVec{vecOf(edge(5000), 0x80000f0f, 64, false)}},
+		{"sixteen_per_bank", groups},
+		{"low_addresses", []AddrVec{vecOf(strided(0, 3*row), ^uint32(0), 32, false)}},
+		{"wraps_address_space", []AddrVec{vecOf(strided(^uint64(0)-15*row-1, row), ^uint32(0), 64, false)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkAgainstReference(t, cfg, tc.vecs)
+		})
+	}
+	if got := SharedConflictPassesVecs(cfg, groups); got != 16 {
+		t.Errorf("sixteen_per_bank counted %d passes, want 16", got)
+	}
+}
+
 // A unit-stride vector whose byte range wraps the address space must
 // fall back to the per-lane-equivalent general path rather than claim
 // the contiguous-cover fast paths (unreachable from PTX, reachable via

@@ -1,6 +1,7 @@
 package ptx
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -22,6 +23,10 @@ func BenchmarkWarpStep(b *testing.B) {
 		// body emits the prologue, the "body" label and the timed
 		// instructions after it.
 		body func(kb *Builder, base Reg)
+		// seed, when set, fills global memory before the prologues run;
+		// a seeded body must then be a fixed point of the register file
+		// (checked after the timed loop), so its operands never drift.
+		seed func(global []byte)
 	}
 	mad := func(t Type) func(*Builder, Reg) {
 		// The GEMM inner product: 64 accumulators over 8+8 operands.
@@ -34,21 +39,21 @@ func BenchmarkWarpStep(b *testing.B) {
 		}
 	}
 	cases := []benchCase{
-		{"mad.f32", mad(F32)},
-		{"mad.f16x2", mad(F16X2)},
-		{"add.u32.ri", func(kb *Builder, _ Reg) {
+		{name: "mad.f32", body: mad(F32)},
+		{name: "mad.f16x2", body: mad(F16X2)},
+		{name: "add.u32.ri", body: func(kb *Builder, _ Reg) {
 			kb.Label("body")
 			for _, r := range kb.Regs(16) {
 				kb.Add(U32, r, R(r), Imm(4))
 			}
 		}},
-		{"setp+bra", func(kb *Builder, _ Reg) {
+		{name: "setp+bra", body: func(kb *Builder, _ Reg) {
 			i, p := kb.Reg(), kb.Reg()
 			kb.Label("body")
 			kb.Setp(U32, CmpLT, p, R(i), Imm(1))
 			kb.BraIf(p, false, "body") // always taken: the body loops by itself
 		}},
-		{"ld.shared.v4", func(kb *Builder, _ Reg) {
+		{name: "ld.shared.v4", body: func(kb *Builder, _ Reg) {
 			smem := kb.Shared(32 * 16)
 			lane, addr := kb.Reg(), kb.Reg()
 			kb.Mov(U32, lane, SR(SRegLaneID))
@@ -59,7 +64,7 @@ func BenchmarkWarpStep(b *testing.B) {
 				kb.Ld(Shared, 128, kb.Regs(4), R(addr))
 			}
 		}},
-		{"ld.global", func(kb *Builder, base Reg) {
+		{name: "ld.global", body: func(kb *Builder, base Reg) {
 			tid, addr := kb.Reg(), kb.Reg()
 			kb.Mov(U32, tid, SR(SRegTidX))
 			kb.MulWide(addr, R(tid), Imm(4))
@@ -69,17 +74,8 @@ func BenchmarkWarpStep(b *testing.B) {
 				kb.Ld(Global, 32, kb.Regs(1), R(addr))
 			}
 		}},
-		{"wmma.mma", func(kb *Builder, base Reg) {
-			cfg := wmma.Config{Arch: wmma.Volta, Shape: wmma.M16N16K16,
-				ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
-				AType: wmma.F16, CType: wmma.F32, DType: wmma.F32}
-			// Zero operands: the in-place accumulator stays finite.
-			fa := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixA, cfg.ALayout, cfg.AType, R(base), Imm(16))
-			fb := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixB, cfg.BLayout, cfg.AType, R(base), Imm(16))
-			fc := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixC, tensor.RowMajor, cfg.CType, R(base), Imm(16))
-			kb.Label("body")
-			kb.WmmaMMA(cfg, fa, fb, fc)
-		}},
+		{name: "wmma.mma", body: wmmaBody(wmma.F32), seed: seedWmmaTiles(wmma.F32)},
+		{name: "wmma.mma.f16", body: wmmaBody(wmma.F16), seed: seedWmmaTiles(wmma.F16)},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -90,8 +86,12 @@ func BenchmarkWarpStep(b *testing.B) {
 			kb.Exit()
 			k := kb.MustBuild()
 			start, end := k.Labels["body"], len(k.Instrs)-1 // end: the exit
+			global := NewFlatMemory(warps * 32 * 4)
+			if c.seed != nil {
+				c.seed(global.Data)
+			}
 			env := &Env{
-				Global:   NewFlatMemory(warps * 32 * 4),
+				Global:   global,
 				Shared:   make([]byte, k.SharedBytes),
 				GridDim:  D1(1),
 				BlockDim: D1(warps * 32),
@@ -111,6 +111,7 @@ func BenchmarkWarpStep(b *testing.B) {
 				}
 				ws[i] = w
 			}
+			regs0 := append([]uint64(nil), ws[0].regs...)
 			b.ResetTimer()
 			for i := 0; i < b.N*perOp; i++ {
 				w := ws[i%warps]
@@ -122,6 +123,55 @@ func BenchmarkWarpStep(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/warp-instr")
+			if c.seed != nil && !slices.Equal(ws[0].regs, regs0) {
+				b.Fatal("seeded body moved the register file: its operands drift")
+			}
 		})
+	}
+}
+
+// The wmma.mma cases accumulate in place forever, so their operands are
+// chosen to leave the accumulator exactly where it started: within every
+// pair of FEDP chunks A repeats with its sign flipped and B repeats, so
+// the second chunk's sum cancels the first's. Every product, chunk sum
+// and running total is a small multiple of 1/16 — exact in binary16 —
+// so each multiply and each FP16-mode rounding works on finite non-zero
+// values, and never drifts towards overflow. (All-zero operands, which
+// the benchmark used to run on, cost the same multiplies but let the
+// per-chunk rounding off with ±0.)
+const wmmaBenchA, wmmaBenchB, wmmaBenchC = 0, 512, 1024 // tile addresses
+
+func wmmaBody(cd wmma.Precision) func(*Builder, Reg) {
+	return func(kb *Builder, _ Reg) {
+		cfg := wmma.Config{Arch: wmma.Volta, Shape: wmma.M16N16K16,
+			ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
+			AType: wmma.F16, CType: cd, DType: cd}
+		fa := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixA, cfg.ALayout, cfg.AType, Imm(wmmaBenchA), Imm(16))
+		fb := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixB, cfg.BLayout, cfg.AType, Imm(wmmaBenchB), Imm(16))
+		fc := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixC, tensor.RowMajor, cfg.CType, Imm(wmmaBenchC), Imm(16))
+		kb.Label("body")
+		kb.WmmaMMA(cfg, fa, fb, fc)
+	}
+}
+
+func seedWmmaTiles(cd wmma.Precision) func([]byte) {
+	return func(global []byte) {
+		put := func(addr int, p wmma.Precision, v float64) {
+			bits := wmma.EncodeElem(p, v)
+			for b := 0; b < p.Bits()/8; b++ {
+				global[addr+b] = byte(bits >> (8 * b))
+			}
+		}
+		for i := 0; i < 16; i++ {
+			for k := 0; k < 16; k++ {
+				sign := 1 - 2*float64(k/4%2)
+				// A row-major and B column-major (B[k][i] at i*16+k).
+				put(wmmaBenchA+2*(i*16+k), wmma.F16, sign*float64(1+(i+k%4)%4)/4)
+				put(wmmaBenchB+2*(i*16+k), wmma.F16, float64(1+(k%4+2*i)%5)/4)
+			}
+			for j := 0; j < 16; j++ {
+				put(wmmaBenchC+cd.Bits()/8*(i*16+j), cd, float64(i-j)/2+0.25)
+			}
+		}
 	}
 }

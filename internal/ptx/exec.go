@@ -140,16 +140,20 @@ type Warp struct {
 	// stays allocation-free: staging buffers for loads/stores (membuf for
 	// one lane, bulk for a whole warp's contiguous runs), the
 	// Result.Accesses and Result.Batch backing arrays, wmma per-lane
-	// address lists, and the wmma piece list of the batched frag path.
-	membuf   [16]byte
-	bulk     [512]byte // 32 lanes × 16 bytes
-	accBuf   []Access
-	batchBuf []WarpAccess
-	addrBuf  []uint64
-	pieceBuf []fragPiece
-	vecs     [3][32]uint64     // special-register operand vectors (srcVec), load offsets
-	tiles    [4]*tensor.Matrix // wmma.mma A/B/C/D tile scratch
-	quantBuf []fp16.Float16    // wmma.mma operand quantization scratch
+	// address lists, the wmma piece list of the batched frag path, and the
+	// register images of wmma.mma (operand images and the C/D word tiles
+	// for the batched path, tiles for the per-lane fallback).
+	membuf    [16]byte
+	bulk      [512]byte // 32 lanes × 16 bytes
+	accBuf    []Access
+	batchBuf  []WarpAccess
+	addrBuf   []uint64
+	pieceBuf  []fragPiece
+	vecs      [3][32]uint64     // special-register operand vectors (srcVec), load offsets
+	mmaFloats []float32         // wmma.mma A and B images, floating-point configs
+	mmaInts   []int32           // … integer configs
+	mmaWords  []uint64          // wmma.mma C and D word tiles
+	tiles     [4]*tensor.Matrix // per-lane wmma.mma A/B/C/D tile scratch
 }
 
 // NLanes returns the number of active lanes (fixed at construction:

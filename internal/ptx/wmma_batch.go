@@ -3,7 +3,6 @@ package ptx
 import (
 	"sync/atomic"
 
-	"repro/internal/fp16"
 	"repro/internal/tensor"
 	"repro/internal/wmma"
 )
@@ -19,11 +18,12 @@ import (
 // carries per-slot lane vectors derived from the wmma.Mapping
 // (wmma.SlotVecs), addresses are generated per lane in one pass, data
 // moves in bulk over maximal element runs (one Memory call per run),
-// and gather/scatter walk slots in the outer loop with the precision
-// switch hoisted, indexing the tile storage through precomputed linear
-// offsets. The per-lane path remains for warps with guard predicates or
-// partial activity, for mappings whose lanes disagree on fragment
-// structure, and behind the LegacyFragmentPath knob.
+// and wmma.mma gathers its operands slot by slot straight into the
+// register images internal/wmma's kernel computes on, indexing them
+// through precomputed linear offsets, with one loop per element encoding
+// instead of a switch per element. The per-lane path remains for warps
+// with guard predicates or partial activity, for mappings whose lanes
+// disagree on fragment structure, and behind the LegacyFragmentPath knob.
 
 // legacyFragmentPath, when set, routes warps constructed afterwards
 // through the per-element wmma fragment path instead of the batched
@@ -60,11 +60,17 @@ func LegacyFragmentPathEnabled() bool { return legacyFragmentPath.Load() }
 //
 //simlint:frozen
 type fragPlan struct {
-	slots      int
-	rows, cols int
-	// idx[slot][lane] is the linear offset of the lane's element in a
-	// tight row-major rows×cols tile (the executor's scratch layout).
+	slots int
+	// idx[slot][lane] is the linear offset of the lane's element in the
+	// operand's register image (see internal/wmma): tight row-major for A,
+	// C and D, transposed for B so that both multiplicands are K-contiguous.
 	idx [][32]int32
+	// lanes lists, ascending, the lanes a gather has to read: every lane
+	// except those whose whole fragment a higher lane also holds. Volta A/B
+	// keep each element in two lanes, so half the warp drops out; the
+	// surviving copy is the higher lane's, the one the per-lane path's
+	// lane-ascending writes leave behind.
+	lanes []uint8
 	// major/minor[slot][lane] factor the element's memory offset under
 	// the mapping's layout: offset = major·ld + minor for leading
 	// dimension ld.
@@ -85,18 +91,32 @@ func planFragment(m *wmma.Mapping) *fragPlan {
 		return nil
 	}
 	rows, cols := m.Shape.Dims(m.Op)
-	p := &fragPlan{slots: v.Slots, rows: rows, cols: cols}
+	p := &fragPlan{slots: v.Slots}
 	p.idx = make([][32]int32, p.slots)
 	p.major = make([][32]int32, p.slots)
 	p.minor = make([][32]int32, p.slots)
+	highest := make([]int, rows*cols) // highest lane holding each element
 	for slot := 0; slot < p.slots; slot++ {
 		for lane := 0; lane < 32; lane++ {
 			r, c := int32(v.Row[slot][lane]), int32(v.Col[slot][lane])
-			p.idx[slot][lane] = r*int32(cols) + c
+			if m.Op == wmma.MatrixB {
+				p.idx[slot][lane] = c*int32(rows) + r
+			} else {
+				p.idx[slot][lane] = r*int32(cols) + c
+			}
+			highest[p.idx[slot][lane]] = max(highest[p.idx[slot][lane]], lane)
 			if m.Layout == tensor.RowMajor {
 				p.major[slot][lane], p.minor[slot][lane] = r, c
 			} else {
 				p.major[slot][lane], p.minor[slot][lane] = c, r
+			}
+		}
+	}
+	for lane := 0; lane < 32; lane++ {
+		for slot := 0; slot < p.slots; slot++ {
+			if highest[p.idx[slot][lane]] == lane {
+				p.lanes = append(p.lanes, uint8(lane))
+				break
 			}
 		}
 	}
@@ -289,84 +309,105 @@ func packFragElem(dst []byte, nb, v uint64) {
 	}
 }
 
-// gatherTileVec is the batched gatherTile: slots in the outer loop (the
-// fragment register is warp-uniform per slot), lanes in a tight inner
-// loop, the precision switch hoisted, and tile elements addressed
-// through the plan's precomputed linear offsets. Duplicate fragment
-// copies (Volta A/B hold every element in two lanes) must agree — the
-// wmma architectural invariant wmma.load establishes — so the write
-// order between the two paths is immaterial.
+// The three gathers below fill one register image of wmma.mma (see
+// internal/wmma) from fragment registers: slots in the outer loop (the
+// fragment register is warp-uniform per slot), the plan's lanes in a
+// tight inner loop, one function per element encoding so no loop carries
+// a precision switch.
+
+// gatherF16 widens binary16 fragment elements to their exact binary32
+// image.
 //
 //simlint:hotpath
-func (w *Warp) gatherTileVec(d *DInstr, p *fragPlan, srcOff int, elem wmma.Precision, slot int) *tensor.Matrix {
-	t := w.scratchTile(p.rows, p.cols, slot)
+func (w *Warp) gatherF16(d *DInstr, p *fragPlan, srcOff int, img []float32) {
 	for s := 0; s < p.slots; s++ {
 		r := w.regVec(int(d.srcs[srcOff+s].reg))
 		idx := &p.idx[s]
-		switch elem {
-		case wmma.F16:
-			for lane, v := range r {
-				t.SetLinear(int(idx[lane]), fp16.FromBits(uint16(v)).Float64())
-			}
-		case wmma.F32:
-			for lane, v := range r {
-				t.SetLinear(int(idx[lane]), float64(f32bits(v)))
-			}
-		default: // integer operand types live as s32 values in registers
-			for lane, v := range r {
-				t.SetLinear(int(idx[lane]), float64(int32(uint32(v))))
-			}
+		for _, lane := range p.lanes {
+			img[idx[lane&31]] = h16(r[lane&31]).Float32()
 		}
 	}
-	return t
 }
 
-// scatterTileVec is the batched D scatter: the inverse of
-// gatherTileVec, writing encoded tile elements into the per-slot
-// destination registers.
+// gatherInt clamps integer fragment elements (s32 values in registers)
+// to the operand range [lo, hi].
 //
 //simlint:hotpath
-func (w *Warp) scatterTileVec(d *DInstr, p *fragPlan, elem wmma.Precision, t *tensor.Matrix) {
+func (w *Warp) gatherInt(d *DInstr, p *fragPlan, srcOff int, lo, hi int32, img []int32) {
+	for s := 0; s < p.slots; s++ {
+		r := w.regVec(int(d.srcs[srcOff+s].reg))
+		idx := &p.idx[s]
+		for _, lane := range p.lanes {
+			img[idx[lane&31]] = min(max(int32(uint32(r[lane&31])), lo), hi)
+		}
+	}
+}
+
+// gatherWords copies accumulator fragment registers as raw words.
+//
+//simlint:hotpath
+func (w *Warp) gatherWords(d *DInstr, p *fragPlan, srcOff int, img []uint64) {
+	for s := 0; s < p.slots; s++ {
+		r := w.regVec(int(d.srcs[srcOff+s].reg))
+		idx := &p.idx[s]
+		for _, lane := range p.lanes {
+			img[idx[lane&31]] = r[lane&31]
+		}
+	}
+}
+
+// scatterWords is the D scatter, the inverse of gatherWords: every lane's
+// destination registers receive their elements' result words.
+//
+//simlint:hotpath
+func (w *Warp) scatterWords(d *DInstr, p *fragPlan, img []uint64) {
 	for s := 0; s < p.slots; s++ {
 		r := w.regVec(int(d.dsts[s]))
 		idx := &p.idx[s]
-		switch elem {
-		case wmma.F16:
-			for lane := range r {
-				r[lane] = uint64(fp16.FromFloat64(t.AtLinear(int(idx[lane]))).Bits())
-			}
-		case wmma.F32:
-			for lane := range r {
-				r[lane] = bitsF32(float32(t.AtLinear(int(idx[lane]))))
-			}
-		default:
-			for lane := range r {
-				r[lane] = uint64(uint32(int32(t.AtLinear(int(idx[lane])))))
-			}
+		for lane := range r {
+			r[lane] = img[idx[lane]]
 		}
 	}
 }
 
-// execWmmaMMAVec runs wmma.mma through the batched fragment views: SoA
-// gathers, the warp's reusable quantization scratch, and the SoA
-// scatter. Arithmetic (wmma.MMAIntoBuf) is byte-for-byte the per-lane
-// path's MMAInto.
+// grow returns s resized to n elements, reallocating only when the
+// capacity is short; contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// execWmmaMMAVec runs wmma.mma on register images: the operands are
+// gathered from the register file into the warp's reusable scratch in the
+// form internal/wmma's kernel computes on, and D's words scattered back.
+// The arithmetic is the kernel the per-lane path reaches through
+// wmma.MMAInto, so the two paths cannot disagree.
 func (w *Warp) execWmmaMMAVec(d *DInstr, nA, nB int) error {
 	cfg := d.In.WConfig
-	aTile := w.gatherTileVec(d, d.wA, 0, cfg.AType, 0)
-	bTile := w.gatherTileVec(d, d.wB, nA, cfg.AType, 1)
-	cTile := w.gatherTileVec(d, d.wC, nA+nB, cfg.CType, 2)
-	dTile := w.scratchTile(cfg.Shape.M, cfg.Shape.N, 3)
-	if !cfg.AType.IsInt() {
-		// Integer configs dispatch to the exact int datapath, which
-		// never quantizes through fp16 scratch.
-		if need := wmma.QuantBufLen(cfg); cap(w.quantBuf) < need {
-			w.quantBuf = make([]fp16.Float16, need)
-		}
+	sh := cfg.Shape
+	w.mmaWords = grow(w.mmaWords, 2*sh.M*sh.N)
+	c, out := w.mmaWords[:sh.M*sh.N], w.mmaWords[sh.M*sh.N:]
+	w.gatherWords(d, d.wC, nA+nB, c)
+	var err error
+	if cfg.AType.IsInt() {
+		w.mmaInts = grow(w.mmaInts, (sh.M+sh.N)*sh.K)
+		a, b := w.mmaInts[:sh.M*sh.K], w.mmaInts[sh.M*sh.K:]
+		lo, hi := wmma.IntRange(cfg.AType)
+		w.gatherInt(d, d.wA, 0, lo, hi, a)
+		w.gatherInt(d, d.wB, nA, lo, hi, b)
+		err = wmma.MMAIntImages(cfg, a, b, c, out)
+	} else {
+		w.mmaFloats = grow(w.mmaFloats, (sh.M+sh.N)*sh.K)
+		a, b := w.mmaFloats[:sh.M*sh.K], w.mmaFloats[sh.M*sh.K:]
+		w.gatherF16(d, d.wA, 0, a)
+		w.gatherF16(d, d.wB, nA, b)
+		err = wmma.MMAImages(cfg, a, b, c, out)
 	}
-	if err := wmma.MMAIntoBuf(cfg, aTile, bTile, cTile, dTile, w.quantBuf); err != nil {
+	if err != nil {
 		return err
 	}
-	w.scatterTileVec(d, d.wD, cfg.DType, dTile)
+	w.scatterWords(d, d.wD, out)
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/fp16"
 	"repro/internal/tensor"
 	"repro/internal/wmma"
 )
@@ -129,10 +128,8 @@ func (w *Warp) emitFragAccesses(res *Result, batched bool, lane int, addrs []uin
 
 // laneAddrs returns the reusable per-lane address scratch, grown to n.
 func (w *Warp) laneAddrs(n int) []uint64 {
-	if cap(w.addrBuf) < n {
-		w.addrBuf = make([]uint64, n)
-	}
-	return w.addrBuf[:n]
+	w.addrBuf = grow(w.addrBuf, n)
+	return w.addrBuf
 }
 
 func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
@@ -247,15 +244,14 @@ func (w *Warp) execWmmaMMA(d *DInstr) error {
 }
 
 // scatterTile writes a result tile into the destination fragment
-// registers via the mapping — the per-lane reference the batched
-// scatterTileVec must match.
+// registers via the mapping.
 func (w *Warp) scatterTile(in *Instr, m *wmma.Mapping, elem wmma.Precision, t *tensor.Matrix) {
 	for lane := 0; lane < 32; lane++ {
 		if !w.laneEnabled(lane, in) {
 			continue
 		}
 		for slot, c := range m.Lanes[lane] {
-			w.setReg(lane, in.Dst[slot], encodeElem(elem, t.At(c.Row, c.Col)))
+			w.setReg(lane, in.Dst[slot], wmma.EncodeElem(elem, t.At(c.Row, c.Col)))
 		}
 	}
 }
@@ -291,36 +287,10 @@ func (w *Warp) gatherTile(in *Instr, m *wmma.Mapping, srcOff int, elem wmma.Prec
 		}
 		for slot, c := range m.Lanes[lane] {
 			bits := w.operand(lane, &in.Src[srcOff+slot])
-			t.Set(c.Row, c.Col, decodeElem(elem, bits))
+			t.Set(c.Row, c.Col, wmma.DecodeElem(elem, bits))
 		}
 	}
 	return t
-}
-
-// decodeElem converts a register's raw bits into the host float64 value of
-// an element of the given precision.
-func decodeElem(p wmma.Precision, bits uint64) float64 {
-	switch p {
-	case wmma.F16:
-		return fp16.FromBits(uint16(bits)).Float64()
-	case wmma.F32:
-		return float64(f32bits(bits))
-	default: // integer operand types live as s32 values in registers
-		return float64(int32(uint32(bits)))
-	}
-}
-
-// encodeElem converts a host float64 element into register bits of the
-// given precision.
-func encodeElem(p wmma.Precision, v float64) uint64 {
-	switch p {
-	case wmma.F16:
-		return uint64(fp16.FromFloat64(v).Bits())
-	case wmma.F32:
-		return bitsF32(float32(v))
-	default:
-		return uint64(uint32(int32(v)))
-	}
 }
 
 // cuda4BitBytes returns the device storage bytes of one fragment element:

@@ -220,7 +220,7 @@ func TestFragmentPathMatchesLegacy(t *testing.T) {
 }
 
 // fragFuzzWarp builds a bare full-warp executor plus the decoded
-// all-register operand shape the batched gather/scatter consumes.
+// all-register operand shape the image gather/scatter consumes.
 func fragFuzzWarp(nslots int) (*Warp, *DInstr) {
 	k := &Kernel{Name: "fragfuzz", NumRegs: nslots}
 	w := &Warp{Kernel: k, Env: &Env{}}
@@ -251,9 +251,10 @@ func coordBits(seed uint64, c wmma.Coord) uint64 {
 }
 
 // FuzzFragGatherMatchesReference drives the batched fragment machinery
-// against the per-element reference across random mappings, layouts,
-// precisions, strides and register images: the gathered tile, the
-// scattered registers, and the per-lane memory addresses must all be
+// against a per-element reference walked straight off the mapping,
+// across random mappings, layouts, precisions, strides and register
+// contents: the gathered register image (row-major, transposed for B),
+// the scattered registers, and the per-lane memory addresses must all be
 // bit-identical.
 func FuzzFragGatherMatchesReference(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint64(1), int64(16))
@@ -263,9 +264,10 @@ func FuzzFragGatherMatchesReference(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(1), uint8(1), uint8(0), uint64(5), int64(-16))
 	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), uint8(2), uint64(6), int64(3))
 	f.Add(uint8(1), uint8(0), uint8(2), uint8(0), uint8(6), uint64(7), int64(17))
+	f.Add(uint8(1), uint8(3), uint8(1), uint8(1), uint8(4), uint64(8), int64(32))
 	f.Fuzz(func(t *testing.T, archSel, shapeSel, opSel, layoutSel, elemSel uint8, seed uint64, stride int64) {
 		arch := wmma.Arch(archSel % 2)
-		shape := []wmma.Shape{wmma.M16N16K16, wmma.M32N8K16, wmma.M8N32K16}[shapeSel%3]
+		shape := []wmma.Shape{wmma.M16N16K16, wmma.M32N8K16, wmma.M8N32K16, wmma.M8N8K32}[shapeSel%4]
 		op := wmma.Operand(opSel % 3)
 		layout := tensor.Layout(layoutSel % 2)
 		elem := []wmma.Precision{wmma.F16, wmma.F32, wmma.S8, wmma.U8, wmma.S4, wmma.U4, wmma.S32}[elemSel%7]
@@ -281,36 +283,74 @@ func FuzzFragGatherMatchesReference(f *testing.F) {
 		in := d.In
 		in.WMap = m
 
-		// Gather: consistent per-coordinate register bits, compared
-		// bitwise (NaN payloads included).
+		// Gather: consistent per-coordinate register bits into each image
+		// encoding, compared bitwise (NaN payloads included) with the
+		// image a per-element walk of the mapping produces. Poisoned
+		// scratch proves every element is written.
 		for lane := range m.Lanes {
 			for slot, c := range m.Lanes[lane] {
 				w.setReg(lane, Reg{ID: slot}, coordBits(seed, c))
 			}
 		}
-		ref := w.gatherTile(in, m, 0, elem, 0)
-		vec := w.gatherTileVec(d, p, 0, elem, 1)
-		if ref.Rows != vec.Rows || ref.Cols != vec.Cols {
-			t.Fatalf("tile dims differ: %dx%d vs %dx%d", ref.Rows, ref.Cols, vec.Rows, vec.Cols)
+		rows, cols := m.Shape.Dims(m.Op)
+		imgIdx := func(c wmma.Coord) int {
+			if op == wmma.MatrixB {
+				return c.Col*rows + c.Row // N×K: the kernel's transposed B
+			}
+			return c.Row*cols + c.Col
 		}
-		for i := range ref.Data {
-			if math.Float64bits(ref.Data[i]) != math.Float64bits(vec.Data[i]) {
-				t.Fatalf("gather element %d differs: %v vs %v (mapping %v/%v/%v %v %v)",
-					i, ref.Data[i], vec.Data[i], arch, shape, op, layout, elem)
+		n := rows * cols
+		wantWords := make([]uint64, n)
+		for lane := range m.Lanes {
+			for _, c := range m.Lanes[lane] {
+				wantWords[imgIdx(c)] = coordBits(seed, c)
+			}
+		}
+		words := make([]uint64, n)
+		for i := range words {
+			words[i] = 0xDEADBEEFDEADBEEF
+		}
+		w.gatherWords(d, p, 0, words)
+		if !reflect.DeepEqual(words, wantWords) {
+			t.Fatalf("gathered words differ (mapping %v/%v/%v %v %v)", arch, shape, op, layout, elem)
+		}
+		floats := make([]float32, n)
+		for i := range floats {
+			floats[i] = -12345
+		}
+		w.gatherF16(d, p, 0, floats)
+		for i, bits := range wantWords {
+			if want := h16(bits).Float32(); math.Float32bits(floats[i]) != math.Float32bits(want) {
+				t.Fatalf("f16 image element %d = %v, want %v (mapping %v/%v/%v %v)",
+					i, floats[i], want, arch, shape, op, layout)
+			}
+		}
+		lo, hi := int32(int8(seed)), int32(int8(seed))+int32(seed>>8&0xff)
+		ints := make([]int32, n)
+		for i := range ints {
+			ints[i] = hi + 1
+		}
+		w.gatherInt(d, p, 0, lo, hi, ints)
+		for i, bits := range wantWords {
+			if want := min(max(int32(uint32(bits)), lo), hi); ints[i] != want {
+				t.Fatalf("int image element %d = %d, want %d (mapping %v/%v/%v %v)",
+					i, ints[i], want, arch, shape, op, layout)
 			}
 		}
 
-		// Scatter: arbitrary tile values through both encode paths.
-		rows, cols := m.Shape.Dims(m.Op)
-		tile := tensor.New(rows, cols, tensor.RowMajor)
-		for i := range tile.Data {
-			tile.Data[i] = math.Float64frombits(coordBits(seed^0xABCD, wmma.Coord{Row: i, Col: 7}))
+		// Scatter: arbitrary result words into every lane's registers.
+		tile := make([]uint64, n)
+		for i := range tile {
+			tile[i] = coordBits(seed^0xABCD, wmma.Coord{Row: i, Col: 7})
+		}
+		refRegs := make([]uint64, len(w.regs))
+		for lane := range m.Lanes {
+			for slot, c := range m.Lanes[lane] {
+				refRegs[slot*32+lane] = tile[imgIdx(c)]
+			}
 		}
 		clear(w.regs)
-		w.scatterTile(in, m, elem, tile)
-		refRegs := append([]uint64(nil), w.regs...)
-		clear(w.regs)
-		w.scatterTileVec(d, p, elem, tile)
+		w.scatterWords(d, p, tile)
 		if !reflect.DeepEqual(refRegs, w.regs) {
 			t.Fatalf("scatter registers differ (mapping %v/%v/%v %v %v)", arch, shape, op, layout, elem)
 		}

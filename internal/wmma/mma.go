@@ -1,6 +1,7 @@
 package wmma
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/fp16"
@@ -54,12 +55,170 @@ func DotF16(acc fp16.Float16, a, b []fp16.Float16) fp16.Float16 {
 	return acc
 }
 
+// Register images.
+//
+// A warp's fragment registers already hold wmma.mma's operands in their
+// device encoding, so the one arithmetic kernel of this package works on
+// that form directly instead of on float64 tiles. An A/B element's image
+// is its value as the datapath sees it — the exact binary32 widening of a
+// binary16 element (fp16.Float16.Float32), or an integer element clamped
+// to its operand range (IntRange); widening once up front is exact because
+// every multiply widened the same bits through the same table before. A is
+// M×K row-major and B is stored transposed, N×K, so the K elements an
+// output element consumes are contiguous in both. C and D are M×N
+// row-major raw register words in CType/DType encoding (EncodeElem); the
+// bits of a word above the element width are ignored on C and zero on D.
+
+// Image capacities: the largest A or B tile (32×16) and accumulator tile
+// (16×16) of any configuration Validate accepts.
+const (
+	maxOperandElems = 512
+	maxAccumElems   = 256
+)
+
+// MMAImages computes D = A×B + C for a floating-point configuration on
+// register images (see above): a is M×K, bT is N×K, c and d are M×N words.
+// It is the only floating-point wmma.mma arithmetic in the repository —
+// the executor's batched path calls it on images gathered straight from
+// registers, and the tile API (MMA, MMAInto) encodes, calls it and
+// decodes.
+//
+// Results do not depend on whether the compiler fuses a multiply into the
+// add that consumes it: every product of two binary16 values is exact in
+// binary32, so the fused and unfused sums round the same real number. The
+// one thing left open is the payload of a NaN that comes out of an add of
+// two NaNs, which follows the operand order the compiler picks for a
+// commutative add; that a result is NaN never depends on it.
+func MMAImages(cfg Config, a, bT []float32, c, d []uint64) error {
+	if err := checkImages(cfg, false, len(a), len(bT), len(c), len(d)); err != nil {
+		return err
+	}
+	mmaFloatImages(cfg, a, bT, c, d)
+	return nil
+}
+
+// MMAIntImages is MMAImages for the Turing integer configurations: a and
+// bT hold operand values already clamped to IntRange(cfg.AType), c and d
+// s32 words.
+func MMAIntImages(cfg Config, a, bT []int32, c, d []uint64) error {
+	if err := checkImages(cfg, true, len(a), len(bT), len(c), len(d)); err != nil {
+		return err
+	}
+	mmaIntImages(cfg, a, bT, c, d)
+	return nil
+}
+
+func checkImages(cfg Config, integer bool, na, nb, nc, nd int) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	s := cfg.Shape
+	if cfg.AType.IsInt() != integer {
+		return fmt.Errorf("wmma: %v operands passed to the wrong image kernel", cfg.AType)
+	}
+	if na < s.M*s.K || nb < s.N*s.K || nc < s.M*s.N || nd < s.M*s.N {
+		return fmt.Errorf("wmma: register images too short for %v", s)
+	}
+	return nil
+}
+
+// fedp is one four-element dot product on operand images: the exact
+// products summed pairwise in FP32, the shape of the hardware adder tree.
+func fedp(a, b *[16]float32, k int) float32 {
+	return (a[k]*b[k] + a[k+1]*b[k+1]) + (a[k+2]*b[k+2] + a[k+3]*b[k+3])
+}
+
+// mmaFloatImages is the floating-point kernel. Every floating-point shape
+// has K = 16 (Validate), so a row of either operand image is a
+// *[16]float32 and the four FEDP chunks are spelled out in ascending K
+// with constant indices — no bounds checks, and the same accumulation
+// order as DotF32/DotF16. The accumulator lives in d as a binary32 word
+// until the output pass converts it to DType.
+//
+//simlint:hotpath
+func mmaFloatImages(cfg Config, a, bT []float32, c, d []uint64) {
+	m, n := cfg.Shape.M, cfg.Shape.N
+	f16acc := cfg.CType == F16
+	for i := 0; i < m; i++ {
+		ar := (*[16]float32)(a[i*16:])
+		crow, drow := c[i*n:][:n], d[i*n:][:n]
+		for j := range drow {
+			br := (*[16]float32)(bT[j*16:])
+			var acc float32
+			if f16acc {
+				// FP16 mode writes the accumulator back between HMMA
+				// sets: round to binary16 after every chunk.
+				acc = fp16.FromBits(uint16(crow[j])).Float32()
+				for k := 0; k <= 12; k += FEDPWidth {
+					acc += fedp(ar, br, k)
+					if r, ok := fp16.RoundNormal(acc); ok {
+						acc = r
+					} else {
+						acc = fp16.RoundFloat32(acc)
+					}
+				}
+			} else {
+				acc = math.Float32frombits(uint32(crow[j]))
+				acc += fedp(ar, br, 0)
+				acc += fedp(ar, br, 4)
+				acc += fedp(ar, br, 8)
+				acc += fedp(ar, br, 12)
+			}
+			drow[j] = uint64(math.Float32bits(acc))
+		}
+	}
+	if cfg.DType == F32 && !cfg.Satf {
+		return
+	}
+	for x, w := range d[:m*n] {
+		acc := math.Float32frombits(uint32(w))
+		if cfg.DType == F32 {
+			d[x] = uint64(math.Float32bits(satFloat(acc)))
+			continue
+		}
+		h := fp16.FromFloat32(acc)
+		if cfg.Satf {
+			h = fp16.FromFloat32(satFloat(h.Float32()))
+		}
+		d[x] = uint64(h.Bits())
+	}
+}
+
+// mmaIntImages is the integer kernel: exact products accumulated in 64
+// bits, then saturated or wrapped to s32.
+//
+//simlint:hotpath
+func mmaIntImages(cfg Config, a, bT []int32, c, d []uint64) {
+	m, n, k := cfg.Shape.M, cfg.Shape.N, cfg.Shape.K
+	for i := 0; i < m; i++ {
+		ar := a[i*k:][:k]
+		crow, drow := c[i*n:][:n], d[i*n:][:n]
+		for j := range drow {
+			br := bT[j*k:][:k]
+			acc := int64(int32(uint32(crow[j])))
+			for x, av := range ar {
+				acc += int64(av) * int64(br[x])
+			}
+			if cfg.Satf {
+				acc = min(max(acc, math.MinInt32), math.MaxInt32)
+			}
+			drow[j] = uint64(uint32(int32(acc))) // !Satf: wraparound semantics
+		}
+	}
+}
+
 // MMA computes the warp-wide D = A×B + C for one tile under cfg. Inputs
 // and output are host matrices holding the logical element values; the
 // element values are quantized to cfg's operand precisions on the way in
 // (float64 → binary16 for F16 operands, truncation to the integer range
 // for integer operands), exactly as a wmma.load of memory holding those
 // types would see them.
+//
+// This tile API is the host-side face of the arithmetic — the façade, the
+// examples, internal/tcore's bit-identity tests and the executor's
+// per-lane fallback for partial or predicated warps use it. It encodes the
+// tiles into register images, runs the kernel every path shares
+// (MMAImages, MMAIntImages) and decodes D.
 //
 // The returned matrix is M×N in the requested layout.
 func MMA(cfg Config, a, b, c *tensor.Matrix, outLayout tensor.Layout) (*tensor.Matrix, error) {
@@ -74,31 +233,59 @@ func MMA(cfg Config, a, b, c *tensor.Matrix, outLayout tensor.Layout) (*tensor.M
 }
 
 // MMAInto is MMA writing D into a caller-provided M×N matrix, which is
-// fully overwritten — the allocation-light path the instruction executor
-// runs once per dynamic wmma.mma.
+// fully overwritten. The images live on the stack: it allocates nothing.
 func MMAInto(cfg Config, a, b, c, d *tensor.Matrix) error {
-	return MMAIntoBuf(cfg, a, b, c, d, nil)
-}
-
-// QuantBufLen returns the fp16 scratch length MMAIntoBuf needs for the
-// configuration's operand quantization: one binary16 value per A and B
-// element.
-func QuantBufLen(cfg Config) int { return (cfg.Shape.M + cfg.Shape.N) * cfg.Shape.K }
-
-// MMAIntoBuf is MMAInto with a caller-provided quantization scratch of
-// at least QuantBufLen(cfg) elements (nil or short buffers allocate,
-// preserving MMAInto's behaviour). The batched wmma executor reuses one
-// buffer per warp so a dynamic wmma.mma allocates nothing.
-func MMAIntoBuf(cfg Config, a, b, c, d *tensor.Matrix, buf []fp16.Float16) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.AType.IsInt() {
-		mmaInt(cfg, a, b, c, d)
-		return nil
+	s := cfg.Shape
+	var cw, dw [maxAccumElems]uint64
+	for i := 0; i < s.M; i++ {
+		for j := 0; j < s.N; j++ {
+			cw[i*s.N+j] = EncodeElem(cfg.CType, c.At(i, j))
+		}
 	}
-	mmaFloat(cfg, a, b, c, d, buf)
+	if cfg.AType.IsInt() {
+		var ai, bi [maxOperandElems]int32
+		q := intQuantizer(cfg.AType)
+		for k := 0; k < s.K; k++ {
+			for i := 0; i < s.M; i++ {
+				ai[i*s.K+k] = q(a.At(i, k))
+			}
+			for j := 0; j < s.N; j++ {
+				bi[j*s.K+k] = q(b.At(k, j))
+			}
+		}
+		mmaIntImages(cfg, ai[:], bi[:], cw[:], dw[:])
+	} else {
+		var af, bf [maxOperandElems]float32
+		for k := 0; k < s.K; k++ {
+			for i := 0; i < s.M; i++ {
+				af[i*s.K+k] = fp16.FromFloat64(a.At(i, k)).Float32()
+			}
+			for j := 0; j < s.N; j++ {
+				bf[j*s.K+k] = fp16.FromFloat64(b.At(k, j)).Float32()
+			}
+		}
+		mmaFloatImages(cfg, af[:], bf[:], cw[:], dw[:])
+	}
+	for i := 0; i < s.M; i++ {
+		for j := 0; j < s.N; j++ {
+			d.Set(i, j, DecodeElem(cfg.DType, dw[i*s.N+j]))
+		}
+	}
 	return nil
+}
+
+// QuantBufLen returns the scratch length MMAIntoBuf used to need.
+func QuantBufLen(cfg Config) int { return (cfg.Shape.M + cfg.Shape.N) * cfg.Shape.K }
+
+// MMAIntoBuf is MMAInto. The quantization scratch it used to take is no
+// longer read — the images live on MMAInto's stack — and the parameter
+// stays, with QuantBufLen, only because the benchmark harness (bench/,
+// which a performance change may not edit) calls both.
+func MMAIntoBuf(cfg Config, a, b, c, d *tensor.Matrix, _ []fp16.Float16) error {
+	return MMAInto(cfg, a, b, c, d)
 }
 
 // MustMMA is MMA but panics on configuration errors.
@@ -110,46 +297,29 @@ func MustMMA(cfg Config, a, b, c *tensor.Matrix, outLayout tensor.Layout) *tenso
 	return d
 }
 
-func mmaFloat(cfg Config, a, b, c, d *tensor.Matrix, buf []fp16.Float16) {
-	s := cfg.Shape
-	// Quantize A rows and B columns once, into two flat buffers.
-	need := (s.M + s.N) * s.K
-	if cap(buf) < need {
-		buf = make([]fp16.Float16, need)
+// DecodeElem converts a register's raw bits into the host float64 value of
+// an element of the given precision.
+func DecodeElem(p Precision, bits uint64) float64 {
+	switch p {
+	case F16:
+		return fp16.FromBits(uint16(bits)).Float64()
+	case F32:
+		return float64(math.Float32frombits(uint32(bits)))
+	default: // integer operand types live as s32 values in registers
+		return float64(int32(uint32(bits)))
 	}
-	flat := buf[:need]
-	av, bv := flat[:s.M*s.K], flat[s.M*s.K:]
-	for i := 0; i < s.M; i++ {
-		for k := 0; k < s.K; k++ {
-			av[i*s.K+k] = fp16.FromFloat64(a.At(i, k))
-		}
-	}
-	for j := 0; j < s.N; j++ {
-		for k := 0; k < s.K; k++ {
-			bv[j*s.K+k] = fp16.FromFloat64(b.At(k, j))
-		}
-	}
-	for i := 0; i < s.M; i++ {
-		for j := 0; j < s.N; j++ {
-			ar, bc := av[i*s.K:(i+1)*s.K], bv[j*s.K:(j+1)*s.K]
-			var out float64
-			if cfg.CType == F32 {
-				acc := float32(c.At(i, j))
-				acc = DotF32(acc, ar, bc)
-				out = float64(acc)
-			} else {
-				acc := fp16.FromFloat64(c.At(i, j))
-				acc = DotF16(acc, ar, bc)
-				out = acc.Float64()
-			}
-			if cfg.DType == F16 {
-				out = fp16.FromFloat64(out).Float64()
-			}
-			if cfg.Satf {
-				out = satFloat(out)
-			}
-			d.Set(i, j, out)
-		}
+}
+
+// EncodeElem converts a host float64 element into register bits of the
+// given precision.
+func EncodeElem(p Precision, v float64) uint64 {
+	switch p {
+	case F16:
+		return uint64(fp16.FromFloat64(v).Bits())
+	case F32:
+		return uint64(math.Float32bits(float32(v)))
+	default:
+		return uint64(uint32(int32(v)))
 	}
 }
 
@@ -160,13 +330,10 @@ func mmaFloat(cfg Config, a, b, c, d *tensor.Matrix, buf []fp16.Float16) {
 // identical final conversion.
 func SaturateFloat(v float64) float64 { return satFloat(v) }
 
-// satFloat implements the .satf qualifier for floating point: the result
-// is clamped to the maximum finite magnitude and NaN becomes +0, per the
-// PTX specification's "saturate to finite value" semantics.
-func satFloat(v float64) float64 {
+func satFloat[T float32 | float64](v T) T {
 	const maxF16 = 65504
 	switch {
-	case math.IsNaN(v):
+	case v != v: // NaN
 		return 0
 	case v > maxF16:
 		return maxF16
@@ -176,60 +343,32 @@ func satFloat(v float64) float64 {
 	return v
 }
 
-func mmaInt(cfg Config, a, b, c, d *tensor.Matrix) {
-	s := cfg.Shape
-	qa := intQuantizer(cfg.AType)
-	for i := 0; i < s.M; i++ {
-		for j := 0; j < s.N; j++ {
-			acc := int64(int32(c.At(i, j)))
-			for k := 0; k < s.K; k++ {
-				acc += int64(qa(a.At(i, k))) * int64(qa(b.At(k, j)))
-			}
-			if cfg.Satf {
-				if acc > math.MaxInt32 {
-					acc = math.MaxInt32
-				} else if acc < math.MinInt32 {
-					acc = math.MinInt32
-				}
-			} else {
-				acc = int64(int32(acc)) // wraparound semantics
-			}
-			d.Set(i, j, float64(acc))
-		}
-	}
-}
-
 // QuantizeInt truncates a float64 host value into the given integer
 // operand range, the way the device memory image would hold it.
 func QuantizeInt(p Precision, v float64) int32 { return intQuantizer(p)(v) }
+
+// IntRange returns the value range of an integer operand type: what an
+// element clamps to on its way into the datapath.
+func IntRange(p Precision) (lo, hi int32) {
+	switch p {
+	case S8:
+		return -128, 127
+	case U8:
+		return 0, 255
+	case S4:
+		return -8, 7
+	case U4:
+		return 0, 15
+	}
+	panic("wmma: not an integer operand type")
+}
 
 // intQuantizer returns a function truncating a float64 host value into the
 // given integer operand range, the way the device memory image would hold
 // it.
 func intQuantizer(p Precision) func(float64) int32 {
-	var lo, hi int32
-	switch p {
-	case S8:
-		lo, hi = -128, 127
-	case U8:
-		lo, hi = 0, 255
-	case S4:
-		lo, hi = -8, 7
-	case U4:
-		lo, hi = 0, 15
-	default:
-		panic("wmma: not an integer operand type")
-	}
-	return func(v float64) int32 {
-		x := int32(v)
-		if x < lo {
-			x = lo
-		}
-		if x > hi {
-			x = hi
-		}
-		return x
-	}
+	lo, hi := IntRange(p)
+	return func(v float64) int32 { return min(max(int32(v), lo), hi) }
 }
 
 // ReferenceGemm returns the float64 D = A×B + C for comparison with MMA
