@@ -39,14 +39,13 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/gpu"
+	"repro/internal/profiling"
 	"repro/internal/ptx"
 )
 
@@ -167,33 +166,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer ptx.SwapLegacyFragmentPath(true)()
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(stderr, "experiments: -cpuprofile:", err)
-			return exitUsage
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(stderr, "experiments: -cpuprofile:", err)
-			return exitUsage
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return exitUsage
 	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(stderr, "experiments: -memprofile:", err)
-			return exitUsage
-		}
-		defer func() {
-			runtime.GC() // up-to-date allocation stats
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(stderr, "experiments: -memprofile:", err)
-			}
-			f.Close()
-		}()
-	}
+	defer stopProfiles()
 
 	if *list || *runID == "" {
 		fmt.Fprintln(stdout, "available experiments:")

@@ -7,6 +7,7 @@
 //	tcsim -kernel cutlass -m 512 -n 512 -k 512 -policy b64x64_w32x32
 //	tcsim -kernel sgemm -m 256 -n 256 -k 256 -sms 16 -sched lrr
 //	tcsim -kernel wmma -sizes 128,256,512 -workers 4
+//	tcsim -kernel hgemm -m 512 -n 512 -k 256 -sms 8 -cpuprofile cpu.pprof
 package main
 
 import (
@@ -24,6 +25,7 @@ import (
 	"repro/internal/cutlass"
 	"repro/internal/gpu"
 	"repro/internal/kernels"
+	"repro/internal/profiling"
 	"repro/internal/ptx"
 	"repro/internal/tensor"
 	"repro/internal/wmma"
@@ -42,8 +44,9 @@ func main() {
 }
 
 // run is main's body with a normal return path, so the -legacyfrag
-// restore runs before exit and CLI tests can pin the exit-code
-// contract in-process (tables still print to the process stdout).
+// restore and the pprof writers' defers run before exit (os.Exit skips
+// defers) and CLI tests can pin the exit-code contract in-process
+// (tables still print to the process stdout).
 func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -62,6 +65,8 @@ func run(args []string, stderr io.Writer) int {
 	tlActive := fs.Int("tlactive", 0, "two-level scheduler active-subset size per sub-core (0 = config default; other policies ignore it)")
 	maxCycles := fs.Uint64("maxcycles", 0, "simulated-cycle budget per launch; a runaway kernel fails with a cycle-budget error instead of spinning (0 = generous backstop)")
 	legacyFrag := fs.Bool("legacyfrag", false, "route wmma fragments through the per-element legacy path (debug/ablation; results are bit-identical, just slower)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (hot-spot hunts: go tool pprof)")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		// -h/-help surfaces as flag.ErrHelp: a successful usage request,
 		// not a usage error — it used to exit 2 like a typo.
@@ -81,6 +86,13 @@ func run(args []string, stderr io.Writer) int {
 		// prevent.
 		defer ptx.SwapLegacyFragmentPath(true)()
 	}
+
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "tcsim:", err)
+		return exitUsage
+	}
+	defer stopProfiles()
 
 	cfg := gpu.TitanV()
 	if *sms > 0 {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -47,6 +49,34 @@ func TestLegacyFragRestoredOnReturn(t *testing.T) {
 	}
 	if ptx.LegacyFragmentPathEnabled() {
 		t.Error("-legacyfrag leaked the fragment-path knob past run()")
+	}
+}
+
+// -cpuprofile and -memprofile must leave non-empty profiles behind a
+// successful run, and an unwritable path must fail at the flag boundary,
+// before anything is simulated.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var stderr bytes.Buffer
+	args := []string{"-kernel", "hgemm", "-m", "64", "-n", "128", "-k", "16", "-sms", "1"}
+	if code := run(append(args, "-cpuprofile", cpu, "-memprofile", mem), &stderr); code != exitOK {
+		t.Fatalf("profiled run = %d, want %d: %s", code, exitOK, stderr.String())
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: no profile written (%v)", filepath.Base(p), err)
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		stderr.Reset()
+		bad := filepath.Join(dir, "missing", "p.pprof")
+		if code := run(append(args, flag, bad), &stderr); code != exitUsage {
+			t.Errorf("%s to an unwritable path = %d, want %d", flag, code, exitUsage)
+		}
+		if !strings.Contains(stderr.String(), flag) {
+			t.Errorf("%s to an unwritable path did not name the flag: %q", flag, stderr.String())
+		}
 	}
 }
 

@@ -115,8 +115,51 @@ func FromFloat32(f float32) Float16 {
 
 // FromFloat64 converts f to binary16 using round-to-nearest-even. It rounds
 // directly from the float64 value, avoiding the double rounding that a
-// float64→float32→float16 chain could introduce.
+// float64→float32→float16 chain could introduce. Every arithmetic result
+// (Add, Sub, Mul, Div, FMA) and every tile and upload encoder rounds
+// through here; the common case is RoundNormal64's few integer operations.
 func FromFloat64(f float64) Float16 {
+	if h, ok := RoundNormal64(f); ok {
+		return h
+	}
+	return fromFloat64General(f)
+}
+
+// Bounds of RoundNormal64's range, as binary64 magnitudes: RoundNormal's
+// two bounds, widened.
+const (
+	minNormal64   = 0x3f10000000000000 // 2^-14
+	roundsToInf64 = 0x40effe0000000000 // 65520
+)
+
+// RoundNormal64 is the part of FromFloat64 that is integer arithmetic on
+// the binary64 image, small enough to inline: the binary64 sibling of
+// RoundNormal, returning binary16 bits. A loop that cannot afford a call
+// per rounding uses h when ok and calls FromFloat64 otherwise. ok reports
+// that f is ±0 — all a simulation on zeroed memory ever rounds — or has a
+// magnitude in [2^-14, 65520), where the result is a normal binary16
+// value. The rounding adds half an ulp of the 10-bit significand (less one
+// on an even last bit, so ties go to even), drops the 42 bits below it and
+// rebiases the exponent; a carry out of the significand bumps the
+// exponent, which is the right answer. Results below the normal range,
+// overflow to infinity and NaNs are not ok.
+//
+//simlint:hotpath
+func RoundNormal64(f float64) (h Float16, ok bool) {
+	b := math.Float64bits(f)
+	abs := b &^ (1 << 63)
+	r := uint16((abs+(1<<41-1)+abs>>42&1)>>42 - (1023-expBias)<<manBits)
+	if abs == 0 {
+		r = 0
+	}
+	return Float16(uint16(b>>48)&signMask | r), abs-minNormal64 < roundsToInf64-minNormal64 || abs == 0
+}
+
+// fromFloat64General is FromFloat64 for every input: the conversion as it
+// was before RoundNormal64 took the common case, kept whole as the path
+// for subnormal results, overflow, infinities and NaNs and as the
+// reference the tests hold RoundNormal64 to.
+func fromFloat64General(f float64) Float16 {
 	b := math.Float64bits(f)
 	sign := uint16(b>>48) & signMask
 	exp := int64(b>>52) & 0x7ff

@@ -365,6 +365,181 @@ func TestRoundFloat32Sweep(t *testing.T) {
 	}
 }
 
+// checkRound64 holds FromFloat64, and RoundNormal64 wherever it claims the
+// input, to the general conversion bit for bit (NaN payloads included),
+// and pins RoundNormal64's ok range.
+func checkRound64(t *testing.T, bits uint64) {
+	t.Helper()
+	f := math.Float64frombits(bits)
+	want := fromFloat64General(f)
+	if got := FromFloat64(f); got != want {
+		t.Fatalf("FromFloat64(%#016x) = %#04x, want %#04x", bits, got, want)
+	}
+	h, ok := RoundNormal64(f)
+	if ok && h != want {
+		t.Fatalf("RoundNormal64(%#016x) = %#04x ok, want %#04x", bits, h, want)
+	}
+	if a := math.Abs(f); ok != (a == 0 || a >= 0x1p-14 && a < 65520) {
+		t.Fatalf("RoundNormal64(%#016x) ok = %v: want ±0 and the magnitudes in [2^-14, 65520)", bits, ok)
+	}
+}
+
+// The binary64 rounding on every boundary: for each adjacent pair of
+// binary16 values — the last being 65504 | 65536, whose midpoint is the
+// overflow threshold — both endpoints and the midpoint, ±1 binary64 ulp
+// around each, both signs; then the edges of the ok range by name.
+func TestRoundNormal64Boundaries(t *testing.T) {
+	around := func(f float64) {
+		for d := -1; d <= 1; d++ {
+			b := math.Float64bits(f) + uint64(d)
+			checkRound64(t, b)
+			checkRound64(t, b^1<<63)
+		}
+	}
+	for h := 0; h < 0x7c00; h++ {
+		lo, hi := Float16(h).Float64(), Float16(h+1).Float64()
+		if h+1 == 0x7c00 {
+			hi = 65536
+		}
+		around(lo)
+		around((lo + hi) / 2) // exact: adjacent values differ in one low bit
+		around(hi)
+	}
+	for _, b := range []uint64{1, 0x3e50000000000000, // 2^-1074; 2^-26, the last to round to zero
+		0x7fefffffffffffff, 0x7ff0000000000000, // max float64, +Inf
+		0x7ff0000000000001, 0x7ff7ffffffffffff, 0x7ff8000000000000, 0x7fffffffffffffff, // NaNs
+	} {
+		around(math.Float64frombits(b))
+	}
+	for _, c := range []struct {
+		f    float64
+		want Float16
+		ok   bool
+	}{
+		{0, PositiveZero, true},
+		{math.Copysign(0, -1), NegativeZero, true},
+		{math.SmallestNonzeroFloat64, PositiveZero, false},
+		{math.Nextafter(0x1p-14, 0), SmallestNormal, false}, // rounds up into the range from outside it
+		{0x1p-14, SmallestNormal, true},
+		{-0x1p-14, SmallestNormal.Neg(), true},
+		{math.Nextafter(65520, 0), Max, true},
+		{65520, PositiveInfinity, false},
+		{-65520, NegativeInfinity, false},
+		{math.Inf(1), PositiveInfinity, false},
+		{math.NaN(), QuietNaN, false},
+	} {
+		if h, ok := RoundNormal64(c.f); ok != c.ok || ok && h != c.want {
+			t.Errorf("RoundNormal64(%g) = %#04x, %v; want %#04x, %v", c.f, h, ok, c.want, c.ok)
+		}
+		if got := FromFloat64(c.f); got != c.want {
+			t.Errorf("FromFloat64(%g) = %#04x, want %#04x", c.f, got, c.want)
+		}
+	}
+}
+
+// The binary64 rounding across every binary64 exponent: the first, a
+// middle and the last significands of each, with all three tie-relevant
+// patterns of the 42 dropped bits under an even and an odd last bit.
+func TestRoundNormal64EveryExponent(t *testing.T) {
+	const half = uint64(1) << 41
+	for e := uint64(0); e <= 0x7ff; e++ {
+		for _, man := range []uint64{0, 1, half - 1, half, half + 1, 3*half - 1, 3 * half, 3*half + 1,
+			1 << 51, 0x5555555555555, 1<<52 - 3*half, 1<<52 - half - 1, 1<<52 - half, 1<<52 - half + 1, 1<<52 - 1} {
+			checkRound64(t, e<<52|man)
+			checkRound64(t, 1<<63|e<<52|man)
+		}
+	}
+}
+
+// FuzzFMAMatchesReference holds FMA, Add, Sub and Mul, on raw operand
+// bits, to the exact binary64 expression rounded by the general
+// conversion: bit-equal, with NaN as a class (which payload a sum of two
+// NaNs keeps follows the operand order the compiler picks for a
+// commutative add, which the repo does not pin). The seeds are every
+// triple of a special-value table: ±0, subnormals, the range edges, ±Inf,
+// quiet and signalling NaNs — so Inf−Inf, Inf×0, results that round to a
+// subnormal, to zero and to infinity are all in the corpus.
+func FuzzFMAMatchesReference(f *testing.F) {
+	specials := []uint16{0x0000, 0x8000, 0x0001, 0x83ff, 0x0400, 0x3800, 0x3c00, 0xbc01,
+		0x3555, 0x7bff, 0xfbff, 0x7c00, 0xfc00, 0x7e00, 0x7c01, 0xfdff}
+	for _, a := range specials {
+		for _, b := range specials {
+			for _, c := range specials {
+				f.Add(a, b, c)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, ab, bb, cb uint16) {
+		a, b, c := FromBits(ab), FromBits(bb), FromBits(cb)
+		x, y, z := a.Float64(), b.Float64(), c.Float64()
+		for _, op := range []struct {
+			name string
+			got  Float16
+			want float64
+		}{
+			{"FMA", FMA(a, b, c), x*y + z},
+			{"Add", a.Add(b), x + y},
+			{"Sub", a.Sub(b), x - y},
+			{"Mul", a.Mul(b), x * y},
+		} {
+			want := fromFloat64General(op.want)
+			if op.got != want && !(op.got.IsNaN() && want.IsNaN()) {
+				t.Fatalf("%s(%#04x, %#04x, %#04x) = %#04x, want %#04x", op.name, ab, bb, cb, op.got, want)
+			}
+		}
+	})
+}
+
+// gemmLike returns n binary16 values as irregular as a GEMM's operands:
+// seeded, finite, normal, magnitudes in [2^-4, 4). The rounding's cost on
+// real operands is branch prediction, so a benchmark on a constant or a
+// short period reads far too low.
+func gemmLike(n int) []Float16 {
+	rng := rand.New(rand.NewSource(18))
+	v := make([]Float16, n)
+	for i := range v {
+		v[i] = Float16(rng.Intn(2)<<15 | (11+rng.Intn(6))<<10 | rng.Intn(1<<10))
+	}
+	return v
+}
+
+// BenchmarkFMA times one half multiply-add: on zeros, all a zero-memory
+// launch computes, and on GEMM-like operands.
+func BenchmarkFMA(b *testing.B) {
+	run := func(b *testing.B, v []Float16) {
+		var sink Float16
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i & (len(v) - 4)
+			sink ^= FMA(v[j], v[j+1], v[j+2])
+		}
+		_ = sink
+	}
+	b.Run("zero", func(b *testing.B) { run(b, make([]Float16, 4)) })
+	b.Run("random", func(b *testing.B) { run(b, gemmLike(1<<12)) })
+}
+
+// BenchmarkFromFloat64 times the rounding alone, on the same two inputs.
+func BenchmarkFromFloat64(b *testing.B) {
+	run := func(b *testing.B, v []float64) {
+		var sink Float16
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink ^= FromFloat64(v[i&(len(v)-1)])
+		}
+		_ = sink
+	}
+	b.Run("zero", func(b *testing.B) { run(b, make([]float64, 1)) })
+	b.Run("random", func(b *testing.B) {
+		h := gemmLike(3 << 12)
+		v := make([]float64, 1<<12)
+		for i := range v {
+			v[i] = h[3*i].Float64()*h[3*i+1].Float64() + h[3*i+2].Float64()
+		}
+		run(b, v)
+	})
+}
+
 // BenchmarkRoundFloat32 times the per-chunk rounding of FP16 accumulation
 // on a running sum that stays in the normal range, beside the conversion
 // pair it replaces.

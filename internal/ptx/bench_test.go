@@ -1,6 +1,7 @@
 package ptx
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -27,20 +28,59 @@ func BenchmarkWarpStep(b *testing.B) {
 		// a seeded body must then be a fixed point of the register file
 		// (checked after the timed loop), so its operands never drift.
 		seed func(global []byte)
+		// regs, when set, writes a warp's operand registers once its
+		// prologue has run; finite then reports whether a register
+		// value is still finite, checked after the timed loop.
+		regs   func(w *Warp, rng *rand.Rand)
+		finite func(v uint64) bool
 	}
-	mad := func(t Type) func(*Builder, Reg) {
-		// The GEMM inner product: 64 accumulators over 8+8 operands.
-		return func(kb *Builder, _ Reg) {
-			acc, x, y := kb.Regs(64), kb.Regs(8), kb.Regs(8)
+	// The GEMM inner product: 64 accumulators over 8+8 operands, once
+	// with x and once with −x, so each product is followed by its
+	// negation and the accumulators stay where they started (to within
+	// rounding) however long the benchmark runs. The operands come from
+	// a fixed-seed generator and differ in every lane of every warp:
+	// finite, magnitudes in [2^-4, 4), as irregular as a seeded GEMM's.
+	// That is the point — the host cost of a floating-point mad is in
+	// what its rounding does with the operand bits, which zeros (and
+	// any constant: it predicts perfectly) do not show.
+	mad := func(name string, t Type, operand func(*rand.Rand) uint64, neg uint64, finite func(uint64) bool) benchCase {
+		var acc, x, nx, y []Reg
+		c := benchCase{name: name, body: func(kb *Builder, _ Reg) {
+			acc, x, nx, y = kb.Regs(64), kb.Regs(8), kb.Regs(8), kb.Regs(8)
 			kb.Label("body")
-			for i, r := range acc {
-				kb.Mad(t, r, R(x[i%8]), R(y[i/8]), R(r))
+			for _, xs := range [][]Reg{x, nx} {
+				for i, r := range acc {
+					kb.Mad(t, r, R(xs[i%8]), R(y[i/8]), R(r))
+				}
+			}
+		}}
+		if operand == nil {
+			return c // all-zero registers: what every launchOn launch runs on
+		}
+		c.finite = finite
+		c.regs = func(w *Warp, rng *rand.Rand) {
+			for lane := 0; lane < 32; lane++ {
+				for _, r := range slices.Concat(acc, y) {
+					w.setReg(lane, r, operand(rng))
+				}
+				for i, r := range x {
+					v := operand(rng)
+					w.setReg(lane, r, v)
+					w.setReg(lane, nx[i], v^neg)
+				}
 			}
 		}
+		return c
 	}
+	halfOperand := func(rng *rand.Rand) uint64 { return uint64(rng.Intn(2)<<15 | (11+rng.Intn(6))<<10 | rng.Intn(1<<10)) }
 	cases := []benchCase{
-		{name: "mad.f32", body: mad(F32)},
-		{name: "mad.f16x2", body: mad(F16X2)},
+		mad("mad.f32", F32,
+			func(rng *rand.Rand) uint64 { return uint64(rng.Intn(2)<<31 | (123+rng.Intn(6))<<23 | rng.Intn(1<<23)) },
+			1<<31, func(v uint64) bool { return v>>23&0xff != 0xff }),
+		mad("mad.f16x2", F16X2,
+			func(rng *rand.Rand) uint64 { return halfOperand(rng)<<16 | halfOperand(rng) },
+			1<<31|1<<15, func(v uint64) bool { return v>>10&0x1f != 0x1f && v>>26&0x1f != 0x1f }),
+		mad("mad.f16x2.zero", F16X2, nil, 0, nil),
 		{name: "add.u32.ri", body: func(kb *Builder, _ Reg) {
 			kb.Label("body")
 			for _, r := range kb.Regs(16) {
@@ -98,6 +138,7 @@ func BenchmarkWarpStep(b *testing.B) {
 				Clock:    func() uint64 { return 0 },
 			}
 			ws := make([]*Warp, warps)
+			rng := rand.New(rand.NewSource(18))
 			var res Result
 			for i := range ws {
 				w, err := NewWarp(k, env, i, []uint64{0})
@@ -108,6 +149,9 @@ func BenchmarkWarpStep(b *testing.B) {
 					if err := w.StepInto(&res); err != nil {
 						b.Fatal(err)
 					}
+				}
+				if c.regs != nil {
+					c.regs(w, rng)
 				}
 				ws[i] = w
 			}
@@ -125,6 +169,13 @@ func BenchmarkWarpStep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/warp-instr")
 			if c.seed != nil && !slices.Equal(ws[0].regs, regs0) {
 				b.Fatal("seeded body moved the register file: its operands drift")
+			}
+			if c.finite != nil {
+				for _, w := range ws {
+					if i := slices.IndexFunc(w.regs, func(v uint64) bool { return !c.finite(v) }); i >= 0 {
+						b.Fatalf("warp %d register %d lane %d left the finite range: %#x", w.ID, i/32, i%32, w.regs[i])
+					}
+				}
 			}
 		})
 	}

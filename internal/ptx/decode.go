@@ -716,17 +716,50 @@ func fmaF32(x, y, z uint64) uint64 {
 	return bitsF32(float32(math.FMA(float64(f32bits(x)), float64(f32bits(y)), float64(f32bits(z)))))
 }
 
-// dMadF16X2 is the packed-half GEMM's inner-loop instruction.
+// dMadF16X2 — the inner-loop instruction of the packed-half SIMT GEMM —
+// has dMadF32's shape: direct loops over the register vectors around one
+// lane's arithmetic.
+//
+//simlint:hotpath
 func dMadF16X2(w *Warp, d *DInstr) error {
-	dTern(w, d, madF16X2)
+	dst, x, y, z := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1), d.srcVec(w, 2)
+	on := d.guard(w)
+	if on == fullMask {
+		for lane := range dst {
+			dst[lane] = fmaF16X2(x[lane], y[lane], z[lane])
+		}
+		return nil
+	}
+	for ; on != 0; on &= on - 1 {
+		lane := bits.TrailingZeros32(on) & 31
+		dst[lane] = fmaF16X2(x[lane], y[lane], z[lane])
+	}
 	return nil
 }
 
-// madF16X2 is one lane's packed-half fused multiply-add.
-func madF16X2(x, y, z uint64) uint64 {
-	lo := bitsH16(fp16.FMA(h16(x&0xffff), h16(y&0xffff), h16(z&0xffff)))
-	hi := bitsH16(fp16.FMA(h16(x>>16&0xffff), h16(y>>16&0xffff), h16(z>>16&0xffff)))
-	return hi<<16 | lo
+// fmaF16X2 is one lane's fma.rn.f16x2, the only packed-half multiply-add
+// in the package: both executors call it. Each half is fp16.FMA's
+// expression — the exact product plus the addend in binary64, rounded to
+// binary16 once — with the rounding inlined: the product of two binary16
+// values has at most 22 significand bits and an exponent binary32 holds,
+// so the binary32 multiply of the table images is already exact (and
+// whether the compiler fuses it with the add cannot matter); both halves
+// round through fp16.RoundNormal64, and one branch sends the pair to
+// fp16.FromFloat64 when either result is subnormal, overflows or is NaN.
+// Every non-NaN result is bit-equal to fp16.FMA's; which payload a sum of
+// two NaNs keeps follows the operand order the compiler picks for a
+// commutative add, which the repo does not pin (see wmma's FEDP kernel).
+//
+//simlint:hotpath
+func fmaF16X2(x, y, z uint64) uint64 {
+	lo := float64(h16(x).Float32()*h16(y).Float32()) + float64(h16(z).Float32())
+	hi := float64(h16(x>>16).Float32()*h16(y>>16).Float32()) + float64(h16(z>>16).Float32())
+	l, okl := fp16.RoundNormal64(lo)
+	h, okh := fp16.RoundNormal64(hi)
+	if !(okl && okh) {
+		l, h = fp16.FromFloat64(lo), fp16.FromFloat64(hi)
+	}
+	return bitsH16(h)<<16 | bitsH16(l)
 }
 
 // dSetp runs a warp-wide integer setp; ord returns the three-way

@@ -631,10 +631,19 @@ func arith(op Opcode, t Type, a, b uint64) (uint64, error) {
 			v = x * y
 		case OpDiv:
 			v = x / y
-		case OpMin:
-			v = float32(math.Min(float64(x), float64(y)))
-		case OpMax:
-			v = float32(math.Max(float64(x), float64(y)))
+		case OpMin, OpMax:
+			// Without .NaN, PTX min/max return the non-NaN operand, and
+			// NaN only when both are.
+			switch {
+			case x != x:
+				v = y
+			case y != y:
+				v = x
+			case op == OpMin:
+				v = float32(math.Min(float64(x), float64(y)))
+			default:
+				v = float32(math.Max(float64(x), float64(y)))
+			}
 		}
 		return bitsF32(v), nil
 	case F16:
@@ -649,16 +658,16 @@ func arith(op Opcode, t Type, a, b uint64) (uint64, error) {
 			v = x.Mul(y)
 		case OpDiv:
 			v = x.Div(y)
-		case OpMin:
-			if x.Less(y) {
-				v = x
-			} else {
+		case OpMin, OpMax:
+			// As for F32: a lone NaN loses to the other operand.
+			switch {
+			case x.IsNaN():
 				v = y
-			}
-		case OpMax:
-			if y.Less(x) {
+			case y.IsNaN():
 				v = x
-			} else {
+			case op == OpMin && x.Less(y), op == OpMax && y.Less(x):
+				v = x
+			default:
 				v = y
 			}
 		}
@@ -691,9 +700,7 @@ func mad(t Type, a, b, c uint64) (uint64, error) {
 	case F16:
 		return bitsH16(fp16.FMA(h16(a), h16(b), h16(c))), nil
 	case F16X2:
-		lo, _ := mad(F16, a&0xffff, b&0xffff, c&0xffff)
-		hi, _ := mad(F16, a>>16&0xffff, b>>16&0xffff, c>>16&0xffff)
-		return hi<<16 | lo, nil
+		return fmaF16X2(a, b, c), nil
 	}
 	return 0, fmt.Errorf("ptx: mad on unsupported type %v", t)
 }
