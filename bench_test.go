@@ -417,9 +417,10 @@ func BenchmarkAblationReadySet(b *testing.B) {
 }
 
 // BenchmarkAblationIssueSelect quantifies O(1) issue selection — the
-// incrementally maintained issue order plus the proactive scoreboard
-// wake — against the legacy per-cycle scan-and-sort (the
-// gpu.ScanScheduler knob; DESIGN.md "O(1) issue selection"). The
+// incrementally maintained issue order, the proactive scoreboard wake
+// and the per-unit candidate masks with pick-one — against the legacy
+// per-cycle scan, sort and full visit (the gpu.ScanScheduler knob;
+// DESIGN.md "O(1) issue selection"). The
 // workload is deliberately scheduler-bound: a 1-SM SIMT GEMM at maximum
 // occupancy (8 CTAs, 64 warps, 16 per sub-core), where per-cycle
 // candidate ordering is the dominant cost, run under each policy so the

@@ -2,46 +2,40 @@ package gpu
 
 import "repro/internal/ptx"
 
-// unitPorts models structural availability of a sub-core's execution
-// units: each unit accepts a new instruction once the initiation interval
-// of the previous one elapses. It is the single seam between the
-// scheduler and the units — tryWarp asks free before issuing, issue
-// charges the interval through the reserve methods — so the planned
-// operand-collector / issue-port model replaces this struct without
-// touching the policies or the scheduler driver.
-type unitPorts struct {
-	tcFree  uint64 // next cycle the tensor cores accept a wmma.mma
-	aluFree uint64 // next cycle the ALU pipe accepts
-	sfuFree uint64 // next cycle the SFU pipe accepts
-}
+// unit names the execution-unit port an instruction issues on.
+type unit uint8
 
-// free reports whether the instruction's unit can accept at now,
-// dispatching on the decoded execution class; when blocked it returns
-// the cycle the unit frees.
+const (
+	// unitNone: no port to wait for — control ops, loads and stores (LSU
+	// queueing lives in mem.SMPort) and a warp with no instruction left.
+	unitNone   unit = iota
+	unitTensor      // wmma.mma
+	unitALU
+	unitSFU
+	numUnits
+)
+
+// unitOf maps a decoded execution class to the port it issues on.
 //
 //simlint:hotpath
-func (p *unitPorts) free(in *ptx.DInstr, now uint64) (bool, uint64) {
-	switch in.Class {
-	case ptx.DClassWmmaMMA:
-		if p.tcFree > now {
-			return false, p.tcFree
-		}
-	case ptx.DClassSFU:
-		if p.sfuFree > now {
-			return false, p.sfuFree
-		}
+func unitOf(c ptx.DClass) unit {
+	switch c {
 	case ptx.DClassALU:
-		if p.aluFree > now {
-			return false, p.aluFree
-		}
-	default:
-		// LSU queueing is modeled inside mem.SMPort; control ops always
-		// accept.
+		return unitALU
+	case ptx.DClassSFU:
+		return unitSFU
+	case ptx.DClassWmmaMMA:
+		return unitTensor
 	}
-	return true, now
+	return unitNone
 }
 
-// reserve* charge a unit's initiation interval after an issue.
-func (p *unitPorts) reserveTC(until uint64)  { p.tcFree = until }
-func (p *unitPorts) reserveALU(until uint64) { p.aluFree = until }
-func (p *unitPorts) reserveSFU(until uint64) { p.sfuFree = until }
+// unitPorts is a sub-core's structural unit availability: freeAt[u] is
+// the next cycle unit u accepts an instruction (never set for unitNone),
+// written by issue with the initiation interval of the one it just took.
+// tryWarp screens against it, and the sub-core's per-unit waiting masks
+// are keyed by it: a unit busy at now takes every warp waiting for it out
+// of issue selection at once (subcore.candidates).
+type unitPorts struct {
+	freeAt [numUnits]uint64
+}

@@ -8,10 +8,12 @@ import (
 
 // The warp-scheduling core: a per-sub-core driver that derives the issue
 // candidates either from the event-driven ready set (the default) or from
-// the legacy full scan (the ScanScheduler knob), orders them through a
-// pluggable schedPolicy, and attempts them until one issues. Both paths
-// feed the policies identical candidate sets, so they produce
-// bit-identical Stats — asserted by the equivalence tests.
+// the legacy full scan (the ScanScheduler knob) and attempts them in the
+// pluggable schedPolicy's order until one issues. The scan path visits
+// the whole materialised order; the event path drops the warps a busy
+// port blocks by mask arithmetic and asks the policy for one warp at a
+// time. Both visit the warps that can change state in the same order, so
+// Stats are bit-identical — asserted by the equivalence tests.
 
 // scanScheduler, when set, makes subsequently constructed Simulators
 // rebuild the scheduler's candidate set by scanning every warp each cycle
@@ -50,12 +52,15 @@ type schedPolicy interface {
 	// preferred slot may be included — the driver skips it if already
 	// attempted.
 	pick(sc *subcore, now uint64, ready, buf []int) []int
-	// pickEvent is pick's event-mode twin: it derives the same order
-	// straight from the sub-core's incrementally maintained structures
-	// (readyMask, zeroMask, the age list, tlMask) with no per-cycle sort.
-	pickEvent(sc *subcore, now uint64, buf []int) []int
-	// issued notes that the warp in slot won this cycle's issue.
-	issued(sc *subcore, slot int)
+	// visit is the event-mode half of pick: the set of slots pick's order
+	// would hold, as a mask the caller must not write (TwoLevel updates
+	// its active subset first, as pick does).
+	visit(sc *subcore, now uint64) []uint64
+	// next returns the slot that comes first in pick's order among the
+	// slots set in cand, -1 when there is none — read straight off the
+	// incrementally maintained structures (zeroMask, the age list), no
+	// per-cycle sort and no materialised order.
+	next(sc *subcore, cand []uint64) int
 	// retired notes that w left the sub-core's pool.
 	retired(sc *subcore, w *simWarp)
 }
@@ -111,22 +116,30 @@ func (gtoPolicy) pick(sc *subcore, _ uint64, ready, buf []int) []int {
 	return buf
 }
 
-// pickEvent reads the (lastIssue, rotDist) order off the incremental
-// structures with no per-cycle sort: the lastIssue == 0 group is the
-// zero-prefix in rotation order from greedy+1 (exactly the legacy
-// comparator's tie-break when every key is zero), and the lastIssue ≥ 1
-// group is the age list, strictly ascending by construction.
+//simlint:hotpath
+func (gtoPolicy) visit(sc *subcore, _ uint64) []uint64 { return sc.readyMask }
+
+// next reads the (lastIssue, rotDist) order off the incremental
+// structures: the lastIssue == 0 group is the zero-prefix in rotation
+// order from greedy+1 (exactly the legacy comparator's tie-break when
+// every key is zero), and the lastIssue ≥ 1 group is the age list,
+// strictly ascending by construction. pick leaves the greedy slot to the
+// preferred attempt; here it needs no exclusion, because that attempt
+// either took it out of the ready set or left it to a busy port, which
+// took it out of cand (a second visit after a barrier release finds the
+// same busy port and changes nothing).
 //
 //simlint:hotpath
-func (gtoPolicy) pickEvent(sc *subcore, _ uint64, buf []int) []int {
-	g := sc.greedy
-	buf = appendRotatedMask(sc.andMask(sc.zeroMask, sc.readyMask), g, g, buf)
+func (gtoPolicy) next(sc *subcore, cand []uint64) int {
+	if slot := firstRotated(sc.andMask(cand, sc.zeroMask), sc.greedy); slot >= 0 {
+		return slot
+	}
 	for w := sc.ageHead; w != nil; w = w.ageNext {
-		if w.slot != g && sc.readyBit(w.slot) {
-			buf = append(buf, w.slot)
+		if cand[w.slot>>6]&(1<<(w.slot&63)) != 0 {
+			return w.slot
 		}
 	}
-	return buf
+	return -1
 }
 
 // gtoLess orders slots a before b: least recently issued first, ties by
@@ -147,8 +160,7 @@ func rotDist(slot, greedy, n int) int {
 	return slot + n - greedy - 1
 }
 
-func (gtoPolicy) issued(sc *subcore, slot int) { sc.greedy = slot }
-func (gtoPolicy) retired(*subcore, *simWarp)   {}
+func (gtoPolicy) retired(*subcore, *simWarp) {}
 
 // lrrPolicy is loose round-robin: ready warps in rotation order starting
 // one past the last issuer.
@@ -161,9 +173,10 @@ func (lrrPolicy) pick(sc *subcore, _ uint64, ready, buf []int) []int {
 }
 
 //simlint:hotpath
-func (lrrPolicy) pickEvent(sc *subcore, _ uint64, buf []int) []int {
-	return appendRotatedMask(sc.readyMask, sc.greedy, -1, buf)
-}
+func (lrrPolicy) visit(sc *subcore, _ uint64) []uint64 { return sc.readyMask }
+
+//simlint:hotpath
+func (lrrPolicy) next(sc *subcore, cand []uint64) int { return firstRotated(cand, sc.greedy) }
 
 // appendRotated emits the ascending slots in rotation order from g+1:
 // first the slots above g, then the wrap-around tail.
@@ -181,8 +194,7 @@ func appendRotated(g int, ready, buf []int) []int {
 	return buf
 }
 
-func (lrrPolicy) issued(sc *subcore, slot int) { sc.greedy = slot }
-func (lrrPolicy) retired(*subcore, *simWarp)   {}
+func (lrrPolicy) retired(*subcore, *simWarp) {}
 
 // twoLevelPolicy issues round-robin within a small active subset of the
 // sub-core's warps; the rest wait in a pending pool. When no active warp
@@ -238,12 +250,12 @@ func (twoLevelPolicy) pick(sc *subcore, now uint64, ready, buf []int) []int {
 	return out
 }
 
-// pickEvent mirrors pick on the mask structures: promotion decisions
-// come from readyMask ∧/∧^ tlMask intersections instead of scanning the
-// ready list, and the final order is one rotated-mask enumeration.
+// visit mirrors pick on the mask structures: promotion decisions come
+// from readyMask ∧/∧^ tlMask intersections instead of scanning the ready
+// list, and the visit set is the ready part of the active subset.
 //
 //simlint:hotpath
-func (twoLevelPolicy) pickEvent(sc *subcore, now uint64, buf []int) []int {
+func (twoLevelPolicy) visit(sc *subcore, now uint64) []uint64 {
 	if !maskIntersects(sc.readyMask, sc.tlMask) {
 		// The whole active subset is blocked: swap in ready pending warps
 		// one for one, ascending — the legacy loop's order. Every current
@@ -276,8 +288,11 @@ func (twoLevelPolicy) pickEvent(sc *subcore, now uint64, buf []int) []int {
 			}
 		}
 	}
-	return appendRotatedMask(sc.andMask(sc.readyMask, sc.tlMask), sc.greedy, -1, buf)
+	return sc.andMask(sc.readyMask, sc.tlMask)
 }
+
+//simlint:hotpath
+func (twoLevelPolicy) next(sc *subcore, cand []uint64) int { return firstRotated(cand, sc.greedy) }
 
 // demoteOne evicts the lowest-slot non-issuable member of the active
 // subset; false when every member is issuable.
@@ -294,8 +309,6 @@ func (sc *subcore) demoteOne(now uint64) bool {
 	}
 	return false
 }
-
-func (twoLevelPolicy) issued(sc *subcore, slot int) { sc.greedy = slot }
 
 func (twoLevelPolicy) retired(sc *subcore, w *simWarp) {
 	if w.tlActive {
@@ -320,12 +333,47 @@ func (m *sm) stepSubcore(sc *subcore, now uint64, st *Stats) (issued bool, wake 
 	if sc.greedy >= len(sc.warps) {
 		sc.greedy = 0
 	}
-	if !sc.scan {
-		sc.drainWake(now)
+	if sc.scan {
+		return m.stepScan(sc, now, st)
 	}
+	sc.drainWake(now)
 	// Sticky fast path: attempt the policy's preferred warp before paying
-	// for the candidate set (tryWarp self-screens, so a blocked preferred
-	// warp only contributes its wake cycle).
+	// for the candidate set. A preferred warp that is not Ready is covered
+	// by the heap top below, one waiting for a busy port by candidates.
+	if p := sc.policy.preferred(sc); p >= 0 && sc.readyBit(p) && sc.ports.freeAt[sc.warps[p].unit] <= now {
+		if issued, wake, err = m.tryWarp(sc, p, now, st); err != nil || issued {
+			return issued, wake, err
+		}
+	}
+	wake = min(wake, sc.heapTop())
+	// Pick one: no candidate waits for a busy port, so the first in policy
+	// order issues — unless its stream ran out (it finishes) or this is
+	// its first visit after a barrier release (it may still park on its
+	// scoreboard or find its port busy: setUnit); then the next is asked for.
+	cand, any := sc.candidates(now, &wake)
+	for any {
+		idx := sc.policy.next(sc, cand)
+		if idx < 0 {
+			break
+		}
+		iss, wk, e := m.tryWarp(sc, idx, now, st)
+		wake = min(wake, wk)
+		if e != nil || iss {
+			return iss, wake, e
+		}
+		cand[idx>>6] &^= 1 << (idx & 63)
+	}
+	return false, wake, nil
+}
+
+// stepScan is stepSubcore under the ScanScheduler knob: the pre-ready-set
+// driver, materialising the policy's whole order and visiting all of it.
+//
+//simlint:hotpath
+func (m *sm) stepScan(sc *subcore, now uint64, st *Stats) (issued bool, wake uint64, err error) {
+	wake = math.MaxUint64
+	// tryWarp self-screens, so a blocked preferred warp only contributes
+	// its wake cycle.
 	tried := -1
 	if p := sc.policy.preferred(sc); p >= 0 {
 		iss, wk, e := m.tryWarp(sc, p, now, st)
@@ -337,19 +385,11 @@ func (m *sm) stepSubcore(sc *subcore, now uint64, st *Stats) (issued bool, wake 
 		}
 		tried = p
 	}
-	var order []int
-	if sc.scan {
-		ready := sc.scanReady(now, &wake)
-		if len(ready) == 0 {
-			return false, wake, nil
-		}
-		order = sc.policy.pick(sc, now, ready, sc.orderBuf[:0])
-	} else {
-		if top := sc.heapTop(); top < wake {
-			wake = top
-		}
-		order = sc.policy.pickEvent(sc, now, sc.orderBuf[:0])
+	ready := sc.scanReady(now, &wake)
+	if len(ready) == 0 {
+		return false, wake, nil
 	}
+	order := sc.policy.pick(sc, now, ready, sc.orderBuf[:0])
 	sc.orderBuf = order[:0]
 	for _, idx := range order {
 		if idx == tried {
@@ -421,13 +461,13 @@ func (m *sm) tryWarp(sc *subcore, idx int, now uint64, st *Stats) (issued bool, 
 		sc.stall(w, at)
 		return false, at, nil
 	}
-	if free, at := sc.ports.free(in, now); !free {
+	if at := sc.ports.freeAt[unitOf(in.Class)]; at > now {
 		return false, at, nil
 	}
 	if err := m.issue(sc, w, in, now, st); err != nil {
 		return false, wake, err
 	}
-	sc.policy.issued(sc, idx)
+	sc.greedy = idx // every policy anchors on the last issuer
 	if !sc.scan {
 		sc.noteIssued(w, now)
 	}

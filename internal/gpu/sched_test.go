@@ -298,3 +298,51 @@ func TestPoliciesDiffer(t *testing.T) {
 		t.Errorf("all policies produced identical cycle counts (%d); the policy axis is inert", cycles[GTO])
 	}
 }
+
+// The CTA-retirement sweep runs only after a CTA lost its last live warp,
+// so the two ways a CTA gets there without an issue must still raise the
+// flag: warps that find no instruction at their first visit (a
+// zero-instruction kernel), and a CTA dispatched with no live warp at all
+// (an empty block). With two CTA slots and more CTAs than that, the run
+// only ends if every CTA retires and frees its slot; the cycle counts are
+// those of the unconditional sweep.
+func TestGatedRetirementSweepStillRetiresEmptyCTAs(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		spec       LaunchSpec
+		wantCycles uint64
+	}{
+		{"zero-instruction kernel", LaunchSpec{Kernel: ptx.NewBuilder("empty").MustBuild(),
+			Grid: ptx.D1(7), Block: ptx.D1(96), Global: ptx.NewFlatMemory(64)}, 5},
+		{"empty block", LaunchSpec{Kernel: vecAddKernel(),
+			Grid: ptx.D1(5), Block: ptx.D1(0), Args: []uint64{0, 0, 0}, Global: ptx.NewFlatMemory(64)}, 3},
+	} {
+		for _, scan := range []bool{false, true} {
+			for _, pol := range Schedulers() {
+				restore := SwapScanScheduler(scan)
+				cfg := TitanV()
+				cfg.NumSMs = 1
+				cfg.MaxCTAsPerSM = 2
+				cfg.Scheduler = pol
+				sim, err := New(cfg)
+				restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := sim.Run(c.spec)
+				if err != nil {
+					t.Fatalf("%s, %v scan=%v: %v", c.name, pol, scan, err)
+				}
+				if st.CTAsSimulated != c.spec.Grid.Count() || st.WarpInstructions != 0 || st.Cycles != c.wantCycles {
+					t.Errorf("%s, %v scan=%v: %d of %d CTAs, %d warp instructions, %d cycles; want all, 0 and %d",
+						c.name, pol, scan, st.CTAsSimulated, c.spec.Grid.Count(), st.WarpInstructions, st.Cycles, c.wantCycles)
+				}
+				for _, m := range sim.sms {
+					if len(m.ctas) != 0 || m.warps != 0 {
+						t.Errorf("%s, %v scan=%v: SM %d ends with %d CTAs and %d warps resident", c.name, pol, scan, m.id, len(m.ctas), m.warps)
+					}
+				}
+			}
+		}
+	}
+}

@@ -154,6 +154,9 @@ type sm struct {
 	// releaseWake collects barrier wake-ups triggered while this step's
 	// scan is in flight (see step).
 	releaseWake uint64
+	// ctaDone: a resident CTA has no live warp left (or was dispatched
+	// with none), so the end of the next step runs the retirement sweep.
+	ctaDone bool
 }
 
 // Run simulates the launch to completion and returns its statistics.
@@ -179,6 +182,7 @@ func (s *Simulator) Run(spec LaunchSpec) (*Stats, error) {
 		m.warps = 0
 		m.shared = 0
 		m.nextWake = 0
+		m.ctaDone = false
 		for _, sc := range m.subcores {
 			sc.reset()
 		}
@@ -341,11 +345,12 @@ func (d *dispatcher) fillOne(m *sm) (bool, error) {
 			cta.live++
 		}
 		cta.warps = append(cta.warps, sw)
-		sc.enqueue(sw)
+		sc.enqueue(sw, sw.noteHazard())
 	}
 	m.warps += warpsPerCTA
 	m.shared += k.SharedBytes
 	m.ctas = append(m.ctas, cta)
+	m.ctaDone = m.ctaDone || cta.live == 0
 	return true, nil
 }
 
@@ -394,7 +399,11 @@ func (m *sm) step(st *Stats) (issued bool, wake uint64, err error) {
 	if m.releaseWake < wake {
 		wake = m.releaseWake
 	}
+	if !m.ctaDone {
+		return issued, wake, nil
+	}
 	// Retire finished CTAs.
+	m.ctaDone = false
 	kept := m.ctas[:0]
 	for _, cta := range m.ctas {
 		if cta.live > 0 {
@@ -416,6 +425,7 @@ func (m *sm) step(st *Stats) (issued bool, wake uint64, err error) {
 func (m *sm) finishWarp(w *simWarp, now uint64) {
 	w.sc.finish(w)
 	w.cta.live--
+	m.ctaDone = m.ctaDone || w.cta.live == 0
 	m.maybeReleaseBarrier(w.cta, now)
 }
 
@@ -444,7 +454,7 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 		m.maybeReleaseBarrier(w.cta, now)
 		return nil
 	case ptx.DClassSFU:
-		sc.ports.reserveSFU(now + uint64(cfg.SFUII))
+		sc.ports.freeAt[unitSFU] = now + uint64(cfg.SFUII)
 		done += uint64(cfg.SFULatency)
 	case ptx.DClassLd, ptx.DClassSt:
 		done = m.accessMemory(&res, now) + uint64(cfg.IssueLatency)
@@ -464,13 +474,13 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 		if err != nil {
 			return err
 		}
-		sc.ports.reserveTC(now + cfg.tensorOccupancy(in.In.WConfig))
+		sc.ports.freeAt[unitTensor] = now + cfg.tensorOccupancy(in.In.WConfig)
 		done = now + uint64(timing.Total())
 		if st.Trace != nil {
 			st.Trace.WmmaMMA = append(st.Trace.WmmaMMA, float64(done-now))
 		}
 	default:
-		sc.ports.reserveALU(now + uint64(cfg.ALUII))
+		sc.ports.freeAt[unitALU] = now + uint64(cfg.ALUII)
 		done += uint64(cfg.ALULatency)
 	}
 
@@ -486,7 +496,10 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 	// outcome is already known. Runs in both knob modes (scan mode reads
 	// the same stallUntil through its per-cycle screen) so the policies
 	// keep seeing identical candidate sets.
-	w.noteHazard()
+	next := w.noteHazard()
+	if !sc.scan {
+		sc.setUnit(w, next)
+	}
 	if w.hazardAt > now+1 {
 		sc.stall(w, w.hazardAt)
 		return nil

@@ -28,6 +28,9 @@ import (
 //     comparisons. Issue, finish and re-issue are all O(1) list splices.
 //   - tlMask mirrors the TwoLevel active subset as a bitmask so its
 //     pick is mask intersection instead of list filtering.
+//   - waiting[u] marks the warps whose next instruction issues on unit u,
+//     so a busy port removes all of them from issue selection by one AND
+//     instead of one failed tryWarp each (see candidates).
 //
 // Invariants (event mode, i.e. sc.scan == false):
 //   - a warp's state is warpReady  ⇔ its slot bit is set in readyMask
@@ -37,6 +40,10 @@ import (
 //   - warpAtBarrier / warpFinished warps appear in neither structure
 //   - a live warp is in zeroMask ⇔ its lastIssue == 0, and in the age
 //     list ⇔ its lastIssue ≥ 1; the age list ascends strictly.
+//   - for u ≠ unitNone a slot's bit is set in waiting[u] ⇔ its warp's
+//     unit field is u, and a Ready warp with that bit set would leave
+//     tryWarp at the port screen while u is busy: it has a next
+//     instruction, which issues on u, and no pending hazard.
 //
 // Under the legacy ScanScheduler knob the same state transitions run but
 // none of the masks, the heap or the age list are maintained; readiness
@@ -81,6 +88,9 @@ type simWarp struct {
 	// valid flag: a fresh warp has nothing pending, which is the zero
 	// value, and issue records it on every path that leaves the warp live.
 	hazardAt uint64
+	// unit is the port the warp's next instruction issues on, as the
+	// sub-core's waiting masks hold it (event mode; see setUnit).
+	unit unit
 	// tlActive marks membership in the TwoLevel policy's active subset.
 	tlActive bool
 	// Intrusive age-list links (event mode): the sub-core chains warps
@@ -115,12 +125,17 @@ type subcore struct {
 	zeroMask  []uint64    // bit per warp slot: live and lastIssue == 0
 	tlMask    []uint64    // bit per warp slot: in the TwoLevel active subset
 	wakeHeap  []wakeEntry // min-heap over Stalled warps' stallUntil
+	// waiting[u] has a bit per warp slot whose next instruction issues on
+	// unit u. waiting[unitNone] is never read: it is the sink that spares
+	// setUnit a branch per store.
+	waiting [numUnits][]uint64
 	// ageHead/ageTail chain the warps with lastIssue ≥ 1, oldest issue
 	// first (event mode only).
 	ageHead, ageTail *simWarp
 	readyBuf         []int    // scratch: scan-mode ready slots, ascending
-	orderBuf         []int    // scratch: policy issue order
-	maskBuf          []uint64 // scratch: pickEvent mask intersections
+	orderBuf         []int    // scratch: scan-mode policy issue order
+	maskBuf          []uint64 // scratch: andMask intersections
+	candBuf          []uint64 // scratch: this step's issue candidates
 }
 
 // wakeEntry parks one Stalled warp in the sub-core's wake min-heap.
@@ -136,13 +151,19 @@ func (sc *subcore) reset() {
 	sc.greedy = 0
 	sc.nextWake, sc.pendingWake = 0, math.MaxUint64
 	sc.tlActive = 0
-	for i := range sc.readyMask {
-		sc.readyMask[i] = 0
-		sc.zeroMask[i] = 0
-		sc.tlMask[i] = 0
-	}
+	sc.clearMasks()
 	sc.wakeHeap = sc.wakeHeap[:0]
 	sc.ageHead, sc.ageTail = nil, nil
+}
+
+// clearMasks zeroes every slot-indexed mask.
+func (sc *subcore) clearMasks() {
+	clear(sc.readyMask)
+	clear(sc.zeroMask)
+	clear(sc.tlMask)
+	for u := range sc.waiting {
+		clear(sc.waiting[u])
+	}
 }
 
 func (sc *subcore) setBit(slot int)   { sc.readyMask[slot>>6] |= 1 << (slot & 63) }
@@ -158,20 +179,46 @@ func (sc *subcore) readyBit(slot int) bool {
 	return sc.readyMask[slot>>6]&(1<<(slot&63)) != 0
 }
 
+// setUnit records the port the warp's next instruction issues on, moving
+// its slot's bit between the waiting masks (event mode only). unitNone
+// keeps the warp visitable whatever is busy; it is recorded for a warp
+// with no instruction left (tryWarp finishes it in policy order) and from
+// a bar until the warp next issues — the first visit after a barrier
+// release is the one place a Ready warp can still carry hazardAt > now
+// (noteHazard ran at the bar, release re-arms with the barrier latency
+// only), and that visit must park it as TwoLevel's demotion can observe.
+//
+//simlint:hotpath
+func (sc *subcore) setUnit(w *simWarp, u unit) {
+	if u == w.unit {
+		return
+	}
+	wi, bit := w.slot>>6, uint64(1)<<(w.slot&63)
+	sc.waiting[w.unit][wi] &^= bit
+	sc.waiting[u][wi] |= bit
+	w.unit = u
+}
+
 // enqueue adds a newly dispatched warp to the sub-core's pool. The warp's
 // state must already be set (Ready, or Finished for warps that exited
-// during initialization).
-func (sc *subcore) enqueue(w *simWarp) {
+// during initialization); next is the port its first instruction issues
+// on.
+func (sc *subcore) enqueue(w *simWarp, next unit) {
 	w.slot = len(sc.warps)
 	sc.warps = append(sc.warps, w)
 	for len(sc.readyMask)*64 <= w.slot {
 		sc.readyMask = append(sc.readyMask, 0)
 		sc.zeroMask = append(sc.zeroMask, 0)
 		sc.tlMask = append(sc.tlMask, 0)
+		for u := range sc.waiting {
+			sc.waiting[u] = append(sc.waiting[u], 0)
+		}
+		sc.candBuf = append(sc.candBuf, 0)
 	}
 	if w.state == warpReady && !sc.scan {
 		sc.setBit(w.slot)
 		sc.setZero(w.slot) // a fresh warp has lastIssue == 0
+		sc.setUnit(w, next)
 	}
 }
 
@@ -197,6 +244,7 @@ func (sc *subcore) toBarrier(w *simWarp) {
 	w.state = warpAtBarrier
 	if !sc.scan {
 		sc.clearBit(w.slot)
+		sc.setUnit(w, unitNone) // visitable after the release: see setUnit
 	}
 }
 
@@ -217,6 +265,7 @@ func (sc *subcore) finish(w *simWarp) {
 	if !sc.scan {
 		sc.clearBit(w.slot)
 		sc.clearZero(w.slot)
+		sc.setUnit(w, unitNone)
 		sc.ageRemove(w)
 	}
 }
@@ -360,43 +409,66 @@ func maskIntersects(a, b []uint64) bool {
 	return false
 }
 
-// appendRotatedMask appends the mask's set slots in rotation order from
-// g+1 (the slots above g, then the wrap-around from 0 back to g),
-// excluding skip (-1 for none) — the bitmask twin of appendRotated.
+// firstRotated returns the mask's first set slot in rotation order from
+// g+1 (the slots above g, then the wrap-around from 0 up to g itself), -1
+// when the mask is empty.
 //
 //simlint:hotpath
-func appendRotatedMask(mask []uint64, g, skip int, buf []int) []int {
-	gw, gb := g>>6, uint(g&63)
-	low := uint64(1)<<(gb+1) - 1 // bits 0..g&63 of g's word; all 64 when gb is 63
-	for wi, word := gw, mask[gw]&^low; ; {
-		for word != 0 {
-			slot := wi*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if slot != skip {
-				buf = append(buf, slot)
-			}
-		}
-		wi++
-		if wi >= len(mask) {
-			break
-		}
-		word = mask[wi]
+func firstRotated(mask []uint64, g int) int {
+	gw := g >> 6
+	low := uint64(1)<<(uint(g&63)+1) - 1 // bits 0..g&63 of g's word; all 64 when g&63 is 63
+	if word := mask[gw] &^ low; word != 0 {
+		return gw<<6 + bits.TrailingZeros64(word)
 	}
-	for wi := 0; wi < gw; wi++ {
-		for word := mask[wi]; word != 0; word &= word - 1 {
-			slot := wi*64 + bits.TrailingZeros64(word)
-			if slot != skip {
-				buf = append(buf, slot)
-			}
+	for i := 1; i < len(mask); i++ { // the other words, upwards from g's and around
+		if wi := (gw + i) % len(mask); mask[wi] != 0 {
+			return wi<<6 + bits.TrailingZeros64(mask[wi])
 		}
 	}
-	for word := mask[gw] & low; word != 0; word &= word - 1 {
-		slot := gw*64 + bits.TrailingZeros64(word)
-		if slot != skip {
-			buf = append(buf, slot)
+	if word := mask[gw] & low; word != 0 {
+		return gw<<6 + bits.TrailingZeros64(word)
+	}
+	return -1
+}
+
+// candidates returns, in the sub-core's scratch, the warps this step may
+// have to visit, and whether there are any: the policy's visit set minus
+// every warp waiting for a unit that is busy at now. Dropping those is
+// exact: by the waiting-mask invariant tryWarp on such a warp returns at
+// the port screen, touching nothing and reporting the cycle the unit
+// frees — folded into wake here instead, once per busy unit and only when
+// a warp of the visit set waits for it (a TwoLevel pending warp was never
+// visited, and an earlier wake would add a step in which demoteOne can
+// decide differently).
+//
+//simlint:hotpath
+func (sc *subcore) candidates(now uint64, wake *uint64) ([]uint64, bool) {
+	visit := sc.policy.visit(sc, now)
+	cand := sc.candBuf[:len(visit)]
+	var left uint64
+	for i, v := range visit {
+		cand[i] = v
+		left |= v
+	}
+	for u := unitTensor; u < numUnits && left != 0; u++ {
+		at := sc.ports.freeAt[u]
+		if at <= now {
+			continue // free: nobody waits for it
+		}
+		waiting := sc.waiting[u][:len(cand)]
+		var blocked uint64
+		left = 0
+		for i, v := range cand {
+			blocked |= v & waiting[i]
+			v &^= waiting[i]
+			cand[i] = v
+			left |= v
+		}
+		if blocked != 0 && at < *wake {
+			*wake = at
 		}
 	}
-	return buf
+	return cand, left != 0
 }
 
 // removeFinished compacts the warp pool after a CTA retires, reassigning
@@ -419,11 +491,7 @@ func (sc *subcore) removeFinished() {
 	if sc.scan {
 		return
 	}
-	for i := range sc.readyMask {
-		sc.readyMask[i] = 0
-		sc.zeroMask[i] = 0
-		sc.tlMask[i] = 0
-	}
+	sc.clearMasks()
 	for _, w := range kept {
 		if w.state == warpReady {
 			sc.setBit(w.slot)
@@ -434,6 +502,7 @@ func (sc *subcore) removeFinished() {
 		if w.tlActive {
 			sc.setTL(w.slot)
 		}
+		sc.waiting[w.unit][w.slot>>6] |= 1 << (w.slot & 63)
 	}
 }
 
@@ -471,12 +540,16 @@ func (w *simWarp) hazardClear(in *ptx.DInstr) uint64 {
 }
 
 // noteHazard records the hazard-clear cycle of the instruction the warp
-// executes next (zero when it has none left).
+// executes next (zero when it has none left) and returns the port that
+// instruction issues on, for setUnit — one peek serves both.
 //
 //simlint:hotpath
-func (w *simWarp) noteHazard() {
+func (w *simWarp) noteHazard() unit {
 	w.hazardAt = 0
-	if next := w.warp.PeekD(); next != nil {
-		w.hazardAt = w.hazardClear(next)
+	next := w.warp.PeekD()
+	if next == nil {
+		return unitNone
 	}
+	w.hazardAt = w.hazardClear(next)
+	return unitOf(next.Class)
 }

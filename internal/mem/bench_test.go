@@ -53,7 +53,7 @@ func BenchmarkSharedConflict(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := sharedConflictPassesVecs(&scratch, cfg, vecs); got != want {
+				if got := sharedConflictPassesVecs(&scratch, &cfg, vecs); got != want {
 					b.Fatalf("%d passes, want %d", got, want)
 				}
 			}

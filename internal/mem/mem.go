@@ -72,13 +72,13 @@ func TitanV() Config {
 // memory transactions the instruction generates. Requests wider than a
 // sector span several sectors.
 func Coalesce(cfg Config, reqs []Request) []uint64 {
-	return coalesceInto(nil, cfg, reqs)
+	return coalesceInto(nil, &cfg, reqs)
 }
 
 // coalesceInto is Coalesce appending into a reusable buffer. A warp
 // touches at most a few dozen sectors per instruction, so linear
 // first-touch dedup beats a map both in time and allocation.
-func coalesceInto(out []uint64, cfg Config, reqs []Request) []uint64 {
+func coalesceInto(out []uint64, cfg *Config, reqs []Request) []uint64 {
 	sec := uint64(cfg.SectorBytes)
 	for _, r := range reqs {
 		bytes := uint64(r.Bits+7) / 8
@@ -105,7 +105,7 @@ func coalesceInto(out []uint64, cfg Config, reqs []Request) []uint64 {
 // memory needs for one warp access: the maximum, over banks, of distinct
 // bank words addressed (identical words broadcast in one pass).
 func SharedConflictPasses(cfg Config, reqs []Request) int {
-	return sharedConflictPasses(&bankScratch{}, cfg, reqs)
+	return sharedConflictPasses(&bankScratch{}, &cfg, reqs)
 }
 
 // bankScratch holds per-bank distinct-word lists, reused across accesses.
@@ -113,7 +113,7 @@ type bankScratch struct {
 	words [][]uint64
 }
 
-func sharedConflictPasses(scratch *bankScratch, cfg Config, reqs []Request) int {
+func sharedConflictPasses(scratch *bankScratch, cfg *Config, reqs []Request) int {
 	if len(scratch.words) < cfg.SharedBanks {
 		scratch.words = make([][]uint64, cfg.SharedBanks)
 	}

@@ -122,21 +122,21 @@ func (s *System) NewSMPort() *SMPort {
 // (stores, which retire once handed to the LSU — the L2/DRAM traversal
 // still consumes downstream bandwidth but the warp does not wait on it).
 func (p *SMPort) AccessGlobal(now uint64, reqs []Request) uint64 {
-	p.sectors = coalesceInto(p.sectors[:0], p.sys.cfg, reqs)
+	p.sectors = coalesceInto(p.sectors[:0], &p.sys.cfg, reqs)
 	return p.globalTiming(now, len(reqs) > 0 && reqs[0].Store)
 }
 
 // AccessGlobalVecs is AccessGlobal for batched warp access groups: same
 // LSU/L1/L2 timing over the sector list of the vectorized coalescer.
 func (p *SMPort) AccessGlobalVecs(now uint64, vecs []AddrVec) uint64 {
-	p.sectors = coalesceVecsInto(p.sectors[:0], &p.secSet, p.sys.cfg, vecs)
+	p.sectors = coalesceVecsInto(p.sectors[:0], &p.secSet, &p.sys.cfg, vecs)
 	return p.globalTiming(now, len(vecs) > 0 && vecs[0].Store)
 }
 
 // globalTiming issues the coalesced sectors in p.sectors through the LSU
 // and memory hierarchy, returning the completion cycle.
 func (p *SMPort) globalTiming(now uint64, store bool) uint64 {
-	cfg := p.sys.cfg
+	cfg := &p.sys.cfg
 	done := now
 	for _, sec := range p.sectors {
 		p.GlobalTransactions++
@@ -171,17 +171,17 @@ func (p *SMPort) globalTiming(now uint64, store bool) uint64 {
 // AccessShared serves one warp instruction's shared-memory accesses,
 // serializing bank conflicts.
 func (p *SMPort) AccessShared(now uint64, reqs []Request) uint64 {
-	return p.sharedTiming(now, sharedConflictPasses(&p.banks, p.sys.cfg, reqs))
+	return p.sharedTiming(now, sharedConflictPasses(&p.banks, &p.sys.cfg, reqs))
 }
 
 // AccessSharedVecs is AccessShared for batched warp access groups.
 func (p *SMPort) AccessSharedVecs(now uint64, vecs []AddrVec) uint64 {
-	return p.sharedTiming(now, sharedConflictPassesVecs(&p.banks, p.sys.cfg, vecs))
+	return p.sharedTiming(now, sharedConflictPassesVecs(&p.banks, &p.sys.cfg, vecs))
 }
 
 // sharedTiming charges one shared-memory access of the given pass count.
 func (p *SMPort) sharedTiming(now uint64, passes int) uint64 {
-	cfg := p.sys.cfg
+	cfg := &p.sys.cfg
 	p.SharedAccesses++
 	p.SharedConflicts += uint64(passes - 1)
 	issue := now

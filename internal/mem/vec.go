@@ -117,14 +117,14 @@ func vecBytes(bits int32) uint64 {
 // the access groups, in the first-touch order of their lane-major
 // expansion (so it matches Coalesce on the equivalent Request slice).
 func CoalesceVecs(cfg Config, vecs []AddrVec) []uint64 {
-	return coalesceVecsInto(nil, &sectorSet{}, cfg, vecs)
+	return coalesceVecsInto(nil, &sectorSet{}, &cfg, vecs)
 }
 
 // coalesceVecsInto is CoalesceVecs appending into a reusable buffer with
 // a reusable dedup set.
 //
 //simlint:hotpath
-func coalesceVecsInto(out []uint64, set *sectorSet, cfg Config, vecs []AddrVec) []uint64 {
+func coalesceVecsInto(out []uint64, set *sectorSet, cfg *Config, vecs []AddrVec) []uint64 {
 	sec := uint64(cfg.SectorBytes)
 	if len(vecs) == 1 {
 		v := &vecs[0]
@@ -304,10 +304,10 @@ func (s *sectorSet) insert(k uint64) (added, full bool) {
 // serialized bank passes of the access groups, matching the per-lane
 // Request path exactly.
 func SharedConflictPassesVecs(cfg Config, vecs []AddrVec) int {
-	return sharedConflictPassesVecs(&bankScratch{}, cfg, vecs)
+	return sharedConflictPassesVecs(&bankScratch{}, &cfg, vecs)
 }
 
-func sharedConflictPassesVecs(bs *bankScratch, cfg Config, vecs []AddrVec) int {
+func sharedConflictPassesVecs(bs *bankScratch, cfg *Config, vecs []AddrVec) int {
 	pow2 := cfg.BankWidth == 4 && cfg.SharedBanks == 32
 	if !pow2 {
 		return conflictGeneralVecs(bs, cfg, vecs)
@@ -441,7 +441,7 @@ func mirroredHalves(a *[32]uint64) bool {
 // the general per-bank lists.
 //
 //simlint:hotpath
-func conflictCount(bs *bankScratch, cfg Config, vecs []AddrVec) int {
+func conflictCount(bs *bankScratch, cfg *Config, vecs []AddrVec) int {
 	var rows [32][2]uint64
 	var row0 uint64 // row of the window's low edge, set by the first word
 	first := true
@@ -475,7 +475,7 @@ func conflictCount(bs *bankScratch, cfg Config, vecs []AddrVec) int {
 // conflictGeneralVecs mirrors sharedConflictPasses for arbitrary bank
 // geometry, iterating the vectors' masked lanes instead of a Request
 // slice.
-func conflictGeneralVecs(bs *bankScratch, cfg Config, vecs []AddrVec) int {
+func conflictGeneralVecs(bs *bankScratch, cfg *Config, vecs []AddrVec) int {
 	if len(bs.words) < cfg.SharedBanks {
 		bs.words = make([][]uint64, cfg.SharedBanks)
 	}

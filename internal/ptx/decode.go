@@ -691,8 +691,8 @@ func dMadU64(w *Warp, d *DInstr) error {
 }
 
 // dMadF32 — the inner-loop instruction of the FP32 SIMT GEMM — is dTern
-// with the arithmetic written into the loops, so math.FMA compiles to
-// the hardware fused multiply-add with no call per lane.
+// with the arithmetic written into the loops: the full-warp loop spells
+// fmaF32 out, so its fast half inlines with no call per lane.
 //
 //simlint:hotpath
 func dMadF32(w *Warp, d *DInstr) error {
@@ -700,7 +700,11 @@ func dMadF32(w *Warp, d *DInstr) error {
 	on := d.guard(w)
 	if on == fullMask {
 		for lane := range dst {
-			dst[lane] = fmaF32(x[lane], y[lane], z[lane])
+			r, once := fmaF32Fast(x[lane], y[lane], z[lane])
+			if !once {
+				r = fmaF32Odd(x[lane], y[lane], z[lane])
+			}
+			dst[lane] = r
 		}
 		return nil
 	}
@@ -711,9 +715,55 @@ func dMadF32(w *Warp, d *DInstr) error {
 	return nil
 }
 
-// fmaF32 is one lane's fma.rn.f32: a single rounding.
+// fmaF32 is one lane's fma.rn.f32, the only binary32 multiply-add in the
+// package: both executors call it (dMadF32's full-warp loop in its two
+// halves).
 func fmaF32(x, y, z uint64) uint64 {
-	return bitsF32(float32(math.FMA(float64(f32bits(x)), float64(f32bits(y)), float64(f32bits(z)))))
+	if r, once := fmaF32Fast(x, y, z); once {
+		return r
+	}
+	return fmaF32Odd(x, y, z)
+}
+
+// fmaF32Fast is fma.rn.f32 through binary64, and whether that is the
+// answer. The binary64 product of two binary32 images is exact (48
+// significand bits, exponent in range), so the binary64 sum is the exact
+// x·y+z rounded to 53 bits — math.FMA's value whether or not the compiler
+// fuses the two, without its feature check in the loop. The conversion
+// then rounds again to 24 bits, and the two roundings differ from the
+// single one PTX specifies only when the first lands exactly on a
+// midpoint between two binary32 values — low 29 significand bits
+// 0x10000000, the overflow threshold included — or the result is
+// binary32-subnormal, where the midpoints sit elsewhere. Those (nothing a
+// GEMM on zeros, or on the bench's multiples of 1/32, ever produces)
+// report false and go to fmaF32Odd.
+func fmaF32Fast(x, y, z uint64) (r uint64, once bool) {
+	f := float64(f32bits(x))*float64(f32bits(y)) + float64(f32bits(z))
+	const minNormal32 = (1023 - 126) << 52 // the binary64 image of 2^-126
+	abs := math.Float64bits(f) &^ (1 << 63)
+	return bitsF32(float32(f)), abs&(1<<29-1) != 1<<28 && abs-1 >= minNormal32-1
+}
+
+// fmaF32Odd is fma.rn.f32 for the results fmaF32Fast declines: it rounds
+// the binary64 sum to odd — when the sum was inexact and its last bit is
+// even, one ulp towards the exact value — so the conversion to binary32
+// (normal or subnormal: at least two bits narrower) rounds as if from the
+// exact value. Knuth's TwoSum recovers the sum's residual exactly; it is
+// NaN when the sum is not finite, which leaves the sum alone.
+func fmaF32Odd(x, y, z uint64) uint64 {
+	p, zf := float64(f32bits(x))*float64(f32bits(y)), float64(f32bits(z))
+	r := p + zf
+	zv := r - p // the part of r that came from z
+	e := (p - (r - zv)) + (zf - zv)
+	if b := math.Float64bits(r); e == e && e != 0 && b&1 == 0 {
+		if (e > 0) == (r > 0) {
+			b++
+		} else {
+			b--
+		}
+		r = math.Float64frombits(b)
+	}
+	return bitsF32(float32(r))
 }
 
 // dMadF16X2 — the inner-loop instruction of the packed-half SIMT GEMM —

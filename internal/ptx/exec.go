@@ -695,8 +695,7 @@ func mad(t Type, a, b, c uint64) (uint64, error) {
 	case U64:
 		return a*b + c, nil
 	case F32:
-		// fma.rn.f32: a single rounding.
-		return bitsF32(float32(math.FMA(float64(f32bits(a)), float64(f32bits(b)), float64(f32bits(c))))), nil
+		return fmaF32(a, b, c), nil
 	case F16:
 		return bitsH16(fp16.FMA(h16(a), h16(b), h16(c))), nil
 	case F16X2:
