@@ -39,6 +39,19 @@ func TestDecodedMatchesInterpretedTables(t *testing.T) {
 				t.Errorf("decoded and interpreted tables differ:\n--- decoded ---\n%s\n--- interpreted ---\n%s",
 					decoded.String(), interpreted.String())
 			}
+			// Knob × mode: the table above came through launchOn, so its
+			// launches were TimingOnly; with every value computed the twin
+			// renders the same bytes (fig17's twin is too slow to run twice).
+			if id != "fig17" {
+				full, err := e.Run(Options{Quick: true, launchMod: fullValues})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full.String() != interpreted.String() {
+					t.Errorf("interpreted tables differ between TimingOnly and full values:\n--- timing-only ---\n%s\n--- full ---\n%s",
+						interpreted.String(), full.String())
+				}
+			}
 		})
 	}
 }

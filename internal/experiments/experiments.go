@@ -78,6 +78,10 @@ type Options struct {
 	// retryBase overrides the backoff base (tests collapse the
 	// schedule; <0 means no sleep at all).
 	retryBase time.Duration
+	// launchMod, when set, edits each launch before it simulates: the
+	// tests' seam for turning TimingOnly off (to pin that it changes no
+	// table) and for seeing which kernels the registry launches.
+	launchMod func(*gpu.LaunchSpec)
 	// pool, when set by RunAll, routes every data point of every
 	// experiment through one shared cross-experiment worker pool so the
 	// Workers budget is global rather than per experiment.
@@ -302,7 +306,8 @@ func (o Options) launchOn(cfg gpu.Config, l *kernels.Launch, elems []wmma.Precis
 	return st, err
 }
 
-// simulate is launchOn's one simulation path, memoized or not.
+// simulate is launchOn's one simulation path, memoized or not. Tables
+// read Stats and never an operand value, so the launch is TimingOnly.
 func (o Options) simulate(cfg gpu.Config, l *kernels.Launch, argBytes []int, maxCTAs int, trace bool) (*gpu.Stats, error) {
 	sim, err := gpu.New(cfg)
 	if err != nil {
@@ -313,17 +318,22 @@ func (o Options) simulate(cfg gpu.Config, l *kernels.Launch, argBytes []int, max
 	for i, n := range argBytes {
 		args[i] = mem.alloc(n)
 	}
-	return sim.Run(gpu.LaunchSpec{
-		Kernel:    l.Kernel,
-		Grid:      l.Grid,
-		Block:     l.Block,
-		Args:      args,
-		Global:    mem,
-		MaxCTAs:   maxCTAs,
-		Trace:     trace,
-		MaxCycles: o.MaxCycles,
-		Ctx:       o.Ctx,
-	})
+	spec := gpu.LaunchSpec{
+		Kernel:     l.Kernel,
+		Grid:       l.Grid,
+		Block:      l.Block,
+		Args:       args,
+		Global:     mem,
+		MaxCTAs:    maxCTAs,
+		Trace:      trace,
+		MaxCycles:  o.MaxCycles,
+		Ctx:        o.Ctx,
+		TimingOnly: true,
+	}
+	if o.launchMod != nil {
+		o.launchMod(&spec)
+	}
+	return sim.Run(spec)
 }
 
 func bytesOf(p wmma.Precision) int {

@@ -39,6 +39,19 @@ func TestFragmentPathMatchesLegacyTables(t *testing.T) {
 				t.Errorf("batched and legacy fragment tables differ:\n--- batched ---\n%s\n--- legacy ---\n%s",
 					batched.String(), legacy.String())
 			}
+			// Knob × mode: the table above came through launchOn, so its
+			// launches were TimingOnly; with every value computed the twin
+			// renders the same bytes (fig17's twin is too slow to run twice).
+			if id != "fig17" {
+				full, err := e.Run(Options{Quick: true, launchMod: fullValues})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full.String() != legacy.String() {
+					t.Errorf("legacy fragment tables differ between TimingOnly and full values:\n--- timing-only ---\n%s\n--- full ---\n%s",
+						legacy.String(), full.String())
+				}
+			}
 		})
 	}
 }

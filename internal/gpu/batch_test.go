@@ -41,9 +41,17 @@ func TestBatchedAccessPathMatchesLegacyStats(t *testing.T) {
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
 			batched := runAccessPath(t, false, build())
-			legacy := runAccessPath(t, true, build())
-			if !reflect.DeepEqual(batched, legacy) {
-				t.Errorf("stats diverge\nbatched: %+v\nlegacy:  %+v", batched, legacy)
+			// Knob × mode: the legacy path ignores TimingOnly, the batched
+			// path skips under it, and all four runs agree.
+			for _, timingOnly := range []bool{false, true} {
+				for _, legacyPath := range []bool{true, false} {
+					spec := build()
+					spec.TimingOnly = timingOnly
+					if got := runAccessPath(t, legacyPath, spec); !reflect.DeepEqual(batched, got) {
+						t.Errorf("stats diverge\nbatched, full: %+v\nlegacy=%v timingOnly=%v: %+v",
+							batched, legacyPath, timingOnly, got)
+					}
+				}
 			}
 			if batched.WarpInstructions == 0 || batched.Cycles == 0 {
 				t.Errorf("degenerate run %+v", batched)

@@ -12,7 +12,9 @@ import (
 // The decoded-instruction cache must be invisible to the timing model:
 // running the same launch with the table-driven decoded dispatch and with
 // the per-lane interpreted ALU path must produce identical Stats — cycle
-// counts, instruction counts, cache behaviour, everything.
+// counts, instruction counts, cache behaviour, everything — with and
+// without LaunchSpec.TimingOnly (the interpreted executors never skip,
+// the loads and stores around them do).
 func TestDecodedStatsMatchInterpreted(t *testing.T) {
 	builds := map[string]func() (*kernels.Launch, error){
 		"sgemm": func() (*kernels.Launch, error) { return kernels.SGEMMSimt(64, 64, 32) },
@@ -23,7 +25,7 @@ func TestDecodedStatsMatchInterpreted(t *testing.T) {
 	}
 	for name, build := range builds {
 		t.Run(name, func(t *testing.T) {
-			run := func(interpret bool) *gpu.Stats {
+			run := func(interpret, timingOnly bool) *gpu.Stats {
 				defer ptx.SwapInterpretALU(interpret)()
 				l, err := build() // kernels decode at Build, under the mode
 				if err != nil {
@@ -38,17 +40,21 @@ func TestDecodedStatsMatchInterpreted(t *testing.T) {
 				st, err := sim.Run(gpu.LaunchSpec{
 					Kernel: l.Kernel, Grid: l.Grid, Block: l.Block,
 					Args:   []uint64{0, 1 << 20, 2 << 20, 3 << 20},
-					Global: ptx.NewFlatMemory(4 << 20),
+					Global: ptx.NewFlatMemory(4 << 20), TimingOnly: timingOnly,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return st
 			}
-			decoded := run(false)
-			interpreted := run(true)
-			if !reflect.DeepEqual(decoded, interpreted) {
-				t.Errorf("stats diverge:\ndecoded:     %+v\ninterpreted: %+v", decoded, interpreted)
+			decoded := run(false, false)
+			for _, timingOnly := range []bool{false, true} {
+				for _, interpret := range []bool{true, false} {
+					if got := run(interpret, timingOnly); !reflect.DeepEqual(decoded, got) {
+						t.Errorf("stats diverge:\ndecoded, full: %+v\ninterpret=%v timingOnly=%v: %+v",
+							decoded, interpret, timingOnly, got)
+					}
+				}
 			}
 		})
 	}

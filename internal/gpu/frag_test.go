@@ -49,6 +49,16 @@ func TestFragmentPathMatchesLegacyStats(t *testing.T) {
 					t.Errorf("legacyAccess=%v: stats diverge\nbatched: %+v\nlegacy:  %+v",
 						legacyAccess, batched, legacy)
 				}
+				// Knob × mode: TimingOnly changes nothing under either
+				// fragment path.
+				for _, legacyFrag := range []bool{false, true} {
+					spec := build()
+					spec.TimingOnly = true
+					if got := runFragPath(t, legacyFrag, spec); !reflect.DeepEqual(batched, got) {
+						t.Errorf("legacyAccess=%v legacyFrag=%v: TimingOnly changed the stats\nfull:        %+v\ntiming-only: %+v",
+							legacyAccess, legacyFrag, batched, got)
+					}
+				}
 				if batched.WarpInstructions == 0 || batched.Cycles == 0 || batched.TensorOps == 0 {
 					t.Errorf("degenerate run %+v", batched)
 				}

@@ -78,7 +78,10 @@ func goldenWorkloads(t *testing.T) []struct {
 	}
 }
 
-func TestGoldenStats(t *testing.T) {
+// runGolden simulates the basket under every policy, each spec passed
+// through mod first (nil: as the fixture was recorded).
+func runGolden(t *testing.T, mod func(*LaunchSpec)) []goldenEntry {
+	t.Helper()
 	var got []goldenEntry
 	for _, w := range goldenWorkloads(t) {
 		for _, pol := range Schedulers() {
@@ -89,7 +92,11 @@ func TestGoldenStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := sim.Run(w.spec)
+			spec := w.spec
+			if mod != nil {
+				mod(&spec)
+			}
+			st, err := sim.Run(spec)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", w.name, pol, err)
 			}
@@ -99,22 +106,12 @@ func TestGoldenStats(t *testing.T) {
 			got = append(got, goldenEntry{Name: w.name + "/" + pol.String(), Stats: *st})
 		}
 	}
+	return got
+}
 
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenStatsPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenStatsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden entries to %s", len(got), goldenStatsPath)
-		return
-	}
-
+// checkGolden holds the entries to the committed fixture.
+func checkGolden(t *testing.T, got []goldenEntry) {
+	t.Helper()
 	data, err := os.ReadFile(goldenStatsPath)
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
@@ -135,4 +132,46 @@ func TestGoldenStats(t *testing.T) {
 				got[i].Name, got[i].Stats, want[i].Stats)
 		}
 	}
+}
+
+func TestGoldenStats(t *testing.T) {
+	got := runGolden(t, nil)
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenStatsPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenStatsPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d golden entries to %s", len(got), goldenStatsPath)
+		return
+	}
+	checkGolden(t, got)
+}
+
+// Value-free timing's equivalence net (DESIGN.md): every golden workload
+// is timing-separable, a TimingOnly run of it produces the same Stats as a
+// full run — the wmma latency Trace included — and both are the unmodified
+// fixture's.
+func TestGoldenStatsTimingOnly(t *testing.T) {
+	for _, w := range goldenWorkloads(t) {
+		if !w.spec.Kernel.TimingSeparable() {
+			t.Errorf("%s is not timing-separable: the comparison below would be vacuous", w.name)
+		}
+	}
+	full := runGolden(t, func(s *LaunchSpec) { s.Trace = true })
+	timing := runGolden(t, func(s *LaunchSpec) { s.Trace, s.TimingOnly = true, true })
+	for i := range full {
+		if !reflect.DeepEqual(full[i].Stats, timing[i].Stats) {
+			t.Errorf("%s: TimingOnly changed the stats\nfull:        %+v\ntiming-only: %+v",
+				full[i].Name, full[i].Stats, timing[i].Stats)
+		}
+		full[i].Stats.Trace, timing[i].Stats.Trace = nil, nil // the fixture was recorded untraced
+	}
+	checkGolden(t, full)
+	checkGolden(t, timing)
 }

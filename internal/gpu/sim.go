@@ -34,6 +34,13 @@ type LaunchSpec struct {
 	// injected kills). A canceled run returns an error wrapping
 	// Ctx.Err(), so errors.Is(err, context.Canceled) identifies it.
 	Ctx context.Context
+	// TimingOnly asks for the Stats alone. Warps of a timing-separable
+	// kernel (ptx.Kernel.TimingSeparable) then generate every address and
+	// take every branch but compute and move no operand values, and what
+	// Global holds afterwards means nothing; any other kernel executes in
+	// full. The bit cannot change a Stats or an error (DESIGN.md
+	// "Value-free timing"), which is why no launch key carries it.
+	TimingOnly bool
 }
 
 // ErrCycleBudget marks a simulation reaped by the LaunchSpec.MaxCycles
@@ -322,11 +329,12 @@ func (d *dispatcher) fillOne(m *sm) (bool, error) {
 		Z: id / (d.spec.Grid.X * d.spec.Grid.Y),
 	}
 	env := &ptx.Env{
-		Global:   d.spec.Global,
-		Shared:   make([]byte, k.SharedBytes),
-		GridDim:  d.spec.Grid,
-		BlockDim: d.spec.Block,
-		CtaID:    ctaID,
+		Global:     d.spec.Global,
+		Shared:     make([]byte, k.SharedBytes),
+		GridDim:    d.spec.Grid,
+		BlockDim:   d.spec.Block,
+		CtaID:      ctaID,
+		TimingOnly: d.spec.TimingOnly,
 	}
 	sim := d.sim
 	env.Clock = func() uint64 { return sim.cycle }

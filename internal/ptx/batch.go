@@ -2,6 +2,7 @@ package ptx
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 )
@@ -116,19 +117,27 @@ func (w *Warp) genLdStAddrs(d *DInstr, wa *WarpAccess) {
 // resolveBatchSpace resolves the group's state space in place, exactly
 // as Env.resolveSpace does per lane. Static spaces resolve once per
 // instruction; a generic access that straddles the shared window splits
-// into a second group so each group ends up in exactly one space.
-func (w *Warp) resolveBatchSpace(res *Result, gi int) {
+// into a second group so each group ends up in exactly one space. The
+// lanes that resolve to shared memory are bounds-checked on the way (see
+// sharedSpan): the highest offset decides.
+func (w *Warp) resolveBatchSpace(res *Result, gi int) error {
 	wa := &res.Batch[gi]
+	nb := uint64(wa.Bits / 8)
+	var hi uint64
 	switch wa.Space {
 	case Global:
-		return
+		return nil
 	case Shared:
 		for lane := 0; lane < 32; lane++ {
-			if wa.Mask&(1<<lane) != 0 && wa.Addr[lane] >= SharedBase {
+			if wa.Mask&(1<<lane) == 0 {
+				continue
+			}
+			if wa.Addr[lane] >= SharedBase {
 				wa.Addr[lane] -= SharedBase
 			}
+			hi = max(hi, wa.Addr[lane])
 		}
-		return
+		return w.sharedSpan(hi, nb)
 	}
 	// Generic: a lane is shared iff its address falls inside the window.
 	limit := SharedBase + uint64(len(w.Env.Shared))
@@ -140,15 +149,16 @@ func (w *Warp) resolveBatchSpace(res *Result, gi int) {
 		if a := wa.Addr[lane]; a >= SharedBase && a < limit {
 			sharedMask |= 1 << lane
 			wa.Addr[lane] = a - SharedBase
+			hi = max(hi, wa.Addr[lane])
 		}
 	}
 	switch sharedMask {
 	case 0:
 		wa.Space = Global
-		return
+		return nil
 	case wa.Mask:
 		wa.Space = Shared
-		return
+		return w.sharedSpan(hi, nb)
 	}
 	// Mixed: keep the global lanes here, split the shared lanes off.
 	// (accessMemory partitions by space, so group order is immaterial.)
@@ -160,6 +170,20 @@ func (w *Warp) resolveBatchSpace(res *Result, gi int) {
 	split.Mask = sharedMask
 	wa.Space = Global
 	wa.Mask &^= sharedMask
+	return w.sharedSpan(hi, nb)
+}
+
+// sharedSpan is the shared window's bounds check: the error for an n-byte
+// access at window offset a that leaves the CTA's shared memory. It runs
+// ahead of the data movement, whose slice bounds used to be the only
+// guard, so that a TimingOnly warp — which moves no data — faults on the
+// same access with the same error.
+func (w *Warp) sharedSpan(a, n uint64) error {
+	if limit := uint64(len(w.Env.Shared)); a > limit || n > limit-a {
+		return fmt.Errorf("ptx: shared access [%d,+%d) outside the %d-byte window at %d in %s",
+			a, n, limit, w.PC, w.Kernel.Name)
+	}
+	return nil
 }
 
 // execLoadBatched is execLoad on the batched path: one address pass, one
@@ -168,7 +192,7 @@ func (w *Warp) resolveBatchSpace(res *Result, gi int) {
 // everything else global, and direct slice reads for shared memory.
 //
 //simlint:hotpath
-func (w *Warp) execLoadBatched(d *DInstr, res *Result) {
+func (w *Warp) execLoadBatched(d *DInstr, res *Result) error {
 	var wa *WarpAccess
 	res.Batch, wa = appendBatchSlot(res.Batch)
 	wa.Bits = int32(d.In.Width)
@@ -177,12 +201,15 @@ func (w *Warp) execLoadBatched(d *DInstr, res *Result) {
 	w.genLdStAddrs(d, wa)
 	if wa.Mask == 0 {
 		res.Batch = res.Batch[:len(res.Batch)-1]
-		return
+		return nil
 	}
-	w.resolveBatchSpace(res, len(res.Batch)-1)
+	if err := w.resolveBatchSpace(res, len(res.Batch)-1); err != nil || w.valueFree(d) {
+		return err
+	}
 	for gi := range res.Batch {
 		w.loadGroup(d, &res.Batch[gi])
 	}
+	return nil
 }
 
 // loadGroup moves one group's data from memory into the destination
@@ -251,7 +278,7 @@ func (w *Warp) unpackLoad(d *DInstr, mask uint32, src []byte, off *[32]uint64) {
 // execStoreBatched is execStore on the batched path.
 //
 //simlint:hotpath
-func (w *Warp) execStoreBatched(d *DInstr, res *Result) {
+func (w *Warp) execStoreBatched(d *DInstr, res *Result) error {
 	var wa *WarpAccess
 	res.Batch, wa = appendBatchSlot(res.Batch)
 	wa.Bits = int32(d.In.Width)
@@ -260,12 +287,15 @@ func (w *Warp) execStoreBatched(d *DInstr, res *Result) {
 	w.genLdStAddrs(d, wa)
 	if wa.Mask == 0 {
 		res.Batch = res.Batch[:len(res.Batch)-1]
-		return
+		return nil
 	}
-	w.resolveBatchSpace(res, len(res.Batch)-1)
+	if err := w.resolveBatchSpace(res, len(res.Batch)-1); err != nil || w.valueFree(d) {
+		return err
+	}
 	for gi := range res.Batch {
 		w.storeGroup(d, &res.Batch[gi])
 	}
+	return nil
 }
 
 // storeGroup moves one group's register values into memory. Lane order

@@ -17,23 +17,13 @@ import (
 // prologue once, untimed, and then re-executes the body forever. One
 // benchmark op is 64 instructions on each warp (so -benchtime 1x still
 // measures something); the metric to read is ns per warp instruction.
+//
+// The sgemm, hgemm and wmma cases are the GEMM inner loops whole — the
+// shared-memory fragment loads and the multiply-adds of one K step — run
+// once as cuda.Device launches execute them (full) and once as a
+// registry launch does (timingonly: Env.TimingOnly, DESIGN.md "Value-free
+// timing"), on the zeroed operands every registry launch has.
 func BenchmarkWarpStep(b *testing.B) {
-	const warps, perOp = 64, 64 * 64
-	type benchCase struct {
-		name string
-		// body emits the prologue, the "body" label and the timed
-		// instructions after it.
-		body func(kb *Builder, base Reg)
-		// seed, when set, fills global memory before the prologues run;
-		// a seeded body must then be a fixed point of the register file
-		// (checked after the timed loop), so its operands never drift.
-		seed func(global []byte)
-		// regs, when set, writes a warp's operand registers once its
-		// prologue has run; finite then reports whether a register
-		// value is still finite, checked after the timed loop.
-		regs   func(w *Warp, rng *rand.Rand)
-		finite func(v uint64) bool
-	}
 	// The GEMM inner product: 64 accumulators over 8+8 operands, once
 	// with x and once with −x, so each product is followed by its
 	// negation and the accumulators stay where they started (to within
@@ -43,9 +33,9 @@ func BenchmarkWarpStep(b *testing.B) {
 	// That is the point — the host cost of a floating-point mad is in
 	// what its rounding does with the operand bits, which zeros (and
 	// any constant: it predicts perfectly) do not show.
-	mad := func(name string, t Type, operand func(*rand.Rand) uint64, neg uint64, finite func(uint64) bool) benchCase {
+	mad := func(name string, t Type, operand func(*rand.Rand) uint64, neg uint64, finite func(uint64) bool) stepCase {
 		var acc, x, nx, y []Reg
-		c := benchCase{name: name, body: func(kb *Builder, _ Reg) {
+		c := stepCase{name: name, body: func(kb *Builder, _ Reg) {
 			acc, x, nx, y = kb.Regs(64), kb.Regs(8), kb.Regs(8), kb.Regs(8)
 			kb.Label("body")
 			for _, xs := range [][]Reg{x, nx} {
@@ -73,7 +63,7 @@ func BenchmarkWarpStep(b *testing.B) {
 		return c
 	}
 	halfOperand := func(rng *rand.Rand) uint64 { return uint64(rng.Intn(2)<<15 | (11+rng.Intn(6))<<10 | rng.Intn(1<<10)) }
-	cases := []benchCase{
+	cases := []stepCase{
 		mad("mad.f32", F32,
 			func(rng *rand.Rand) uint64 { return uint64(rng.Intn(2)<<31 | (123+rng.Intn(6))<<23 | rng.Intn(1<<23)) },
 			1<<31, func(v uint64) bool { return v>>23&0xff != 0xff }),
@@ -118,66 +108,140 @@ func BenchmarkWarpStep(b *testing.B) {
 		{name: "wmma.mma.f16", body: wmmaBody(wmma.F16), seed: seedWmmaTiles(wmma.F16)},
 	}
 	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			kb := NewBuilder("warpstep")
-			base := kb.Param("base", U64)
-			kb.Regs(96) // pad the register file to GEMM size
-			c.body(kb, base)
-			kb.Exit()
-			k := kb.MustBuild()
-			start, end := k.Labels["body"], len(k.Instrs)-1 // end: the exit
-			global := NewFlatMemory(warps * 32 * 4)
-			if c.seed != nil {
-				c.seed(global.Data)
+		b.Run(c.name, func(b *testing.B) { benchWarpStep(b, c, false) })
+	}
+	for _, c := range gemmStepCases() {
+		b.Run(c.name+"/full", func(b *testing.B) { benchWarpStep(b, c, false) })
+		b.Run(c.name+"/timingonly", func(b *testing.B) { benchWarpStep(b, c, true) })
+	}
+}
+
+// stepCase is one BenchmarkWarpStep kernel.
+type stepCase struct {
+	name string
+	// body emits the prologue, the "body" label and the timed
+	// instructions after it.
+	body func(kb *Builder, base Reg)
+	// seed, when set, fills global memory before the prologues run;
+	// a seeded body must then be a fixed point of the register file
+	// (checked after the timed loop), so its operands never drift.
+	seed func(global []byte)
+	// regs, when set, writes a warp's operand registers once its
+	// prologue has run; finite then reports whether a register
+	// value is still finite, checked after the timed loop.
+	regs   func(w *Warp, rng *rand.Rand)
+	finite func(v uint64) bool
+}
+
+// buildStepKernel assembles a case's kernel and returns the body's bounds:
+// a warp runs [0, start) once and then [start, end) forever.
+func buildStepKernel(c stepCase) (k *Kernel, start, end int) {
+	kb := NewBuilder("warpstep")
+	base := kb.Param("base", U64)
+	kb.Regs(96) // pad the register file to GEMM size
+	c.body(kb, base)
+	kb.Exit()
+	k = kb.MustBuild()
+	return k, k.Labels["body"], len(k.Instrs) - 1 // end: the exit
+}
+
+// gemmStepCases are one K step of the three GEMM inner loops, as
+// internal/kernels emits them: SGEMMSimt's and HGEMMSimt's four A loads,
+// one 128-bit B load and sixteen multiply-adds, and WMMAGemmShared's A
+// and B fragment loads from shared memory around one wmma.mma.
+func gemmStepCases() []stepCase {
+	simt := func(name string, t Type) stepCase {
+		return stepCase{name: name, body: func(kb *Builder, _ Reg) {
+			smem := kb.Shared(8 << 10)
+			aBase, bBase, tmp := kb.Reg(), kb.Reg(), kb.Reg()
+			kb.MulWide(aBase, SR(SRegLaneID), Imm(4*16*4))
+			kb.Add(U64, aBase, R(aBase), Imm(smem))
+			kb.MulWide(bBase, SR(SRegLaneID), Imm(16))
+			kb.Add(U64, bBase, R(bBase), Imm(smem+4096))
+			acc, a, bv := kb.Regs(16), kb.Regs(4), kb.Regs(4)
+			kb.Label("body")
+			for r := range a {
+				kb.Add(U64, tmp, R(aBase), Imm(uint64(r*16*4)))
+				kb.Ld(Shared, 32, a[r:r+1], R(tmp))
 			}
-			env := &Env{
-				Global:   global,
-				Shared:   make([]byte, k.SharedBytes),
-				GridDim:  D1(1),
-				BlockDim: D1(warps * 32),
-				Clock:    func() uint64 { return 0 },
+			kb.Add(U64, tmp, R(bBase), Imm(256))
+			kb.Ld(Shared, 128, bv, R(tmp))
+			for i, r := range acc {
+				kb.Mad(t, r, R(a[i/4]), R(bv[i%4]), R(r))
 			}
-			ws := make([]*Warp, warps)
-			rng := rand.New(rand.NewSource(18))
-			var res Result
-			for i := range ws {
-				w, err := NewWarp(k, env, i, []uint64{0})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for w.PC < start {
-					if err := w.StepInto(&res); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if c.regs != nil {
-					c.regs(w, rng)
-				}
-				ws[i] = w
+		}}
+	}
+	return []stepCase{
+		simt("sgemm", F32),
+		simt("hgemm", F16X2),
+		{name: "wmma", body: func(kb *Builder, _ Reg) {
+			smem := kb.Shared(2048)
+			cfg := wmma.Config{Arch: wmma.Volta, Shape: wmma.M16N16K16,
+				ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
+				AType: wmma.F16, CType: wmma.F32, DType: wmma.F32}
+			fc := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixC, tensor.RowMajor, cfg.CType, Imm(smem+1024), Imm(16))
+			kb.Label("body")
+			fa := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixA, cfg.ALayout, cfg.AType, Imm(smem), Imm(16))
+			fb := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixB, cfg.BLayout, cfg.AType, Imm(smem+512), Imm(16))
+			kb.WmmaMMA(cfg, fa, fb, fc)
+		}},
+	}
+}
+
+func benchWarpStep(b *testing.B, c stepCase, timingOnly bool) {
+	const warps, perOp = 64, 64 * 64
+	k, start, end := buildStepKernel(c)
+	global := NewFlatMemory(warps * 32 * 4)
+	if c.seed != nil {
+		c.seed(global.Data)
+	}
+	env := &Env{
+		Global:     global,
+		Shared:     make([]byte, k.SharedBytes),
+		GridDim:    D1(1),
+		BlockDim:   D1(warps * 32),
+		Clock:      func() uint64 { return 0 },
+		TimingOnly: timingOnly,
+	}
+	ws := make([]*Warp, warps)
+	rng := rand.New(rand.NewSource(18))
+	var res Result
+	for i := range ws {
+		w, err := NewWarp(k, env, i, []uint64{0})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for w.PC < start {
+			if err := w.StepInto(&res); err != nil {
+				b.Fatal(err)
 			}
-			regs0 := append([]uint64(nil), ws[0].regs...)
-			b.ResetTimer()
-			for i := 0; i < b.N*perOp; i++ {
-				w := ws[i%warps]
-				if w.PC == end {
-					w.PC = start
-				}
-				if err := w.StepInto(&res); err != nil {
-					b.Fatal(err)
-				}
+		}
+		if c.regs != nil {
+			c.regs(w, rng)
+		}
+		ws[i] = w
+	}
+	regs0 := append([]uint64(nil), ws[0].regs...)
+	b.ResetTimer()
+	for i := 0; i < b.N*perOp; i++ {
+		w := ws[i%warps]
+		if w.PC == end {
+			w.PC = start
+		}
+		if err := w.StepInto(&res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/warp-instr")
+	if c.seed != nil && !slices.Equal(ws[0].regs, regs0) {
+		b.Fatal("seeded body moved the register file: its operands drift")
+	}
+	if c.finite != nil {
+		for _, w := range ws {
+			if i := slices.IndexFunc(w.regs, func(v uint64) bool { return !c.finite(v) }); i >= 0 {
+				b.Fatalf("warp %d register %d lane %d left the finite range: %#x", w.ID, i/32, i%32, w.regs[i])
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perOp), "ns/warp-instr")
-			if c.seed != nil && !slices.Equal(ws[0].regs, regs0) {
-				b.Fatal("seeded body moved the register file: its operands drift")
-			}
-			if c.finite != nil {
-				for _, w := range ws {
-					if i := slices.IndexFunc(w.regs, func(v uint64) bool { return !c.finite(v) }); i >= 0 {
-						b.Fatalf("warp %d register %d lane %d left the finite range: %#x", w.ID, i/32, i%32, w.regs[i])
-					}
-				}
-			}
-		})
+		}
 	}
 }
 

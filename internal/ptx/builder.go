@@ -282,7 +282,7 @@ func (b *Builder) Build() (*Kernel, error) {
 	k := b.k
 	// Decode once per kernel: every warp of every launch shares this
 	// read-only program instead of re-classifying operands per execution.
-	k.prog = decodeKernel(&k)
+	k.prog, k.separable = decodeKernel(&k)
 	k.digest = digestKernel(&k)
 	return &k, nil
 }

@@ -3,6 +3,7 @@ package ptx
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/fp16"
@@ -68,9 +69,13 @@ type DInstr struct {
 	dstID  int32 // first destination register, -1 if none
 	predID int32 // guard predicate register, -1 = unguarded
 	pneg   bool
-	srcs   []srcOp
-	dsts   []int32 // all destination registers, in Instr.Dst order
-	sb     []int32 // deduplicated scoreboard registers
+	// dataOnly: a TimingOnly warp may leave this instruction's values
+	// alone — nothing it writes can reach an address, a guard or a fault
+	// (see sliceControl).
+	dataOnly bool
+	srcs     []srcOp
+	dsts     []int32 // all destination registers, in Instr.Dst order
+	sb       []int32 // deduplicated scoreboard registers
 	// The packed scoreboard set: sbMask holds the registers of sb with
 	// IDs < 64 as a bitmask, sbWide the (rare) spill of larger IDs. The
 	// timing model's hazard screen — and the issue-time hazard-clear
@@ -135,13 +140,130 @@ func SwapInterpretALU(on bool) (restore func()) {
 	return func() { interpretALU.Store(prev) }
 }
 
-// decodeKernel builds the decoded program of a kernel.
-func decodeKernel(k *Kernel) []DInstr {
-	prog := make([]DInstr, len(k.Instrs))
+// decodeKernel builds the decoded program of a kernel and reports whether
+// the kernel is timing-separable (see sliceControl).
+func decodeKernel(k *Kernel) (prog []DInstr, separable bool) {
+	prog = make([]DInstr, len(k.Instrs))
 	for i := range k.Instrs {
 		decodeInstr(k, &k.Instrs[i], &prog[i])
 	}
-	return prog
+	return prog, sliceControl(k, prog)
+}
+
+// sliceControl is the value-free-timing slice (DESIGN.md "Value-free
+// timing"): a backward dataflow over the program that finds, before every
+// instruction, the registers whose value there can still reach the control
+// plane — anything an address, a guard, a branch vote or a fault depends
+// on. Seeds are each instruction's own control reads (seedOperands and the
+// guard predicate); an instruction with a destination in the set after it
+// pulls all of its sources in, and an unguarded ALU instruction kills its
+// destination (it overwrites every populated lane, so no earlier value of
+// that register survives it). Sets only grow, so iterating to a fixed
+// point terminates.
+//
+// The kernel is timing-separable iff no ld or wmma.load writes a register
+// that is in the set after it: every control-plane value is then a
+// function of parameters, special registers and immediates alone, so a
+// run that never computes or moves any other value takes the same
+// branches, generates the same addresses and raises the same faults. Only
+// then are instructions marked dataOnly — no destination in the set after
+// them, executor unable to fail — and a non-separable kernel executes in
+// full whatever the launch asks.
+//
+//simlint:ctor
+func sliceControl(k *Kernel, prog []DInstr) bool {
+	n, words := len(prog), (k.NumRegs+63)/64
+	in := make([]uint64, (n+1)*words) // row i: the set before instruction i; row n: empty
+	out, cur := make([]uint64, words), make([]uint64, words)
+	add := func(set []uint64, ops []srcOp) {
+		for _, o := range ops {
+			if o.kind == OperandReg {
+				set[o.reg>>6] |= 1 << (o.reg & 63)
+			}
+		}
+	}
+	// flow leaves the set after instruction i — the union over its
+	// successors — in out and reports whether i writes a register in it.
+	flow := func(i int) (hit bool) {
+		d := &prog[i]
+		clear(out)
+		if d.Class != DClassExit && (d.Class != DClassBra || d.predID >= 0) {
+			copy(out, in[(i+1)*words:])
+		}
+		if d.Class == DClassBra && d.target >= 0 {
+			for j, v := range in[int(d.target)*words:][:words] {
+				out[j] |= v
+			}
+		}
+		for _, r := range d.dsts {
+			hit = hit || out[r>>6]>>(r&63)&1 != 0
+		}
+		return hit
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := n - 1; i >= 0; i-- {
+			d := &prog[i]
+			hit := flow(i)
+			copy(cur, out)
+			if hit {
+				if d.predID < 0 && (d.Class == DClassALU || d.Class == DClassSFU) {
+					cur[d.dstID>>6] &^= 1 << (d.dstID & 63)
+				}
+				add(cur, d.srcs)
+			}
+			add(cur, d.srcs[:seedOperands(d)])
+			if d.predID >= 0 {
+				cur[d.predID>>6] |= 1 << (d.predID & 63)
+			}
+			if row := in[i*words:][:words]; !slices.Equal(row, cur) {
+				copy(row, cur)
+				changed = true
+			}
+		}
+	}
+	for i := range prog {
+		if d := &prog[i]; (d.Class == DClassLd || d.Class == DClassWmmaLoad) && flow(i) {
+			return false
+		}
+	}
+	for i := range prog {
+		d := &prog[i]
+		if flow(i) {
+			continue
+		}
+		switch d.Class {
+		case DClassALU, DClassSFU:
+			// aluGeneric's errors are static except division by zero, so
+			// it always executes: a garbage operand cannot make it fail.
+			d.dataOnly = d.alu != aluGeneric
+		case DClassLd, DClassSt, DClassWmmaLoad, DClassWmmaStore:
+			d.dataOnly = true
+		case DClassWmmaMMA:
+			// The config check is the only error either executor has.
+			d.dataOnly = d.In.WConfig.Validate() == nil
+		}
+	}
+	return true
+}
+
+// seedOperands is how many leading source operands the instruction reads
+// for control: the address of ld/st, the base and stride of
+// wmma.load/store, and both operands of an integer div/rem, the one
+// executor that fails on a value.
+func seedOperands(d *DInstr) int {
+	n := 0
+	switch d.Class {
+	case DClassLd, DClassSt:
+		n = 1
+	case DClassWmmaLoad, DClassWmmaStore:
+		n = 2
+	case DClassSFU:
+		if t := d.In.Type; t == U32 || t == S32 || t == U64 {
+			n = 2
+		}
+	}
+	return min(n, len(d.srcs))
 }
 
 // decodeInstr populates one decoded instruction in place; the sole

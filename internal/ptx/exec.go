@@ -39,6 +39,12 @@ type Env struct {
 	GridDim  Dim3
 	BlockDim Dim3
 	CtaID    Dim3
+	// TimingOnly says nobody will read the values this CTA computes:
+	// warps skip their dataOnly instructions' arithmetic and data movement,
+	// so registers, Shared and Global end up holding nothing meaningful,
+	// while every address, branch, barrier and fault stays what a full run
+	// produces (DESIGN.md "Value-free timing").
+	TimingOnly bool
 }
 
 // resolveSpace maps a generic address onto the shared window or global
@@ -135,6 +141,9 @@ type Warp struct {
 	// per-element fragment path; sampled from LegacyFragmentPath at
 	// construction.
 	legacyFrag bool
+	// skip: Env.TimingOnly on the batched paths, sampled at construction.
+	// The per-lane twins above compute as ever.
+	skip bool
 
 	// Scratch buffers reused across Step calls so the hot execution path
 	// stays allocation-free: staging buffers for loads/stores (membuf for
@@ -170,11 +179,12 @@ func NewWarp(k *Kernel, env *Env, id int, args []uint64) (*Warp, error) {
 	w := &Warp{Kernel: k, Env: env, ID: id}
 	w.legacy = legacyAccessPath.Load()
 	w.legacyFrag = legacyFragmentPath.Load()
+	w.skip = env.TimingOnly && !w.legacy && !w.legacyFrag
 	w.prog = k.prog
 	if w.prog == nil {
 		// Hand-assembled kernels (no Builder.Build pass) decode a private
 		// program; built kernels share the per-kernel cache.
-		w.prog = decodeKernel(k)
+		w.prog, _ = decodeKernel(k)
 	}
 	w.regs = make([]uint64, 32*k.NumRegs)
 	if n := env.BlockDim.Count() - id*32; n >= 32 {
@@ -360,8 +370,6 @@ func (w *Warp) step(res *Result) error {
 			w.PC = int(d.target)
 			return nil
 		}
-		w.PC++
-		return nil
 	case DClassExit:
 		w.Exited = true
 		res.Exited = true
@@ -369,52 +377,52 @@ func (w *Warp) step(res *Result) error {
 	case DClassBar:
 		w.AtBarrier = true
 		res.Barrier = true
-		w.PC++
-		return nil
 	case DClassWmmaLoad:
 		if err := w.execWmmaLoad(d, res); err != nil {
 			return err
 		}
-		w.PC++
-		return nil
 	case DClassWmmaStore:
 		if err := w.execWmmaStore(d, res); err != nil {
 			return err
 		}
-		w.PC++
-		return nil
 	case DClassWmmaMMA:
+		if w.valueFree(d) {
+			break
+		}
 		if err := w.execWmmaMMA(d); err != nil {
 			return err
 		}
-		w.PC++
-		return nil
 	case DClassLd:
 		if w.legacy {
 			w.execLoad(d, res)
-		} else {
-			w.execLoadBatched(d, res)
+		} else if err := w.execLoadBatched(d, res); err != nil {
+			return err
 		}
-		w.PC++
-		return nil
 	case DClassSt:
 		if w.legacy {
 			w.execStore(d, res)
-		} else {
-			w.execStoreBatched(d, res)
+		} else if err := w.execStoreBatched(d, res); err != nil {
+			return err
 		}
-		w.PC++
-		return nil
-	}
-
-	// ALU and SFU classes: direct table-driven dispatch on the decoded
-	// kind; aluGeneric is the per-lane interpreted fallback.
-	if err := aluTable[d.alu](w, d); err != nil {
-		return err
+	default:
+		// ALU and SFU classes: direct table-driven dispatch on the decoded
+		// kind; aluGeneric is the per-lane interpreted fallback.
+		if w.valueFree(d) {
+			break
+		}
+		if err := aluTable[d.alu](w, d); err != nil {
+			return err
+		}
 	}
 	w.PC++
 	return nil
 }
+
+// valueFree reports whether this execution of d computes and moves no
+// values: a TimingOnly warp on an instruction nothing timing reads
+// depends on. Memory instructions still generate and resolve every
+// address and keep their bounds checks.
+func (w *Warp) valueFree(d *DInstr) bool { return w.skip && d.dataOnly }
 
 // branchVote evaluates the branch guard across the populated lanes.
 func (w *Warp) branchVote(d *DInstr) (taken, uniform bool) {

@@ -291,6 +291,9 @@ type Kernel struct {
 	// launch. Builder.Build populates it; hand-assembled kernels decode
 	// privately per warp in NewWarp.
 	prog []DInstr
+	// separable: no loaded value reaches the control plane (see
+	// sliceControl), set with prog.
+	separable bool
 	// digest is the kernel's content address (see digest.go), set with
 	// prog by Builder.Build.
 	digest string
@@ -299,6 +302,12 @@ type Kernel struct {
 // Program returns the kernel's decoded instruction cache, or nil for
 // hand-assembled kernels that skipped Builder.Build.
 func (k *Kernel) Program() []DInstr { return k.prog }
+
+// TimingSeparable reports whether a TimingOnly launch of the kernel skips
+// its operand values (see sliceControl); false for kernels that let a
+// loaded value steer an address, a guard or a fault, and for
+// hand-assembled kernels that skipped Builder.Build.
+func (k *Kernel) TimingSeparable() bool { return k.separable }
 
 // Param is one kernel parameter.
 type Param struct {

@@ -150,7 +150,7 @@ func (w *Warp) fragLaneAddrs(p *fragPlan, lane, ld int, base, elemBytes uint64) 
 // byte-consecutive elements, unpacked into the destination registers.
 // Access emission is shared with the per-lane path (emitFragAccesses),
 // so the timing model sees an identical stream.
-func (w *Warp) execWmmaLoadVec(d *DInstr, res *Result, base, stride uint64) {
+func (w *Warp) execWmmaLoadVec(d *DInstr, res *Result, base, stride uint64) error {
 	in := d.In
 	m := in.WMap
 	p := d.wplan
@@ -159,12 +159,15 @@ func (w *Warp) execWmmaLoadVec(d *DInstr, res *Result, base, stride uint64) {
 	batched := !w.legacy
 	for lane := 0; lane < 32; lane++ {
 		addrs := w.fragLaneAddrs(p, lane, int(stride), base, elemBytes)
-		forEachFragRun(addrs, elemBytes, func(i, j int) {
-			w.loadFragRun(d, lane, addrs[i:j], i, elemBytes, signExt)
-		})
+		if err := forEachFragRun(addrs, elemBytes, func(i, j int) error {
+			return w.loadFragRun(d, lane, addrs[i:j], i, elemBytes, signExt)
+		}); err != nil {
+			return err
+		}
 		sp, _ := w.Env.resolveSpace(in.Space, addrs[0])
 		batched = w.emitFragAccesses(res, batched, lane, addrs, m.Elem.Bits(), sp, false)
 	}
+	return nil
 }
 
 // forEachFragRun calls f on each maximal [i,j) run of byte-consecutive
@@ -174,15 +177,18 @@ func (w *Warp) execWmmaLoadVec(d *DInstr, res *Result, base, stride uint64) {
 // their SASS-level pieces never merge) and splits at 128-bit piece
 // boundaries, neither of which constrains how many bytes one Env call
 // may move.
-func forEachFragRun(addrs []uint64, nb uint64, f func(i, j int)) {
+func forEachFragRun(addrs []uint64, nb uint64, f func(i, j int) error) error {
 	for i := 0; i < len(addrs); {
 		j := i + 1
 		for j < len(addrs) && addrs[j] == addrs[j-1]+nb {
 			j++
 		}
-		f(i, j)
+		if err := f(i, j); err != nil {
+			return err
+		}
 		i = j
 	}
+	return nil
 }
 
 // fragRunUniform reports whether a run's resolved endpoints prove the
@@ -212,12 +218,20 @@ func (w *Warp) fragRunUniform(space Space, run []uint64, nb, total uint64, sp Sp
 // each element where the per-lane path would).
 //
 //simlint:hotpath
-func (w *Warp) loadFragRun(d *DInstr, lane int, run []uint64, slot0 int, nb uint64, signExt bool) {
+func (w *Warp) loadFragRun(d *DInstr, lane int, run []uint64, slot0 int, nb uint64, signExt bool) error {
 	in := d.In
 	total := uint64(len(run)) * nb
 	sp, a0 := w.Env.resolveSpace(in.Space, run[0])
 	spE, aE := w.Env.resolveSpace(in.Space, run[len(run)-1])
 	if w.fragRunUniform(in.Space, run, nb, total, sp, a0, aE, spE) {
+		if sp == Shared {
+			if err := w.sharedSpan(a0, total); err != nil {
+				return err
+			}
+		}
+		if w.valueFree(d) {
+			return nil
+		}
 		buf := w.bulk[:total]
 		if sp == Shared {
 			copy(buf, w.Env.Shared[a0:a0+total])
@@ -227,13 +241,14 @@ func (w *Warp) loadFragRun(d *DInstr, lane int, run []uint64, slot0 int, nb uint
 		for i := range run {
 			w.setReg(lane, in.Dst[slot0+i], w.unpackFragElem(buf[uint64(i)*nb:], nb, signExt))
 		}
-		return
+		return nil
 	}
 	buf := w.membuf[:nb]
 	for i, a := range run {
 		w.Env.read(in.Space, a, buf)
 		w.setReg(lane, in.Dst[slot0+i], w.unpackFragElem(buf, nb, signExt))
 	}
+	return nil
 }
 
 // unpackFragElem assembles one fragment element's register value from
@@ -255,7 +270,7 @@ func (w *Warp) unpackFragElem(src []byte, nb uint64, signExt bool) uint64 {
 // values are packed per run and written with one Env write per run,
 // preserving the per-lane path's lane-major, slot-ascending write order
 // (runs are slot-ascending and internally disjoint).
-func (w *Warp) execWmmaStoreVec(d *DInstr, res *Result, base, stride uint64) {
+func (w *Warp) execWmmaStoreVec(d *DInstr, res *Result, base, stride uint64) error {
 	in := d.In
 	m := in.WMap
 	p := d.wplan
@@ -263,12 +278,15 @@ func (w *Warp) execWmmaStoreVec(d *DInstr, res *Result, base, stride uint64) {
 	batched := !w.legacy
 	for lane := 0; lane < 32; lane++ {
 		addrs := w.fragLaneAddrs(p, lane, int(stride), base, elemBytes)
-		forEachFragRun(addrs, elemBytes, func(i, j int) {
-			w.storeFragRun(d, lane, addrs[i:j], i, elemBytes)
-		})
+		if err := forEachFragRun(addrs, elemBytes, func(i, j int) error {
+			return w.storeFragRun(d, lane, addrs[i:j], i, elemBytes)
+		}); err != nil {
+			return err
+		}
 		sp, _ := w.Env.resolveSpace(in.Space, addrs[0])
 		batched = w.emitFragAccesses(res, batched, lane, addrs, m.Elem.Bits(), sp, true)
 	}
+	return nil
 }
 
 // storeFragRun packs one lane's run of consecutive fragment elements
@@ -276,12 +294,20 @@ func (w *Warp) execWmmaStoreVec(d *DInstr, res *Result, base, stride uint64) {
 // state space, else element by element.
 //
 //simlint:hotpath
-func (w *Warp) storeFragRun(d *DInstr, lane int, run []uint64, slot0 int, nb uint64) {
+func (w *Warp) storeFragRun(d *DInstr, lane int, run []uint64, slot0 int, nb uint64) error {
 	in := d.In
 	total := uint64(len(run)) * nb
 	sp, a0 := w.Env.resolveSpace(in.Space, run[0])
 	spE, aE := w.Env.resolveSpace(in.Space, run[len(run)-1])
 	if w.fragRunUniform(in.Space, run, nb, total, sp, a0, aE, spE) {
+		if sp == Shared {
+			if err := w.sharedSpan(a0, total); err != nil {
+				return err
+			}
+		}
+		if w.valueFree(d) {
+			return nil
+		}
 		buf := w.bulk[:total]
 		for i := range run {
 			v := d.val(w, lane, &d.srcs[2+slot0+i])
@@ -292,7 +318,7 @@ func (w *Warp) storeFragRun(d *DInstr, lane int, run []uint64, slot0 int, nb uin
 		} else {
 			w.Env.Global.Write(a0, buf)
 		}
-		return
+		return nil
 	}
 	buf := w.membuf[:nb]
 	for i, a := range run {
@@ -300,6 +326,7 @@ func (w *Warp) storeFragRun(d *DInstr, lane int, run []uint64, slot0 int, nb uin
 		packFragElem(buf, nb, v)
 		w.Env.write(in.Space, a, buf)
 	}
+	return nil
 }
 
 // packFragElem serializes one fragment element into little-endian bytes.

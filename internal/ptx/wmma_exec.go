@@ -145,8 +145,7 @@ func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
 	}
 	elemBytes := uint64(d.membytes)
 	if w.fragVec(d) && d.wplan != nil {
-		w.execWmmaLoadVec(d, res, base, stride)
-		return nil
+		return w.execWmmaLoadVec(d, res, base, stride)
 	}
 	buf := w.membuf[:4]
 	batched := !w.legacy
@@ -189,8 +188,7 @@ func (w *Warp) execWmmaStore(d *DInstr, res *Result) error {
 	}
 	elemBytes := uint64(d.membytes)
 	if w.fragVec(d) && d.wplan != nil {
-		w.execWmmaStoreVec(d, res, base, stride)
-		return nil
+		return w.execWmmaStoreVec(d, res, base, stride)
 	}
 	buf := w.membuf[:4]
 	batched := !w.legacy
