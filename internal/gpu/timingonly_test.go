@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -51,6 +52,7 @@ func TestTimingOnlyFaultParity(t *testing.T) {
 	cases := []struct {
 		name      string
 		kernel    *ptx.Kernel
+		block     int // threads per CTA; 0 = 64
 		maxCycles uint64
 		want      string
 	}{
@@ -60,6 +62,26 @@ func TestTimingOnlyFaultParity(t *testing.T) {
 			b.MulWide(a, ptx.SR(ptx.SRegTidX), ptx.Imm(16)) // lanes 16.. leave the window
 			b.Add(ptx.U64, a, ptx.R(a), ptx.Imm(smem))
 			b.Ld(ptx.Shared, 32, []ptx.Reg{v}, ptx.R(a))
+		})},
+		// A fragment's last element straddling the window's end, on the
+		// decode-time shape path (full unguarded warps) and on the per-lane
+		// loop (a 24-lane second warp; a guard predicate).
+		{name: "wmma-shared-out-of-range", want: "outside the 512-byte window", kernel: build("fragoob", func(b *ptx.Builder) {
+			frag(b, ptx.Imm(b.Shared(512)+1), ptx.Imm(16))
+		})},
+		{name: "wmma-shared-out-of-range-partial-warp", want: "outside the 512-byte window", block: 56, kernel: build("fragoob_partial", func(b *ptx.Builder) {
+			// Only the partial warp faults: the full one loads a tile that fits.
+			p, base := b.Reg(), b.Reg()
+			smem := b.Shared(512)
+			b.Setp(ptx.U32, ptx.CmpLT, p, ptx.SR(ptx.SRegTidX), ptx.Imm(32))
+			b.Selp(ptx.U64, base, ptx.Imm(smem), ptx.Imm(smem+1), ptx.R(p))
+			frag(b, ptx.R(base), ptx.Imm(16))
+		})},
+		{name: "wmma-shared-out-of-range-predicated", want: "outside the 512-byte window", kernel: build("fragoob_pred", func(b *ptx.Builder) {
+			p := b.Reg()
+			b.Setp(ptx.U32, ptx.CmpLT, p, ptx.SR(ptx.SRegLaneID), ptx.Imm(32))
+			b.At(p, false)
+			frag(b, ptx.Imm(b.Shared(512)+1), ptx.Imm(16))
 		})},
 		{name: "divergent-branch", want: "divergent branch", kernel: build("diverge", func(b *ptx.Builder) {
 			p := b.Reg()
@@ -93,7 +115,7 @@ func TestTimingOnlyFaultParity(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			spec := LaunchSpec{Kernel: c.kernel, Grid: ptx.D1(2), Block: ptx.D1(64),
+			spec := LaunchSpec{Kernel: c.kernel, Grid: ptx.D1(2), Block: ptx.D1(cmp.Or(c.block, 64)),
 				Args: make([]uint64, len(c.kernel.Params)), MaxCycles: c.maxCycles}
 			_, errs, _ := runModes(t, spec, make([]byte, 8192))
 			for mode, err := range errs {

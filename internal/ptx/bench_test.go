@@ -22,7 +22,9 @@ import (
 // shared-memory fragment loads and the multiply-adds of one K step — run
 // once as cuda.Device launches execute them (full) and once as a
 // registry launch does (timingonly: Env.TimingOnly, DESIGN.md "Value-free
-// timing"), on the zeroed operands every registry launch has.
+// timing"), on the zeroed operands every registry launch has. The
+// wmma.load/store cases are the fragment instructions alone, in the same
+// two modes: the layer the decode-time access shape moves.
 func BenchmarkWarpStep(b *testing.B) {
 	// The GEMM inner product: 64 accumulators over 8+8 operands, once
 	// with x and once with −x, so each product is followed by its
@@ -110,7 +112,7 @@ func BenchmarkWarpStep(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) { benchWarpStep(b, c, false) })
 	}
-	for _, c := range gemmStepCases() {
+	for _, c := range slices.Concat(gemmStepCases(), fragStepCases()) {
 		b.Run(c.name+"/full", func(b *testing.B) { benchWarpStep(b, c, false) })
 		b.Run(c.name+"/timingonly", func(b *testing.B) { benchWarpStep(b, c, true) })
 	}
@@ -184,6 +186,36 @@ func gemmStepCases() []stepCase {
 			fa := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixA, cfg.ALayout, cfg.AType, Imm(smem), Imm(16))
 			fb := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixB, cfg.BLayout, cfg.AType, Imm(smem+512), Imm(16))
 			kb.WmmaMMA(cfg, fa, fb, fc)
+		}},
+	}
+}
+
+// fragStepCases are the fragment movers by themselves, with the immediate
+// leading dimension every generator emits: an A (row-major f16) and a C
+// (f32) tile loaded from shared and from global memory, and a C tile
+// stored to global memory in both accumulator widths.
+func fragStepCases() []stepCase {
+	const arch, ld = wmma.Volta, 16
+	sh := wmma.M16N16K16
+	loads := func(kb *Builder, a, c Operand) {
+		kb.Label("body")
+		kb.WmmaLoad(arch, sh, wmma.MatrixA, tensor.RowMajor, wmma.F16, a, Imm(ld))
+		kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F32, c, Imm(ld))
+	}
+	return []stepCase{
+		{name: "wmma.load.shared", body: func(kb *Builder, _ Reg) {
+			smem := kb.Shared(2048)
+			loads(kb, Imm(smem), Imm(smem+1024))
+		}},
+		{name: "wmma.load.global", body: func(kb *Builder, base Reg) {
+			loads(kb, R(base), Imm(1024))
+		}},
+		{name: "wmma.store.global", body: func(kb *Builder, base Reg) {
+			f32 := kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F32, R(base), Imm(ld))
+			f16 := kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F16, Imm(1024), Imm(ld))
+			kb.Label("body")
+			kb.WmmaStore(arch, sh, tensor.RowMajor, wmma.F32, R(base), f32, Imm(ld))
+			kb.WmmaStore(arch, sh, tensor.RowMajor, wmma.F16, Imm(1024), f16, Imm(ld))
 		}},
 	}
 }

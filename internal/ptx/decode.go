@@ -90,12 +90,12 @@ type DInstr struct {
 	fragA    int32 // wmma.mma A-fragment length
 	fragB    int32 // wmma.mma B-fragment length
 
-	// Fragment plans for the batched wmma path (see wmma_batch.go):
-	// wplan decodes In.WMap for wmma.load/store; wA/wB/wC/wD decode the
-	// four wmma.mma mappings. nil keeps the per-lane path (missing
-	// mapping, non-uniform fragment structure, or non-register mma
-	// operands).
-	wplan          *fragPlan
+	// The batched wmma path (see wmma_batch.go): wshape is the access shape
+	// of a wmma.load/store with an immediate leading dimension; wA/wB/wC/wD
+	// decode the four wmma.mma mappings. nil keeps the per-lane path
+	// (missing mapping, non-uniform fragment structure, a register stride
+	// or an untamed one, non-register mma operands).
+	wshape         *fragShape
 	wA, wB, wC, wD *fragPlan
 
 	// space is the ld/st static state space (Generic resolves per
@@ -321,7 +321,9 @@ func decodeInstr(k *Kernel, in *Instr, d *DInstr) {
 		d.space = in.Space
 	case OpWmmaLoad, OpWmmaStore:
 		d.membytes = int32(cuda4BitBytes(in.WMap.Elem))
-		d.wplan = planFragment(in.WMap)
+		if ld := in.Src[1]; ld.Kind == OperandImm {
+			d.wshape = shapeFragment(planFragment(in.WMap), int(ld.Imm), uint64(d.membytes), in.WMap.Elem.Bits())
+		}
 	case OpWmmaMMA:
 		d.fragA = int32(in.WMapA.FragmentLen())
 		d.fragB = int32(in.WMapB.FragmentLen())

@@ -67,24 +67,6 @@ func (e *Env) resolveSpace(space Space, addr uint64) (Space, uint64) {
 	return Global, addr
 }
 
-func (e *Env) read(space Space, addr uint64, buf []byte) {
-	sp, a := e.resolveSpace(space, addr)
-	if sp == Shared {
-		copy(buf, e.Shared[a:a+uint64(len(buf))])
-		return
-	}
-	e.Global.Read(a, buf)
-}
-
-func (e *Env) write(space Space, addr uint64, data []byte) {
-	sp, a := e.resolveSpace(space, addr)
-	if sp == Shared {
-		copy(e.Shared[a:a+uint64(len(data))], data)
-		return
-	}
-	e.Global.Write(a, data)
-}
-
 // Access is one memory access performed by an executed instruction, as the
 // timing model's coalescer sees it.
 type Access struct {
@@ -148,8 +130,8 @@ type Warp struct {
 	// Scratch buffers reused across Step calls so the hot execution path
 	// stays allocation-free: staging buffers for loads/stores (membuf for
 	// one lane, bulk for a whole warp's contiguous runs), the
-	// Result.Accesses and Result.Batch backing arrays, wmma per-lane
-	// address lists, the wmma piece list of the batched frag path, and the
+	// Result.Accesses and Result.Batch backing arrays, the address and
+	// piece lists of the per-lane wmma.load/store loop, and the
 	// register images of wmma.mma (operand images and the C/D word tiles
 	// for the batched path, tiles for the per-lane fallback).
 	membuf    [16]byte
@@ -439,8 +421,6 @@ func (w *Warp) execLoad(d *DInstr, res *Result) {
 	for m := d.guard(w); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m)
 		addr := d.val(w, lane, addr0)
-		// Resolve the space once and dispatch directly instead of going
-		// through Env.read (which would re-resolve per lane).
 		sp, a := w.Env.resolveSpace(in.Space, addr)
 		res.Accesses = append(res.Accesses, Access{Lane: lane, Addr: a, Bits: in.Width, Space: sp})
 		if sp == Shared {

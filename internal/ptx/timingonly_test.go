@@ -3,6 +3,7 @@ package ptx
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -430,72 +431,110 @@ func TestTimingOnlyInertWhenNotSeparable(t *testing.T) {
 }
 
 // Fault parity at the executor: an access that leaves the shared window is
-// the same error whether or not the data would have moved.
+// the same error whether or not the data would have moved, and, for
+// fragments, whichever path executes it — the decode-time shape (a full,
+// unguarded warp), or the per-lane loop a partial warp, a guard predicate
+// or the legacy knob selects.
 func TestSharedBoundsFaultMatches(t *testing.T) {
-	cases := map[string]func(b *Builder, smem uint64){
-		"ld.shared": func(b *Builder, smem uint64) {
+	// Generic addressing sends anything past the window to global memory,
+	// so a fragment leaves the window only by straddling its end: the
+	// tile's last element starts inside and ends outside. A(15,15) lives in
+	// lanes 23 and 31, so a 24-lane warp still reaches it; C(15,15) lives
+	// in lane 31 alone, so the partial-warp store overlaps its rows (ld 0)
+	// and every row's last column straddles.
+	// guard, called ahead of the instruction under test, predicates it.
+	load := func(b *Builder, smem uint64, guard func()) {
+		guard()
+		b.WmmaLoad(wmma.Volta, wmma.M16N16K16, wmma.MatrixA, tensor.RowMajor, wmma.F16, Imm(smem+2048-512+1), Imm(16))
+	}
+	store := func(ld, tileBytes uint64) func(*Builder, uint64, func()) {
+		return func(b *Builder, smem uint64, guard func()) {
+			frag := b.WmmaLoad(wmma.Volta, wmma.M16N16K16, wmma.MatrixC, tensor.RowMajor, wmma.F32, Imm(0), Imm(16))
+			guard()
+			b.WmmaStore(wmma.Volta, wmma.M16N16K16, tensor.RowMajor, wmma.F32, Imm(smem+2048-tileBytes+2), frag, Imm(ld))
+		}
+	}
+	cases := []struct {
+		name      string
+		lanes     int
+		predicate bool
+		body      func(b *Builder, smem uint64, guard func())
+	}{
+		{"ld.shared", 32, false, func(b *Builder, smem uint64, _ func()) {
 			a := b.Reg()
 			b.MulWide(a, SR(SRegTidX), Imm(16))
 			b.Add(U64, a, R(a), Imm(smem+2048-256)) // lanes 16.. run off the end
 			b.Ld(Shared, 128, b.Regs(4), R(a))
-		},
-		"st.shared": func(b *Builder, smem uint64) {
+		}},
+		{"st.shared", 32, false, func(b *Builder, smem uint64, _ func()) {
 			a, v := b.Reg(), b.Reg()
 			b.MulWide(a, SR(SRegTidX), Imm(4))
 			b.Add(U64, a, R(a), Imm(smem+2044)) // only lane 0 fits
 			b.St(Shared, 32, R(a), []Operand{R(v)})
-		},
-		// Generic addressing sends anything past the window to global
-		// memory, so a fragment leaves the window only by straddling its
-		// end: the tile's last element starts inside and ends outside.
-		"wmma.load": func(b *Builder, smem uint64) {
-			b.WmmaLoad(wmma.Volta, wmma.M16N16K16, wmma.MatrixA, tensor.RowMajor, wmma.F16, Imm(smem+2048-512+1), Imm(16))
-		},
-		"wmma.store": func(b *Builder, smem uint64) {
-			frag := b.WmmaLoad(wmma.Volta, wmma.M16N16K16, wmma.MatrixC, tensor.RowMajor, wmma.F32, Imm(0), Imm(16))
-			b.WmmaStore(wmma.Volta, wmma.M16N16K16, tensor.RowMajor, wmma.F32, Imm(smem+2048-1024+2), frag, Imm(16))
-		},
+		}},
+		{"wmma.load", 32, false, load},
+		{"wmma.load/partial-warp", 24, false, load},
+		{"wmma.load/predicated", 32, true, load},
+		{"wmma.store", 32, false, store(16, 1024)},
+		{"wmma.store/partial-warp", 24, false, store(0, 64)},
+		{"wmma.store/predicated", 32, true, store(16, 1024)},
 	}
-	for name, body := range cases {
-		t.Run(name, func(t *testing.T) {
-			b := NewBuilder("oob_" + name)
-			body(b, b.Shared(2048))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := NewBuilder("oob")
+			c.body(b, b.Shared(2048), func() {
+				if c.predicate {
+					p := b.Reg()
+					b.Setp(U32, CmpLT, p, SR(SRegLaneID), Imm(32))
+					b.At(p, false)
+				}
+			})
 			b.Exit()
 			k := b.MustBuild()
 			if !k.TimingSeparable() {
 				t.Fatal("kernel is not separable")
 			}
 			seed := make([]byte, 4096)
-			err := stepTogether(t, newCTARun(t, k, D1(32), false, seed), newCTARun(t, k, D1(32), true, seed))
-			if err == nil || !strings.Contains(err.Error(), "outside the 2048-byte window") {
-				t.Fatalf("error = %v, want a shared-window fault", err)
+			fault := func() string {
+				err := stepTogether(t, newCTARun(t, k, D1(c.lanes), false, seed), newCTARun(t, k, D1(c.lanes), true, seed))
+				if err == nil || !strings.Contains(err.Error(), "outside the 2048-byte window") {
+					t.Fatalf("error = %v, want a shared-window fault", err)
+				}
+				return err.Error()
+			}
+			batched := fault()
+			defer SwapLegacyFragmentPath(true)()
+			if perLane := fault(); perLane != batched {
+				t.Errorf("the paths report different faults\nbatched:  %s\nper-lane: %s", batched, perLane)
 			}
 		})
 	}
 }
 
-// The skipped step path allocates nothing: a TimingOnly warp running the
-// GEMM inner loops (ld.shared, mad, wmma.load, wmma.mma) reuses the
-// warp's scratch like the full path does.
+// The step path allocates nothing, skipped or not: a warp running the GEMM
+// inner loops (ld.shared, mad, wmma.load, wmma.mma) or the fragment movers
+// on their decode-time shapes reuses its scratch, full and TimingOnly.
 func TestTimingOnlyStepAllocatesNothing(t *testing.T) {
-	for _, c := range gemmStepCases() {
-		k, start, end := buildStepKernel(c)
-		r := newCTARun(t, k, D1(32), true, make([]byte, 4096), 0)
-		w := r.warps[0]
-		var res Result
-		step := func() {
-			if w.PC == end {
-				w.PC = start
+	for _, c := range slices.Concat(gemmStepCases(), fragStepCases()) {
+		for _, timingOnly := range []bool{false, true} {
+			k, start, end := buildStepKernel(c)
+			r := newCTARun(t, k, D1(32), timingOnly, make([]byte, 4096), 0)
+			w := r.warps[0]
+			var res Result
+			step := func() {
+				if w.PC == end {
+					w.PC = start
+				}
+				if err := w.StepInto(&res); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := w.StepInto(&res); err != nil {
-				t.Fatal(err)
+			for w.PC < start || w.PC != end { // the prologue and one pass warm the scratch
+				step()
 			}
-		}
-		for w.PC < start || w.PC != end { // the prologue and one pass warm the scratch
-			step()
-		}
-		if n := testing.AllocsPerRun(200, step); n != 0 {
-			t.Errorf("%s: %.1f allocations per TimingOnly step, want 0", c.name, n)
+			if n := testing.AllocsPerRun(200, step); n != 0 {
+				t.Errorf("%s: %.1f allocations per step (TimingOnly %v), want 0", c.name, n, timingOnly)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ptx
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 
 	"repro/internal/tensor"
@@ -16,14 +17,18 @@ import (
 // precision switch. The batched path gives fragments the same
 // struct-of-arrays treatment ld/st received: the decoded instruction
 // carries per-slot lane vectors derived from the wmma.Mapping
-// (wmma.SlotVecs), addresses are generated per lane in one pass, data
-// moves in bulk over maximal element runs (one Memory call per run),
-// and wmma.mma gathers its operands slot by slot straight into the
-// register images internal/wmma's kernel computes on, indexing them
-// through precomputed linear offsets, with one loop per element encoding
-// instead of a switch per element. The per-lane path remains for warps
-// with guard predicates or partial activity, for mappings whose lanes
-// disagree on fragment structure, and behind the LegacyFragmentPath knob.
+// (wmma.SlotVecs); a wmma.load/store carries its whole access shape —
+// every offset, piece and data run, worked out at decode from the mapping
+// and the immediate leading dimension — so an execution adds the base,
+// resolves the state space once and moves data in bulk over the runs (one
+// Memory call per run); and wmma.mma gathers its operands slot by slot
+// straight into the register images internal/wmma's kernel computes on,
+// indexing them through precomputed linear offsets, with one loop per
+// element encoding instead of a switch per element. The per-lane path
+// remains for warps with guard predicates or partial activity, for
+// mappings whose lanes disagree on fragment structure, for a register
+// leading dimension or an access straddling the shared window, and behind
+// the LegacyFragmentPath knob.
 
 // legacyFragmentPath, when set, routes warps constructed afterwards
 // through the per-element wmma fragment path instead of the batched
@@ -125,214 +130,233 @@ func planFragment(m *wmma.Mapping) *fragPlan {
 
 // fragVec reports whether the instruction takes the batched fragment
 // path: knob off, no guard predicate, fully populated warp. Callers
-// additionally require the relevant plans to exist.
+// additionally require the relevant plans (wmma.mma) or the access shape
+// (wmma.load/store) to exist.
 func (w *Warp) fragVec(d *DInstr) bool {
 	return !w.legacyFrag && d.predID < 0 && w.nLanes == 32
 }
 
-// fragLaneAddrs fills the reusable per-lane address scratch from the
+// fragLaneAddrs fills addrs with one lane's element addresses from the
 // plan's factored offsets — the same arithmetic as the per-lane path
-// (memOffsetFor), so the two paths produce bit-identical addresses for
-// any stride, including pathological ones.
-//
-//simlint:hotpath
-func (w *Warp) fragLaneAddrs(p *fragPlan, lane, ld int, base, elemBytes uint64) []uint64 {
-	addrs := w.laneAddrs(p.slots)
-	for s := 0; s < p.slots; s++ {
+// (memOffsetFor), so the two produce bit-identical addresses for any
+// stride, including pathological ones.
+func fragLaneAddrs(addrs []uint64, p *fragPlan, lane, ld int, base, elemBytes uint64) {
+	for s := range addrs {
 		off := int(p.major[s][lane])*ld + int(p.minor[s][lane])
 		addrs[s] = base + uint64(off)*elemBytes
 	}
-	return addrs
 }
 
-// execWmmaLoadVec is the batched wmma.load data movement: per lane, one
-// address pass through the plan, then one Env read per maximal run of
-// byte-consecutive elements, unpacked into the destination registers.
-// Access emission is shared with the per-lane path (emitFragAccesses),
-// so the timing model sees an identical stream.
-func (w *Warp) execWmmaLoadVec(d *DInstr, res *Result, base, stride uint64) error {
-	in := d.In
-	m := in.WMap
-	p := d.wplan
-	elemBytes := uint64(d.membytes)
-	signExt := elemBytes == 1 && (m.Elem == wmma.S8 || m.Elem == wmma.S4)
-	batched := !w.legacy
+// fragRunEnd returns the end j of the maximal run [i,j) of elements step
+// bytes apart — the one definition of "run". Data moves over runs of
+// element bytes; the access emission (fragPieces) passes the element *bits*
+// (sub-byte s4/u4 elements are byte-stored but 4-bit-shaped, so their
+// SASS-level pieces never merge) and splits at 128-bit piece boundaries,
+// neither of which constrains how many bytes one Env call may move.
+func fragRunEnd(addrs []uint64, i int, step uint64) int {
+	j := i + 1
+	for j < len(addrs) && addrs[j] == addrs[j-1]+step {
+		j++
+	}
+	return j
+}
+
+// fragShape is the access shape of one static wmma.load/store whose
+// leading dimension is an immediate: which elements a lane holds and into
+// which ≤128-bit accesses they coalesce is a function of the mapping and
+// the leading dimension alone (Section III), never of the base pointer, so
+// it is worked out once at decode and a dynamic execution only adds the
+// base. Offsets are bytes from the base operand.
+//
+//simlint:frozen
+type fragShape struct {
+	lo, hi uint64 // every element lies inside base+[lo,hi)
+	// groups are the slot-aligned piece groups of the access stream: piece
+	// k of every lane, the Result.Batch layout.
+	groups []fragGroup
+	// runs are the data runs, lane-major and slot-ascending — the per-lane
+	// path's write order, which overlapping stores (ld 0) depend on.
+	runs []fragDataRun
+}
+
+// fragGroup is piece k of every lane: its width and the lanes' offsets.
+//
+//simlint:frozen
+type fragGroup struct {
+	bits int32
+	off  [32]uint64
+}
+
+// fragDataRun is n byte-consecutive elements of one lane, fragment slots
+// [slot0, slot0+n), starting off bytes from the base.
+//
+//simlint:frozen
+type fragDataRun struct {
+	lane, slot0, n uint8
+	off            uint64
+}
+
+// fragSpanLimit bounds a shape's offsets: 2^31 elements of leading
+// dimension over 32 rows of 4 bytes stay under it, a negative one does not.
+const fragSpanLimit = 1 << 40
+
+// shapeFragment builds the access shape by running the per-execution
+// definitions — fragLaneAddrs, fragRunEnd, fragPieces — once at base 0:
+// all three are translation-invariant in uint64 arithmetic (addresses are
+// base + offset, runs and pieces compare differences), so base+off is what
+// they produce at any base. It returns nil — the executor then keeps the
+// per-lane path — without a plan, when lanes disagree on piece structure
+// (the slot alignment of the batch cannot hold), or when an offset leaves
+// [0, fragSpanLimit), which a negative leading dimension does.
+//
+//simlint:ctor
+func shapeFragment(p *fragPlan, ld int, elemBytes uint64, elemBits int) *fragShape {
+	if p == nil {
+		return nil
+	}
+	sh := &fragShape{lo: fragSpanLimit}
+	addrs := make([]uint64, p.slots)
+	var pieces []fragPiece
 	for lane := 0; lane < 32; lane++ {
-		addrs := w.fragLaneAddrs(p, lane, int(stride), base, elemBytes)
-		if err := forEachFragRun(addrs, elemBytes, func(i, j int) error {
-			return w.loadFragRun(d, lane, addrs[i:j], i, elemBytes, signExt)
-		}); err != nil {
-			return err
+		fragLaneAddrs(addrs, p, lane, ld, 0, elemBytes)
+		for i := 0; i < len(addrs); {
+			j := fragRunEnd(addrs, i, elemBytes)
+			sh.runs = append(sh.runs, fragDataRun{lane: uint8(lane), slot0: uint8(i), n: uint8(j - i), off: addrs[i]})
+			i = j
 		}
-		sp, _ := w.Env.resolveSpace(in.Space, addrs[0])
-		batched = w.emitFragAccesses(res, batched, lane, addrs, m.Elem.Bits(), sp, false)
+		for _, a := range addrs {
+			if a >= fragSpanLimit {
+				return nil
+			}
+			sh.lo, sh.hi = min(sh.lo, a), max(sh.hi, a+elemBytes)
+		}
+		pieces = fragPieces(pieces[:0], addrs, elemBits)
+		if lane == 0 {
+			sh.groups = make([]fragGroup, len(pieces))
+			for k, pc := range pieces {
+				sh.groups[k].bits = pc.bits
+			}
+		}
+		// Every lane's pieces add up to the same bits, so widths that agree
+		// piece by piece also agree in number.
+		for k, pc := range pieces {
+			g := &sh.groups[k]
+			if g.bits != pc.bits {
+				return nil
+			}
+			g.off[lane] = pc.addr
+		}
 	}
-	return nil
+	return sh
 }
 
-// forEachFragRun calls f on each maximal [i,j) run of byte-consecutive
-// elements — the data-movement granularity. The access emission
-// (fragPieces) derives its own runs deliberately: it works in element
-// *bits* (sub-byte s4/u4 elements are byte-stored but 4-bit-shaped, so
-// their SASS-level pieces never merge) and splits at 128-bit piece
-// boundaries, neither of which constrains how many bytes one Env call
-// may move.
-func forEachFragRun(addrs []uint64, nb uint64, f func(i, j int) error) error {
-	for i := 0; i < len(addrs); {
-		j := i + 1
-		for j < len(addrs) && addrs[j] == addrs[j-1]+nb {
-			j++
-		}
-		if err := f(i, j); err != nil {
-			return err
-		}
-		i = j
+// fragSpace resolves the state space of a whole fragment access from its
+// byte span [lo,hi), once per execution: sub is what turns an address into
+// an offset of that space. A generic span wholly outside the shared window
+// is global, one wholly inside it shared; an explicit .shared span may also
+// be window-relative. ok is false for everything else — a span that wraps,
+// straddles a window edge or leaves the window — and the per-lane path
+// then resolves, and faults, element by element.
+func (w *Warp) fragSpace(space Space, lo, hi uint64) (sp Space, sub uint64, ok bool) {
+	n := uint64(len(w.Env.Shared))
+	switch {
+	case hi < lo:
+		return 0, 0, false
+	case space == Global, space == Generic && (hi <= SharedBase || lo >= SharedBase+n):
+		return Global, 0, true
+	case lo >= SharedBase && hi <= SharedBase+n:
+		return Shared, SharedBase, true
+	case space == Shared && hi <= n:
+		return Shared, 0, true
 	}
-	return nil
+	return 0, 0, false
 }
 
-// fragRunUniform reports whether a run's resolved endpoints prove the
-// whole run lives in one state space at contiguous addresses — the bulk
-// data-movement precondition. Matching endpoints alone are not enough
-// under generic addressing: a run can contain the entire shared window
-// with both endpoints resolving to Global, so Global endpoints
-// additionally require the raw span to miss the window.
-func (w *Warp) fragRunUniform(space Space, run []uint64, nb, total uint64, sp Space, a0, aE uint64, spE Space) bool {
-	if sp != spE || a0 > aE || aE-a0 != total-nb {
+// execFragShape is the batched wmma.load/store: one space resolution, the
+// access stream as base + offset per piece group, and — unless the
+// execution is value-free — the data over the precomputed runs. It reports
+// false, having done nothing, for what the shape does not cover: no shape
+// (a register stride, lanes that disagree on piece structure), a guard
+// predicate or a partial warp, either legacy knob, and a span that
+// fragSpace leaves to the per-lane path.
+//
+//simlint:hotpath
+func (w *Warp) execFragShape(d *DInstr, res *Result, base uint64, store bool) bool {
+	sh := d.wshape
+	if sh == nil || !w.fragVec(d) || w.legacy {
 		return false
 	}
-	if space == Generic && sp == Global {
-		lo, hi := run[0], run[len(run)-1]+nb
-		limit := SharedBase + uint64(len(w.Env.Shared))
-		if lo < limit && hi > SharedBase {
-			return false
+	sp, sub, ok := w.fragSpace(d.In.Space, base+sh.lo, base+sh.hi)
+	if !ok {
+		return false
+	}
+	for gi := range sh.groups {
+		g := &sh.groups[gi]
+		var wa *WarpAccess
+		res.Batch, wa = appendBatchSlot(res.Batch)
+		wa.Mask, wa.Bits, wa.Space, wa.Store = fullMask, g.bits, sp, store
+		for lane := range wa.Addr {
+			wa.Addr[lane] = base + g.off[lane]
 		}
+	}
+	if !w.valueFree(d) {
+		w.moveFragRuns(d, sp, base-sub, store)
 	}
 	return true
 }
 
-// loadFragRun moves one lane's run of consecutive fragment elements
-// from memory into registers: one bulk read when the whole run resolves
-// into a single state space, else the per-element fallback (a run
-// straddling or containing the generic shared-window boundary must read
-// each element where the per-lane path would).
+// moveFragRuns moves a shape's data, run by run, between the registers and
+// the resolved space, in which the base operand is offset origin: one
+// Memory call or one window slice per run, the 2- and 4-byte element codecs
+// spelled out.
 //
 //simlint:hotpath
-func (w *Warp) loadFragRun(d *DInstr, lane int, run []uint64, slot0 int, nb uint64, signExt bool) error {
-	in := d.In
-	total := uint64(len(run)) * nb
-	sp, a0 := w.Env.resolveSpace(in.Space, run[0])
-	spE, aE := w.Env.resolveSpace(in.Space, run[len(run)-1])
-	if w.fragRunUniform(in.Space, run, nb, total, sp, a0, aE, spE) {
+func (w *Warp) moveFragRuns(d *DInstr, sp Space, origin uint64, store bool) {
+	nb := int(d.membytes)
+	signExt := d.In.WMap.Elem == wmma.S8 || d.In.WMap.Elem == wmma.S4
+	for ri := range d.wshape.runs {
+		r := &d.wshape.runs[ri]
+		a, lane, n := origin+r.off, int(r.lane), int(r.n)
+		buf := w.bulk[:n*nb]
 		if sp == Shared {
-			if err := w.sharedSpan(a0, total); err != nil {
-				return err
+			buf = w.Env.Shared[a : a+uint64(n*nb)]
+		}
+		if store {
+			srcs := d.srcs[2+int(r.slot0):][:n]
+			for i := range srcs {
+				switch v := d.val(w, lane, &srcs[i]); nb {
+				case 2:
+					binary.LittleEndian.PutUint16(buf[2*i:], uint16(v))
+				case 4:
+					binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+				default:
+					buf[i] = byte(v)
+				}
 			}
-		}
-		if w.valueFree(d) {
-			return nil
-		}
-		buf := w.bulk[:total]
-		if sp == Shared {
-			copy(buf, w.Env.Shared[a0:a0+total])
-		} else {
-			w.Env.Global.Read(a0, buf)
-		}
-		for i := range run {
-			w.setReg(lane, in.Dst[slot0+i], w.unpackFragElem(buf[uint64(i)*nb:], nb, signExt))
-		}
-		return nil
-	}
-	buf := w.membuf[:nb]
-	for i, a := range run {
-		w.Env.read(in.Space, a, buf)
-		w.setReg(lane, in.Dst[slot0+i], w.unpackFragElem(buf, nb, signExt))
-	}
-	return nil
-}
-
-// unpackFragElem assembles one fragment element's register value from
-// little-endian bytes, with the signed sub-32-bit extension of the
-// per-lane path.
-func (w *Warp) unpackFragElem(src []byte, nb uint64, signExt bool) uint64 {
-	var v uint64
-	for b := int(nb) - 1; b >= 0; b-- {
-		v = v<<8 | uint64(src[b])
-	}
-	if signExt {
-		// Signed integer operands live in registers as s32 values.
-		v = uint64(uint32(int32(int8(v))))
-	}
-	return v
-}
-
-// execWmmaStoreVec is the batched wmma.store data movement: register
-// values are packed per run and written with one Env write per run,
-// preserving the per-lane path's lane-major, slot-ascending write order
-// (runs are slot-ascending and internally disjoint).
-func (w *Warp) execWmmaStoreVec(d *DInstr, res *Result, base, stride uint64) error {
-	in := d.In
-	m := in.WMap
-	p := d.wplan
-	elemBytes := uint64(d.membytes)
-	batched := !w.legacy
-	for lane := 0; lane < 32; lane++ {
-		addrs := w.fragLaneAddrs(p, lane, int(stride), base, elemBytes)
-		if err := forEachFragRun(addrs, elemBytes, func(i, j int) error {
-			return w.storeFragRun(d, lane, addrs[i:j], i, elemBytes)
-		}); err != nil {
-			return err
-		}
-		sp, _ := w.Env.resolveSpace(in.Space, addrs[0])
-		batched = w.emitFragAccesses(res, batched, lane, addrs, m.Elem.Bits(), sp, true)
-	}
-	return nil
-}
-
-// storeFragRun packs one lane's run of consecutive fragment elements
-// and writes it with a single Env write when the run resolves into one
-// state space, else element by element.
-//
-//simlint:hotpath
-func (w *Warp) storeFragRun(d *DInstr, lane int, run []uint64, slot0 int, nb uint64) error {
-	in := d.In
-	total := uint64(len(run)) * nb
-	sp, a0 := w.Env.resolveSpace(in.Space, run[0])
-	spE, aE := w.Env.resolveSpace(in.Space, run[len(run)-1])
-	if w.fragRunUniform(in.Space, run, nb, total, sp, a0, aE, spE) {
-		if sp == Shared {
-			if err := w.sharedSpan(a0, total); err != nil {
-				return err
+			if sp != Shared {
+				w.Env.Global.Write(a, buf)
 			}
+			continue
 		}
-		if w.valueFree(d) {
-			return nil
+		if sp != Shared {
+			w.Env.Global.Read(a, buf)
 		}
-		buf := w.bulk[:total]
-		for i := range run {
-			v := d.val(w, lane, &d.srcs[2+slot0+i])
-			packFragElem(buf[uint64(i)*nb:], nb, v)
+		for i, dst := range d.dsts[r.slot0:][:n] {
+			var v uint64
+			switch nb {
+			case 2:
+				v = uint64(binary.LittleEndian.Uint16(buf[2*i:]))
+			case 4:
+				v = uint64(binary.LittleEndian.Uint32(buf[4*i:]))
+			default:
+				v = uint64(buf[i])
+				if signExt {
+					// Signed integer operands live in registers as s32 values.
+					v = uint64(uint32(int32(int8(v))))
+				}
+			}
+			w.regs[int(dst)*32+lane] = v
 		}
-		if sp == Shared {
-			copy(w.Env.Shared[a0:a0+total], buf)
-		} else {
-			w.Env.Global.Write(a0, buf)
-		}
-		return nil
-	}
-	buf := w.membuf[:nb]
-	for i, a := range run {
-		v := d.val(w, lane, &d.srcs[2+slot0+i])
-		packFragElem(buf, nb, v)
-		w.Env.write(in.Space, a, buf)
-	}
-	return nil
-}
-
-// packFragElem serializes one fragment element into little-endian bytes.
-func packFragElem(dst []byte, nb, v uint64) {
-	for b := 0; b < int(nb); b++ {
-		dst[b] = byte(v >> (8 * b))
 	}
 }
 

@@ -22,6 +22,9 @@ func (w *Warp) uniformOperand(d *DInstr, i int) (uint64, error) {
 	if on == 0 {
 		return 0, fmt.Errorf("ptx: wmma executed with no enabled lanes")
 	}
+	if s := &d.srcs[i]; s.kind == OperandImm {
+		return s.imm, nil
+	}
 	vec := d.srcVec(w, i)
 	v := vec[bits.TrailingZeros32(on)&31]
 	for on &= on - 1; on != 0; on &= on - 1 {
@@ -42,29 +45,20 @@ type fragPiece struct {
 	bits int32
 }
 
-// fragPieces computes one lane's pieces into the warp's reusable scratch.
-func (w *Warp) fragPieces(addrs []uint64, elemBits int) []fragPiece {
-	out := w.pieceBuf[:0]
-	i := 0
-	for i < len(addrs) {
-		j := i + 1
-		for j < len(addrs) && addrs[j] == addrs[j-1]+uint64(elemBits/8) {
-			j++
-		}
+// fragPieces appends one lane's pieces to out.
+func fragPieces(out []fragPiece, addrs []uint64, elemBits int) []fragPiece {
+	for i := 0; i < len(addrs); {
+		j := fragRunEnd(addrs, i, uint64(elemBits/8))
 		bits := (j - i) * elemBits
 		base := addrs[i]
 		for bits > 0 {
-			b := bits
-			if b > 128 {
-				b = 128
-			}
+			b := min(bits, 128)
 			out = append(out, fragPiece{addr: base, bits: int32(b)})
 			base += uint64(b / 8)
 			bits -= b
 		}
 		i = j
 	}
-	w.pieceBuf = out
 	return out
 }
 
@@ -109,7 +103,8 @@ func fragBatch(batch []WarpAccess, lane int, pieces []fragPiece, space Space, st
 // are expanded (in the exact lane-major order the legacy path would have
 // produced) and every remaining lane appends per-lane Accesses.
 func (w *Warp) emitFragAccesses(res *Result, batched bool, lane int, addrs []uint64, elemBits int, space Space, store bool) bool {
-	pieces := w.fragPieces(addrs, elemBits)
+	pieces := fragPieces(w.pieceBuf[:0], addrs, elemBits)
+	w.pieceBuf = pieces
 	if batched {
 		var ok bool
 		if res.Batch, ok = fragBatch(res.Batch, lane, pieces, space, store); ok {
@@ -132,6 +127,9 @@ func (w *Warp) laneAddrs(n int) []uint64 {
 	return w.addrBuf
 }
 
+// execWmmaLoad and execWmmaStore hand the instruction to its decode-time
+// access shape (execFragShape, wmma_batch.go) and keep what that declines:
+// the per-lane loops, which are also the tests' reference.
 func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
 	in := d.In
 	m := in.WMap
@@ -139,15 +137,15 @@ func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
 	if err != nil {
 		return err
 	}
+	if w.execFragShape(d, res, base, false) {
+		return nil
+	}
 	stride, err := w.uniformOperand(d, 1)
 	if err != nil {
 		return err
 	}
 	elemBytes := uint64(d.membytes)
-	if w.fragVec(d) && d.wplan != nil {
-		return w.execWmmaLoadVec(d, res, base, stride)
-	}
-	buf := w.membuf[:4]
+	buf := w.membuf[:elemBytes]
 	batched := !w.legacy
 	for lane := 0; lane < 32; lane++ {
 		if !w.laneEnabled(lane, in) {
@@ -158,7 +156,9 @@ func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
 			off := memOffsetFor(m, c, int(stride))
 			addr := base + uint64(off)*elemBytes
 			addrs[slot] = addr
-			w.Env.read(in.Space, addr, buf[:elemBytes])
+			if err := w.fragElem(in.Space, addr, buf, false); err != nil {
+				return err
+			}
 			var v uint64
 			for b := int(elemBytes) - 1; b >= 0; b-- {
 				v = v<<8 | uint64(buf[b])
@@ -182,15 +182,15 @@ func (w *Warp) execWmmaStore(d *DInstr, res *Result) error {
 	if err != nil {
 		return err
 	}
+	if w.execFragShape(d, res, base, true) {
+		return nil
+	}
 	stride, err := w.uniformOperand(d, 1)
 	if err != nil {
 		return err
 	}
 	elemBytes := uint64(d.membytes)
-	if w.fragVec(d) && d.wplan != nil {
-		return w.execWmmaStoreVec(d, res, base, stride)
-	}
-	buf := w.membuf[:4]
+	buf := w.membuf[:elemBytes]
 	batched := !w.legacy
 	for lane := 0; lane < 32; lane++ {
 		if !w.laneEnabled(lane, in) {
@@ -202,13 +202,39 @@ func (w *Warp) execWmmaStore(d *DInstr, res *Result) error {
 			addr := base + uint64(off)*elemBytes
 			addrs[slot] = addr
 			v := w.operand(lane, &in.Src[2+slot])
-			for b := 0; b < int(elemBytes); b++ {
+			for b := range buf {
 				buf[b] = byte(v >> (8 * b))
 			}
-			w.Env.write(in.Space, addr, buf[:elemBytes])
+			if err := w.fragElem(in.Space, addr, buf, true); err != nil {
+				return err
+			}
 		}
 		sp, _ := w.Env.resolveSpace(in.Space, addrs[0])
 		batched = w.emitFragAccesses(res, batched, lane, addrs, m.Elem.Bits(), sp, true)
+	}
+	return nil
+}
+
+// fragElem moves one fragment element between buf and memory on the
+// per-lane path, with the bounds check of the shared window (sharedSpan)
+// ahead of the copy: an element that starts inside the window and ends
+// outside it is an error, not a slice panic.
+func (w *Warp) fragElem(space Space, addr uint64, buf []byte, store bool) error {
+	sp, a := w.Env.resolveSpace(space, addr)
+	switch {
+	case sp != Shared && store:
+		w.Env.Global.Write(a, buf)
+	case sp != Shared:
+		w.Env.Global.Read(a, buf)
+	default:
+		if err := w.sharedSpan(a, uint64(len(buf))); err != nil {
+			return err
+		}
+		if store {
+			copy(w.Env.Shared[a:], buf)
+		} else {
+			copy(buf, w.Env.Shared[a:])
+		}
 	}
 	return nil
 }

@@ -90,14 +90,15 @@ type fragRun struct {
 }
 
 // runFragKernel executes the kernel on every warp of one CTA with the
-// fragment path selected by legacy.
-func runFragKernel(t *testing.T, k *Kernel, legacy bool, block Dim3, args []uint64) fragRun {
+// fragment path selected by legacy; shared, when not nil, is the window's
+// initial content.
+func runFragKernel(t *testing.T, k *Kernel, legacy bool, block Dim3, args []uint64, shared []byte) fragRun {
 	t.Helper()
 	defer SwapLegacyFragmentPath(legacy)()
 	mem := newFragTestMem()
 	env := &Env{
 		Global:   mem,
-		Shared:   make([]byte, k.SharedBytes),
+		Shared:   append(make([]byte, 0, k.SharedBytes), shared...)[:k.SharedBytes],
 		GridDim:  D1(1),
 		BlockDim: block,
 		Clock:    func() uint64 { return 0 },
@@ -212,8 +213,8 @@ func TestFragmentPathMatchesLegacy(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := wmmaRoundTrip(t, tc.cfg, tc.cLayout, tc.shared)
-			legacy := runFragKernel(t, k, true, tc.block, tc.args)
-			batched := runFragKernel(t, k, false, tc.block, tc.args)
+			legacy := runFragKernel(t, k, true, tc.block, tc.args, nil)
+			batched := runFragKernel(t, k, false, tc.block, tc.args, nil)
 			compareFragRuns(t, legacy, batched)
 		})
 	}
@@ -257,15 +258,16 @@ func coordBits(seed uint64, c wmma.Coord) uint64 {
 // the scattered registers, and the per-lane memory addresses must all be
 // bit-identical.
 func FuzzFragGatherMatchesReference(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint64(1), int64(16))
-	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint64(2), int64(256))
-	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), uint8(1), uint64(3), int64(1))
-	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint64(4), int64(8))
-	f.Add(uint8(1), uint8(2), uint8(1), uint8(1), uint8(0), uint64(5), int64(-16))
-	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), uint8(2), uint64(6), int64(3))
-	f.Add(uint8(1), uint8(0), uint8(2), uint8(0), uint8(6), uint64(7), int64(17))
-	f.Add(uint8(1), uint8(3), uint8(1), uint8(1), uint8(4), uint64(8), int64(32))
-	f.Fuzz(func(t *testing.T, archSel, shapeSel, opSel, layoutSel, elemSel uint8, seed uint64, stride int64) {
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint64(1), int64(16), uint64(1))
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint64(2), int64(256), uint64(4096))
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), uint8(1), uint64(3), int64(1), uint64(SharedBase))
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint64(4), int64(8), uint64(SharedBase+2048))
+	f.Add(uint8(1), uint8(2), uint8(1), uint8(1), uint8(0), uint64(5), int64(-16), uint64(SharedBase-16))
+	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), uint8(2), uint64(6), int64(3), uint64(77))
+	f.Add(uint8(1), uint8(0), uint8(2), uint8(0), uint8(6), uint64(7), int64(17), uint64(SharedBase+4096-32))
+	f.Add(uint8(1), uint8(3), uint8(1), uint8(1), uint8(4), uint64(8), int64(32), uint64(1<<63))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint64(9), int64(16), ^uint64(7)) // the span wraps
+	f.Fuzz(func(t *testing.T, archSel, shapeSel, opSel, layoutSel, elemSel uint8, seed uint64, stride int64, base uint64) {
 		arch := wmma.Arch(archSel % 2)
 		shape := []wmma.Shape{wmma.M16N16K16, wmma.M32N8K16, wmma.M8N32K16, wmma.M8N8K32}[shapeSel%4]
 		op := wmma.Operand(opSel % 3)
@@ -358,16 +360,215 @@ func FuzzFragGatherMatchesReference(f *testing.F) {
 		// Addresses: the plan's factored offsets must reproduce
 		// memOffsetFor for any stride, including negative and tiny ones.
 		elemBytes := uint64(cuda4BitBytes(elem))
-		base := seed&0xffff + 1
-		for lane := 0; lane < 32; lane++ {
-			addrs := w.fragLaneAddrs(p, lane, int(stride), base, elemBytes)
+		ref := make([][]uint64, 32)
+		for lane := range ref {
+			ref[lane] = make([]uint64, p.slots)
+			fragLaneAddrs(ref[lane], p, lane, int(stride), base, elemBytes)
 			for slot, c := range m.Lanes[lane] {
 				want := base + uint64(memOffsetFor(m, c, int(stride)))*elemBytes
-				if addrs[slot] != want {
+				if ref[lane][slot] != want {
 					t.Fatalf("lane %d slot %d addr %#x, want %#x (stride %d)",
-						lane, slot, addrs[slot], want, stride)
+						lane, slot, ref[lane][slot], want, stride)
+				}
+			}
+		}
+
+		// The decode-time shape, built at base 0, must be what the
+		// per-execution definitions produce on the absolute addresses:
+		// pieces, runs and span, at any base; and no shape exactly when an
+		// offset is untamed or lanes disagree on piece structure.
+		sh := shapeFragment(p, int(stride), elemBytes, elem.Bits())
+		if want := fragShapeExpected(m, int(stride)); (sh != nil) != want {
+			t.Fatalf("shape present = %v, expected %v (stride %d)", sh != nil, want, stride)
+		}
+		if sh == nil {
+			return
+		}
+		var runs []fragDataRun
+		for lane := range ref {
+			pieces := fragPieces(nil, ref[lane], elem.Bits())
+			if len(pieces) != len(sh.groups) {
+				t.Fatalf("lane %d: %d pieces, %d groups", lane, len(pieces), len(sh.groups))
+			}
+			for k, pc := range pieces {
+				if g := &sh.groups[k]; g.bits != pc.bits || base+g.off[lane] != pc.addr {
+					t.Fatalf("lane %d piece %d = {%#x %d}, want %+v (stride %d)", lane, k, base+g.off[lane], g.bits, pc, stride)
+				}
+			}
+			for i := 0; i < p.slots; {
+				j := fragRunEnd(ref[lane], i, elemBytes)
+				runs = append(runs, fragDataRun{lane: uint8(lane), slot0: uint8(i), n: uint8(j - i), off: ref[lane][i] - base})
+				i = j
+			}
+			for _, a := range ref[lane] {
+				if a-base < sh.lo || a-base+elemBytes > sh.hi {
+					t.Fatalf("lane %d element at +%#x outside the span [%#x,%#x)", lane, a-base, sh.lo, sh.hi)
+				}
+			}
+		}
+		if !reflect.DeepEqual(runs, sh.runs) {
+			t.Fatalf("runs differ (stride %d)\nshape: %v\nwant:  %v", stride, sh.runs, runs)
+		}
+
+		// The once-per-execution space decision must be every element's:
+		// same space, same offset, inside the window.
+		w.Env.Shared = make([]byte, 4096)
+		for _, space := range []Space{Generic, Shared, Global} {
+			sp, sub, ok := w.fragSpace(space, base+sh.lo, base+sh.hi)
+			if !ok {
+				continue
+			}
+			for lane := range ref {
+				for _, a := range ref[lane] {
+					esp, ea := w.Env.resolveSpace(space, a)
+					if esp != sp || ea != a-sub || sp == Shared && w.sharedSpan(ea, elemBytes) != nil {
+						t.Fatalf("%v span resolved to %v-%#x, element %#x to %v %#x", space, sp, sub, a, esp, ea)
+					}
 				}
 			}
 		}
 	})
+}
+
+// fragShapeExpected says whether a mapping and leading dimension should
+// get a decode-time shape, from the per-lane definitions alone: every
+// offset tame and every lane cut into the same pieces.
+func fragShapeExpected(m *wmma.Mapping, ld int) bool {
+	elemBytes := uint64(cuda4BitBytes(m.Elem))
+	var first []fragPiece
+	for lane := range m.Lanes {
+		var addrs []uint64
+		for _, c := range m.Lanes[lane] {
+			addrs = append(addrs, uint64(memOffsetFor(m, c, ld))*elemBytes)
+			if addrs[len(addrs)-1] >= fragSpanLimit {
+				return false
+			}
+		}
+		pieces := fragPieces(nil, addrs, m.Elem.Bits())
+		if lane == 0 {
+			first = pieces
+		}
+		if len(pieces) != len(first) {
+			return false
+		}
+		for k := range pieces {
+			if pieces[k].bits != first[k].bits {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestFragShapeMatchesPerLane is the decode-time shape's equivalence net:
+// every mapping the repository supports, loaded (and, for accumulators,
+// stored) at leading dimensions from the generators' to the absurd and at
+// bases in global memory, inside the shared window and across each of its
+// edges, must leave the access stream, registers, global and shared bytes
+// the per-lane path leaves — and have a shape exactly where specified.
+func TestFragShapeMatchesPerLane(t *testing.T) {
+	const window = 32 << 10
+	sharedInit := seededBytes(window, 23)
+	spaces := &Warp{Env: &Env{Shared: sharedInit}} // fragSpace reads the window's size alone
+	bases := []struct {
+		name    string
+		addr    uint64
+		covered bool // a tile-sized span from here lies in one state space
+	}{
+		{"global", 4096, true},
+		{"inside", SharedBase + 256, true},
+		{"below-window", SharedBase - 16, false},
+		{"window-end", SharedBase + window - 16, false},
+		{"address-wrap", ^uint64(15), false},
+	}
+	shapes := []wmma.Shape{wmma.M16N16K16, wmma.M32N8K16, wmma.M8N32K16, wmma.M8N8K32}
+	elems := []wmma.Precision{wmma.F16, wmma.F32, wmma.S8, wmma.U8, wmma.S4, wmma.U4, wmma.S32}
+	mappings := 0
+	for _, arch := range []wmma.Arch{wmma.Volta, wmma.Turing} {
+		for _, shape := range shapes {
+			for _, op := range []wmma.Operand{wmma.MatrixA, wmma.MatrixB, wmma.MatrixC} {
+				for _, layout := range []tensor.Layout{tensor.RowMajor, tensor.ColMajor} {
+					for _, elem := range elems {
+						m, err := wmma.Map(arch, shape, op, layout, elem)
+						if err != nil {
+							continue
+						}
+						mappings++
+						rows, cols := shape.Dims(op)
+						tight := cols
+						if layout == tensor.ColMajor {
+							tight = rows
+						}
+						for _, ld := range []int{tight, tight + 8, 128, 0, 1, 1 << 31} {
+							production := ld == tight || ld == tight+8 || ld == 128
+							for _, store := range []bool{false, true} {
+								if store && op != wmma.MatrixC {
+									continue
+								}
+								b := NewBuilder("fragshape")
+								b.Shared(window)
+								dst := b.Param("dst", U64)
+								var frag []Reg
+								if store {
+									frag = b.WmmaLoad(arch, shape, op, layout, elem, Imm(64), Imm(uint64(tight)))
+									b.WmmaStore(arch, shape, layout, elem, R(dst), frag, Imm(uint64(ld)))
+								} else {
+									b.WmmaLoad(arch, shape, op, layout, elem, R(dst), Imm(uint64(ld)))
+								}
+								b.Exit()
+								k := b.MustBuild()
+								d := &k.prog[len(k.prog)-2]
+								if want := fragShapeExpected(m, ld); (d.wshape != nil) != want || production && !want {
+									t.Fatalf("%v %v %v %v %v ld %d: shape present = %v, expected %v (production ld: %v)",
+										arch, shape, op, layout, elem, ld, d.wshape != nil, want, production)
+								}
+								for _, base := range bases {
+									perLane := runFragKernel(t, k, true, D1(32), []uint64{base.addr}, sharedInit)
+									shaped := runFragKernel(t, k, false, D1(32), []uint64{base.addr}, sharedInit)
+									compareFragRuns(t, perLane, shaped)
+									if t.Failed() {
+										t.Fatalf("%v %v %v %v %v ld %d store %v at %s", arch, shape, op, layout, elem, ld, store, base.name)
+									}
+									if !production {
+										continue
+									}
+									// The generators' cases must really take the shape
+									// path, and the edge cases really leave it.
+									if _, _, ok := spaces.fragSpace(Generic, base.addr+d.wshape.lo, base.addr+d.wshape.hi); ok != base.covered {
+										t.Fatalf("%v %v %v %v %v ld %d at %s: span covered = %v, want %v",
+											arch, shape, op, layout, elem, ld, base.name, ok, base.covered)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if mappings < 100 {
+		t.Fatalf("only %d mappings enumerated; the sweep is broken", mappings)
+	}
+}
+
+// No supported mapping cuts its lanes into different pieces at any leading
+// dimension, so the refusal — the batch's slot alignment cannot hold — is
+// pinned on a hand-made one: lane 0 holds halves 0, 1 and 3 of a row (a
+// 32-bit piece, then a 16-bit one), every other lane halves 0, 2 and 3 (16
+// bits, then 32).
+func TestFragShapeRefusesRaggedLanes(t *testing.T) {
+	var lanes [wmma.WarpSize][]wmma.Coord
+	for lane := range lanes {
+		lanes[lane] = []wmma.Coord{{Row: 0, Col: 0}, {Row: 0, Col: 2}, {Row: 0, Col: 3}}
+	}
+	even := &wmma.Mapping{Arch: wmma.Volta, Shape: wmma.M16N16K16, Op: wmma.MatrixA, Layout: tensor.RowMajor, Elem: wmma.F16, Lanes: lanes}
+	if sh := shapeFragment(planFragment(even), 16, 2, 16); sh == nil || len(sh.groups) != 2 || !fragShapeExpected(even, 16) {
+		t.Fatalf("lanes that agree got shape %+v", sh)
+	}
+	lanes[0] = []wmma.Coord{{Row: 0, Col: 0}, {Row: 0, Col: 1}, {Row: 0, Col: 3}}
+	ragged := *even
+	ragged.Lanes = lanes
+	if sh := shapeFragment(planFragment(&ragged), 16, 2, 16); sh != nil || fragShapeExpected(&ragged, 16) {
+		t.Fatalf("lanes that disagree on piece structure got shape %+v", sh)
+	}
 }
