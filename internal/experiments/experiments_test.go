@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/gpu"
 )
 
 // quickCache memoizes Quick-mode tables per test process: the artifacts
@@ -240,5 +242,17 @@ func TestScaledTitanV(t *testing.T) {
 	}
 	if slice.Mem.DRAMBytesPerCycle >= full.Mem.DRAMBytesPerCycle {
 		t.Error("slice must scale DRAM bandwidth down")
+	}
+	// Every slice keeps a memory geometry the model accepts, as do the
+	// two full parts.
+	for sms := 1; sms <= 80; sms++ {
+		if err := scaledTitanV(sms).Validate(); err != nil {
+			t.Errorf("%d-SM slice: %v", sms, err)
+		}
+	}
+	for _, cfg := range []gpu.Config{gpu.TitanV(), gpu.RTX2080()} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", cfg.Name, err)
+		}
 	}
 }

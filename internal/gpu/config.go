@@ -187,7 +187,7 @@ func (c Config) Validate() error {
 	if c.HMMAIIScale < 1 {
 		return fmt.Errorf("gpu: HMMAIIScale must be ≥ 1")
 	}
-	return nil
+	return c.Mem.Validate()
 }
 
 // AppendLaunchKey appends the config's part of a launch's content

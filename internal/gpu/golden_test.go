@@ -3,6 +3,7 @@ package gpu
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -40,6 +41,7 @@ type goldenEntry struct {
 func goldenWorkloads(t *testing.T) []struct {
 	name string
 	spec LaunchSpec
+	cfg  func(*Config) // applied after the 2-SM default; nil for none
 } {
 	t.Helper()
 	build := func(l *kernels.Launch, err error) LaunchSpec {
@@ -66,17 +68,65 @@ func goldenWorkloads(t *testing.T) []struct {
 			Global: ptx.NewFlatMemory(640 << 10),
 		}
 	}
+	// The eviction cell: a lane-stride-33 copy (every lane its own
+	// sector, the shape of bench's copy_stride_33) over two 256 KiB
+	// buffers on the 4-SM Titan V slice, whose one L2 bank holds 115 sets
+	// of 16 × 128 B: a non-power-of-two set count, and 230 KiB against
+	// the 512 KiB the copy touches, so L1 and L2 both evict and the one
+	// DRAM channel queues. No other cell evicts from L2.
+	const words = 1 << 16
+	copyKernel, err := ptx.Parse(fmt.Sprintf(goldenCopySrc, words-1, 8*256*33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice4 := func(c *Config) { // experiments' scaledTitanV(4)
+		c.NumSMs = 4
+		c.Mem.L2SizeBytes, c.Mem.L2Banks = 235929, 1
+		c.Mem.DRAMChannels, c.Mem.DRAMBytesPerCycle = 1, 21
+	}
 	return []struct {
 		name string
 		spec LaunchSpec
+		cfg  func(*Config)
 	}{
-		{"sgemm-simt-64x64x32", build(kernels.SGEMMSimt(64, 64, 32))},
-		{"hgemm-simt-64x128x16", build(kernels.HGEMMSimt(64, 128, 16))},
-		{"wmma-mixed-64x64x32", build(kernels.WMMAGemmShared(kernels.TensorMixed, 64, 64, 32))},
-		{"wmma-fp16-32x32x64", build(kernels.WMMAGemmShared(kernels.TensorFP16, 32, 32, 64))},
-		{"sgemm-simt-pressure-256x256x32", buildPressure(kernels.SGEMMSimt(256, 256, 32))},
+		{"sgemm-simt-64x64x32", build(kernels.SGEMMSimt(64, 64, 32)), nil},
+		{"hgemm-simt-64x128x16", build(kernels.HGEMMSimt(64, 128, 16)), nil},
+		{"wmma-mixed-64x64x32", build(kernels.WMMAGemmShared(kernels.TensorMixed, 64, 64, 32)), nil},
+		{"wmma-fp16-32x32x64", build(kernels.WMMAGemmShared(kernels.TensorFP16, 32, 32, 64)), nil},
+		{"sgemm-simt-pressure-256x256x32", buildPressure(kernels.SGEMMSimt(256, 256, 32)), nil},
+		{"copy-stride33-l2-evict", LaunchSpec{
+			Kernel: copyKernel, Grid: ptx.D1(8), Block: ptx.D1(256),
+			Args:   []uint64{0, 4 * words},
+			Global: ptx.NewFlatMemory(8 * words),
+		}, slice4},
 	}
 }
+
+// goldenCopySrc is the eviction cell's kernel: thread gid copies word
+// j = gid*33 + it*step (wrapped by the mask) for 16 iterations.
+const goldenCopySrc = `
+.target sm_70
+.entry copy_stride_33(.param .u64 src, .param .u64 dst)
+{
+  mov.u32      %%tid, %%tid.x;
+  mov.u32      %%cta, %%ctaid.x;
+  mov.u32      %%nt, %%ntid.x;
+  mad.u32      %%gid, %%cta, %%nt, %%tid;
+  mul.u32      %%j, %%gid, 33;
+  mov.u32      %%it, 0;
+loop:
+  and.u32      %%w, %%j, %[1]d;
+  mul.wide.u32 %%off, %%w, 4;
+  add.u64      %%sp, %%off, %%src;
+  add.u64      %%dp, %%off, %%dst;
+  ld.global.32 %%v, [%%sp];
+  st.global.32 [%%dp], %%v;
+  add.u32      %%j, %%j, %[2]d;
+  add.u32      %%it, %%it, 1;
+  setp.lt.u32  %%p, %%it, 16;
+@%%p bra loop;
+  exit;
+}`
 
 // runGolden simulates the basket under every policy, each spec passed
 // through mod first (nil: as the fixture was recorded).
@@ -88,6 +138,9 @@ func runGolden(t *testing.T, mod func(*LaunchSpec)) []goldenEntry {
 			cfg := TitanV()
 			cfg.NumSMs = 2
 			cfg.Scheduler = pol
+			if w.cfg != nil {
+				w.cfg(&cfg)
+			}
 			sim, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

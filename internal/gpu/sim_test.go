@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/ptx"
@@ -364,5 +365,11 @@ func TestConfigValidate(t *testing.T) {
 	cfg.TensorCoresPerSubCore = 3
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid tensor core count should be rejected")
+	}
+	// A memory geometry that used to divide by zero inside New.
+	cfg = TitanV()
+	cfg.Mem.L2Banks = 0
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "L2Banks") {
+		t.Errorf("zero L2 banks: New returned %v, want an error naming L2Banks", err)
 	}
 }

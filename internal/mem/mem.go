@@ -8,6 +8,12 @@
 // of detail the paper's experiments exercise (Figures 14–17).
 package mem
 
+import (
+	"fmt"
+	"reflect"
+	"strings"
+)
+
 // Request is one lane's memory access as the coalescer sees it.
 type Request struct {
 	Addr  uint64
@@ -65,6 +71,42 @@ func TitanV() Config {
 		DRAMBytesPerCycle: 427,
 		DRAMChannels:      24,
 	}
+}
+
+// Validate rejects a geometry the model cannot honour: a non-positive
+// size, count or rate, a negative latency, and cache lines and sectors
+// Cache cannot shift by (DESIGN.md "Cache model").
+func (c Config) Validate() error {
+	v := reflect.ValueOf(c)
+	for i := range v.NumField() {
+		name, min := v.Type().Field(i).Name, int64(1)
+		if strings.HasSuffix(name, "Latency") {
+			min = 0
+		}
+		if x := v.Field(i).Int(); x < min {
+			return fmt.Errorf("mem: %s = %d, want ≥ %d", name, x, min)
+		}
+	}
+	if err := cacheGeometry("L1", c.L1LineBytes, c.L1Ways, c.SectorBytes); err != nil {
+		return err
+	}
+	return cacheGeometry("L2", c.L2LineBytes, c.L2Ways, c.SectorBytes)
+}
+
+// cacheGeometry checks one cache level. A line of ≥ 2 bytes keeps every
+// tag below 2⁶³, so Cache stores it with its validity bit in one word.
+func cacheGeometry(level string, lineBytes, ways, sectorBytes int) error {
+	switch {
+	case sectorBytes < 1 || sectorBytes&(sectorBytes-1) != 0:
+		return fmt.Errorf("mem: SectorBytes = %d, want a power of two", sectorBytes)
+	case lineBytes < 2 || lineBytes&(lineBytes-1) != 0:
+		return fmt.Errorf("mem: %sLineBytes = %d, want a power of two ≥ 2", level, lineBytes)
+	case lineBytes < sectorBytes || lineBytes > 32*sectorBytes:
+		return fmt.Errorf("mem: %sLineBytes = %d, want 1 to 32 sectors of %d bytes", level, lineBytes, sectorBytes)
+	case ways < 1 || ways > maxWays:
+		return fmt.Errorf("mem: %sWays = %d, want 1 to %d", level, ways, maxWays)
+	}
+	return nil
 }
 
 // Coalesce merges the per-lane requests of one warp instruction into the

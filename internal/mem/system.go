@@ -10,13 +10,27 @@ type System struct {
 	l2Free   []uint64 // next free cycle per L2 bank port
 	dramFree []uint64 // next free cycle per DRAM channel
 
+	// A sector's index is its address >> secShift, its L2 bank and DRAM
+	// channel that index modulo their counts; service times per sector.
+	secShift               uint
+	banks, channels        divisor
+	l2Service, dramService uint64
+
 	L2Accesses   uint64
 	DRAMAccesses uint64
 }
 
 // NewSystem builds the shared memory system for a chip.
 func NewSystem(cfg Config) *System {
-	s := &System{cfg: cfg}
+	perChannel := max(1, cfg.DRAMBytesPerCycle/cfg.DRAMChannels)
+	s := &System{
+		cfg:         cfg,
+		secShift:    log2(cfg.SectorBytes),
+		banks:       newDivisor(cfg.L2Banks),
+		channels:    newDivisor(cfg.DRAMChannels),
+		l2Service:   uint64(max(1, cfg.SectorBytes/cfg.L2BytesPerCycle)),
+		dramService: uint64((cfg.SectorBytes + perChannel - 1) / perChannel),
+	}
 	s.l2 = make([]*Cache, cfg.L2Banks)
 	s.l2Free = make([]uint64, cfg.L2Banks)
 	for i := range s.l2 {
@@ -44,19 +58,14 @@ func (s *System) L2HitRate() float64 {
 
 // accessL2 serves one sector at the L2/DRAM level, returning the cycle the
 // data is available.
+//
+//simlint:hotpath
 func (s *System) accessL2(now uint64, sector uint64) uint64 {
 	s.L2Accesses++
-	bank := int(sector / uint64(s.cfg.SectorBytes) % uint64(s.cfg.L2Banks))
+	_, bank := s.banks.divmod(sector >> s.secShift)
 	// Queue on the bank port.
-	start := now
-	if s.l2Free[bank] > start {
-		start = s.l2Free[bank]
-	}
-	service := uint64(s.cfg.SectorBytes / s.cfg.L2BytesPerCycle)
-	if service == 0 {
-		service = 1
-	}
-	s.l2Free[bank] = start + service
+	start := max(now, s.l2Free[bank])
+	s.l2Free[bank] = start + s.l2Service
 	if s.l2[bank].Access(sector) {
 		return start + uint64(s.cfg.L2HitLatency)
 	}
@@ -64,20 +73,13 @@ func (s *System) accessL2(now uint64, sector uint64) uint64 {
 	return s.accessDRAM(start+uint64(s.cfg.L2HitLatency), sector)
 }
 
+//simlint:hotpath
 func (s *System) accessDRAM(now uint64, sector uint64) uint64 {
 	s.DRAMAccesses++
-	ch := int(sector / uint64(s.cfg.SectorBytes) % uint64(s.cfg.DRAMChannels))
-	start := now
-	if s.dramFree[ch] > start {
-		start = s.dramFree[ch]
-	}
-	perChannel := s.cfg.DRAMBytesPerCycle / s.cfg.DRAMChannels
-	if perChannel < 1 {
-		perChannel = 1
-	}
-	service := uint64((s.cfg.SectorBytes + perChannel - 1) / perChannel)
-	s.dramFree[ch] = start + service
-	return start + service + uint64(s.cfg.DRAMLatency)
+	_, ch := s.channels.divmod(sector >> s.secShift)
+	start := max(now, s.dramFree[ch])
+	s.dramFree[ch] = start + s.dramService
+	return start + s.dramService + uint64(s.cfg.DRAMLatency)
 }
 
 // SMPort is one SM's window into the memory system: a private L1, the
@@ -129,7 +131,7 @@ func (p *SMPort) AccessGlobal(now uint64, reqs []Request) uint64 {
 // AccessGlobalVecs is AccessGlobal for batched warp access groups: same
 // LSU/L1/L2 timing over the sector list of the vectorized coalescer.
 func (p *SMPort) AccessGlobalVecs(now uint64, vecs []AddrVec) uint64 {
-	p.sectors = coalesceVecsInto(p.sectors[:0], &p.secSet, &p.sys.cfg, vecs)
+	p.sectors = coalesceVecsInto(p.sectors[:0], &p.secSet, p.sys.secShift, vecs)
 	return p.globalTiming(now, len(vecs) > 0 && vecs[0].Store)
 }
 

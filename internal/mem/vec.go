@@ -116,16 +116,16 @@ func vecBytes(bits int32) uint64 {
 // CoalesceVecs is the batched Coalesce: the distinct sectors touched by
 // the access groups, in the first-touch order of their lane-major
 // expansion (so it matches Coalesce on the equivalent Request slice).
+// cfg.SectorBytes must be a power of two, as Validate requires.
 func CoalesceVecs(cfg Config, vecs []AddrVec) []uint64 {
-	return coalesceVecsInto(nil, &sectorSet{}, &cfg, vecs)
+	return coalesceVecsInto(nil, &sectorSet{}, log2(cfg.SectorBytes), vecs)
 }
 
 // coalesceVecsInto is CoalesceVecs appending into a reusable buffer with
-// a reusable dedup set.
+// a reusable dedup set; a sector is 1<<shift bytes.
 //
 //simlint:hotpath
-func coalesceVecsInto(out []uint64, set *sectorSet, cfg *Config, vecs []AddrVec) []uint64 {
-	sec := uint64(cfg.SectorBytes)
+func coalesceVecsInto(out []uint64, set *sectorSet, shift uint, vecs []AddrVec) []uint64 {
 	if len(vecs) == 1 {
 		v := &vecs[0]
 		if v.Mask == 0 {
@@ -140,25 +140,25 @@ func coalesceVecsInto(out []uint64, set *sectorSet, cfg *Config, vecs []AddrVec)
 			// half alone — its (often unit-stride) shape then classifies
 			// as sorted instead of scattered.
 			half := AddrVec{Addr: v.Addr, Mask: 0xffff, Bits: v.Bits, Store: v.Store}
-			return coalesceOneVec(out, set, sec, &half)
+			return coalesceOneVec(out, set, shift, &half)
 		}
-		return coalesceOneVec(out, set, sec, v)
+		return coalesceOneVec(out, set, shift, v)
 	}
-	return coalesceHash(out, set, sec, vecs)
+	return coalesceHash(out, set, shift, vecs)
 }
 
 // coalesceOneVec dispatches a single non-empty group on its classified
 // shape.
 //
 //simlint:hotpath
-func coalesceOneVec(out []uint64, set *sectorSet, sec uint64, v *AddrVec) []uint64 {
+func coalesceOneVec(out []uint64, set *sectorSet, shift uint, v *AddrVec) []uint64 {
 	bytes := vecBytes(v.Bits)
 	switch classifyVec(v, bytes) {
 	case vecUniform:
 		// One lane's span; every other masked lane duplicates it.
-		a := v.Addr[firstLane(v.Mask)]
-		for s := a / sec; s <= (a+bytes-1)/sec; s++ {
-			out = append(out, s*sec)
+		a := v.Addr[bits.TrailingZeros32(v.Mask)]
+		for s := a >> shift; s <= (a+bytes-1)>>shift; s++ {
+			out = append(out, s<<shift)
 		}
 		return out
 	case vecUnitStride:
@@ -168,33 +168,23 @@ func coalesceOneVec(out []uint64, set *sectorSet, sec uint64, v *AddrVec) []uint
 		// through the exported API) keeps per-lane legacy semantics via
 		// the general path.
 		if a := v.Addr[0]; a <= a+32*bytes-1 {
-			for s := a / sec; s <= (a+32*bytes-1)/sec; s++ {
-				out = append(out, s*sec)
+			for s := a >> shift; s <= (a+32*bytes-1)>>shift; s++ {
+				out = append(out, s<<shift)
 			}
 			return out
 		}
 	case vecSorted:
-		return coalesceSorted(out, sec, v, bytes)
+		return coalesceSorted(out, shift, v, bytes)
 	}
 	one := [1]AddrVec{*v}
-	return coalesceHash(out, set, sec, one[:])
-}
-
-// firstLane returns the lowest set lane of a non-zero mask.
-func firstLane(mask uint32) int {
-	for lane := 0; lane < 32; lane++ {
-		if mask&(1<<lane) != 0 {
-			return lane
-		}
-	}
-	return 0
+	return coalesceHash(out, set, shift, one[:])
 }
 
 // coalesceSorted dedups a non-decreasing address vector in one pass.
 // With non-decreasing lane starts and contiguous per-lane spans, a sector
 // is previously seen iff it does not exceed the maximum sector seen — so
 // first-touch dedup needs only that running maximum.
-func coalesceSorted(out []uint64, sec uint64, v *AddrVec, bytes uint64) []uint64 {
+func coalesceSorted(out []uint64, shift uint, v *AddrVec, bytes uint64) []uint64 {
 	var maxSeen uint64
 	have := false
 	for lane := 0; lane < 32; lane++ {
@@ -202,9 +192,9 @@ func coalesceSorted(out []uint64, sec uint64, v *AddrVec, bytes uint64) []uint64
 			continue
 		}
 		a := v.Addr[lane]
-		for s := a / sec; s <= (a+bytes-1)/sec; s++ {
+		for s := a >> shift; s <= (a+bytes-1)>>shift; s++ {
 			if !have || s > maxSeen {
-				out = append(out, s*sec)
+				out = append(out, s<<shift)
 				maxSeen, have = s, true
 			}
 		}
@@ -217,7 +207,7 @@ func coalesceSorted(out []uint64, sec uint64, v *AddrVec, bytes uint64) []uint64
 // rescan of everything emitted so far. If an instruction somehow touches
 // more sectors than the set's capacity the tail degrades to the legacy
 // linear scan rather than failing.
-func coalesceHash(out []uint64, set *sectorSet, sec uint64, vecs []AddrVec) []uint64 {
+func coalesceHash(out []uint64, set *sectorSet, shift uint, vecs []AddrVec) []uint64 {
 	set.reset()
 	linear := false
 	for lane := 0; lane < 32; lane++ {
@@ -230,8 +220,8 @@ func coalesceHash(out []uint64, set *sectorSet, sec uint64, vecs []AddrVec) []ui
 			bytes := vecBytes(v.Bits)
 			a := v.Addr[lane]
 		sectors:
-			for s := a / sec; s <= (a+bytes-1)/sec; s++ {
-				addr := s * sec
+			for s := a >> shift; s <= (a+bytes-1)>>shift; s++ {
+				addr := s << shift
 				if !linear {
 					added, full := set.insert(addr)
 					if !full {
