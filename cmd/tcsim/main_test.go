@@ -80,6 +80,37 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
+// The MAX PERF kernel on the full 80-SM chip (Section V-C reports 109.6
+// TFLOPS in FP16 mode and 108.7 in mixed precision against a 125 peak).
+// Nothing stores its products, so every launch skips them and the full
+// chip costs a fraction of a second.
+func TestMaxPerfThroughput(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fp16acc"}, "107.84 TFLOPS"},
+		{nil, "106.54 TFLOPS"},
+	} {
+		out, err := os.CreateTemp(t.TempDir(), "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = out
+		var stderr bytes.Buffer
+		code := run(append([]string{"-kernel", "maxperf"}, c.args...), &stderr)
+		os.Stdout = stdout
+		got, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != exitOK || !strings.Contains(string(got), "80 SMs") || !strings.Contains(string(got), "throughput  : "+c.want) {
+			t.Errorf("maxperf %v = exit %d, want 80 SMs at %s:\n%s%s", c.args, code, c.want, got, stderr.String())
+		}
+	}
+}
+
 // Negative or absurd dimension/SM/worker flags must be rejected at the
 // flag boundary instead of panicking inside the kernel generators or
 // being silently ignored.

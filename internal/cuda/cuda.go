@@ -26,13 +26,17 @@ type DeviceMemory struct {
 // NewDeviceMemory allocates an empty device memory.
 func NewDeviceMemory() *DeviceMemory { return &DeviceMemory{} }
 
-// Read implements ptx.Memory.
+// Read implements ptx.Memory. Bytes past the image read as zero and the
+// image does not grow: a wild address must not allocate its whole span.
 func (m *DeviceMemory) Read(addr uint64, buf []byte) {
-	m.ensure(addr + uint64(len(buf)))
-	copy(buf, m.data[addr:])
+	n := 0
+	if addr < uint64(len(m.data)) {
+		n = copy(buf, m.data[addr:])
+	}
+	clear(buf[n:])
 }
 
-// Write implements ptx.Memory.
+// Write implements ptx.Memory; the image grows to cover the bytes.
 func (m *DeviceMemory) Write(addr uint64, data []byte) {
 	m.ensure(addr + uint64(len(data)))
 	copy(m.data[addr:], data)

@@ -44,6 +44,32 @@ func TestMallocAlignmentAndGrowth(t *testing.T) {
 	}
 }
 
+// A read never grows the image: a wild address reads zeros instead of
+// asking the runtime for the span up to it (a 4-byte read at 1<<36 used to
+// die with an unrecoverable out-of-memory), and a read that straddles the
+// image's end gets the bytes inside it.
+func TestReadDoesNotGrow(t *testing.T) {
+	m := NewDeviceMemory()
+	a := m.Malloc(16)
+	m.Write(a, []byte{1, 2, 3, 4})
+	size := len(m.data)
+	buf := []byte{9, 9, 9, 9}
+	m.Read(1<<36, buf)
+	if string(buf) != "\x00\x00\x00\x00" {
+		t.Errorf("wild read = %v, want zeros", buf)
+	}
+	end := uint64(size) - 2
+	m.Write(end, []byte{5, 6})
+	buf = []byte{9, 9, 9, 9}
+	m.Read(end, buf)
+	if string(buf) != "\x05\x06\x00\x00" {
+		t.Errorf("read across the image's end = %v, want [5 6 0 0]", buf)
+	}
+	if len(m.data) != size {
+		t.Errorf("reads grew the image from %d to %d bytes", size, len(m.data))
+	}
+}
+
 func TestMatrixRoundTripAllPrecisions(t *testing.T) {
 	d := testDevice(t)
 	for _, p := range []wmma.Precision{wmma.F16, wmma.F32, wmma.S32, wmma.S8, wmma.U8} {

@@ -37,8 +37,9 @@ type LaunchSpec struct {
 	// TimingOnly asks for the Stats alone. Warps of a timing-separable
 	// kernel (ptx.Kernel.TimingSeparable) then generate every address and
 	// take every branch but compute and move no operand values, and what
-	// Global holds afterwards means nothing; any other kernel executes in
-	// full. The bit cannot change a Stats or an error (DESIGN.md
+	// Global holds afterwards means nothing; any other kernel computes, as
+	// every launch does, each value a store or a branch can see. The bit
+	// cannot change a Stats or an error (DESIGN.md
 	// "Value-free timing"), which is why no launch key carries it.
 	TimingOnly bool
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ptx"
 	"repro/internal/tensor"
@@ -17,21 +18,29 @@ import (
 // Value-free timing at the simulator level (DESIGN.md): fault parity, and
 // the random-kernel equivalence FuzzTimingOnlyMatchesFull drives.
 
-// runModes simulates the launch twice on private copies of global — once
-// in full, once TimingOnly — and returns both outcomes and final memories.
+// runLaunch simulates the launch on a private copy of global and returns
+// its outcome and final memory.
+func runLaunch(t testing.TB, spec LaunchSpec, global []byte) (st *Stats, mem []byte, err error) {
+	t.Helper()
+	cfg := TitanV()
+	cfg.NumSMs = 2
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &ptx.FlatMemory{Data: append([]byte(nil), global...)}
+	spec.Global = m
+	st, err = sim.Run(spec)
+	return st, m.Data, err
+}
+
+// runModes simulates the launch twice — once in full, once TimingOnly —
+// and returns both outcomes and final memories.
 func runModes(t testing.TB, spec LaunchSpec, global []byte) (st [2]*Stats, errs [2]error, mem [2][]byte) {
 	t.Helper()
 	for mode := range st {
-		cfg := TitanV()
-		cfg.NumSMs = 2
-		sim, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := &ptx.FlatMemory{Data: append([]byte(nil), global...)}
-		spec.Global, spec.TimingOnly = m, mode == 1
-		st[mode], errs[mode] = sim.Run(spec)
-		mem[mode] = m.Data
+		spec.TimingOnly = mode == 1
+		st[mode], mem[mode], errs[mode] = runLaunch(t, spec, global)
 	}
 	return st, errs, mem
 }
@@ -169,6 +178,16 @@ func randomKernel(rng *rand.Rand, nOps int, edges bool) *ptx.Kernel {
 		*rs = append(*rs, b.Reg())
 		return (*rs)[len(*rs)-1]
 	}
+	// maybeGuard predicates the next instruction on thread position a
+	// quarter of the time: a guarded redefinition leaves the old value in
+	// the disabled lanes, so it must not kill it in the slices.
+	maybeGuard := func() {
+		if rng.Intn(4) == 0 {
+			p := b.Reg()
+			b.Setp(ptx.U32, ptx.CmpLT, p, ptx.R(ints[1]), ptx.Imm(uint64(rng.Intn(33))))
+			b.At(p, rng.Intn(2) == 0)
+		}
+	}
 	loopEnd, loops := -1, 0
 	var loopVar ptx.Reg
 	for op := 0; op < nOps; op++ {
@@ -180,6 +199,7 @@ func randomKernel(rng *rand.Rand, nOps int, edges bool) *ptx.Kernel {
 		switch k := rng.Intn(13); {
 		case k == 0:
 			x, y := pick(ints), pick(ints)
+			maybeGuard()
 			switch d := dst(&ints); rng.Intn(4) {
 			case 0:
 				b.Add(ptx.U32, d, ptx.R(x), ptx.R(y))
@@ -206,6 +226,7 @@ func randomKernel(rng *rand.Rand, nOps int, edges bool) *ptx.Kernel {
 			b.At(p, rng.Intn(2) == 0).St(ptx.Global, 32, ptx.R(addr(ptx.R(out), 4)), []ptx.Operand{ptx.R(pick(vals))})
 		case k == 7:
 			x, y, z := pick(vals), pick(vals), pick(vals)
+			maybeGuard()
 			switch d := dst(&vals); rng.Intn(5) {
 			case 0:
 				b.Mad(ptx.F32, d, ptx.R(x), ptx.R(y), ptx.R(z))
@@ -298,5 +319,62 @@ func FuzzTimingOnlyMatchesFull(f *testing.F) {
 	f.Add(int64(3), uint8(60), uint8(33), true)
 	f.Fuzz(func(t *testing.T, seed int64, nOps, threads uint8, edges bool) {
 		checkTimingOnlyMatchesFull(t, seed, int(nOps)%64+1, int(threads)%96+1, edges)
+	})
+}
+
+// clearSkipClasses zeroes the skip class of every instruction of k's
+// decoded program, so that a full-value launch of k computes every value,
+// dead ones included. ptx keeps the class unexported, so that nothing but
+// its decoder sets it and nothing outside clears it; the oracle reaches it
+// through reflection, on a kernel no other launch uses. (A full-value
+// launch reads no other class.)
+func clearSkipClasses(t testing.TB, k *ptx.Kernel) {
+	t.Helper()
+	prog := k.Program()
+	for i := range prog {
+		f := reflect.ValueOf(&prog[i]).Elem().FieldByName("skip")
+		if f.Kind() != reflect.Uint8 {
+			t.Fatalf("ptx.DInstr has no uint8 field skip (%v): the dead-skip oracle lost its seam", f.Kind())
+		}
+		*(*uint8)(unsafe.Pointer(f.UnsafeAddr())) = 0
+	}
+}
+
+// checkDeadSkipMatchesFull builds seed's random kernel twice and launches
+// both in full, one as decoded and one with its skip classes cleared: the
+// values dead instructions would compute are ones no store or branch can
+// see, so errors, Stats and final memory must all be equal.
+func checkDeadSkipMatchesFull(t testing.TB, seed int64, nOps, threads int, edges bool) {
+	t.Helper()
+	build := func() *ptx.Kernel { return randomKernel(rand.New(rand.NewSource(seed)), nOps, edges) }
+	k, kept := build(), build()
+	clearSkipClasses(t, kept)
+	global := make([]byte, 8192)
+	rand.New(rand.NewSource(^seed)).Read(global)
+	spec := LaunchSpec{Kernel: k, Grid: ptx.D1(3), Block: ptx.D1(threads), Args: []uint64{0, 4096}, MaxCycles: 1 << 22}
+	st, mem, err := runLaunch(t, spec, global)
+	spec.Kernel = kept
+	wantSt, wantMem, wantErr := runLaunch(t, spec, global)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("seed %d: errors differ\nskipping dead: %v\ncomputing all: %v", seed, err, wantErr)
+	}
+	if !reflect.DeepEqual(st, wantSt) {
+		t.Fatalf("seed %d: stats differ\nskipping dead: %+v\ncomputing all: %+v", seed, st, wantSt)
+	}
+	if string(mem) != string(wantMem) {
+		t.Fatalf("seed %d: skipping dead instructions changed the final memory", seed)
+	}
+}
+
+// FuzzDeadSkipMatchesFull fuzzes the same generator parameters as
+// FuzzTimingOnlyMatchesFull against the dead-value skip of full launches.
+func FuzzDeadSkipMatchesFull(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(64), false)
+	f.Add(int64(2), uint8(40), uint8(48), true)
+	f.Add(int64(3), uint8(60), uint8(33), true)
+	f.Add(int64(4), uint8(63), uint8(95), false)
+	f.Add(int64(-181), uint8(15), uint8(85), false) // a guarded redefinition of a stored value
+	f.Fuzz(func(t *testing.T, seed int64, nOps, threads uint8, edges bool) {
+		checkDeadSkipMatchesFull(t, seed, int(nOps)%64+1, int(threads)%96+1, edges)
 	})
 }

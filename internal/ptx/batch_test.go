@@ -27,14 +27,11 @@ func buildBatchTorture() *Kernel {
 
 	lane := b.Reg()
 	b.Mov(U32, lane, SR(SRegLaneID))
-	odd, even := b.Reg(), b.Reg()
+	odd := b.Reg()
 	b.And(U32, odd, R(lane), Imm(1))
 	p := b.Reg()
 	b.Setp(U32, CmpEQ, p, R(odd), Imm(0))
-	_ = even
-
-	lane64, tmp64 := b.Reg(), b.Reg()
-	b.Cvt(U64, U32, lane64, R(lane))
+	tmp64 := b.Reg()
 
 	// Unit-stride 32-bit global load: base + 4·lane.
 	a32 := b.Reg()
@@ -114,7 +111,14 @@ func buildBatchTorture() *Kernel {
 	b.Add(U64, tmp64, R(tmp64), Imm(12288))
 	b.St(Global, 128, R(tmp64), []Operand{R(vmir), R(vbc), R(v32), R(lane)})
 
-	_ = lane64
+	// Every loaded value reaches a store, so every load moves its bytes on
+	// both paths (a load whose value nothing stores is skipped on the
+	// batched one): the predicated 16-bit one, under its own guard, at
+	// base + 16384 + 2·lane.
+	b.MulWide(tmp64, R(lane), Imm(2))
+	b.Add(U64, tmp64, R(tmp64), R(pbase))
+	b.Add(U64, tmp64, R(tmp64), Imm(16384))
+	b.At(p, false).St(Global, 16, R(tmp64), []Operand{R(v16)})
 	b.Exit()
 	return b.MustBuild()
 }

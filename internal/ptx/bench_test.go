@@ -37,7 +37,7 @@ func BenchmarkWarpStep(b *testing.B) {
 	// any constant: it predicts perfectly) do not show.
 	mad := func(name string, t Type, operand func(*rand.Rand) uint64, neg uint64, finite func(uint64) bool) stepCase {
 		var acc, x, nx, y []Reg
-		c := stepCase{name: name, body: func(kb *Builder, _ Reg) {
+		c := stepCase{name: name, body: func(kb *Builder, _ Reg) []Reg {
 			acc, x, nx, y = kb.Regs(64), kb.Regs(8), kb.Regs(8), kb.Regs(8)
 			kb.Label("body")
 			for _, xs := range [][]Reg{x, nx} {
@@ -45,6 +45,7 @@ func BenchmarkWarpStep(b *testing.B) {
 					kb.Mad(t, r, R(xs[i%8]), R(y[i/8]), R(r))
 				}
 			}
+			return acc
 		}}
 		if operand == nil {
 			return c // all-zero registers: what every launchOn launch runs on
@@ -73,38 +74,45 @@ func BenchmarkWarpStep(b *testing.B) {
 			func(rng *rand.Rand) uint64 { return halfOperand(rng)<<16 | halfOperand(rng) },
 			1<<31|1<<15, func(v uint64) bool { return v>>10&0x1f != 0x1f && v>>26&0x1f != 0x1f }),
 		mad("mad.f16x2.zero", F16X2, nil, 0, nil),
-		{name: "add.u32.ri", body: func(kb *Builder, _ Reg) {
+		{name: "add.u32.ri", body: func(kb *Builder, _ Reg) []Reg {
 			kb.Label("body")
-			for _, r := range kb.Regs(16) {
+			rs := kb.Regs(16)
+			for _, r := range rs {
 				kb.Add(U32, r, R(r), Imm(4))
 			}
+			return rs
 		}},
-		{name: "setp+bra", body: func(kb *Builder, _ Reg) {
+		{name: "setp+bra", body: func(kb *Builder, _ Reg) []Reg {
 			i, p := kb.Reg(), kb.Reg()
 			kb.Label("body")
 			kb.Setp(U32, CmpLT, p, R(i), Imm(1))
 			kb.BraIf(p, false, "body") // always taken: the body loops by itself
+			return nil
 		}},
-		{name: "ld.shared.v4", body: func(kb *Builder, _ Reg) {
+		{name: "ld.shared.v4", body: func(kb *Builder, _ Reg) []Reg {
 			smem := kb.Shared(32 * 16)
 			lane, addr := kb.Reg(), kb.Reg()
 			kb.Mov(U32, lane, SR(SRegLaneID))
 			kb.MulWide(addr, R(lane), Imm(16))
 			kb.Add(U64, addr, R(addr), Imm(smem))
 			kb.Label("body")
+			rs := kb.Regs(16)
 			for i := 0; i < 4; i++ {
-				kb.Ld(Shared, 128, kb.Regs(4), R(addr))
+				kb.Ld(Shared, 128, rs[4*i:4*i+4], R(addr))
 			}
+			return rs
 		}},
-		{name: "ld.global", body: func(kb *Builder, base Reg) {
+		{name: "ld.global", body: func(kb *Builder, base Reg) []Reg {
 			tid, addr := kb.Reg(), kb.Reg()
 			kb.Mov(U32, tid, SR(SRegTidX))
 			kb.MulWide(addr, R(tid), Imm(4))
 			kb.Add(U64, addr, R(addr), R(base))
 			kb.Label("body")
-			for i := 0; i < 4; i++ {
-				kb.Ld(Global, 32, kb.Regs(1), R(addr))
+			rs := kb.Regs(4)
+			for i := range rs {
+				kb.Ld(Global, 32, rs[i:i+1], R(addr))
 			}
+			return rs
 		}},
 		{name: "wmma.mma", body: wmmaBody(wmma.F32), seed: seedWmmaTiles(wmma.F32)},
 		{name: "wmma.mma.f16", body: wmmaBody(wmma.F16), seed: seedWmmaTiles(wmma.F16)},
@@ -122,8 +130,8 @@ func BenchmarkWarpStep(b *testing.B) {
 type stepCase struct {
 	name string
 	// body emits the prologue, the "body" label and the timed
-	// instructions after it.
-	body func(kb *Builder, base Reg)
+	// instructions after it, and returns the registers they compute.
+	body func(kb *Builder, base Reg) []Reg
 	// seed, when set, fills global memory before the prologues run;
 	// a seeded body must then be a fixed point of the register file
 	// (checked after the timed loop), so its operands never drift.
@@ -136,15 +144,21 @@ type stepCase struct {
 }
 
 // buildStepKernel assembles a case's kernel and returns the body's bounds:
-// a warp runs [0, start) once and then [start, end) forever.
+// a warp runs [0, start) once and then [start, end) forever. After the body
+// — never run — the kernel stores what it computes: a value nothing stores
+// is dead, and a dead instruction would be skipped rather than timed.
 func buildStepKernel(c stepCase) (k *Kernel, start, end int) {
 	kb := NewBuilder("warpstep")
 	base := kb.Param("base", U64)
 	kb.Regs(96) // pad the register file to GEMM size
-	c.body(kb, base)
+	results := c.body(kb, base)
+	kb.Label("end")
+	for _, r := range results {
+		kb.St(Global, 32, R(base), []Operand{R(r)})
+	}
 	kb.Exit()
 	k = kb.MustBuild()
-	return k, k.Labels["body"], len(k.Instrs) - 1 // end: the exit
+	return k, k.Labels["body"], k.Labels["end"]
 }
 
 // gemmStepCases are one K step of the three GEMM inner loops, as
@@ -153,7 +167,7 @@ func buildStepKernel(c stepCase) (k *Kernel, start, end int) {
 // and B fragment loads from shared memory around one wmma.mma.
 func gemmStepCases() []stepCase {
 	simt := func(name string, t Type) stepCase {
-		return stepCase{name: name, body: func(kb *Builder, _ Reg) {
+		return stepCase{name: name, body: func(kb *Builder, _ Reg) []Reg {
 			smem := kb.Shared(8 << 10)
 			aBase, bBase, tmp := kb.Reg(), kb.Reg(), kb.Reg()
 			kb.MulWide(aBase, SR(SRegLaneID), Imm(4*16*4))
@@ -171,12 +185,13 @@ func gemmStepCases() []stepCase {
 			for i, r := range acc {
 				kb.Mad(t, r, R(a[i/4]), R(bv[i%4]), R(r))
 			}
+			return acc
 		}}
 	}
 	return []stepCase{
 		simt("sgemm", F32),
 		simt("hgemm", F16X2),
-		{name: "wmma", body: func(kb *Builder, _ Reg) {
+		{name: "wmma", body: func(kb *Builder, _ Reg) []Reg {
 			smem := kb.Shared(2048)
 			cfg := wmma.Config{Arch: wmma.Volta, Shape: wmma.M16N16K16,
 				ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
@@ -185,7 +200,7 @@ func gemmStepCases() []stepCase {
 			kb.Label("body")
 			fa := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixA, cfg.ALayout, cfg.AType, Imm(smem), Imm(16))
 			fb := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixB, cfg.BLayout, cfg.AType, Imm(smem+512), Imm(16))
-			kb.WmmaMMA(cfg, fa, fb, fc)
+			return kb.WmmaMMA(cfg, fa, fb, fc)
 		}},
 	}
 }
@@ -197,25 +212,27 @@ func gemmStepCases() []stepCase {
 func fragStepCases() []stepCase {
 	const arch, ld = wmma.Volta, 16
 	sh := wmma.M16N16K16
-	loads := func(kb *Builder, a, c Operand) {
+	loads := func(kb *Builder, a, c Operand) []Reg {
 		kb.Label("body")
-		kb.WmmaLoad(arch, sh, wmma.MatrixA, tensor.RowMajor, wmma.F16, a, Imm(ld))
-		kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F32, c, Imm(ld))
+		return slices.Concat(
+			kb.WmmaLoad(arch, sh, wmma.MatrixA, tensor.RowMajor, wmma.F16, a, Imm(ld)),
+			kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F32, c, Imm(ld)))
 	}
 	return []stepCase{
-		{name: "wmma.load.shared", body: func(kb *Builder, _ Reg) {
+		{name: "wmma.load.shared", body: func(kb *Builder, _ Reg) []Reg {
 			smem := kb.Shared(2048)
-			loads(kb, Imm(smem), Imm(smem+1024))
+			return loads(kb, Imm(smem), Imm(smem+1024))
 		}},
-		{name: "wmma.load.global", body: func(kb *Builder, base Reg) {
-			loads(kb, R(base), Imm(1024))
+		{name: "wmma.load.global", body: func(kb *Builder, base Reg) []Reg {
+			return loads(kb, R(base), Imm(1024))
 		}},
-		{name: "wmma.store.global", body: func(kb *Builder, base Reg) {
+		{name: "wmma.store.global", body: func(kb *Builder, base Reg) []Reg {
 			f32 := kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F32, R(base), Imm(ld))
 			f16 := kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F16, Imm(1024), Imm(ld))
 			kb.Label("body")
 			kb.WmmaStore(arch, sh, tensor.RowMajor, wmma.F32, R(base), f32, Imm(ld))
 			kb.WmmaStore(arch, sh, tensor.RowMajor, wmma.F16, Imm(1024), f16, Imm(ld))
+			return nil
 		}},
 	}
 }
@@ -223,6 +240,11 @@ func fragStepCases() []stepCase {
 func benchWarpStep(b *testing.B, c stepCase, timingOnly bool) {
 	const warps, perOp = 64, 64 * 64
 	k, start, end := buildStepKernel(c)
+	for i := start; i < end; i++ {
+		if k.prog[i].skip&skipDead != 0 {
+			b.Fatalf("timed instruction %d (op %d) decodes dead: no store sees its result, so it would not run", i, k.Instrs[i].Op)
+		}
+	}
 	global := NewFlatMemory(warps * 32 * 4)
 	if c.seed != nil {
 		c.seed(global.Data)
@@ -288,8 +310,8 @@ func benchWarpStep(b *testing.B, c stepCase, timingOnly bool) {
 // per-chunk rounding off with ±0.)
 const wmmaBenchA, wmmaBenchB, wmmaBenchC = 0, 512, 1024 // tile addresses
 
-func wmmaBody(cd wmma.Precision) func(*Builder, Reg) {
-	return func(kb *Builder, _ Reg) {
+func wmmaBody(cd wmma.Precision) func(*Builder, Reg) []Reg {
+	return func(kb *Builder, _ Reg) []Reg {
 		cfg := wmma.Config{Arch: wmma.Volta, Shape: wmma.M16N16K16,
 			ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
 			AType: wmma.F16, CType: cd, DType: cd}
@@ -297,7 +319,7 @@ func wmmaBody(cd wmma.Precision) func(*Builder, Reg) {
 		fb := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixB, cfg.BLayout, cfg.AType, Imm(wmmaBenchB), Imm(16))
 		fc := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixC, tensor.RowMajor, cfg.CType, Imm(wmmaBenchC), Imm(16))
 		kb.Label("body")
-		kb.WmmaMMA(cfg, fa, fb, fc)
+		return kb.WmmaMMA(cfg, fa, fb, fc)
 	}
 }
 

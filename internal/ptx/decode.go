@@ -69,13 +69,12 @@ type DInstr struct {
 	dstID  int32 // first destination register, -1 if none
 	predID int32 // guard predicate register, -1 = unguarded
 	pneg   bool
-	// dataOnly: a TimingOnly warp may leave this instruction's values
-	// alone — nothing it writes can reach an address, a guard or a fault
-	// (see sliceControl).
-	dataOnly bool
-	srcs     []srcOp
-	dsts     []int32 // all destination registers, in Instr.Dst order
-	sb       []int32 // deduplicated scoreboard registers
+	// skip is the instruction's skip class (see sliceKernel): the warps
+	// whose mask (Warp.skip) shares a bit leave its values alone.
+	skip uint8
+	srcs []srcOp
+	dsts []int32 // all destination registers, in Instr.Dst order
+	sb   []int32 // deduplicated scoreboard registers
 	// The packed scoreboard set: sbMask holds the registers of sb with
 	// IDs < 64 as a bitmask, sbWide the (rare) spill of larger IDs. The
 	// timing model's hazard screen — and the issue-time hazard-clear
@@ -141,37 +140,53 @@ func SwapInterpretALU(on bool) (restore func()) {
 }
 
 // decodeKernel builds the decoded program of a kernel and reports whether
-// the kernel is timing-separable (see sliceControl).
+// the kernel is timing-separable (see sliceKernel).
 func decodeKernel(k *Kernel) (prog []DInstr, separable bool) {
 	prog = make([]DInstr, len(k.Instrs))
 	for i := range k.Instrs {
 		decodeInstr(k, &k.Instrs[i], &prog[i])
 	}
-	return prog, sliceControl(k, prog)
+	return prog, sliceKernel(k, prog)
 }
 
-// sliceControl is the value-free-timing slice (DESIGN.md "Value-free
-// timing"): a backward dataflow over the program that finds, before every
-// instruction, the registers whose value there can still reach the control
-// plane — anything an address, a guard, a branch vote or a fault depends
-// on. Seeds are each instruction's own control reads (seedOperands and the
-// guard predicate); an instruction with a destination in the set after it
-// pulls all of its sources in, and an unguarded ALU instruction kills its
-// destination (it overwrites every populated lane, so no earlier value of
-// that register survives it). Sets only grow, so iterating to a fixed
-// point terminates.
+// Skip classes: the bits of DInstr.skip and of Warp.skip.
+const (
+	// skipTiming (dataOnly): nothing timing reads can see the values, so a
+	// TimingOnly warp skips them.
+	skipTiming uint8 = 1 << iota
+	// skipDead: nothing a launch returns can see them either, so every warp
+	// skips them.
+	skipDead
+)
+
+// sliceKernel marks the skip classes (DESIGN.md "Value-free timing") with
+// one backward liveness dataflow over the program, solved twice. Before
+// every instruction it finds the registers whose value there can still be
+// seen. Seeds are each instruction's own reads of the kind the solve looks
+// for, plus its guard predicate; an instruction with a destination in the
+// set after it pulls all of its sources in, and an unguarded ALU
+// instruction kills its destination (it overwrites every populated lane,
+// so no earlier value of that register survives it). Sets only grow, so
+// iterating to a fixed point terminates.
 //
-// The kernel is timing-separable iff no ld or wmma.load writes a register
-// that is in the set after it: every control-plane value is then a
-// function of parameters, special registers and immediates alone, so a
-// run that never computes or moves any other value takes the same
-// branches, generates the same addresses and raises the same faults. Only
-// then are instructions marked dataOnly — no destination in the set after
-// them, executor unable to fail — and a non-separable kernel executes in
-// full whatever the launch asks.
+// The control solve seeds controlOperands: what an address, a guard, a
+// branch vote or a fault depends on. The kernel is timing-separable iff no
+// ld or wmma.load writes a register that is in the set after it: every
+// control-plane value is then a function of parameters, special registers
+// and immediates alone, so a run that never computes or moves any other
+// value takes the same branches, generates the same addresses and raises
+// the same faults. Only then are instructions marked skipTiming — no
+// destination in the set after them, executor unable to fail.
+//
+// The observable solve seeds storeOperands: the control reads plus the
+// data a st or wmma.store writes, since global memory is what a launch
+// returns and shared memory reaches it only through a load. An instruction
+// with no destination in that set after it, and an executor unable to
+// fail, is skipDead, separable kernel or not; its seeds contain the
+// control solve's, so on a separable kernel it is skipTiming as well.
 //
 //simlint:ctor
-func sliceControl(k *Kernel, prog []DInstr) bool {
+func sliceKernel(k *Kernel, prog []DInstr) (separable bool) {
 	n, words := len(prog), (k.NumRegs+63)/64
 	in := make([]uint64, (n+1)*words) // row i: the set before instruction i; row n: empty
 	out, cur := make([]uint64, words), make([]uint64, words)
@@ -200,58 +215,85 @@ func sliceControl(k *Kernel, prog []DInstr) bool {
 		}
 		return hit
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := n - 1; i >= 0; i-- {
-			d := &prog[i]
-			hit := flow(i)
-			copy(cur, out)
-			if hit {
-				if d.predID < 0 && (d.Class == DClassALU || d.Class == DClassSFU) {
-					cur[d.dstID>>6] &^= 1 << (d.dstID & 63)
+	solve := func(seeds func(*DInstr) int) {
+		clear(in)
+		for changed := true; changed; {
+			changed = false
+			for i := n - 1; i >= 0; i-- {
+				d := &prog[i]
+				hit := flow(i)
+				copy(cur, out)
+				if hit {
+					if d.predID < 0 && (d.Class == DClassALU || d.Class == DClassSFU) {
+						cur[d.dstID>>6] &^= 1 << (d.dstID & 63)
+					}
+					add(cur, d.srcs)
 				}
-				add(cur, d.srcs)
-			}
-			add(cur, d.srcs[:seedOperands(d)])
-			if d.predID >= 0 {
-				cur[d.predID>>6] |= 1 << (d.predID & 63)
-			}
-			if row := in[i*words:][:words]; !slices.Equal(row, cur) {
-				copy(row, cur)
-				changed = true
+				add(cur, d.srcs[:seeds(d)])
+				if d.predID >= 0 {
+					cur[d.predID>>6] |= 1 << (d.predID & 63)
+				}
+				if row := in[i*words:][:words]; !slices.Equal(row, cur) {
+					copy(row, cur)
+					changed = true
+				}
 			}
 		}
 	}
+	solve(controlOperands)
+	separable = true
 	for i := range prog {
 		if d := &prog[i]; (d.Class == DClassLd || d.Class == DClassWmmaLoad) && flow(i) {
-			return false
+			separable = false
 		}
 	}
 	for i := range prog {
-		d := &prog[i]
-		if flow(i) {
-			continue
-		}
-		switch d.Class {
-		case DClassALU, DClassSFU:
-			// aluGeneric's errors are static except division by zero, so
-			// it always executes: a garbage operand cannot make it fail.
-			d.dataOnly = d.alu != aluGeneric
-		case DClassLd, DClassSt, DClassWmmaLoad, DClassWmmaStore:
-			d.dataOnly = true
-		case DClassWmmaMMA:
-			// The config check is the only error either executor has.
-			d.dataOnly = d.In.WConfig.Validate() == nil
+		if separable && !flow(i) && infallible(&prog[i]) {
+			prog[i].skip = skipTiming
 		}
 	}
-	return true
+	solve(storeOperands)
+	for i := range prog {
+		d := &prog[i]
+		if d.Class != DClassSt && d.Class != DClassWmmaStore && !flow(i) && infallible(d) {
+			d.skip |= skipDead
+		}
+	}
+	return separable
 }
 
-// seedOperands is how many leading source operands the instruction reads
-// for control: the address of ld/st, the base and stride of
+// infallible reports whether the instruction's executor cannot fail on
+// whatever values its sources hold, so that skipping it loses no fault.
+func infallible(d *DInstr) bool {
+	switch d.Class {
+	case DClassALU, DClassSFU:
+		// aluGeneric's errors are static except division by zero, so it
+		// always executes: a garbage operand cannot make it fail.
+		return d.alu != aluGeneric
+	case DClassLd, DClassSt, DClassWmmaLoad, DClassWmmaStore:
+		return true
+	case DClassWmmaMMA:
+		// The config check is the only error either executor has.
+		return d.In.WConfig.Validate() == nil
+	}
+	return false
+}
+
+// storeOperands is how many leading source operands the instruction reads
+// for something a launch returns: every operand of a st or wmma.store, the
+// control reads of anything else.
+func storeOperands(d *DInstr) int {
+	if d.Class == DClassSt || d.Class == DClassWmmaStore {
+		return len(d.srcs)
+	}
+	return controlOperands(d)
+}
+
+// controlOperands is how many leading source operands the instruction
+// reads for control: the address of ld/st, the base and stride of
 // wmma.load/store, and both operands of an integer div/rem, the one
 // executor that fails on a value.
-func seedOperands(d *DInstr) int {
+func controlOperands(d *DInstr) int {
 	n := 0
 	switch d.Class {
 	case DClassLd, DClassSt:

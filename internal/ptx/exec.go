@@ -40,7 +40,7 @@ type Env struct {
 	BlockDim Dim3
 	CtaID    Dim3
 	// TimingOnly says nobody will read the values this CTA computes:
-	// warps skip their dataOnly instructions' arithmetic and data movement,
+	// warps skip their skipTiming instructions' arithmetic and data movement,
 	// so registers, Shared and Global end up holding nothing meaningful,
 	// while every address, branch, barrier and fault stays what a full run
 	// produces (DESIGN.md "Value-free timing").
@@ -123,9 +123,10 @@ type Warp struct {
 	// per-element fragment path; sampled from LegacyFragmentPath at
 	// construction.
 	legacyFrag bool
-	// skip: Env.TimingOnly on the batched paths, sampled at construction.
-	// The per-lane twins above compute as ever.
-	skip bool
+	// skip is the mask of skip classes the warp honours, sampled at
+	// construction: skipDead on the batched paths, plus skipTiming under
+	// Env.TimingOnly. The per-lane twins above compute as ever.
+	skip uint8
 
 	// Scratch buffers reused across Step calls so the hot execution path
 	// stays allocation-free: staging buffers for loads/stores (membuf for
@@ -161,7 +162,12 @@ func NewWarp(k *Kernel, env *Env, id int, args []uint64) (*Warp, error) {
 	w := &Warp{Kernel: k, Env: env, ID: id}
 	w.legacy = legacyAccessPath.Load()
 	w.legacyFrag = legacyFragmentPath.Load()
-	w.skip = env.TimingOnly && !w.legacy && !w.legacyFrag
+	if !w.legacy && !w.legacyFrag {
+		w.skip = skipDead
+		if env.TimingOnly {
+			w.skip |= skipTiming
+		}
+	}
 	w.prog = k.prog
 	if w.prog == nil {
 		// Hand-assembled kernels (no Builder.Build pass) decode a private
@@ -401,10 +407,10 @@ func (w *Warp) step(res *Result) error {
 }
 
 // valueFree reports whether this execution of d computes and moves no
-// values: a TimingOnly warp on an instruction nothing timing reads
-// depends on. Memory instructions still generate and resolve every
-// address and keep their bounds checks.
-func (w *Warp) valueFree(d *DInstr) bool { return w.skip && d.dataOnly }
+// values: any warp on a dead instruction, a TimingOnly warp on one nothing
+// timing reads depends on. Memory instructions still generate and resolve
+// every address and keep their bounds checks.
+func (w *Warp) valueFree(d *DInstr) bool { return w.skip&d.skip != 0 }
 
 // branchVote evaluates the branch guard across the populated lanes.
 func (w *Warp) branchVote(d *DInstr) (taken, uniform bool) {

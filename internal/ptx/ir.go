@@ -292,7 +292,7 @@ type Kernel struct {
 	// privately per warp in NewWarp.
 	prog []DInstr
 	// separable: no loaded value reaches the control plane (see
-	// sliceControl), set with prog.
+	// sliceKernel), set with prog.
 	separable bool
 	// digest is the kernel's content address (see digest.go), set with
 	// prog by Builder.Build.
@@ -304,7 +304,7 @@ type Kernel struct {
 func (k *Kernel) Program() []DInstr { return k.prog }
 
 // TimingSeparable reports whether a TimingOnly launch of the kernel skips
-// its operand values (see sliceControl); false for kernels that let a
+// its operand values (see sliceKernel); false for kernels that let a
 // loaded value steer an address, a guard or a fault, and for
 // hand-assembled kernels that skipped Builder.Build.
 func (k *Kernel) TimingSeparable() bool { return k.separable }

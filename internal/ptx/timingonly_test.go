@@ -128,7 +128,7 @@ func TestSliceSeparability(t *testing.T) {
 				t.Fatalf("TimingSeparable() = %v, want %v", got, c.separable)
 			}
 			for i := range k.prog {
-				if !c.separable && k.prog[i].dataOnly {
+				if !c.separable && k.prog[i].skip&skipTiming != 0 {
 					t.Errorf("instruction %d of a non-separable kernel is dataOnly", i)
 				}
 			}
@@ -141,7 +141,7 @@ func TestSliceSeparability(t *testing.T) {
 func dataOnlyOps(k *Kernel) (skipped, kept map[Opcode]bool) {
 	skipped, kept = map[Opcode]bool{}, map[Opcode]bool{}
 	for i := range k.prog {
-		if k.prog[i].dataOnly {
+		if k.prog[i].skip&skipTiming != 0 {
 			skipped[k.prog[i].In.Op] = true
 		} else {
 			kept[k.prog[i].In.Op] = true
@@ -223,9 +223,9 @@ func TestDataAndAddressRegisterIsControl(t *testing.T) {
 	for i := range k.prog {
 		d := &k.prog[i]
 		switch {
-		case d.In.Op == OpMulWide && d.dataOnly:
+		case d.In.Op == OpMulWide && d.skip&skipTiming != 0:
 			t.Error("the definition of a register used as an address is dataOnly")
-		case d.In.Op == OpAdd && d.dstID == int32(dead.ID) && !d.dataOnly:
+		case d.In.Op == OpAdd && d.dstID == int32(dead.ID) && d.skip&skipTiming == 0:
 			t.Error("the definition of a store-only register is not dataOnly")
 		}
 	}
@@ -385,7 +385,8 @@ func TestTimingOnlyStepsMatchFull(t *testing.T) {
 }
 
 // A non-separable kernel, and the per-lane twins, ignore the bit: the
-// TimingOnly copy computes every value, so its memory ends up equal too.
+// TimingOnly copy computes every value a store can see, so its memory ends
+// up equal too.
 func TestTimingOnlyInertWhenNotSeparable(t *testing.T) {
 	run := func(t *testing.T, k *Kernel) {
 		seed := seededBytes(4<<10, 22)

@@ -31,8 +31,11 @@ func wmmaRoundTrip(t *testing.T, cfg wmma.Config, cLayout tensor.Layout, shared 
 	var smem uint64
 	if shared > 0 {
 		smem = b.Shared(shared)
+	}
+	if shared >= 32*4 {
 		// Fill the shared window deterministically: each lane stores a
-		// few id-derived words before the wmma ops read them back.
+		// few id-derived words before the wmma ops read them back. Every
+		// value computed reaches a store, so both paths compute it.
 		lane := b.Reg()
 		b.Mov(U32, lane, SR(SRegLaneID))
 		v := b.Reg()
@@ -41,9 +44,11 @@ func wmmaRoundTrip(t *testing.T, cfg wmma.Config, cLayout tensor.Layout, shared 
 		b.MulWide(addr, R(lane), Imm(4))
 		b.Add(U64, addr, R(addr), Imm(smem))
 		for i := 0; i < shared/(32*4); i++ {
+			if i > 0 {
+				b.Add(U64, addr, R(addr), Imm(128))
+				b.Add(U32, v, R(v), Imm(31))
+			}
 			b.St(Shared, 32, R(addr), []Operand{R(v)})
-			b.Add(U64, addr, R(addr), Imm(128))
-			b.Add(U32, v, R(v), Imm(31))
 		}
 	}
 	fa := b.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixA, cfg.ALayout, cfg.AType, R(pa), Imm(uint64(cfg.Shape.K)))
@@ -508,23 +513,26 @@ func TestFragShapeMatchesPerLane(t *testing.T) {
 								b := NewBuilder("fragshape")
 								b.Shared(window)
 								dst := b.Param("dst", U64)
-								var frag []Reg
 								if store {
-									frag = b.WmmaLoad(arch, shape, op, layout, elem, Imm(64), Imm(uint64(tight)))
+									frag := b.WmmaLoad(arch, shape, op, layout, elem, Imm(64), Imm(uint64(tight)))
 									b.WmmaStore(arch, shape, layout, elem, R(dst), frag, Imm(uint64(ld)))
 								} else {
-									b.WmmaLoad(arch, shape, op, layout, elem, R(dst), Imm(uint64(ld)))
+									storeFragment(b, b.WmmaLoad(arch, shape, op, layout, elem, R(dst), Imm(uint64(ld))), b.Param("out", U64))
 								}
 								b.Exit()
 								k := b.MustBuild()
-								d := &k.prog[len(k.prog)-2]
+								d := &k.prog[0] // the load under test
+								if store {
+									d = &k.prog[1]
+								}
 								if want := fragShapeExpected(m, ld); (d.wshape != nil) != want || production && !want {
 									t.Fatalf("%v %v %v %v %v ld %d: shape present = %v, expected %v (production ld: %v)",
 										arch, shape, op, layout, elem, ld, d.wshape != nil, want, production)
 								}
 								for _, base := range bases {
-									perLane := runFragKernel(t, k, true, D1(32), []uint64{base.addr}, sharedInit)
-									shaped := runFragKernel(t, k, false, D1(32), []uint64{base.addr}, sharedInit)
+									args := []uint64{base.addr, fragOut}[:len(k.Params)]
+									perLane := runFragKernel(t, k, true, D1(32), args, sharedInit)
+									shaped := runFragKernel(t, k, false, D1(32), args, sharedInit)
 									compareFragRuns(t, perLane, shaped)
 									if t.Failed() {
 										t.Fatalf("%v %v %v %v %v ld %d store %v at %s", arch, shape, op, layout, elem, ld, store, base.name)
@@ -548,6 +556,24 @@ func TestFragShapeMatchesPerLane(t *testing.T) {
 	}
 	if mappings < 100 {
 		t.Fatalf("only %d mappings enumerated; the sweep is broken", mappings)
+	}
+}
+
+// fragOut is where storeFragment puts a loaded fragment: global memory
+// clear of every base the shape sweep loads from.
+const fragOut = 1 << 40
+
+// storeFragment stores every register of a loaded fragment to global
+// memory, register s of lane l at out + 128·s + 4·l, so the values a load
+// moves reach memory on both paths: a fragment nothing stores is dead, and
+// the batched path would not move it at all.
+func storeFragment(b *Builder, frag []Reg, out Reg) {
+	lane, a := b.Reg(), b.Reg()
+	b.MulWide(lane, SR(SRegLaneID), Imm(4))
+	b.Add(U64, lane, R(lane), R(out))
+	for s, r := range frag {
+		b.Add(U64, a, R(lane), Imm(uint64(128*s)))
+		b.St(Global, 32, R(a), []Operand{R(r)})
 	}
 }
 
