@@ -362,109 +362,6 @@ func BenchmarkAblationBatchedWMMA(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReadySet quantifies the event-driven ready-set
-// scheduler against the legacy per-cycle full scan (the gpu.ScanScheduler
-// knob; DESIGN.md). Two workloads: the fig17 quick grid — whose profile
-// motivated the refactor, with Workers pinned to 1 so the comparison
-// measures scheduler cost rather than pool occupancy — and a 1-SM
-// high-occupancy SIMT GEMM (64 warps, 16 per sub-core) where warp
-// scheduling dominates and the bookkeeping win is sharpest.
-func BenchmarkAblationReadySet(b *testing.B) {
-	workloads := []struct {
-		name string
-		run  func(b *testing.B)
-	}{
-		{"fig17", func(b *testing.B) {
-			if _, err := RunExperiment("fig17", ExperimentOptions{Quick: true, Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}},
-		{"simt1sm", func(b *testing.B) {
-			l, err := kernels.SGEMMSimt(256, 256, 64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := gpu.TitanV()
-			cfg.NumSMs = 1
-			sim, err := gpu.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sim.Run(gpu.LaunchSpec{
-				Kernel: l.Kernel, Grid: l.Grid, Block: l.Block,
-				Args:   []uint64{0, 1 << 20, 2 << 20, 3 << 20},
-				Global: ptx.NewFlatMemory(4 << 20),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}},
-	}
-	for _, w := range workloads {
-		for _, scan := range []bool{false, true} {
-			scan := scan
-			name := w.name + "/readyset"
-			if scan {
-				name = w.name + "/scan"
-			}
-			b.Run(name, func(b *testing.B) {
-				defer gpu.SwapScanScheduler(scan)()
-				for i := 0; i < b.N; i++ {
-					w.run(b)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationIssueSelect quantifies O(1) issue selection — the
-// incrementally maintained issue order, the proactive scoreboard wake
-// and the per-unit candidate masks with pick-one — against the legacy
-// per-cycle scan, sort and full visit (the gpu.ScanScheduler knob;
-// DESIGN.md "O(1) issue selection"). The
-// workload is deliberately scheduler-bound: a 1-SM SIMT GEMM at maximum
-// occupancy (8 CTAs, 64 warps, 16 per sub-core), where per-cycle
-// candidate ordering is the dominant cost, run under each policy so the
-// per-policy order structures all get a datapoint in the bench
-// trajectory.
-func BenchmarkAblationIssueSelect(b *testing.B) {
-	for _, pol := range []gpu.SchedulerPolicy{gpu.GTO, gpu.LRR, gpu.TwoLevel} {
-		for _, scan := range []bool{false, true} {
-			pol, scan := pol, scan
-			name := pol.String() + "/incremental"
-			if scan {
-				name = pol.String() + "/scan"
-			}
-			b.Run(name, func(b *testing.B) {
-				defer gpu.SwapScanScheduler(scan)()
-				var cycles uint64
-				for i := 0; i < b.N; i++ {
-					l, err := kernels.SGEMMSimt(256, 256, 64)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cfg := gpu.TitanV()
-					cfg.NumSMs = 1
-					cfg.Scheduler = pol
-					sim, err := gpu.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					st, err := sim.Run(gpu.LaunchSpec{
-						Kernel: l.Kernel, Grid: l.Grid, Block: l.Block,
-						Args:   []uint64{0, 1 << 20, 2 << 20, 3 << 20},
-						Global: ptx.NewFlatMemory(4 << 20),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = st.Cycles
-				}
-				b.ReportMetric(float64(cycles), "cycles")
-			})
-		}
-	}
-}
-
 // BenchmarkAblationSchedPolicies runs the scheduler sweep itself — one
 // iteration regenerates the sched table across all three policies.
 func BenchmarkAblationSchedPolicies(b *testing.B) {

@@ -10,7 +10,7 @@
 //   - hotpath:      no per-iteration allocations in functions annotated
 //     //simlint:hotpath (the per-cycle issue/execute/coalesce/fragment
 //     paths of PRs 2-5)
-//   - knobpair:     every exported Legacy*/Scan* equivalence knob is
+//   - knobpair:     every exported Legacy* equivalence knob is
 //     exercised by tests in both positions
 //   - statcomplete: every numeric gpu.Stats counter reaches a
 //     //simlint:emitter report function

@@ -21,7 +21,7 @@ import (
 //  2. Store/Swap/Add/CompareAndSwap on a package-level atomic that does
 //     not carry //simlint:processknob <why> — the directive is the
 //     record that a process-global knob exists deliberately (the
-//     Legacy*/Scan*/Interpret* equivalence knobs) and documents why the
+//     Legacy*/Interpret* equivalence knobs) and documents why the
 //     hazard is acceptable.
 //  3. Writes to a //simlint:processknob variable anywhere except its
 //     exported setter (func Knob(on bool), the CLI flag plumbing) or
@@ -218,7 +218,7 @@ func checkAtomicStore(pass *Pass, dirs map[int][]Directive, knobs map[types.Obje
 
 // isKnobSetter matches the CLI-flag-plumbing shape: an exported
 // top-level func taking a single bool and returning nothing
-// (ptx.LegacyAccessPath, ptx.InterpretALU, gpu.ScanScheduler).
+// (ptx.LegacyAccessPath, ptx.InterpretALU).
 func isKnobSetter(fd *ast.FuncDecl) bool {
 	return fd.Recv == nil && fd.Name.IsExported() &&
 		singleBoolParam(fd.Type) && resultCount(fd.Type) == 0

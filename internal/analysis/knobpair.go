@@ -8,10 +8,10 @@ import (
 	"strings"
 )
 
-// The knobpair analyzer. Every exported Legacy*/Scan* function taking a
-// single bool is an equivalence knob: it swaps a legacy implementation
-// back in so tests can assert the optimized path is bit-identical
-// (ptx.LegacyAccessPath, ptx.LegacyFragmentPath, gpu.ScanScheduler).
+// The knobpair analyzer. Every exported Legacy* function taking a single
+// bool is an equivalence knob: it swaps a legacy implementation back in
+// so tests can assert the optimized path is bit-identical
+// (ptx.LegacyAccessPath, ptx.LegacyFragmentPath).
 // The 4-level equivalence contract is only honest while both positions
 // of every knob stay exercised, so this analyzer requires each knob to
 // be called from test files with true and with false.
@@ -25,11 +25,11 @@ import (
 // and are not separate contracts.
 var KnobpairAnalyzer = &Analyzer{
 	Name:      "knobpair",
-	Doc:       "require tests to exercise every Legacy*/Scan* equivalence knob in both positions",
+	Doc:       "require tests to exercise every Legacy* equivalence knob in both positions",
 	RunModule: runKnobpair,
 }
 
-var knobNameRE = regexp.MustCompile(`^(Legacy|Scan)[A-Z]`)
+var knobNameRE = regexp.MustCompile(`^Legacy[A-Z]`)
 
 type knobUse struct{ onTrue, onFalse bool }
 
@@ -129,7 +129,7 @@ func runKnobpair(m *Module, report func(Diagnostic)) {
 	}
 }
 
-// isKnobDecl matches exported top-level `func (Legacy|Scan)X(on bool)`.
+// isKnobDecl matches exported top-level `func LegacyX(on bool)`.
 func isKnobDecl(fd *ast.FuncDecl) bool {
 	if fd.Recv != nil || !knobNameRE.MatchString(fd.Name.Name) {
 		return false

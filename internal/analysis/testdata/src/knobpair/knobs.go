@@ -3,7 +3,7 @@
 // knobs.
 package knobpair
 
-var legacyGood, legacyHalf, scanNever, legacySwept bool
+var legacyGood, legacyHalf, legacyNever, legacySwept bool
 
 // LegacyGood is exercised with both positions: allowed.
 func LegacyGood(on bool) { legacyGood = on }
@@ -11,16 +11,16 @@ func LegacyGood(on bool) { legacyGood = on }
 // LegacyHalfTested is only ever switched on.
 func LegacyHalfTested(on bool) { legacyHalf = on } // want "never tested with false"
 
-// ScanNeverTested has no test references at all.
-func ScanNeverTested(on bool) { scanNever = on } // want "never tested with either position"
+// LegacyNeverTested has no test references at all.
+func LegacyNeverTested(on bool) { legacyNever = on } // want "never tested with either position"
 
 // LegacySwept is toggled through a sweep variable, which counts as both
 // positions: allowed.
 func LegacySwept(on bool) { legacySwept = on }
 
-// ScanPolicy has the name shape but not the bool-setter signature: not
+// LegacyPolicy has the name shape but not the bool-setter signature: not
 // a knob.
-func ScanPolicy(name string) string { return name }
+func LegacyPolicy(name string) string { return name }
 
 // legacyPrivate is unexported: not part of the contract.
 func legacyPrivate(on bool) { legacyGood = on }

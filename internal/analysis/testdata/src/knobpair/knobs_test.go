@@ -9,7 +9,7 @@ func TestKnobs(t *testing.T) {
 	for _, on := range []bool{false, true} {
 		LegacySwept(on)
 	}
-	if !legacyGood || !legacyHalf || scanNever {
+	if !legacyGood || !legacyHalf || legacyNever {
 		t.Fatal("knob state")
 	}
 }

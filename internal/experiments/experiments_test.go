@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -42,7 +45,16 @@ func runQuick(t *testing.T, id string) *Table {
 	return tb
 }
 
-// All experiments must run in Quick mode and produce well-formed tables.
+// updateQuick rewrites the quick-table goldens; any intentional change to
+// a rendered table is regenerated with
+//
+//	go test ./internal/experiments -run TestAllExperimentsQuick -update
+//
+// and its diff reviewed like any other golden file.
+var updateQuick = flag.Bool("update", false, "rewrite testdata/quick/<id>.txt from the current tables")
+
+// All experiments must run in Quick mode, produce well-formed tables and
+// render byte for byte the committed testdata/quick/<id>.txt.
 func TestAllExperimentsQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -62,8 +74,26 @@ func TestAllExperimentsQuick(t *testing.T) {
 					t.Errorf("row %d has %d cells, want %d", i, len(r), len(tb.Columns))
 				}
 			}
-			if s := tb.String(); !strings.Contains(s, e.ID) {
+			s := tb.String()
+			if !strings.Contains(s, e.ID) {
 				t.Errorf("rendering lacks the table id")
+			}
+			path := filepath.Join("testdata", "quick", e.ID+".txt")
+			if *updateQuick {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(s), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if s != string(want) {
+				t.Errorf("table drifted from %s (if intentional, regenerate with -update)\n--- got ---\n%s\n--- want ---\n%s", path, s, want)
 			}
 		})
 	}

@@ -3,38 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/gpu"
 )
-
-// The event-driven ready-set scheduler must be invisible at the artifact
-// level: regenerating an experiment with the legacy full-scan scheduler
-// (the gpu.ScanScheduler knob) must render the exact table the
-// event-driven bookkeeping renders — for every policy, since the sched
-// sweep runs all three in one table.
-func TestScanSchedulerMatchesEventTables(t *testing.T) {
-	ids := []string{"sched", "fig12c"}
-	for _, id := range ids {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			event := runQuick(t, id)
-
-			e, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer gpu.SwapScanScheduler(true)()
-			scan, err := e.Run(Options{Quick: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if event.String() != scan.String() {
-				t.Errorf("event-driven and scan tables differ:\n--- event ---\n%s\n--- scan ---\n%s",
-					event.String(), scan.String())
-			}
-		})
-	}
-}
 
 // Options.Scheduler must override the policy of every simulated launch:
 // a bad spelling errors at the boundary, and a non-default policy

@@ -169,6 +169,18 @@ func (c Config) Validate() error {
 	if c.NumSMs < 1 || c.SubCores < 1 {
 		return fmt.Errorf("gpu: need at least one SM and sub-core")
 	}
+	if c.MaxWarpsPerSM < 1 {
+		return fmt.Errorf("gpu: MaxWarpsPerSM must be ≥ 1")
+	}
+	if c.MaxCTAsPerSM < 1 {
+		return fmt.Errorf("gpu: MaxCTAsPerSM must be ≥ 1")
+	}
+	if c.SharedPerSM < 0 {
+		return fmt.Errorf("gpu: SharedPerSM must be ≥ 0")
+	}
+	if !(c.ClockMHz > 0) {
+		return fmt.Errorf("gpu: ClockMHz must be > 0")
+	}
 	if c.Scheduler < GTO || c.Scheduler > TwoLevel {
 		return fmt.Errorf("gpu: unknown scheduler policy %d", int(c.Scheduler))
 	}
@@ -177,8 +189,9 @@ func (c Config) Validate() error {
 	}
 	if c.BarrierLatency < 1 {
 		// The schedulers re-arm released warps strictly after the release
-		// cycle; a zero-latency barrier would let the legacy scan issue a
-		// released warp within the releasing cycle itself.
+		// cycle; a zero-latency barrier would let a sub-core stepped later
+		// in the releasing cycle issue a released warp within that cycle,
+		// so the result would depend on the order sub-cores are visited.
 		return fmt.Errorf("gpu: BarrierLatency must be ≥ 1")
 	}
 	if c.TensorCoresPerSubCore < 1 || c.TensorCoresPerSubCore > 2 {

@@ -34,15 +34,18 @@ type goldenEntry struct {
 	Stats Stats  `json:"stats"`
 }
 
+// goldenWorkload is one launch of the fixture basket.
+type goldenWorkload struct {
+	name string
+	spec LaunchSpec
+	cfg  func(*Config) // applied after the 2-SM default; nil for none
+}
+
 // goldenWorkloads returns the fixture basket in a fixed order. Sizes
 // are the quick-grid scale: big enough to exercise staging, barriers,
 // tensor ops and multi-CTA dispatch, small enough to run in
 // milliseconds.
-func goldenWorkloads(t *testing.T) []struct {
-	name string
-	spec LaunchSpec
-	cfg  func(*Config) // applied after the 2-SM default; nil for none
-} {
+func goldenWorkloads(t *testing.T) []goldenWorkload {
 	t.Helper()
 	build := func(l *kernels.Launch, err error) LaunchSpec {
 		if err != nil {
@@ -84,11 +87,7 @@ func goldenWorkloads(t *testing.T) []struct {
 		c.Mem.L2SizeBytes, c.Mem.L2Banks = 235929, 1
 		c.Mem.DRAMChannels, c.Mem.DRAMBytesPerCycle = 1, 21
 	}
-	return []struct {
-		name string
-		spec LaunchSpec
-		cfg  func(*Config)
-	}{
+	basket := []goldenWorkload{
 		{"sgemm-simt-64x64x32", build(kernels.SGEMMSimt(64, 64, 32)), nil},
 		{"hgemm-simt-64x128x16", build(kernels.HGEMMSimt(64, 128, 16)), nil},
 		{"wmma-mixed-64x64x32", build(kernels.WMMAGemmShared(kernels.TensorMixed, 64, 64, 32)), nil},
@@ -100,6 +99,16 @@ func goldenWorkloads(t *testing.T) []struct {
 			Global: ptx.NewFlatMemory(8 * words),
 		}, slice4},
 	}
+	// The scheduler cells (sched_test.go's schedCases): a barrier released
+	// while its sub-core's scan is in flight, a warp that finishes while
+	// its siblings wait at the barrier, and the tensor-port contention of
+	// the mma loop, recorded when the full-scan driver still ran beside
+	// the event-driven one and matched it.
+	cases := schedCases()
+	for _, name := range []string{"vecadd", "staged-barrier", "mma-loop", "finish-at-barrier"} {
+		basket = append(basket, goldenWorkload{"sched-" + name, cases[name](), nil})
+	}
+	return basket
 }
 
 // goldenCopySrc is the eviction cell's kernel: thread gid copies word

@@ -3,12 +3,14 @@ package gpu
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// The issue-selection property harness: a pair of sub-cores — one
-// event-mode (ready mask, zero prefix, age list, per-unit waiting masks,
-// pick-one), one scan-mode (per-cycle rescan, sort and full visit) —
+// The issue-selection property harness: a pair of sub-cores — one driven
+// by the production selection (ready mask, zero prefix, age list,
+// per-unit waiting masks, pick-one), one by the full-scan oracle below
+// (per-cycle rescan, sort and full visit: scanReady and scanOrder) —
 // driven through identical randomized sequences of scheduler steps and
 // issue / hazard-park / barrier / release / finish / CTA-retire / fresh
 // dispatch transitions. Every warp carries the port its next instruction
@@ -21,7 +23,10 @@ import (
 // visited before it (hazard parks, finishes — through the state
 // comparison) and, when none does, the wake cycle. This is the
 // equivalence contract of DESIGN.md's "O(1) issue selection" at the
-// data-structure level, independent of the full-simulation knob tests.
+// data-structure level; the golden Stats cells are its full-simulation
+// net. The scan twin is an ordinary sub-core: it maintains the masks, the
+// wake heap and the age list like any other, but the oracle never reads
+// them.
 
 // twinNext is what tryWarp would read off a warp's instruction stream:
 // the port its next instruction issues on, or that there is none left.
@@ -31,16 +36,18 @@ type twinNext struct {
 }
 
 type orderTwin struct {
-	ev   *subcore   // event mode: the incremental structures under test
-	sc   *subcore   // scan mode: the legacy oracle
+	pol  SchedulerPolicy
+	ev   *subcore   // the incremental structures under test
+	sc   *subcore   // the scan twin: selection by the oracle
 	next []twinNext // per slot, the same for both twins
 	now  uint64
 }
 
 func newOrderTwin(pol SchedulerPolicy, nextUnits ...unit) *orderTwin {
 	tw := &orderTwin{
-		ev: &subcore{policy: policyFor(pol), tlCap: defaultTwoLevelActive},
-		sc: &subcore{policy: policyFor(pol), scan: true, tlCap: defaultTwoLevelActive},
+		pol: pol,
+		ev:  &subcore{policy: policyFor(pol), tlCap: defaultTwoLevelActive},
+		sc:  &subcore{policy: policyFor(pol), tlCap: defaultTwoLevelActive},
 	}
 	tw.ev.reset()
 	tw.sc.reset()
@@ -78,8 +85,8 @@ func (tw *orderTwin) clampGreedy() {
 
 // orders computes this cycle's full issue order on both twins: the event
 // twin drains its wake heap and then drains next over its visit set, the
-// scan twin rescans and sorts. GTO's pick leaves the greedy slot to the
-// preferred attempt, so it is taken out of the event side too.
+// scan twin rescans and sorts. GTO's scan order leaves the greedy slot to
+// the preferred attempt, so it is taken out of the event side too.
 func (tw *orderTwin) orders() (ev, legacy []int) {
 	if len(tw.ev.warps) == 0 {
 		return nil, nil
@@ -95,9 +102,110 @@ func (tw *orderTwin) orders() (ev, legacy []int) {
 		cand[idx>>6] &^= 1 << (idx & 63)
 	}
 	wake := uint64(math.MaxUint64)
-	ready := tw.sc.scanReady(tw.now, &wake)
-	legacy = tw.sc.policy.pick(tw.sc, tw.now, ready, nil)
+	legacy = scanOrder(tw.pol, tw.sc, tw.now, scanReady(tw.sc, tw.now, &wake))
 	return ev, legacy
+}
+
+// scanReady is the oracle's candidate set: every warp rescanned, the
+// offerable ones in ascending slot order. Warps still stalled contribute
+// their wake cycle.
+func scanReady(sc *subcore, now uint64, wake *uint64) []int {
+	var ready []int
+	for idx, w := range sc.warps {
+		switch {
+		case w.state == warpFinished || w.state == warpAtBarrier:
+		case w.stallUntil > now:
+			*wake = min(*wake, w.stallUntil)
+		default:
+			ready = append(ready, idx)
+		}
+	}
+	return ready
+}
+
+// scanOrder is the oracle's issue order: the policy's whole order over
+// the ready slots, materialised by sorting and filtering. TwoLevel
+// updates its active subset first, as its visit does.
+func scanOrder(pol SchedulerPolicy, sc *subcore, now uint64, ready []int) []int {
+	switch pol {
+	case LRR:
+		return rotated(sc.greedy, ready)
+	case TwoLevel:
+		return twoLevelOrder(sc, now, ready)
+	}
+	// GTO: least recently issued first, ties by rotation distance from
+	// the slot after greedy; the greedy slot is the preferred attempt's.
+	g, n := sc.greedy, len(sc.warps)
+	var order []int
+	for _, idx := range ready {
+		if idx != g {
+			order = append(order, idx)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := sc.warps[order[i]], sc.warps[order[j]]
+		if a.lastIssue != b.lastIssue {
+			return a.lastIssue < b.lastIssue
+		}
+		return (order[i]-g-1+n)%n < (order[j]-g-1+n)%n
+	})
+	return order
+}
+
+// rotated lists the ascending slots in rotation order from g+1: the slots
+// above g, then the wrap-around tail.
+func rotated(g int, ready []int) []int {
+	var order []int
+	for _, idx := range ready {
+		if idx > g {
+			order = append(order, idx)
+		}
+	}
+	for _, idx := range ready {
+		if idx <= g {
+			order = append(order, idx)
+		}
+	}
+	return order
+}
+
+// twoLevelOrder updates the active subset by walking the ready list and
+// keeps its ready members in rotation order.
+func twoLevelOrder(sc *subcore, now uint64, ready []int) []int {
+	anyActive := false
+	for _, idx := range ready {
+		anyActive = anyActive || sc.warps[idx].tlActive
+	}
+	if !anyActive {
+		// The whole active subset is blocked: swap in ready pending warps
+		// one for one. Every current member is non-issuable here, so
+		// demotion always finds a victim while the subset is full.
+		for _, idx := range ready {
+			if sc.tlActive >= sc.tlCap && !sc.demoteOne(now) {
+				break
+			}
+			sc.warps[idx].tlActive = true
+			sc.tlActive++
+		}
+	} else {
+		// Spare capacity: fill it from the ready pending warps.
+		for _, idx := range ready {
+			if sc.tlActive >= sc.tlCap {
+				break
+			}
+			if w := sc.warps[idx]; !w.tlActive {
+				w.tlActive = true
+				sc.tlActive++
+			}
+		}
+	}
+	var order []int
+	for _, idx := range rotated(sc.greedy, ready) {
+		if sc.warps[idx].tlActive {
+			order = append(order, idx)
+		}
+	}
+	return order
 }
 
 // try is tryWarp on the twins' instruction-less warps: the same screen in
@@ -119,7 +227,7 @@ func (tw *orderTwin) try(t *testing.T, sub *subcore, slot int) (passed bool, wak
 		sub.stall(w, w.hazardAt)
 		return false, w.hazardAt
 	case sub.ports.freeAt[nx.unit] > tw.now:
-		if !sub.scan && w.unit != unitNone {
+		if sub == tw.ev && w.unit != unitNone {
 			t.Fatalf("cycle %d: event selection visited slot %d, which waits for busy unit %d", tw.now, slot, w.unit)
 		}
 		return false, sub.ports.freeAt[nx.unit]
@@ -127,7 +235,7 @@ func (tw *orderTwin) try(t *testing.T, sub *subcore, slot int) (passed bool, wak
 	return true, math.MaxUint64
 }
 
-// stepEvent is stepSubcore's event half over try: the slot that gets past
+// stepEvent is stepSubcore over try: the slot that gets past
 // the screen (-1 for none) and the wake cycle.
 func (tw *orderTwin) stepEvent(t *testing.T) (issuer int, wake uint64) {
 	t.Helper()
@@ -158,7 +266,8 @@ func (tw *orderTwin) stepEvent(t *testing.T) (issuer int, wake uint64) {
 	return -1, wake
 }
 
-// stepScan is stepScan over try: the oracle's full-visit loop.
+// stepScan is the oracle's driver over try: the preferred attempt, then
+// a visit of the whole materialised order.
 func (tw *orderTwin) stepScan(t *testing.T) (issuer int, wake uint64) {
 	t.Helper()
 	sc, now := tw.sc, tw.now
@@ -172,8 +281,7 @@ func (tw *orderTwin) stepScan(t *testing.T) (issuer int, wake uint64) {
 		}
 		tried = p
 	}
-	ready := sc.scanReady(now, &wake)
-	for _, idx := range sc.policy.pick(sc, now, ready, nil) {
+	for _, idx := range scanOrder(tw.pol, sc, now, scanReady(sc, now, &wake)) {
 		if idx == tried {
 			continue
 		}
@@ -237,9 +345,7 @@ func (tw *orderTwin) issue(slot int, a issueAct) {
 			sub.toBarrier(w)
 		default:
 			w.hazardAt = a.hazardAt
-			if !sub.scan {
-				sub.setUnit(w, a.next.unit)
-			}
+			sub.setUnit(w, a.next.unit)
 			if w.hazardAt > tw.now+1 {
 				sub.stall(w, w.hazardAt)
 			} else if w.stallUntil <= tw.now {
@@ -247,9 +353,7 @@ func (tw *orderTwin) issue(slot int, a issueAct) {
 			}
 		}
 		sub.greedy = slot
-		if !sub.scan {
-			sub.noteIssued(w, tw.now)
-		}
+		sub.noteIssued(w, tw.now)
 	}
 	tw.next[slot] = a.next
 }
@@ -292,9 +396,10 @@ func (tw *orderTwin) check(t *testing.T, step int) {
 	}
 	for i := range tw.ev.warps {
 		we, ws := tw.ev.warps[i], tw.sc.warps[i]
-		// Ready and Stalled normalize together: scan mode derives
-		// readiness from stallUntil and never flips the state back, while
-		// the event twin's drainWake does — issuable() is the shared truth.
+		// Ready and Stalled normalize together: the oracle derives
+		// readiness from stallUntil and never drains the scan twin's wake
+		// heap, while the event twin's drainWake flips the state back —
+		// issuable() is the shared truth.
 		if normState(we.state) != normState(ws.state) || we.stallUntil != ws.stallUntil ||
 			we.lastIssue != ws.lastIssue || we.hazardAt != ws.hazardAt || we.tlActive != ws.tlActive {
 			t.Fatalf("step %d slot %d: warp state drifted: event %+v scan %+v", step, i, *we, *ws)
@@ -311,9 +416,6 @@ func (tw *orderTwin) check(t *testing.T, step int) {
 		if nx := tw.next[i]; we.state == warpReady && we.unit != unitNone && (nx.done || nx.unit != we.unit || we.hazardAt > tw.now) {
 			t.Fatalf("step %d slot %d: skippable on unit %d, but its next instruction is %+v with hazardAt %d at cycle %d",
 				step, i, we.unit, nx, we.hazardAt, tw.now)
-		}
-		if ws.unit != unitNone {
-			t.Fatalf("step %d slot %d: scan mode recorded unit %d", step, i, ws.unit)
 		}
 	}
 }
@@ -510,9 +612,9 @@ func TestBarrierReleasedWarpWithHazardIsParkedUnderBusyPort(t *testing.T) {
 			t.Fatalf("%v: set-up: released warp %+v, ALU free at %d", pol, *w, tw.ev.ports.freeAt[unitALU])
 		}
 		issuer, wake := tw.step(t)
-		for _, sub := range []*subcore{tw.ev, tw.sc} {
+		for twin, sub := range map[string]*subcore{"event": tw.ev, "scan": tw.sc} {
 			if w := sub.warps[0]; w.state != warpStalled || w.stallUntil != 40 {
-				t.Fatalf("%v scan=%v: the released warp was not parked on its hazard by its first visit: %+v", pol, sub.scan, *w)
+				t.Fatalf("%v, %s twin: the released warp was not parked on its hazard by its first visit: %+v", pol, twin, *w)
 			}
 		}
 		if pol == TwoLevel {
@@ -529,9 +631,9 @@ func TestBarrierReleasedWarpWithHazardIsParkedUnderBusyPort(t *testing.T) {
 			if issuer, wake := tw.step(t); issuer != -1 || wake != 9 {
 				t.Fatalf("twolevel: the step after the park issued slot %d with wake %d, want none and 9", issuer, wake)
 			}
-			for _, sub := range []*subcore{tw.ev, tw.sc} {
+			for twin, sub := range map[string]*subcore{"event": tw.ev, "scan": tw.sc} {
 				if sub.warps[0].tlActive || !sub.warps[4].tlActive {
-					t.Fatalf("twolevel scan=%v: the parked warp was not the one demoted for slot 4", sub.scan)
+					t.Fatalf("twolevel, %s twin: the parked warp was not the one demoted for slot 4", twin)
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"encoding/binary"
-	"reflect"
 	"testing"
 
 	"repro/internal/ptx"
@@ -29,10 +28,10 @@ func divergentBarrierKernel() *ptx.Kernel {
 	return b.MustBuild()
 }
 
-// schedCases are the launches the equivalence tests drive: a multi-CTA
-// SIMT kernel, a barrier-heavy staged copy (multiple warps per sub-core,
-// exercising pendingWake), a tensor-unit loop, and the early-finish
-// divergent barrier kernel.
+// schedCases are the scheduler cells of the golden fixture
+// (golden_test.go): a multi-CTA SIMT kernel, a barrier-heavy staged copy
+// (multiple warps per sub-core, exercising pendingWake), a tensor-unit
+// loop, and the early-finish divergent barrier kernel.
 func schedCases() map[string]func() LaunchSpec {
 	return map[string]func() LaunchSpec{
 		"vecadd": func() LaunchSpec {
@@ -71,43 +70,6 @@ func schedCases() map[string]func() LaunchSpec {
 				Global: ptx.NewFlatMemory(4 * 128),
 			}
 		},
-	}
-}
-
-func runScheduled(t *testing.T, pol SchedulerPolicy, scan bool, spec LaunchSpec) *Stats {
-	t.Helper()
-	defer SwapScanScheduler(scan)()
-	cfg := TitanV()
-	cfg.NumSMs = 2
-	cfg.Scheduler = pol
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sim.Run(spec)
-	if err != nil {
-		t.Fatalf("%v scan=%v: %v", pol, scan, err)
-	}
-	return st
-}
-
-// The event-driven ready-set scheduler must be invisible to the timing
-// model: for every policy and workload, Stats must be bit-identical to
-// the legacy full-scan path kept behind the ScanScheduler knob.
-func TestEventSchedulerMatchesScan(t *testing.T) {
-	for name, build := range schedCases() {
-		t.Run(name, func(t *testing.T) {
-			for _, pol := range Schedulers() {
-				event := runScheduled(t, pol, false, build())
-				scan := runScheduled(t, pol, true, build())
-				if !reflect.DeepEqual(event, scan) {
-					t.Errorf("%v: stats diverge\nevent: %+v\nscan:  %+v", pol, event, scan)
-				}
-				if event.WarpInstructions == 0 || event.Cycles == 0 {
-					t.Errorf("%v: degenerate run %+v", pol, event)
-				}
-			}
-		})
 	}
 }
 
@@ -317,30 +279,26 @@ func TestGatedRetirementSweepStillRetiresEmptyCTAs(t *testing.T) {
 		{"empty block", LaunchSpec{Kernel: vecAddKernel(),
 			Grid: ptx.D1(5), Block: ptx.D1(0), Args: []uint64{0, 0, 0}, Global: ptx.NewFlatMemory(64)}, 3},
 	} {
-		for _, scan := range []bool{false, true} {
-			for _, pol := range Schedulers() {
-				restore := SwapScanScheduler(scan)
-				cfg := TitanV()
-				cfg.NumSMs = 1
-				cfg.MaxCTAsPerSM = 2
-				cfg.Scheduler = pol
-				sim, err := New(cfg)
-				restore()
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := sim.Run(c.spec)
-				if err != nil {
-					t.Fatalf("%s, %v scan=%v: %v", c.name, pol, scan, err)
-				}
-				if st.CTAsSimulated != c.spec.Grid.Count() || st.WarpInstructions != 0 || st.Cycles != c.wantCycles {
-					t.Errorf("%s, %v scan=%v: %d of %d CTAs, %d warp instructions, %d cycles; want all, 0 and %d",
-						c.name, pol, scan, st.CTAsSimulated, c.spec.Grid.Count(), st.WarpInstructions, st.Cycles, c.wantCycles)
-				}
-				for _, m := range sim.sms {
-					if len(m.ctas) != 0 || m.warps != 0 {
-						t.Errorf("%s, %v scan=%v: SM %d ends with %d CTAs and %d warps resident", c.name, pol, scan, m.id, len(m.ctas), m.warps)
-					}
+		for _, pol := range Schedulers() {
+			cfg := TitanV()
+			cfg.NumSMs = 1
+			cfg.MaxCTAsPerSM = 2
+			cfg.Scheduler = pol
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := sim.Run(c.spec)
+			if err != nil {
+				t.Fatalf("%s, %v: %v", c.name, pol, err)
+			}
+			if st.CTAsSimulated != c.spec.Grid.Count() || st.WarpInstructions != 0 || st.Cycles != c.wantCycles {
+				t.Errorf("%s, %v: %d of %d CTAs, %d warp instructions, %d cycles; want all, 0 and %d",
+					c.name, pol, st.CTAsSimulated, c.spec.Grid.Count(), st.WarpInstructions, st.Cycles, c.wantCycles)
+			}
+			for _, m := range sim.sms {
+				if len(m.ctas) != 0 || m.warps != 0 {
+					t.Errorf("%s, %v: SM %d ends with %d CTAs and %d warps resident", c.name, pol, m.id, len(m.ctas), m.warps)
 				}
 			}
 		}

@@ -111,15 +111,13 @@ type Simulator struct {
 	cycle uint64
 }
 
-// New builds a simulator for the configuration. The ScanScheduler debug
-// knob is sampled here, like ptx.InterpretALU at decode time.
+// New builds a simulator for the configuration.
 func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Simulator{cfg: cfg, sys: mem.NewSystem(cfg.Mem)}
 	pol := policyFor(cfg.Scheduler)
-	scan := scanScheduler.Load()
 	tlCap := cfg.TwoLevelActive
 	if tlCap <= 0 {
 		tlCap = defaultTwoLevelActive
@@ -128,7 +126,7 @@ func New(cfg Config) (*Simulator, error) {
 		m := &sm{id: i, sim: s, port: s.sys.NewSMPort()}
 		m.subcores = make([]*subcore, cfg.SubCores)
 		for j := range m.subcores {
-			m.subcores[j] = &subcore{policy: pol, scan: scan, tlCap: tlCap}
+			m.subcores[j] = &subcore{policy: pol, tlCap: tlCap}
 		}
 		s.sms = append(s.sms, m)
 	}
@@ -171,6 +169,15 @@ type sm struct {
 func (s *Simulator) Run(spec LaunchSpec) (*Stats, error) {
 	if spec.Kernel == nil || spec.Global == nil {
 		return nil, fmt.Errorf("gpu: launch needs a kernel and global memory")
+	}
+	// A CTA that cannot fit an empty SM would never dispatch: say why
+	// instead of reporting the stall it causes as a deadlock.
+	warpsPerCTA := (spec.Block.Count() + 31) / 32
+	if warpsPerCTA > s.cfg.MaxWarpsPerSM {
+		return nil, fmt.Errorf("gpu: a CTA of %d warps exceeds MaxWarpsPerSM %d", warpsPerCTA, s.cfg.MaxWarpsPerSM)
+	}
+	if spec.Kernel.SharedBytes > s.cfg.SharedPerSM {
+		return nil, fmt.Errorf("gpu: a CTA's %d shared bytes exceed SharedPerSM %d", spec.Kernel.SharedBytes, s.cfg.SharedPerSM)
 	}
 	total := spec.Grid.Count()
 	limit := total
@@ -502,13 +509,8 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 	// instead of walking the scoreboard again. When it is beyond the next
 	// cycle, park the warp on the wake heap now — it never re-enters the
 	// ready set, so the scheduler stops re-screening a warp whose stall
-	// outcome is already known. Runs in both knob modes (scan mode reads
-	// the same stallUntil through its per-cycle screen) so the policies
-	// keep seeing identical candidate sets.
-	next := w.noteHazard()
-	if !sc.scan {
-		sc.setUnit(w, next)
-	}
+	// outcome is already known.
+	sc.setUnit(w, w.noteHazard())
 	if w.hazardAt > now+1 {
 		sc.stall(w, w.hazardAt)
 		return nil

@@ -361,15 +361,49 @@ func TestPeakTFLOPS(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	cfg := TitanV()
-	cfg.TensorCoresPerSubCore = 3
-	if _, err := New(cfg); err == nil {
-		t.Error("invalid tensor core count should be rejected")
+	for _, c := range []struct {
+		name, field string
+		mod         func(*Config)
+	}{
+		{"three tensor cores", "tensor cores", func(c *Config) { c.TensorCoresPerSubCore = 3 }},
+		// A memory geometry that used to divide by zero inside New.
+		{"zero L2 banks", "L2Banks", func(c *Config) { c.Mem.L2Banks = 0 }},
+		// Occupancy limits no CTA fits under, and a clock no time converts
+		// at: each used to pass here and fail Run as a deadlock.
+		{"zero warps per SM", "MaxWarpsPerSM", func(c *Config) { c.MaxWarpsPerSM = 0 }},
+		{"zero CTAs per SM", "MaxCTAsPerSM", func(c *Config) { c.MaxCTAsPerSM = 0 }},
+		{"negative shared memory", "SharedPerSM", func(c *Config) { c.SharedPerSM = -1 }},
+		{"zero clock", "ClockMHz", func(c *Config) { c.ClockMHz = 0 }},
+	} {
+		cfg := TitanV()
+		c.mod(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: New returned %v, want an error naming %s", c.name, err, c.field)
+		}
 	}
-	// A memory geometry that used to divide by zero inside New.
-	cfg = TitanV()
-	cfg.Mem.L2Banks = 0
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "L2Banks") {
-		t.Errorf("zero L2 banks: New returned %v, want an error naming L2Banks", err)
+}
+
+// A launch whose CTA cannot fit an empty SM never dispatches; Run names
+// the limit it exceeds before simulating instead of reporting a deadlock.
+func TestRunRejectsCTAThatCannotFit(t *testing.T) {
+	for _, c := range []struct {
+		name, field string
+		spec        LaunchSpec
+	}{
+		{"65-warp block", "MaxWarpsPerSM", LaunchSpec{Kernel: vecAddKernel(),
+			Grid: ptx.D1(1), Block: ptx.D1(65 * 32), Args: []uint64{0, 0, 0}, Global: ptx.NewFlatMemory(64)}},
+		{"shared beyond the SM", "SharedPerSM", LaunchSpec{Kernel: stagedKernel(),
+			Grid: ptx.D1(1), Block: ptx.D1(256), Args: []uint64{0, 0}, Global: ptx.NewFlatMemory(64)}},
+	} {
+		cfg := TitanV()
+		cfg.NumSMs = 1
+		cfg.SharedPerSM = 512 // below stagedKernel's 1 KiB
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(c.spec); err == nil || !strings.Contains(err.Error(), c.field) || strings.Contains(err.Error(), "deadlock") {
+			t.Errorf("%s: Run returned %v, want an error naming %s", c.name, err, c.field)
+		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 // On top of the ready set, the sub-core maintains the *issue order*
 // incrementally, so no policy re-sorts candidates per cycle:
 //   - zeroMask marks the warps whose lastIssue is still zero (never
-//     issued, or issued only at cycle 0 — the legacy GTO comparator
-//     cannot tell those apart, so neither does the mask). They are
+//     issued, or issued only at cycle 0 — GTO's lastIssue key cannot
+//     tell those apart, so neither does the mask). They are
 //     ordered by enumeration in rotation order from the greedy slot.
 //   - the age list (ageHead/ageTail, intrusive in simWarp) chains the
 //     warps with lastIssue ≥ 1 in strictly ascending lastIssue — strict
@@ -27,12 +27,12 @@ import (
 //     tail-append at issue time keeps the list sorted with no
 //     comparisons. Issue, finish and re-issue are all O(1) list splices.
 //   - tlMask mirrors the TwoLevel active subset as a bitmask so its
-//     pick is mask intersection instead of list filtering.
+//     visit set is a mask intersection instead of list filtering.
 //   - waiting[u] marks the warps whose next instruction issues on unit u,
 //     so a busy port removes all of them from issue selection by one AND
 //     instead of one failed tryWarp each (see candidates).
 //
-// Invariants (event mode, i.e. sc.scan == false):
+// Invariants:
 //   - a warp's state is warpReady  ⇔ its slot bit is set in readyMask
 //   - a warp's state is warpStalled ⇔ it has exactly one wakeHeap entry,
 //     keyed by its current stallUntil (stallUntil never changes while
@@ -44,11 +44,6 @@ import (
 //     unit field is u, and a Ready warp with that bit set would leave
 //     tryWarp at the port screen while u is busy: it has a next
 //     instruction, which issues on u, and no pending hazard.
-//
-// Under the legacy ScanScheduler knob the same state transitions run but
-// none of the masks, the heap or the age list are maintained; readiness
-// and order are rederived each cycle by scanning and sorting (see
-// scanReady and the policies' pick methods in sched.go).
 
 // warpState is the scheduling lifecycle state of a simWarp.
 type warpState uint8
@@ -89,11 +84,11 @@ type simWarp struct {
 	// value, and issue records it on every path that leaves the warp live.
 	hazardAt uint64
 	// unit is the port the warp's next instruction issues on, as the
-	// sub-core's waiting masks hold it (event mode; see setUnit).
+	// sub-core's waiting masks hold it (see setUnit).
 	unit unit
 	// tlActive marks membership in the TwoLevel policy's active subset.
 	tlActive bool
-	// Intrusive age-list links (event mode): the sub-core chains warps
+	// Intrusive age-list links: the sub-core chains warps
 	// with lastIssue ≥ 1 in ascending issue age. Pointers survive slot
 	// compaction, which only renumbers w.slot.
 	agePrev, ageNext *simWarp
@@ -114,9 +109,6 @@ type subcore struct {
 	pendingWake uint64
 
 	policy schedPolicy
-	// scan selects the legacy full-scan path (the ScanScheduler knob);
-	// the ready mask and wake heap are not maintained when set.
-	scan bool
 	// tlCap is the TwoLevel active-subset size; tlActive its population.
 	tlCap    int
 	tlActive int
@@ -130,10 +122,8 @@ type subcore struct {
 	// setUnit a branch per store.
 	waiting [numUnits][]uint64
 	// ageHead/ageTail chain the warps with lastIssue ≥ 1, oldest issue
-	// first (event mode only).
+	// first.
 	ageHead, ageTail *simWarp
-	readyBuf         []int    // scratch: scan-mode ready slots, ascending
-	orderBuf         []int    // scratch: scan-mode policy issue order
 	maskBuf          []uint64 // scratch: andMask intersections
 	candBuf          []uint64 // scratch: this step's issue candidates
 }
@@ -180,7 +170,7 @@ func (sc *subcore) readyBit(slot int) bool {
 }
 
 // setUnit records the port the warp's next instruction issues on, moving
-// its slot's bit between the waiting masks (event mode only). unitNone
+// its slot's bit between the waiting masks. unitNone
 // keeps the warp visitable whatever is busy; it is recorded for a warp
 // with no instruction left (tryWarp finishes it in policy order) and from
 // a bar until the warp next issues — the first visit after a barrier
@@ -215,15 +205,15 @@ func (sc *subcore) enqueue(w *simWarp, next unit) {
 		}
 		sc.candBuf = append(sc.candBuf, 0)
 	}
-	if w.state == warpReady && !sc.scan {
+	if w.state == warpReady {
 		sc.setBit(w.slot)
 		sc.setZero(w.slot) // a fresh warp has lastIssue == 0
 		sc.setUnit(w, next)
 	}
 }
 
-// setReady wakes a Stalled warp whose stallUntil expired (event mode
-// only; the warp was just popped off the wake heap).
+// setReady wakes a Stalled warp whose stallUntil expired (the warp was
+// just popped off the wake heap).
 func (sc *subcore) setReady(w *simWarp) {
 	w.state = warpReady
 	sc.setBit(w.slot)
@@ -233,19 +223,15 @@ func (sc *subcore) setReady(w *simWarp) {
 func (sc *subcore) stall(w *simWarp, until uint64) {
 	w.stallUntil = until
 	w.state = warpStalled
-	if !sc.scan {
-		sc.clearBit(w.slot)
-		sc.heapPush(until, w)
-	}
+	sc.clearBit(w.slot)
+	sc.heapPush(until, w)
 }
 
 // toBarrier parks a Ready warp at its CTA barrier.
 func (sc *subcore) toBarrier(w *simWarp) {
 	w.state = warpAtBarrier
-	if !sc.scan {
-		sc.clearBit(w.slot)
-		sc.setUnit(w, unitNone) // visitable after the release: see setUnit
-	}
+	sc.clearBit(w.slot)
+	sc.setUnit(w, unitNone) // visitable after the release: see setUnit
 }
 
 // release re-arms a warp waiting at a barrier: AtBarrier → Stalled until
@@ -253,21 +239,17 @@ func (sc *subcore) toBarrier(w *simWarp) {
 func (sc *subcore) release(w *simWarp, until uint64) {
 	w.stallUntil = until
 	w.state = warpStalled
-	if !sc.scan {
-		sc.heapPush(until, w)
-	}
+	sc.heapPush(until, w)
 }
 
 // finish retires a Ready warp (exit, or no instructions left).
 func (sc *subcore) finish(w *simWarp) {
 	sc.policy.retired(sc, w)
 	w.state = warpFinished
-	if !sc.scan {
-		sc.clearBit(w.slot)
-		sc.clearZero(w.slot)
-		sc.setUnit(w, unitNone)
-		sc.ageRemove(w)
-	}
+	sc.clearBit(w.slot)
+	sc.clearZero(w.slot)
+	sc.setUnit(w, unitNone)
+	sc.ageRemove(w)
 }
 
 // ageAppend links the warp at the age-list tail. The caller just issued
@@ -312,7 +294,7 @@ func (sc *subcore) ageRemove(w *simWarp) {
 // now. Exit-class instructions retire the warp inside issue() — its
 // order entry was already dropped by finish, so it is skipped here.
 // A cycle-0 issue leaves lastIssue at zero, indistinguishable from
-// never-issued under the legacy GTO comparator, so the warp stays in
+// never-issued under GTO's lastIssue key, so the warp stays in
 // the zero prefix rather than joining the age list.
 //
 //simlint:hotpath
@@ -488,9 +470,6 @@ func (sc *subcore) removeFinished() {
 	if sc.greedy >= len(sc.warps) {
 		sc.greedy = 0
 	}
-	if sc.scan {
-		return
-	}
 	sc.clearMasks()
 	for _, w := range kept {
 		if w.state == warpReady {
@@ -507,10 +486,7 @@ func (sc *subcore) removeFinished() {
 }
 
 // issuable reports whether the warp can be offered to the scheduler at
-// the given cycle. It is mode-independent: it derives readiness from the
-// state and stallUntil rather than the (event-mode-only) ready mask, so
-// policy decisions based on it are identical under both the event-driven
-// and the legacy scan paths.
+// the given cycle, derived from its state and stallUntil.
 func (w *simWarp) issuable(now uint64) bool {
 	return w.state != warpFinished && w.state != warpAtBarrier && w.stallUntil <= now
 }

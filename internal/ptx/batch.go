@@ -49,7 +49,7 @@ var legacyAccessPath atomic.Bool
 
 // LegacyAccessPath switches subsequently constructed warps between the
 // batched struct-of-arrays access path (the default) and the per-lane
-// legacy path, mirroring InterpretALU and gpu.ScanScheduler.
+// legacy path, mirroring InterpretALU.
 func LegacyAccessPath(on bool) { legacyAccessPath.Store(on) }
 
 // SwapLegacyAccessPath sets the knob and returns the restore that puts

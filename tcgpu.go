@@ -123,17 +123,6 @@ func LegacyFragmentPath(on bool) { ptx.LegacyFragmentPath(on) }
 // LegacyFragmentPath; see SwapLegacyAccessPath.
 func SwapLegacyFragmentPath(on bool) (restore func()) { return ptx.SwapLegacyFragmentPath(on) }
 
-// ScanScheduler routes simulators constructed afterwards through the
-// legacy per-cycle full-scan warp scheduler instead of the event-driven
-// incremental issue order (the default). Like the other legacy knobs it
-// is a debug/ablation switch: both paths produce bit-identical Stats and
-// experiment tables. See DESIGN.md's "O(1) issue selection".
-func ScanScheduler(on bool) { gpu.ScanScheduler(on) }
-
-// SwapScanScheduler is the set-and-restore form of ScanScheduler; see
-// SwapLegacyAccessPath.
-func SwapScanScheduler(on bool) (restore func()) { return gpu.SwapScanScheduler(on) }
-
 // GemmKind selects the datapath of RunGEMM.
 type GemmKind int
 
