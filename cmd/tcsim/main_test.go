@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -92,21 +93,58 @@ func TestMaxPerfThroughput(t *testing.T) {
 		{[]string{"-fp16acc"}, "107.84 TFLOPS"},
 		{nil, "106.54 TFLOPS"},
 	} {
-		out, err := os.CreateTemp(t.TempDir(), "stdout")
-		if err != nil {
-			t.Fatal(err)
+		got, code, stderr := runStdout(t, append([]string{"-kernel", "maxperf"}, c.args...))
+		if code != exitOK || !strings.Contains(got, "80 SMs") || !strings.Contains(got, "throughput  : "+c.want) {
+			t.Errorf("maxperf %v = exit %d, want 80 SMs at %s:\n%s%s", c.args, code, c.want, got, stderr)
 		}
-		stdout := os.Stdout
-		os.Stdout = out
-		var stderr bytes.Buffer
-		code := run(append([]string{"-kernel", "maxperf"}, c.args...), &stderr)
-		os.Stdout = stdout
-		got, err := os.ReadFile(out.Name())
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// runStdout calls run with the process stdout redirected to a file and
+// returns what it printed, its exit code and its stderr.
+func runStdout(t *testing.T, args []string) (stdout string, code int, stderr string) {
+	t.Helper()
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	saved := os.Stdout
+	os.Stdout = out
+	var errBuf bytes.Buffer
+	code = run(args, &errBuf)
+	os.Stdout = saved
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(got), code, errBuf.String()
+}
+
+// Verified launches print the same bytes whether the launch replays its
+// values beside the timing loop (GOMAXPROCS 2) or computes them inline
+// (GOMAXPROCS 1): Stats, TFLOPS and the error against the float64
+// reference.
+func TestStdoutIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	for _, args := range [][]string{
+		{"-kernel", "sgemm", "-m", "64", "-n", "64", "-k", "32", "-sms", "2"},
+		{"-kernel", "hgemm", "-m", "64", "-n", "128", "-k", "16", "-sms", "2"},
+		{"-kernel", "cutlass", "-m", "128", "-n", "128", "-k", "64", "-sms", "2", "-policy", "b64x64_w32x32"},
+		{"-kernel", "wmma", "-m", "64", "-n", "64", "-k", "64", "-sms", "2", "-fp16acc"},
+	} {
+		var outs [2]string
+		for i, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			var code int
+			var stderr string
+			outs[i], code, stderr = runStdout(t, args)
+			runtime.GOMAXPROCS(prev)
+			if code != exitOK || !strings.Contains(outs[i], "max |error|") {
+				t.Fatalf("%v at GOMAXPROCS %d = exit %d, want a verified run:\n%s%s", args, procs, code, outs[i], stderr)
+			}
 		}
-		if code != exitOK || !strings.Contains(string(got), "80 SMs") || !strings.Contains(string(got), "throughput  : "+c.want) {
-			t.Errorf("maxperf %v = exit %d, want 80 SMs at %s:\n%s%s", c.args, code, c.want, got, stderr.String())
+		if outs[0] != outs[1] {
+			t.Errorf("%v: stdout differs\nGOMAXPROCS 1:\n%s\nGOMAXPROCS 2:\n%s", args, outs[0], outs[1])
 		}
 	}
 }

@@ -262,12 +262,12 @@ func TestPoliciesDiffer(t *testing.T) {
 }
 
 // The CTA-retirement sweep runs only after a CTA lost its last live warp,
-// so the two ways a CTA gets there without an issue must still raise the
-// flag: warps that find no instruction at their first visit (a
-// zero-instruction kernel), and a CTA dispatched with no live warp at all
-// (an empty block). With two CTA slots and more CTAs than that, the run
-// only ends if every CTA retires and frees its slot; the cycle counts are
-// those of the unconditional sweep.
+// so the way a CTA gets there without an issue must still raise the flag:
+// warps that find no instruction at their first visit (a zero-instruction
+// kernel). (A CTA dispatched with no live warp at all needs an empty
+// block, which Run rejects: TestRunRejectsNonPositiveDims.) With two CTA
+// slots and more CTAs than that, the run only ends if every CTA retires
+// and frees its slot; the cycle count is that of the unconditional sweep.
 func TestGatedRetirementSweepStillRetiresEmptyCTAs(t *testing.T) {
 	for _, c := range []struct {
 		name       string
@@ -276,8 +276,6 @@ func TestGatedRetirementSweepStillRetiresEmptyCTAs(t *testing.T) {
 	}{
 		{"zero-instruction kernel", LaunchSpec{Kernel: ptx.NewBuilder("empty").MustBuild(),
 			Grid: ptx.D1(7), Block: ptx.D1(96), Global: ptx.NewFlatMemory(64)}, 5},
-		{"empty block", LaunchSpec{Kernel: vecAddKernel(),
-			Grid: ptx.D1(5), Block: ptx.D1(0), Args: []uint64{0, 0, 0}, Global: ptx.NewFlatMemory(64)}, 3},
 	} {
 		for _, pol := range Schedulers() {
 			cfg := TitanV()

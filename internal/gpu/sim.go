@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/mem"
 	"repro/internal/ptx"
@@ -109,6 +110,30 @@ type Simulator struct {
 	sys   *mem.System
 	sms   []*sm
 	cycle uint64
+	// regs recycles retired CTAs' register files and scoreboards within
+	// one run.
+	regs regFree
+	// rec is the record stream of a pipelined launch (replay.go), nil on
+	// the serial path.
+	rec *replay
+}
+
+// regFree is a free list of register-file slices keyed by length: a warp's
+// 32·NumRegs-word register file and its NumRegs-entry scoreboard come back
+// cleared when its CTA retires and go to the next CTA's warps.
+type regFree map[int][][]uint64
+
+func (f regFree) get(n int) []uint64 {
+	if s := f[n]; len(s) > 0 {
+		f[n] = s[:len(s)-1]
+		return s[len(s)-1]
+	}
+	return make([]uint64, n)
+}
+
+func (f regFree) put(s []uint64) {
+	clear(s)
+	f[len(s)] = append(f[len(s)], s)
 }
 
 // New builds a simulator for the configuration.
@@ -116,7 +141,7 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, sys: mem.NewSystem(cfg.Mem)}
+	s := &Simulator{cfg: cfg, sys: mem.NewSystem(cfg.Mem), regs: regFree{}}
 	pol := policyFor(cfg.Scheduler)
 	tlCap := cfg.TwoLevelActive
 	if tlCap <= 0 {
@@ -160,8 +185,8 @@ type sm struct {
 	// releaseWake collects barrier wake-ups triggered while this step's
 	// scan is in flight (see step).
 	releaseWake uint64
-	// ctaDone: a resident CTA has no live warp left (or was dispatched
-	// with none), so the end of the next step runs the retirement sweep.
+	// ctaDone: a resident CTA has no live warp left, so the end of the
+	// next step runs the retirement sweep.
 	ctaDone bool
 }
 
@@ -169,6 +194,9 @@ type sm struct {
 func (s *Simulator) Run(spec LaunchSpec) (*Stats, error) {
 	if spec.Kernel == nil || spec.Global == nil {
 		return nil, fmt.Errorf("gpu: launch needs a kernel and global memory")
+	}
+	if err := ptx.CheckLaunch(spec.Grid, spec.Block); err != nil {
+		return nil, fmt.Errorf("gpu: %w", err)
 	}
 	// A CTA that cannot fit an empty SM would never dispatch: say why
 	// instead of reporting the stall it causes as a deadlock.
@@ -179,6 +207,16 @@ func (s *Simulator) Run(spec LaunchSpec) (*Stats, error) {
 	if spec.Kernel.SharedBytes > s.cfg.SharedPerSM {
 		return nil, fmt.Errorf("gpu: a CTA's %d shared bytes exceed SharedPerSM %d", spec.Kernel.SharedBytes, s.cfg.SharedPerSM)
 	}
+	// The values of a separable kernel's launch change nothing the timing
+	// loop sees, so with a second CPU they are computed beside it.
+	if !spec.TimingOnly && spec.Kernel.TimingSeparable() && runtime.GOMAXPROCS(0) > 1 {
+		return s.runPipelined(spec)
+	}
+	return s.run(spec)
+}
+
+// run simulates a validated launch on the calling goroutine.
+func (s *Simulator) run(spec LaunchSpec) (*Stats, error) {
 	total := spec.Grid.Count()
 	limit := total
 	if spec.MaxCTAs > 0 && spec.MaxCTAs < total {
@@ -192,6 +230,7 @@ func (s *Simulator) Run(spec LaunchSpec) (*Stats, error) {
 
 	// Reset per-run state.
 	s.cycle = 0
+	defer clear(s.regs) // a finished run's files are garbage
 	for _, m := range s.sms {
 		m.ctas = m.ctas[:0]
 		m.warps = 0
@@ -331,43 +370,51 @@ func (d *dispatcher) fillOne(m *sm) (bool, error) {
 	id := d.next
 	d.next++
 	d.started++
-	ctaID := ptx.Dim3{
-		X: id % d.spec.Grid.X,
-		Y: (id / d.spec.Grid.X) % d.spec.Grid.Y,
-		Z: id / (d.spec.Grid.X * d.spec.Grid.Y),
-	}
 	env := &ptx.Env{
 		Global:     d.spec.Global,
 		Shared:     make([]byte, k.SharedBytes),
 		GridDim:    d.spec.Grid,
 		BlockDim:   d.spec.Block,
-		CtaID:      ctaID,
+		CtaID:      ctaIndex(d.spec.Grid, id),
 		TimingOnly: d.spec.TimingOnly,
 	}
 	sim := d.sim
 	env.Clock = func() uint64 { return sim.cycle }
 	cta := &simCTA{env: env}
+	if sim.rec != nil {
+		cta.slot = sim.rec.takeSlot()
+	}
 	for wi := 0; wi < warpsPerCTA; wi++ {
-		w, err := ptx.NewWarp(k, env, wi, d.spec.Args)
+		var regs []uint64
+		w, err := ptx.NewWarpOn(k, env, wi, d.spec.Args, func(n int) []uint64 {
+			regs = sim.regs.get(n)
+			return regs
+		})
 		if err != nil {
 			return false, err
 		}
 		sc := m.subcores[(m.warps+wi)%cfg.SubCores]
 		sc.nextWake = 0 // new warps can issue immediately
-		sw := &simWarp{warp: w, cta: cta, sc: sc, regReady: make([]uint64, k.NumRegs)}
-		if w.Exited {
-			sw.state = warpFinished
-		} else {
-			cta.live++
-		}
+		sw := &simWarp{warp: w, cta: cta, sc: sc, regs: regs, regReady: sim.regs.get(k.NumRegs),
+			vslot: cta.slot*uint32(warpsPerCTA) + uint32(wi)}
+		cta.live++ // a valid block gives every warp a lane
 		cta.warps = append(cta.warps, sw)
 		sc.enqueue(sw, sw.noteHazard())
 	}
 	m.warps += warpsPerCTA
 	m.shared += k.SharedBytes
 	m.ctas = append(m.ctas, cta)
-	m.ctaDone = m.ctaDone || cta.live == 0
+	if sim.rec != nil {
+		if err := sim.rec.record(event{at: uint64(id), slot: cta.slot, kind: evDispatch}); err != nil {
+			return false, err
+		}
+	}
 	return true, nil
+}
+
+// ctaIndex returns the CTA ID of the id-th CTA in row-major grid order.
+func ctaIndex(grid ptx.Dim3, id int) ptx.Dim3 {
+	return ptx.Dim3{X: id % grid.X, Y: (id / grid.X) % grid.Y, Z: id / (grid.X * grid.Y)}
 }
 
 // step advances one SM by one cycle: each sub-core scheduler issues at
@@ -428,6 +475,13 @@ func (m *sm) step(st *Stats) (issued bool, wake uint64, err error) {
 		}
 		m.warps -= len(cta.warps)
 		m.shared -= len(cta.env.Shared)
+		for _, w := range cta.warps {
+			m.sim.regs.put(w.regs)
+			m.sim.regs.put(w.regReady)
+		}
+		if r := m.sim.rec; r != nil {
+			r.slots = append(r.slots, cta.slot)
+		}
 		for _, sc := range m.subcores {
 			sc.removeFinished()
 		}
@@ -451,6 +505,11 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 	var res ptx.Result
 	if err := w.warp.StepInto(&res); err != nil {
 		return err
+	}
+	if r := m.sim.rec; r != nil {
+		if err := r.record(event{at: now, slot: w.vslot}); err != nil {
+			return err
+		}
 	}
 	st.WarpInstructions++
 	st.ThreadInstructions += uint64(w.warp.NLanes())

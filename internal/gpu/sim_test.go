@@ -407,3 +407,32 @@ func TestRunRejectsCTAThatCannotFit(t *testing.T) {
 		}
 	}
 }
+
+// A grid or block component below one is rejected before anything is
+// simulated, naming the field: such launches used to return a nil error —
+// a negative CTAsTotal, CTAs with negative IDs, CTAs with no warps.
+func TestRunRejectsNonPositiveDims(t *testing.T) {
+	for _, c := range []struct {
+		grid, block ptx.Dim3
+		field       string
+	}{
+		{ptx.Dim3{X: -1, Y: 1, Z: 1}, ptx.D1(32), "grid.X is -1"},
+		{ptx.Dim3{X: -2, Y: -1, Z: 1}, ptx.D1(32), "grid.X is -2"},
+		{ptx.Dim3{X: 2, Y: 0, Z: 1}, ptx.D1(32), "grid.Y is 0"},
+		{ptx.Dim3{X: 2, Y: 1}, ptx.D1(32), "grid.Z is 0"},
+		{ptx.D1(2), ptx.D1(0), "block.X is 0"},
+		{ptx.D1(2), ptx.D1(-32), "block.X is -32"},
+		{ptx.D1(2), ptx.Dim3{X: 32, Y: -1, Z: 1}, "block.Y is -1"},
+		{ptx.D1(2), ptx.Dim3{X: 32, Y: 1, Z: 0}, "block.Z is 0"},
+	} {
+		sim, err := New(smallTitanV())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := sim.Run(LaunchSpec{Kernel: vecAddKernel(), Grid: c.grid, Block: c.block,
+			Args: []uint64{0, 0, 0}, Global: ptx.NewFlatMemory(64)})
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("grid %v block %v: Run = %+v, %v; want an error containing %q", c.grid, c.block, st, err, c.field)
+		}
+	}
+}

@@ -66,14 +66,17 @@ type simCTA struct {
 	warps     []*simWarp
 	live      int
 	atBarrier int
+	slot      uint32 // the CTA's slot in a pipelined launch's record (replay.go)
 }
 
 type simWarp struct {
 	warp       *ptx.Warp
 	cta        *simCTA
 	sc         *subcore
-	slot       int // index in sc.warps, maintained across compaction
+	slot       int    // index in sc.warps, maintained across compaction
+	vslot      uint32 // the warp's slot in a pipelined launch's record
 	state      warpState
+	regs       []uint64 // warp's register file, recycled with its CTA
 	regReady   []uint64
 	stallUntil uint64
 	lastIssue  uint64

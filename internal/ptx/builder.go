@@ -282,7 +282,11 @@ func (b *Builder) Build() (*Kernel, error) {
 	k := b.k
 	// Decode once per kernel: every warp of every launch shares this
 	// read-only program instead of re-classifying operands per execution.
-	k.prog, k.separable = decodeKernel(&k)
+	prog, separable, rows, nrows := decodeKernel(&k)
+	k.prog, k.separable = prog, separable
+	if separable {
+		k.timing, k.timingParams, k.timingRegs = packTiming(&k, prog, rows, nrows)
+	}
 	k.digest = digestKernel(&k)
 	return &k, nil
 }

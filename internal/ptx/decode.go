@@ -74,6 +74,7 @@ type DInstr struct {
 	skip uint8
 	srcs []srcOp
 	dsts []int32 // all destination registers, in Instr.Dst order
+	wb   []int32 // dsts in the kernel's numbering, for the scoreboard (DstRegs)
 	sb   []int32 // deduplicated scoreboard registers
 	// The packed scoreboard set: sbMask holds the registers of sb with
 	// IDs < 64 as a bitmask, sbWide the (rare) spill of larger IDs. The
@@ -115,7 +116,7 @@ func (d *DInstr) ScoreboardRegs() []int32 { return d.sb }
 func (d *DInstr) ScoreboardSet() (mask uint64, wide []int32) { return d.sbMask, d.sbWide }
 
 // DstRegs returns the destination register IDs, in declaration order.
-func (d *DInstr) DstRegs() []int32 { return d.dsts }
+func (d *DInstr) DstRegs() []int32 { return d.wb }
 
 // interpretALU, when set, decodes every ALU instruction to the per-lane
 // interpreted path instead of the table-driven dispatch. It exists so
@@ -140,13 +141,15 @@ func SwapInterpretALU(on bool) (restore func()) {
 }
 
 // decodeKernel builds the decoded program of a kernel and reports whether
-// the kernel is timing-separable (see sliceKernel).
-func decodeKernel(k *Kernel) (prog []DInstr, separable bool) {
+// the kernel is timing-separable, with the TimingOnly register layout of
+// one that is (see sliceKernel).
+func decodeKernel(k *Kernel) (prog []DInstr, separable bool, rows []int32, nrows int) {
 	prog = make([]DInstr, len(k.Instrs))
 	for i := range k.Instrs {
 		decodeInstr(k, &k.Instrs[i], &prog[i])
 	}
-	return prog, sliceKernel(k, prog)
+	separable, rows, nrows = sliceKernel(k, prog)
+	return prog, separable, rows, nrows
 }
 
 // Skip classes: the bits of DInstr.skip and of Warp.skip.
@@ -185,8 +188,11 @@ const (
 // fail, is skipDead, separable kernel or not; its seeds contain the
 // control solve's, so on a separable kernel it is skipTiming as well.
 //
+// On a separable kernel it also lays out the register file of the warps
+// that honour skipTiming (timingRows).
+//
 //simlint:ctor
-func sliceKernel(k *Kernel, prog []DInstr) (separable bool) {
+func sliceKernel(k *Kernel, prog []DInstr) (separable bool, rows []int32, nrows int) {
 	n, words := len(prog), (k.NumRegs+63)/64
 	in := make([]uint64, (n+1)*words) // row i: the set before instruction i; row n: empty
 	out, cur := make([]uint64, words), make([]uint64, words)
@@ -252,6 +258,9 @@ func sliceKernel(k *Kernel, prog []DInstr) (separable bool) {
 			prog[i].skip = skipTiming
 		}
 	}
+	if separable {
+		rows, nrows = timingRows(k, prog, in, flow, out)
+	}
 	solve(storeOperands)
 	for i := range prog {
 		d := &prog[i]
@@ -259,7 +268,7 @@ func sliceKernel(k *Kernel, prog []DInstr) (separable bool) {
 			d.skip |= skipDead
 		}
 	}
-	return separable
+	return separable, rows, nrows
 }
 
 // infallible reports whether the instruction's executor cannot fail on
@@ -308,8 +317,153 @@ func controlOperands(d *DInstr) int {
 	return min(n, len(d.srcs))
 }
 
-// decodeInstr populates one decoded instruction in place; the sole
-// member of DInstr's frozen constructor set.
+// timingRows lays out the register file of a warp that honours skipTiming,
+// from the control solve's sets (live, one row per program point) and its
+// successor union (flow, out). Such a warp needs the value of a control
+// register only, and only while the register is live: two control
+// registers share a row unless they are live at the same point or an
+// instruction the warp executes writes one while the other is live after
+// it. Greedy colouring gives the rows: the GEMM kernels keep 12–16
+// registers live at once of their 58–140. Every operand of an executed div
+// or rem, whose fault depends on the value, gets a row of its own; every
+// other register gets -1, the sink row packTiming appends.
+func timingRows(k *Kernel, prog []DInstr, live []uint64, flow func(int) bool, out []uint64) (rows []int32, n int) {
+	words := len(out)
+	each := func(set []uint64, f func(r int)) {
+		for w, v := range set {
+			for ; v != 0; v &= v - 1 {
+				f(w*64 + bits.TrailingZeros64(v))
+			}
+		}
+	}
+	adj := make([]uint64, k.NumRegs*words) // row r: the registers r interferes with
+	join := func(r int, set []uint64) {
+		for w, v := range set {
+			adj[r*words+w] |= v
+		}
+	}
+	control := make([]uint64, words)
+	for at := 0; at < len(live); at += words {
+		set := live[at:][:words]
+		each(set, func(r int) { join(r, set) })
+		for w, v := range set {
+			control[w] |= v
+		}
+	}
+	isControl := func(r int32) bool { return control[r>>6]>>(r&63)&1 != 0 }
+	for i := range prog {
+		if prog[i].skip&skipTiming != 0 {
+			continue
+		}
+		flow(i)
+		for _, d := range prog[i].dsts {
+			if isControl(d) {
+				join(int(d), out)
+				each(out, func(r int) { adj[r*words+int(d>>6)] |= 1 << (d & 63) })
+			}
+		}
+	}
+	rows = make([]int32, k.NumRegs)
+	taken := make([]bool, k.NumRegs+1)
+	for r := range rows {
+		rows[r] = -1
+		if !isControl(int32(r)) {
+			continue
+		}
+		clear(taken)
+		each(adj[r*words:][:words], func(x int) {
+			if x != r && rows[x] >= 0 {
+				taken[rows[x]] = true
+			}
+		})
+		c := 0
+		for taken[c] {
+			c++
+		}
+		rows[r] = int32(c)
+		n = max(n, c+1)
+	}
+	for i := range prog {
+		if d := &prog[i]; d.Class == DClassSFU && d.skip&skipTiming == 0 {
+			for _, s := range d.srcs {
+				if s.kind == OperandReg && rows[s.reg] < 0 {
+					rows[s.reg] = int32(n)
+					n++
+				}
+			}
+		}
+	}
+	return rows, n
+}
+
+// packTiming copies a separable kernel's decoded program for the warps that
+// honour skipTiming, renumbered onto the rows timingRows laid out plus one
+// sink row that every other register shares: n rows in all. Such a warp
+// reads a data register only in an instruction it must execute for its
+// fault, and those — the interpreted ALU ops with their static errors, an
+// invalid wmma.mma config — fail or not whatever the operands hold (div and
+// rem keep their operands' values), so what the sink holds is never seen.
+// The operands executors read, the Instr-level ones of the per-lane paths
+// included (on copies the copied instructions point at), are renumbered;
+// the scoreboard set and DstRegs keep the kernel's numbering, so hazards
+// are the program's.
+//
+//simlint:ctor
+func packTiming(k *Kernel, prog []DInstr, rows []int32, n int) (timing []DInstr, params []Reg, total int) {
+	perm := make([]int32, k.NumRegs)
+	total = n
+	for r, row := range rows {
+		perm[r] = row
+		if row < 0 {
+			perm[r], total = int32(n), n+1
+		}
+	}
+	re := func(r Reg) Reg { return Reg{ID: int(perm[r.ID])} }
+	timing = slices.Clone(prog)
+	ins := make([]Instr, len(prog))
+	for i := range timing {
+		d, in := &timing[i], &ins[i]
+		*in = *d.In
+		in.Dst = make([]Reg, len(d.In.Dst))
+		for j, r := range d.In.Dst {
+			in.Dst[j] = re(r)
+		}
+		in.Src = slices.Clone(d.In.Src)
+		for j := range in.Src {
+			if in.Src[j].Kind == OperandReg {
+				in.Src[j].Reg = re(in.Src[j].Reg)
+			}
+		}
+		if in.Pred != nil {
+			p := re(*in.Pred)
+			in.Pred = &p
+		}
+		d.In = in
+		d.srcs = slices.Clone(d.srcs)
+		for j := range d.srcs {
+			if d.srcs[j].kind == OperandReg {
+				d.srcs[j].reg = perm[d.srcs[j].reg]
+			}
+		}
+		d.dsts = make([]int32, len(in.Dst))
+		for j, r := range in.Dst {
+			d.dsts[j] = int32(r.ID)
+		}
+		if d.dstID >= 0 {
+			d.dstID = perm[d.dstID]
+		}
+		if d.predID >= 0 {
+			d.predID = perm[d.predID]
+		}
+	}
+	for _, r := range k.ParamRegs {
+		params = append(params, re(r))
+	}
+	return timing, params, total
+}
+
+// decodeInstr populates one decoded instruction in place; with sliceKernel
+// and packTiming, DInstr's frozen constructor set.
 //
 //simlint:ctor
 func decodeInstr(k *Kernel, in *Instr, d *DInstr) {
@@ -339,6 +493,7 @@ func decodeInstr(k *Kernel, in *Instr, d *DInstr) {
 	for i, r := range in.Dst {
 		d.dsts[i] = int32(r.ID)
 	}
+	d.wb = d.dsts
 	d.sb = appendScoreboardRegs(nil, in)
 	for _, id := range d.sb {
 		if id < 64 {

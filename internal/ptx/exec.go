@@ -28,6 +28,21 @@ func D2(x, y int) Dim3 { return Dim3{x, y, 1} }
 // Count returns the number of threads/blocks the dimension spans.
 func (d Dim3) Count() int { return d.X * d.Y * d.Z }
 
+// CheckLaunch rejects a launch whose grid or block has a component below
+// one, naming the field: such a launch has no CTA or thread indices to
+// give its warps.
+func CheckLaunch(grid, block Dim3) error {
+	for _, c := range [...]struct {
+		field string
+		n     int
+	}{{"grid.X", grid.X}, {"grid.Y", grid.Y}, {"grid.Z", grid.Z}, {"block.X", block.X}, {"block.Y", block.Y}, {"block.Z", block.Z}} {
+		if c.n < 1 {
+			return fmt.Errorf("%s is %d, want at least 1", c.field, c.n)
+		}
+	}
+	return nil
+}
+
 // Env is the execution environment of one CTA: the memories it can reach
 // and its position in the grid. Clock supplies the value of %clock; the
 // timing simulator wires it to the SM cycle counter, and functional runs
@@ -45,6 +60,8 @@ type Env struct {
 	// while every address, branch, barrier and fault stays what a full run
 	// produces (DESIGN.md "Value-free timing").
 	TimingOnly bool
+	// scratch is shared by the CTA's warps (see stepScratch).
+	scratch *stepScratch
 }
 
 // resolveSpace maps a generic address onto the shared window or global
@@ -129,23 +146,32 @@ type Warp struct {
 	skip uint8
 
 	// Scratch buffers reused across Step calls so the hot execution path
-	// stays allocation-free: staging buffers for loads/stores (membuf for
-	// one lane, bulk for a whole warp's contiguous runs), the
+	// stays allocation-free: the staging and operand vectors every warp of
+	// the CTA shares (stepScratch), the
 	// Result.Accesses and Result.Batch backing arrays, the address and
 	// piece lists of the per-lane wmma.load/store loop, and the
 	// register images of wmma.mma (operand images and the C/D word tiles
 	// for the batched path, tiles for the per-lane fallback).
-	membuf    [16]byte
-	bulk      [512]byte // 32 lanes × 16 bytes
+	*stepScratch
 	accBuf    []Access
 	batchBuf  []WarpAccess
 	addrBuf   []uint64
 	pieceBuf  []fragPiece
-	vecs      [3][32]uint64     // special-register operand vectors (srcVec), load offsets
 	mmaFloats []float32         // wmma.mma A and B images, floating-point configs
 	mmaInts   []int32           // … integer configs
 	mmaWords  []uint64          // wmma.mma C and D word tiles
 	tiles     [4]*tensor.Matrix // per-lane wmma.mma A/B/C/D tile scratch
+}
+
+// stepScratch is what one step needs and no later step reads: staging
+// buffers for loads and stores (membuf for one lane, bulk for a whole
+// warp's contiguous runs) and the special-register operand vectors and
+// load offsets (vecs). A CTA's warps step one at a time, so they share
+// one, kept on their Env.
+type stepScratch struct {
+	membuf [16]byte
+	bulk   [512]byte // 32 lanes × 16 bytes
+	vecs   [3][32]uint64
 }
 
 // NLanes returns the number of active lanes (fixed at construction:
@@ -156,10 +182,22 @@ func (w *Warp) NLanes() int { return w.nLanes }
 // parameter registers of every lane. args must match the kernel's
 // parameter list.
 func NewWarp(k *Kernel, env *Env, id int, args []uint64) (*Warp, error) {
+	return NewWarpOn(k, env, id, args, func(words int) []uint64 { return make([]uint64, words) })
+}
+
+// NewWarpOn is NewWarp on a register file the caller owns: regs returns
+// words zeroed words, which the warp uses until the caller takes them back
+// (the timing simulator hands a retired CTA's files, cleared, to the next
+// one). A warp that skips what timing never reads asks only for the
+// registers it touches (packTiming); any other, for 32·k.NumRegs words.
+func NewWarpOn(k *Kernel, env *Env, id int, args []uint64, regs func(words int) []uint64) (*Warp, error) {
 	if len(args) != len(k.Params) {
 		return nil, fmt.Errorf("ptx: kernel %s takes %d args, got %d", k.Name, len(k.Params), len(args))
 	}
-	w := &Warp{Kernel: k, Env: env, ID: id}
+	if env.scratch == nil {
+		env.scratch = new(stepScratch)
+	}
+	w := &Warp{Kernel: k, Env: env, ID: id, stepScratch: env.scratch}
 	w.legacy = legacyAccessPath.Load()
 	w.legacyFrag = legacyFragmentPath.Load()
 	if !w.legacy && !w.legacyFrag {
@@ -169,19 +207,23 @@ func NewWarp(k *Kernel, env *Env, id int, args []uint64) (*Warp, error) {
 		}
 	}
 	w.prog = k.prog
+	numRegs, params := k.NumRegs, k.ParamRegs
 	if w.prog == nil {
 		// Hand-assembled kernels (no Builder.Build pass) decode a private
 		// program; built kernels share the per-kernel cache.
-		w.prog, _ = decodeKernel(k)
+		w.prog, _, _, _ = decodeKernel(k)
 	}
-	w.regs = make([]uint64, 32*k.NumRegs)
+	if w.skip&skipTiming != 0 && k.timing != nil {
+		w.prog, numRegs, params = k.timing, k.timingRegs, k.timingParams
+	}
+	w.regs = regs(32 * numRegs)
 	if n := env.BlockDim.Count() - id*32; n >= 32 {
 		w.active = fullMask
 	} else if n > 0 {
 		w.active = 1<<n - 1
 	}
 	w.nLanes = bits.OnesCount32(w.active)
-	for i, r := range k.ParamRegs {
+	for i, r := range params {
 		v := w.regVec(r.ID)
 		for m := w.active; m != 0; m &= m - 1 {
 			v[bits.TrailingZeros32(m)&31] = args[i]
@@ -293,8 +335,8 @@ func (w *Warp) laneEnabled(lane int, in *Instr) bool {
 // Peek returns the instruction the warp will execute next, or nil if the
 // warp has exited.
 func (w *Warp) Peek() *Instr {
-	if d := w.PeekD(); d != nil {
-		return d.In
+	if w.PeekD() != nil {
+		return &w.Kernel.Instrs[w.PC]
 	}
 	return nil
 }
@@ -342,7 +384,9 @@ func (w *Warp) step(res *Result) error {
 		return nil
 	}
 	in := d.In
-	*res = Result{Instr: in, Accesses: w.accBuf[:0], Batch: w.batchBuf[:0]}
+	// The kernel's own instruction: a packed program's copy numbers its
+	// registers differently.
+	*res = Result{Instr: &w.Kernel.Instrs[w.PC], Accesses: w.accBuf[:0], Batch: w.batchBuf[:0]}
 
 	switch d.Class {
 	case DClassBra:

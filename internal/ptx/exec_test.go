@@ -3,6 +3,7 @@ package ptx
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fp16"
@@ -242,6 +243,38 @@ func TestSpecialRegisters(t *testing.T) {
 			if got := u32At(mem, uint64(4*(cta*8+tid))); got != want {
 				t.Fatalf("cta %d tid %d: got %d, want %d", cta, tid, got, want)
 			}
+		}
+	}
+}
+
+// RunGrid rejects a grid or block component below one, naming the field;
+// a negative grid dimension used to run nothing and return nil, and an
+// empty block ran CTAs with no warps.
+func TestRunGridRejectsNonPositiveDims(t *testing.T) {
+	b := NewBuilder("store")
+	out := b.Param("out", U64)
+	b.St(Global, 32, R(out), []Operand{Imm(7)})
+	b.Exit()
+	k := b.MustBuild()
+	for _, c := range []struct {
+		grid, block Dim3
+		want        string
+	}{
+		{Dim3{-1, 1, 1}, D1(32), "grid.X is -1"},
+		{Dim3{2, -1, 1}, D1(32), "grid.Y is -1"},
+		{Dim3{2, 1, 0}, D1(32), "grid.Z is 0"},
+		{D1(1), D1(0), "block.X is 0"},
+		{D1(1), D1(-32), "block.X is -32"},
+		{D1(1), Dim3{32, 0, 1}, "block.Y is 0"},
+		{D1(1), Dim3{32, 1, -4}, "block.Z is -4"},
+	} {
+		mem := NewFlatMemory(4)
+		err := RunGrid(k, mem, c.grid, c.block, []uint64{0})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("grid %v block %v: RunGrid = %v, want an error containing %q", c.grid, c.block, err, c.want)
+		}
+		if u32At(mem, 0) != 0 {
+			t.Errorf("grid %v block %v: a rejected launch stored to memory", c.grid, c.block)
 		}
 	}
 }

@@ -294,6 +294,13 @@ type Kernel struct {
 	// separable: no loaded value reaches the control plane (see
 	// sliceKernel), set with prog.
 	separable bool
+	// timing is prog renumbered for the warps that honour skipTiming (see
+	// packTiming): their register files hold timingRegs registers, and
+	// timingParams are the parameters' registers there. Set with prog for
+	// a separable kernel, nil otherwise.
+	timing       []DInstr
+	timingParams []Reg
+	timingRegs   int
 	// digest is the kernel's content address (see digest.go), set with
 	// prog by Builder.Build.
 	digest string

@@ -68,6 +68,9 @@ func RunCTA(k *Kernel, env *Env, args []uint64) error {
 // RunGrid executes every CTA of a grid sequentially against the same
 // global memory, giving each CTA a fresh shared-memory window.
 func RunGrid(k *Kernel, global Memory, grid, block Dim3, args []uint64) error {
+	if err := CheckLaunch(grid, block); err != nil {
+		return fmt.Errorf("ptx: %w", err)
+	}
 	for z := 0; z < grid.Z; z++ {
 		for y := 0; y < grid.Y; y++ {
 			for x := 0; x < grid.X; x++ {

@@ -370,12 +370,23 @@ func TestTimingOnlyStepsMatchFull(t *testing.T) {
 	for _, block := range []Dim3{D1(64), D1(40)} { // 40: a partial warp takes the per-lane wmma path
 		full := newCTARun(t, k, block, false, seed, 0, 8<<10)
 		timing := newCTARun(t, k, block, true, seed, 0, 8<<10)
+		// TimingOnly warps run the packed program, on register files that
+		// hold only the registers it touches.
+		if k.timingRegs >= k.NumRegs {
+			t.Fatalf("packed program keeps all %d registers", k.NumRegs)
+		}
+		for wi, w := range timing.warps {
+			if len(w.regs) != 32*k.timingRegs || len(full.warps[wi].regs) != 32*k.NumRegs {
+				t.Fatalf("warp %d: register files of %d (TimingOnly) and %d words, want %d and %d",
+					wi, len(w.regs), len(full.warps[wi].regs), 32*k.timingRegs, 32*k.NumRegs)
+			}
+		}
 		if err := stepTogether(t, full, timing); err != nil {
 			t.Fatal(err)
 		}
-		// Full warps skip every store; the partial warp's per-lane wmma
-		// fallback computes as ever and may write (meaningless) bytes.
-		if got := timing.env.Global.(*FlatMemory).Data; block.X%32 == 0 && string(got) != string(seed) {
+		// Every store is skipped, the partial warp's per-lane wmma fallback
+		// included.
+		if got := timing.env.Global.(*FlatMemory).Data; string(got) != string(seed) {
 			t.Errorf("block %d: the TimingOnly run wrote global memory", block.X)
 		}
 		if string(full.env.Global.(*FlatMemory).Data) == string(seed) {
@@ -415,6 +426,9 @@ func TestTimingOnlyInertWhenNotSeparable(t *testing.T) {
 		timing := newCTARun(t, mixedKernel(), D1(64), true, seededBytes(16<<10, 23), 0, 8<<10)
 		for wi, fw := range full.warps {
 			tw := timing.warps[wi]
+			if len(tw.regs) != len(fw.regs) {
+				t.Fatalf("warp %d: a TimingOnly warp that computes every value got a packed register file", wi)
+			}
 			for !fw.Exited {
 				fw.AtBarrier, tw.AtBarrier = false, false
 				if _, err := fw.Step(); err != nil {

@@ -29,7 +29,7 @@ func (w *Warp) uniformOperand(d *DInstr, i int) (uint64, error) {
 	v := vec[bits.TrailingZeros32(on)&31]
 	for on &= on - 1; on != 0; on &= on - 1 {
 		if vec[bits.TrailingZeros32(on)&31] != v {
-			return 0, fmt.Errorf("ptx: wmma operand %v not warp-uniform", d.In.Src[i])
+			return 0, fmt.Errorf("ptx: wmma %s not warp-uniform", [...]string{"base", "stride"}[i])
 		}
 	}
 	return v, nil
@@ -147,6 +147,9 @@ func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
 	elemBytes := uint64(d.membytes)
 	buf := w.membuf[:elemBytes]
 	batched := !w.legacy
+	// A skipped load still bounds-checks every element but leaves the
+	// fragment registers alone: a packed register file has none of them.
+	values := !w.valueFree(d)
 	for lane := 0; lane < 32; lane++ {
 		if !w.laneEnabled(lane, in) {
 			continue
@@ -158,6 +161,9 @@ func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
 			addrs[slot] = addr
 			if err := w.fragElem(in.Space, addr, buf, false); err != nil {
 				return err
+			}
+			if !values {
+				continue
 			}
 			var v uint64
 			for b := int(elemBytes) - 1; b >= 0; b-- {
@@ -192,6 +198,9 @@ func (w *Warp) execWmmaStore(d *DInstr, res *Result) error {
 	elemBytes := uint64(d.membytes)
 	buf := w.membuf[:elemBytes]
 	batched := !w.legacy
+	// A skipped store reads no fragment register and writes nothing: its
+	// element moves into the scratch buffer, for the bounds check alone.
+	values := !w.valueFree(d)
 	for lane := 0; lane < 32; lane++ {
 		if !w.laneEnabled(lane, in) {
 			continue
@@ -201,11 +210,13 @@ func (w *Warp) execWmmaStore(d *DInstr, res *Result) error {
 			off := memOffsetFor(m, c, int(stride))
 			addr := base + uint64(off)*elemBytes
 			addrs[slot] = addr
-			v := w.operand(lane, &in.Src[2+slot])
-			for b := range buf {
-				buf[b] = byte(v >> (8 * b))
+			if values {
+				v := w.operand(lane, &in.Src[2+slot])
+				for b := range buf {
+					buf[b] = byte(v >> (8 * b))
+				}
 			}
-			if err := w.fragElem(in.Space, addr, buf, true); err != nil {
+			if err := w.fragElem(in.Space, addr, buf, values); err != nil {
 				return err
 			}
 		}
