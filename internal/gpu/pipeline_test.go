@@ -236,6 +236,77 @@ func TestPipelineLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
+// cancelOnWrite is a memory whose writes cancel the launch's Ctx: on a
+// pipelined launch the value goroutine makes them.
+type cancelOnWrite struct {
+	ptx.FlatMemory
+	cancel context.CancelFunc
+}
+
+func (m *cancelOnWrite) Write(addr uint64, data []byte) {
+	m.cancel()
+	m.FlatMemory.Write(addr, data)
+}
+
+// A Ctx canceled after the timing loop's last poll does not cut the value
+// replay short: a launch that returns no error leaves the serial run's
+// memory. Each warp stores first and last; the first store, in the first
+// batch, cancels. The timing loop polls Ctx every 1024 passes and needs
+// fewer, but records more events than the batches hold, so before it can
+// finish it waits for the value side to hand the first batch back, by
+// which time the Ctx is canceled.
+func TestPipelineCancelAfterTimingReplaysAll(t *testing.T) {
+	b := ptx.NewBuilder("store_twice")
+	out := b.Param("out", ptx.U64)
+	gid, a := b.Reg(), b.Reg()
+	b.Mad(ptx.U32, gid, ptx.SR(ptx.SRegCtaIDX), ptx.SR(ptx.SRegNTidX), ptx.SR(ptx.SRegTidX))
+	b.MulWide(a, ptx.R(gid), ptx.Imm(8))
+	b.Add(ptx.U64, a, ptx.R(a), ptx.R(out))
+	b.St(ptx.Global, 32, ptx.R(a), []ptx.Operand{ptx.R(gid)})
+	for i := 0; i < 16; i++ {
+		b.Add(ptx.U32, b.Reg(), ptx.R(gid), ptx.Imm(uint64(i)))
+	}
+	b.Add(ptx.U32, gid, ptx.R(gid), ptx.Imm(1))
+	b.St(ptx.Global, 64, ptx.R(a), []ptx.Operand{ptx.R(gid), ptx.R(gid)})
+	b.Exit()
+	k := b.MustBuild()
+	cfg := TitanV()
+	cfg.NumSMs = 8
+	spec := LaunchSpec{Kernel: k, Grid: ptx.D1(160), Block: ptx.D1(128), Args: []uint64{0}}
+	size := 8 * spec.Grid.Count() * spec.Block.Count()
+	want, wantMem, err := launchProcs(t, 1, cfg, spec, make([]byte, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Cycles >= 1024 || want.WarpInstructions <= batches*batchEvents {
+		t.Fatalf("%d warp instructions in %d cycles: the launch no longer outruns the batches within one Ctx poll",
+			want.WarpInstructions, want.Cycles)
+	}
+
+	setProcs(t, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m := &cancelOnWrite{FlatMemory: *ptx.NewFlatMemory(size), cancel: cancel}
+	spec.Ctx, spec.Global = ctx, m
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.Run(spec)
+	if err != nil {
+		t.Fatalf("Run = %v: the timing loop saw the cancellation", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("no store canceled the Ctx")
+	}
+	if !reflect.DeepEqual(st, want) {
+		t.Errorf("stats differ\npipelined: %+v\nserial:    %+v", st, want)
+	}
+	if string(m.Data) != string(wantMem) {
+		t.Error("a launch that returned no error left memory short of the serial run's")
+	}
+}
+
 // storePanics is a memory whose every write panics: the value side meets
 // it only on the value goroutine of a pipelined launch.
 type storePanics struct{ ptx.FlatMemory }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"errors"
 
 	"repro/internal/ptx"
@@ -107,9 +108,11 @@ func (s *Simulator) runPipelined(spec LaunchSpec) (*Stats, error) {
 	timing := spec
 	timing.TimingOnly, timing.Global = true, discard{}
 	st, err := s.run(timing)
-	// A canceled launch stops at once. Any other ending replays what was
-	// recorded, so Global holds what the serial run leaves at that issue.
-	r.stop(spec.Ctx == nil || spec.Ctx.Err() == nil)
+	// A launch the timing loop ended on its Ctx stops at once. Any other
+	// ending replays everything recorded, so Global holds what the serial
+	// run leaves at that issue, however the Ctx stands by now: a launch
+	// that ran to completion returns its full memory.
+	r.stop(!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded))
 	switch {
 	case r.panicked != nil:
 		panic(r.panicked)

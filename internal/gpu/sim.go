@@ -110,30 +110,9 @@ type Simulator struct {
 	sys   *mem.System
 	sms   []*sm
 	cycle uint64
-	// regs recycles retired CTAs' register files and scoreboards within
-	// one run.
-	regs regFree
 	// rec is the record stream of a pipelined launch (replay.go), nil on
 	// the serial path.
 	rec *replay
-}
-
-// regFree is a free list of register-file slices keyed by length: a warp's
-// 32·NumRegs-word register file and its NumRegs-entry scoreboard come back
-// cleared when its CTA retires and go to the next CTA's warps.
-type regFree map[int][][]uint64
-
-func (f regFree) get(n int) []uint64 {
-	if s := f[n]; len(s) > 0 {
-		f[n] = s[:len(s)-1]
-		return s[len(s)-1]
-	}
-	return make([]uint64, n)
-}
-
-func (f regFree) put(s []uint64) {
-	clear(s)
-	f[len(s)] = append(f[len(s)], s)
 }
 
 // New builds a simulator for the configuration.
@@ -141,7 +120,7 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, sys: mem.NewSystem(cfg.Mem), regs: regFree{}}
+	s := &Simulator{cfg: cfg, sys: mem.NewSystem(cfg.Mem)}
 	pol := policyFor(cfg.Scheduler)
 	tlCap := cfg.TwoLevelActive
 	if tlCap <= 0 {
@@ -230,7 +209,6 @@ func (s *Simulator) run(spec LaunchSpec) (*Stats, error) {
 
 	// Reset per-run state.
 	s.cycle = 0
-	defer clear(s.regs) // a finished run's files are garbage
 	for _, m := range s.sms {
 		m.ctas = m.ctas[:0]
 		m.warps = 0
@@ -385,17 +363,13 @@ func (d *dispatcher) fillOne(m *sm) (bool, error) {
 		cta.slot = sim.rec.takeSlot()
 	}
 	for wi := 0; wi < warpsPerCTA; wi++ {
-		var regs []uint64
-		w, err := ptx.NewWarpOn(k, env, wi, d.spec.Args, func(n int) []uint64 {
-			regs = sim.regs.get(n)
-			return regs
-		})
+		w, err := ptx.NewWarp(k, env, wi, d.spec.Args)
 		if err != nil {
 			return false, err
 		}
 		sc := m.subcores[(m.warps+wi)%cfg.SubCores]
 		sc.nextWake = 0 // new warps can issue immediately
-		sw := &simWarp{warp: w, cta: cta, sc: sc, regs: regs, regReady: sim.regs.get(k.NumRegs),
+		sw := &simWarp{warp: w, cta: cta, sc: sc, regReady: make([]uint64, k.NumRegs),
 			vslot: cta.slot*uint32(warpsPerCTA) + uint32(wi)}
 		cta.live++ // a valid block gives every warp a lane
 		cta.warps = append(cta.warps, sw)
@@ -475,10 +449,6 @@ func (m *sm) step(st *Stats) (issued bool, wake uint64, err error) {
 		}
 		m.warps -= len(cta.warps)
 		m.shared -= len(cta.env.Shared)
-		for _, w := range cta.warps {
-			m.sim.regs.put(w.regs)
-			m.sim.regs.put(w.regReady)
-		}
 		if r := m.sim.rec; r != nil {
 			r.slots = append(r.slots, cta.slot)
 		}

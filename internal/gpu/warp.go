@@ -76,7 +76,6 @@ type simWarp struct {
 	slot       int    // index in sc.warps, maintained across compaction
 	vslot      uint32 // the warp's slot in a pipelined launch's record
 	state      warpState
-	regs       []uint64 // warp's register file, recycled with its CTA
 	regReady   []uint64
 	stallUntil uint64
 	lastIssue  uint64

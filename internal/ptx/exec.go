@@ -187,8 +187,8 @@ func NewWarp(k *Kernel, env *Env, id int, args []uint64) (*Warp, error) {
 
 // NewWarpOn is NewWarp on a register file the caller owns: regs returns
 // words zeroed words, which the warp uses until the caller takes them back
-// (the timing simulator hands a retired CTA's files, cleared, to the next
-// one). A warp that skips what timing never reads asks only for the
+// (the value side of a pipelined timing launch hands a retired CTA's files,
+// cleared, to the next one). A warp that skips what timing never reads asks only for the
 // registers it touches (packTiming); any other, for 32·k.NumRegs words.
 func NewWarpOn(k *Kernel, env *Env, id int, args []uint64, regs func(words int) []uint64) (*Warp, error) {
 	if len(args) != len(k.Params) {
