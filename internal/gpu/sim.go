@@ -485,19 +485,22 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 	st.ThreadInstructions += uint64(w.warp.NLanes())
 	w.lastIssue = now
 
-	done := now + uint64(cfg.IssueLatency)
-	switch in.Class {
-	case ptx.DClassBra:
-		done += 1
-	case ptx.DClassExit:
+	// A guarded exit or barrier that no lane takes falls through like bra.
+	switch {
+	case res.Exited:
 		m.finishWarp(w, now)
 		return nil
-	case ptx.DClassBar:
+	case res.Barrier:
 		w.noteHazard() // nothing issues before the release: still exact then
 		sc.toBarrier(w)
 		w.cta.atBarrier++
 		m.maybeReleaseBarrier(w.cta, now)
 		return nil
+	}
+	done := now + uint64(cfg.IssueLatency)
+	switch in.Class {
+	case ptx.DClassBra, ptx.DClassExit, ptx.DClassBar:
+		done += 1
 	case ptx.DClassSFU:
 		sc.ports.freeAt[unitSFU] = now + uint64(cfg.SFUII)
 		done += uint64(cfg.SFULatency)

@@ -114,8 +114,8 @@ func BenchmarkWarpStep(b *testing.B) {
 			}
 			return rs
 		}},
-		{name: "wmma.mma", body: wmmaBody(wmma.F32), seed: seedWmmaTiles(wmma.F32)},
-		{name: "wmma.mma.f16", body: wmmaBody(wmma.F16), seed: seedWmmaTiles(wmma.F16)},
+		wmmaCase("wmma.mma", wmma.F32),
+		wmmaCase("wmma.mma.f16", wmma.F16),
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) { benchWarpStep(b, c, false) })
@@ -141,6 +141,11 @@ type stepCase struct {
 	// value is still finite, checked after the timed loop.
 	regs   func(w *Warp, rng *rand.Rand)
 	finite func(v uint64) bool
+	// keep, when set, emits the never-run stores that keep the body's
+	// results alive in place of st of the returned registers: wmma
+	// fragments reach memory through wmma alone, or they are no image
+	// groups and the body would time the per-lane fallback.
+	keep func(kb *Builder, base Reg)
 }
 
 // buildStepKernel assembles a case's kernel and returns the body's bounds:
@@ -155,6 +160,9 @@ func buildStepKernel(c stepCase) (k *Kernel, start, end int) {
 	kb.Label("end")
 	for _, r := range results {
 		kb.St(Global, 32, R(base), []Operand{R(r)})
+	}
+	if c.keep != nil {
+		c.keep(kb, base)
 	}
 	kb.Exit()
 	k = kb.MustBuild()
@@ -191,18 +199,30 @@ func gemmStepCases() []stepCase {
 	return []stepCase{
 		simt("sgemm", F32),
 		simt("hgemm", F16X2),
-		{name: "wmma", body: func(kb *Builder, _ Reg) []Reg {
-			smem := kb.Shared(2048)
-			cfg := wmma.Config{Arch: wmma.Volta, Shape: wmma.M16N16K16,
-				ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
-				AType: wmma.F16, CType: wmma.F32, DType: wmma.F32}
-			fc := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixC, tensor.RowMajor, cfg.CType, Imm(smem+1024), Imm(16))
-			kb.Label("body")
-			fa := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixA, cfg.ALayout, cfg.AType, Imm(smem), Imm(16))
-			fb := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixB, cfg.BLayout, cfg.AType, Imm(smem+512), Imm(16))
-			return kb.WmmaMMA(cfg, fa, fb, fc)
-		}},
+		func() stepCase {
+			var fd []Reg
+			return stepCase{name: "wmma", body: func(kb *Builder, _ Reg) []Reg {
+				smem := kb.Shared(2048)
+				fc := kb.WmmaLoad(benchCfg.Arch, benchCfg.Shape, wmma.MatrixC, tensor.RowMajor, benchCfg.CType, Imm(smem+1024), Imm(16))
+				kb.Label("body")
+				fa := kb.WmmaLoad(benchCfg.Arch, benchCfg.Shape, wmma.MatrixA, benchCfg.ALayout, benchCfg.AType, Imm(smem), Imm(16))
+				fb := kb.WmmaLoad(benchCfg.Arch, benchCfg.Shape, wmma.MatrixB, benchCfg.BLayout, benchCfg.AType, Imm(smem+512), Imm(16))
+				fd = kb.WmmaMMA(benchCfg, fa, fb, fc)
+				return nil
+			}, keep: func(kb *Builder, base Reg) { storeD(kb, benchCfg, base, fd) }}
+		}(),
 	}
+}
+
+// benchCfg is the wmma.mma of the tensor-core cases: WMMAGemmShared's
+// mixed-precision Volta configuration.
+var benchCfg = wmma.Config{Arch: wmma.Volta, Shape: wmma.M16N16K16,
+	ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
+	AType: wmma.F16, CType: wmma.F32, DType: wmma.F32}
+
+// storeD stores an accumulator fragment of cfg to base.
+func storeD(kb *Builder, cfg wmma.Config, base Reg, fd []Reg) {
+	kb.WmmaStore(cfg.Arch, cfg.Shape, tensor.RowMajor, cfg.DType, R(base), fd, Imm(16))
 }
 
 // fragStepCases are the fragment movers by themselves, with the immediate
@@ -212,20 +232,26 @@ func gemmStepCases() []stepCase {
 func fragStepCases() []stepCase {
 	const arch, ld = wmma.Volta, 16
 	sh := wmma.M16N16K16
+	// The loaded A and C reach memory through a wmma.mma and a store.
+	var fa, fc []Reg
 	loads := func(kb *Builder, a, c Operand) []Reg {
 		kb.Label("body")
-		return slices.Concat(
-			kb.WmmaLoad(arch, sh, wmma.MatrixA, tensor.RowMajor, wmma.F16, a, Imm(ld)),
-			kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F32, c, Imm(ld)))
+		fa = kb.WmmaLoad(arch, sh, wmma.MatrixA, tensor.RowMajor, wmma.F16, a, Imm(ld))
+		fc = kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F32, c, Imm(ld))
+		return nil
+	}
+	keep := func(kb *Builder, base Reg) {
+		fb := kb.WmmaLoad(arch, sh, wmma.MatrixB, benchCfg.BLayout, wmma.F16, R(base), Imm(ld))
+		storeD(kb, benchCfg, base, kb.WmmaMMA(benchCfg, fa, fb, fc))
 	}
 	return []stepCase{
 		{name: "wmma.load.shared", body: func(kb *Builder, _ Reg) []Reg {
 			smem := kb.Shared(2048)
 			return loads(kb, Imm(smem), Imm(smem+1024))
-		}},
+		}, keep: keep},
 		{name: "wmma.load.global", body: func(kb *Builder, base Reg) []Reg {
 			return loads(kb, R(base), Imm(1024))
-		}},
+		}, keep: keep},
 		{name: "wmma.store.global", body: func(kb *Builder, base Reg) []Reg {
 			f32 := kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F32, R(base), Imm(ld))
 			f16 := kb.WmmaLoad(arch, sh, wmma.MatrixC, tensor.RowMajor, wmma.F16, Imm(1024), Imm(ld))
@@ -241,8 +267,12 @@ func benchWarpStep(b *testing.B, c stepCase, timingOnly bool) {
 	const warps, perOp = 64, 64 * 64
 	k, start, end := buildStepKernel(c)
 	for i := start; i < end; i++ {
-		if k.prog[i].skip&skipDead != 0 {
+		d := &k.prog[i]
+		if d.skip&skipDead != 0 {
 			b.Fatalf("timed instruction %d (op %d) decodes dead: no store sees its result, so it would not run", i, k.Instrs[i].Op)
+		}
+		if n := map[DClass]int{DClassWmmaLoad: 1, DClassWmmaStore: 1, DClassWmmaMMA: 4}[d.Class]; slices.Contains(d.img[:n], nil) {
+			b.Fatalf("timed instruction %d (op %d) has a fragment that is no image group", i, k.Instrs[i].Op)
 		}
 	}
 	global := NewFlatMemory(warps * 32 * 4)
@@ -310,17 +340,18 @@ func benchWarpStep(b *testing.B, c stepCase, timingOnly bool) {
 // per-chunk rounding off with ±0.)
 const wmmaBenchA, wmmaBenchB, wmmaBenchC = 0, 512, 1024 // tile addresses
 
-func wmmaBody(cd wmma.Precision) func(*Builder, Reg) []Reg {
-	return func(kb *Builder, _ Reg) []Reg {
-		cfg := wmma.Config{Arch: wmma.Volta, Shape: wmma.M16N16K16,
-			ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
-			AType: wmma.F16, CType: cd, DType: cd}
+func wmmaCase(name string, cd wmma.Precision) stepCase {
+	cfg := benchCfg
+	cfg.CType, cfg.DType = cd, cd
+	var fd []Reg
+	return stepCase{name: name, seed: seedWmmaTiles(cd), body: func(kb *Builder, _ Reg) []Reg {
 		fa := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixA, cfg.ALayout, cfg.AType, Imm(wmmaBenchA), Imm(16))
 		fb := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixB, cfg.BLayout, cfg.AType, Imm(wmmaBenchB), Imm(16))
 		fc := kb.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixC, tensor.RowMajor, cfg.CType, Imm(wmmaBenchC), Imm(16))
 		kb.Label("body")
-		return kb.WmmaMMA(cfg, fa, fb, fc)
-	}
+		fd = kb.WmmaMMA(cfg, fa, fb, fc)
+		return nil
+	}, keep: func(kb *Builder, base Reg) { storeD(kb, cfg, base, fd) }}
 }
 
 func seedWmmaTiles(cd wmma.Precision) func([]byte) {

@@ -91,12 +91,12 @@ type DInstr struct {
 	fragB    int32 // wmma.mma B-fragment length
 
 	// The batched wmma path (see wmma_batch.go): wshape is the access shape
-	// of a wmma.load/store with an immediate leading dimension; wA/wB/wC/wD
-	// decode the four wmma.mma mappings. nil keeps the per-lane path
-	// (missing mapping, non-uniform fragment structure, a register stride
-	// or an untamed one, non-register mma operands).
-	wshape         *fragShape
-	wA, wB, wC, wD *fragPlan
+	// of a wmma.load/store with an immediate leading dimension, nil for a
+	// register stride or an untamed one; img names the image groups of the
+	// fragment operands — the loaded or stored one, or wmma.mma's A, B, C
+	// and D — nil for an operand that cannot be held as its image.
+	wshape *fragShape
+	img    [4]*imageGroup
 
 	// space is the ld/st static state space (Generic resolves per
 	// execution).
@@ -148,6 +148,7 @@ func decodeKernel(k *Kernel) (prog []DInstr, separable bool, rows []int32, nrows
 	for i := range k.Instrs {
 		decodeInstr(k, &k.Instrs[i], &prog[i])
 	}
+	groupFragments(k, prog)
 	separable, rows, nrows = sliceKernel(k, prog)
 	return prog, separable, rows, nrows
 }
@@ -208,7 +209,7 @@ func sliceKernel(k *Kernel, prog []DInstr) (separable bool, rows []int32, nrows 
 	flow := func(i int) (hit bool) {
 		d := &prog[i]
 		clear(out)
-		if d.Class != DClassExit && (d.Class != DClassBra || d.predID >= 0) {
+		if d.Class != DClassExit && d.Class != DClassBra || d.predID >= 0 {
 			copy(out, in[(i+1)*words:])
 		}
 		if d.Class == DClassBra && d.target >= 0 {
@@ -515,21 +516,6 @@ func decodeInstr(k *Kernel, in *Instr, d *DInstr) {
 	case OpWmmaMMA:
 		d.fragA = int32(in.WMapA.FragmentLen())
 		d.fragB = int32(in.WMapB.FragmentLen())
-		// The batched gather indexes fragment source registers directly,
-		// so it requires the all-register operand shape Builder emits.
-		regs := true
-		for _, o := range in.Src {
-			if o.Kind != OperandReg {
-				regs = false
-				break
-			}
-		}
-		if regs {
-			d.wA = planFragment(in.WMapA)
-			d.wB = planFragment(in.WMapB)
-			d.wC = planFragment(in.WMap)
-			d.wD = planFragment(in.WMapD)
-		}
 	}
 
 	if d.Class == DClassALU || d.Class == DClassSFU {

@@ -144,34 +144,38 @@ type Warp struct {
 	// construction: skipDead on the batched paths, plus skipTiming under
 	// Env.TimingOnly. The per-lane twins above compute as ever.
 	skip uint8
+	// imageForm has the bit of every image group (DInstr.img) the warp
+	// holds as its tile image; the others are in register form. A new warp
+	// holds every group in registers.
+	imageForm uint64
 
 	// Scratch buffers reused across Step calls so the hot execution path
 	// stays allocation-free: the staging and operand vectors every warp of
 	// the CTA shares (stepScratch), the
 	// Result.Accesses and Result.Batch backing arrays, the address and
-	// piece lists of the per-lane wmma.load/store loop, and the
-	// register images of wmma.mma (operand images and the C/D word tiles
-	// for the batched path, tiles for the per-lane fallback).
+	// piece lists of the per-lane wmma.load/store loop, and the tiles of
+	// the per-lane wmma.mma.
 	*stepScratch
-	accBuf    []Access
-	batchBuf  []WarpAccess
-	addrBuf   []uint64
-	pieceBuf  []fragPiece
-	mmaFloats []float32         // wmma.mma A and B images, floating-point configs
-	mmaInts   []int32           // … integer configs
-	mmaWords  []uint64          // wmma.mma C and D word tiles
-	tiles     [4]*tensor.Matrix // per-lane wmma.mma A/B/C/D tile scratch
+	accBuf   []Access
+	batchBuf []WarpAccess
+	addrBuf  []uint64
+	pieceBuf []fragPiece
+	tiles    [4]*tensor.Matrix // per-lane wmma.mma A/B/C/D tile scratch
 }
 
 // stepScratch is what one step needs and no later step reads: staging
 // buffers for loads and stores (membuf for one lane, bulk for a whole
-// warp's contiguous runs) and the special-register operand vectors and
-// load offsets (vecs). A CTA's warps step one at a time, so they share
-// one, kept on their Env.
+// warp's contiguous runs), the special-register operand vectors and
+// load offsets (vecs), and what the image path of wmma.mma widens its
+// operands into or materialize copies an image to. A CTA's warps step one
+// at a time, so they share one, kept on their Env.
 type stepScratch struct {
-	membuf [16]byte
-	bulk   [512]byte // 32 lanes × 16 bytes
-	vecs   [3][32]uint64
+	membuf    [16]byte
+	bulk      [512]byte // 32 lanes × 16 bytes
+	vecs      [3][32]uint64
+	mmaFloats []float32 // wmma.mma A and B images, floating-point configs
+	mmaInts   []int32   // … integer configs
+	mmaWords  []uint64  // a fragment image being materialized
 }
 
 // NLanes returns the number of active lanes (fixed at construction:
@@ -352,9 +356,10 @@ func (w *Warp) PeekD() *DInstr {
 	return &w.prog[w.PC]
 }
 
-// Step executes the next instruction and advances the PC. Branches must be
-// warp-uniform over enabled lanes (the kernels in this repository use
-// predication for per-lane conditionals); divergent branches are an error.
+// Step executes the next instruction and advances the PC. Branches, exits
+// and barriers must be warp-uniform over enabled lanes (the kernels in this
+// repository use predication for per-lane conditionals); a guard that
+// diverges is an error.
 func (w *Warp) Step() (Result, error) {
 	var res Result
 	err := w.StepInto(&res)
@@ -402,13 +407,21 @@ func (w *Warp) step(res *Result) error {
 			w.PC = int(d.target)
 			return nil
 		}
-	case DClassExit:
-		w.Exited = true
-		res.Exited = true
-		return nil
-	case DClassBar:
-		w.AtBarrier = true
-		res.Barrier = true
+	case DClassExit, DClassBar:
+		// Guarded like bra: all lanes take it, none do, or it diverges.
+		taken, uniform := w.branchVote(d)
+		if !uniform {
+			what := "exit"
+			if d.Class == DClassBar {
+				what = "barrier"
+			}
+			return fmt.Errorf("ptx: divergent %s at %d in %s", what, w.PC, w.Kernel.Name)
+		}
+		if taken && d.Class == DClassExit {
+			w.Exited, res.Exited = true, true
+			return nil
+		}
+		w.AtBarrier, res.Barrier = taken, taken // a barrier, or an exit no lane takes
 	case DClassWmmaLoad:
 		if err := w.execWmmaLoad(d, res); err != nil {
 			return err

@@ -13,3 +13,17 @@ func SkipClasses(k *Kernel) (dead, dataOnly []bool) {
 	}
 	return dead, dataOnly
 }
+
+// ImageOperands counts the wmma fragment operands of k's decoded program
+// that name an image group: the operands the batched path may hold as
+// tile images.
+func ImageOperands(k *Kernel) (n int) {
+	for i := range k.prog {
+		for _, g := range k.prog[i].img {
+			if g != nil {
+				n++
+			}
+		}
+	}
+	return n
+}

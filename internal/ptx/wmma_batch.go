@@ -2,37 +2,32 @@ package ptx
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/tensor"
 	"repro/internal/wmma"
 )
 
-// The batched wmma fragment path. After PR 4 the tensor-core
-// instructions were the last per-element hot loops: wmma.load/store
-// resolved the state space and called the Memory interface once per
-// fragment element per lane, and wmma.mma reconstructed its operand
-// tiles (and scattered D) one register at a time through per-element
-// operand dispatch, layout-branching Matrix indexing and a per-element
-// precision switch. The batched path gives fragments the same
-// struct-of-arrays treatment ld/st received: the decoded instruction
-// carries per-slot lane vectors derived from the wmma.Mapping
-// (wmma.SlotVecs); a wmma.load/store carries its whole access shape —
-// every offset, piece and data run, worked out at decode from the mapping
-// and the immediate leading dimension — so an execution adds the base,
-// resolves the state space once and moves data in bulk over the runs (one
-// Memory call per run); and wmma.mma gathers its operands slot by slot
-// straight into the register images internal/wmma's kernel computes on,
-// indexing them through precomputed linear offsets, with one loop per
-// element encoding instead of a switch per element. The per-lane path
-// remains for warps with guard predicates or partial activity, for
-// mappings whose lanes disagree on fragment structure, for a register
-// leading dimension or an access straddling the shared window, and behind
-// the LegacyFragmentPath knob.
+// The batched wmma fragment path. A wmma.load/store carries its whole
+// access shape — every offset and piece, worked out at decode from the
+// mapping and the immediate leading dimension — so an execution adds the
+// base, resolves the state space once and emits the access stream as
+// slot-aligned groups. The values live as tile images: a fragment register
+// group that only wmma instructions touch, all through one lane→element
+// mapping, is held on a full-value warp as the tile internal/wmma's kernel
+// computes on, stored in the group's own register rows. A load fills the
+// image line by line from memory, wmma.mma reads its operand images and
+// writes D's, a store writes the image back by lines: no fragment element
+// passes through lane registers. Whatever the image path declines — a
+// guard predicate, a partial warp, a group read outside wmma, an operand
+// still in register form, a span straddling the shared window, the
+// LegacyFragmentPath knob — takes the per-lane loops, which first turn the
+// images they name back into registers (materialize).
 
 // legacyFragmentPath, when set, routes warps constructed afterwards
 // through the per-element wmma fragment path instead of the batched
-// slot-vector path. It exists so tests can assert the batched path is
+// image path. It exists so tests can assert the batched path is
 // semantics-preserving (bit-identical registers, memory, Stats and
 // experiment tables) and so the ablation benchmark can quantify the
 // difference; production code never sets it.
@@ -67,19 +62,18 @@ func LegacyFragmentPathEnabled() bool { return legacyFragmentPath.Load() }
 type fragPlan struct {
 	slots int
 	// idx[slot][lane] is the linear offset of the lane's element in the
-	// operand's register image (see internal/wmma): tight row-major for A,
-	// C and D, transposed for B so that both multiplicands are K-contiguous.
+	// operand's tile image (see internal/wmma): tight row-major for A, C
+	// and D, transposed for B so that both multiplicands are K-contiguous.
 	idx [][32]int32
-	// lanes lists, ascending, the lanes a gather has to read: every lane
-	// except those whose whole fragment a higher lane also holds. Volta A/B
-	// keep each element in two lanes, so half the warp drops out; the
-	// surviving copy is the higher lane's, the one the per-lane path's
-	// lane-ascending writes leave behind.
-	lanes []uint8
 	// major/minor[slot][lane] factor the element's memory offset under
 	// the mapping's layout: offset = major·ld + minor for leading
 	// dimension ld.
 	major, minor [][32]int32
+	// lines[i] is the image offset of element (major i, minor 0); minor j
+	// of the line is at lines[i] + j·step, for j < lineLen. nil when some
+	// tile element is in no lane: the image would have holes.
+	lines         []int32
+	step, lineLen int32
 }
 
 // planFragment builds the fragment plan, or returns nil when the
@@ -96,20 +90,21 @@ func planFragment(m *wmma.Mapping) *fragPlan {
 		return nil
 	}
 	rows, cols := m.Shape.Dims(m.Op)
+	// The image offset of (r, c), and its step along each dimension.
+	at, dr, dc := func(r, c int32) int32 { return r*int32(cols) + c }, int32(cols), int32(1)
+	if m.Op == wmma.MatrixB {
+		at, dr, dc = func(r, c int32) int32 { return c*int32(rows) + r }, 1, int32(rows)
+	}
 	p := &fragPlan{slots: v.Slots}
 	p.idx = make([][32]int32, p.slots)
 	p.major = make([][32]int32, p.slots)
 	p.minor = make([][32]int32, p.slots)
-	highest := make([]int, rows*cols) // highest lane holding each element
+	covered := make([]bool, rows*cols)
 	for slot := 0; slot < p.slots; slot++ {
 		for lane := 0; lane < 32; lane++ {
 			r, c := int32(v.Row[slot][lane]), int32(v.Col[slot][lane])
-			if m.Op == wmma.MatrixB {
-				p.idx[slot][lane] = c*int32(rows) + r
-			} else {
-				p.idx[slot][lane] = r*int32(cols) + c
-			}
-			highest[p.idx[slot][lane]] = max(highest[p.idx[slot][lane]], lane)
+			p.idx[slot][lane] = at(r, c)
+			covered[at(r, c)] = true
 			if m.Layout == tensor.RowMajor {
 				p.major[slot][lane], p.minor[slot][lane] = r, c
 			} else {
@@ -117,20 +112,184 @@ func planFragment(m *wmma.Mapping) *fragPlan {
 			}
 		}
 	}
-	for lane := 0; lane < 32; lane++ {
-		for slot := 0; slot < p.slots; slot++ {
-			if highest[p.idx[slot][lane]] == lane {
-				p.lanes = append(p.lanes, uint8(lane))
-				break
-			}
+	if slices.Contains(covered, false) {
+		return p
+	}
+	majors := rows
+	p.step, p.lineLen = dc, int32(cols)
+	if m.Layout != tensor.RowMajor {
+		majors, p.step, p.lineLen = cols, dr, int32(rows)
+	}
+	for i := int32(0); i < int32(majors); i++ {
+		if m.Layout == tensor.RowMajor {
+			p.lines = append(p.lines, at(i, 0))
+		} else {
+			p.lines = append(p.lines, at(0, i))
 		}
 	}
 	return p
 }
 
+// imageGroup is a fragment register group — the register list of a wmma
+// operand, registers r0 … r0+slots−1 — that may be held as its tile image:
+// across the kernel only wmma instructions touch its registers, all
+// through mappings of one operand and shape that put the same elements in
+// every lane's slots (the layout flag may differ: each load and store moves
+// the image through its own shape's lines), and no other group overlaps
+// it. The image is the group's first n register words, in
+// the plan's element order, each the word the element's registers hold.
+// Shared read-only by every warp, like the plan.
+//
+//simlint:frozen
+type imageGroup struct {
+	bit  uint64 // the group's bit in Warp.imageForm
+	r0   int32
+	n    int32
+	plan *fragPlan
+}
+
+// groupFragments finds the image groups of a decoded program and points
+// every wmma operand that names one at it (DInstr.img); an operand that
+// does not qualify stays nil and always takes the per-lane path.
+//
+//simlint:ctor
+func groupFragments(k *Kernel, prog []DInstr) {
+	type group struct {
+		regs []int32
+		m    *wmma.Mapping // its first operand's
+		ok   bool
+	}
+	var groups []*group
+	owner := make([]*group, k.NumRegs) // the group a register belongs to
+	touched := make([]bool, k.NumRegs) // read or written outside a fragment operand
+	touch := func(regs ...int32) {
+		for _, r := range regs {
+			touched[r] = true
+		}
+	}
+	for _, r := range k.ParamRegs {
+		touch(int32(r.ID))
+	}
+	operands := make([][4]*group, len(prog))
+	for i := range prog {
+		d := &prog[i]
+		if d.predID >= 0 {
+			touch(d.predID)
+		}
+		var regs [4][]int32
+		var maps [4]*wmma.Mapping
+		read, wrote := d.srcs, d.dsts // what the instruction touches outside fragments
+		switch d.Class {
+		case DClassWmmaLoad:
+			regs[0], maps[0], wrote = d.dsts, d.In.WMap, nil
+		case DClassWmmaStore:
+			if regs[0] = fragRegs(d.srcs[2:]); regs[0] != nil {
+				maps[0], read = d.In.WMap, d.srcs[:2]
+			}
+		case DClassWmmaMMA:
+			nA, nB := int(d.fragA), int(d.fragB)
+			a, b, c := fragRegs(d.srcs[:nA]), fragRegs(d.srcs[nA:nA+nB]), fragRegs(d.srcs[nA+nB:])
+			if a != nil && b != nil && c != nil {
+				regs = [4][]int32{a, b, c, d.dsts}
+				maps = [4]*wmma.Mapping{d.In.WMapA, d.In.WMapB, d.In.WMap, d.In.WMapD}
+				read, wrote = nil, nil
+			}
+		}
+		for _, s := range read {
+			if s.kind == OperandReg {
+				touch(s.reg)
+			}
+		}
+		touch(wrote...)
+		for op, rs := range regs {
+			if len(rs) == 0 {
+				continue
+			}
+			m, g := maps[op], owner[rs[0]]
+			if g == nil || !slices.Equal(g.regs, rs) {
+				g = &group{regs: rs, m: m, ok: m != nil && len(groups) < 64}
+				groups = append(groups, g)
+			}
+			for j, r := range rs {
+				if j > 0 && r != rs[j-1]+1 {
+					g.ok = false // the image needs consecutive rows
+				}
+				if o := owner[r]; o != nil && o != g {
+					o.ok, g.ok = false, false // partial overlap
+				}
+				owner[r] = g
+			}
+			if m == nil || g.m == nil || m.Op != g.m.Op || m.Shape != g.m.Shape ||
+				!slices.EqualFunc(m.Lanes[:], g.m.Lanes[:], slices.Equal[[]wmma.Coord]) {
+				g.ok = false // one lane→element mapping, whatever the layout flag
+			}
+			operands[i][op] = g
+		}
+		// D must not alias an operand the kernel reads while writing it.
+		if o := operands[i]; o[3] != nil && (o[3] == o[0] || o[3] == o[1]) {
+			o[3].ok = false
+		}
+	}
+	images := make(map[*group]*imageGroup)
+	for bit, g := range groups {
+		for _, r := range g.regs {
+			g.ok = g.ok && !touched[r]
+		}
+		if !g.ok {
+			continue
+		}
+		if p := planFragment(g.m); p != nil && p.lines != nil {
+			images[g] = &imageGroup{bit: 1 << bit, r0: g.regs[0], n: int32(len(p.lines)) * p.lineLen, plan: p}
+		}
+	}
+	for i := range prog {
+		for op, g := range operands[i] {
+			prog[i].img[op] = images[g]
+		}
+	}
+}
+
+// fragRegs returns the register numbers of fragment operands, or nil if
+// any is not a register.
+func fragRegs(ops []srcOp) []int32 {
+	regs := make([]int32, len(ops))
+	for i, o := range ops {
+		if o.kind != OperandReg {
+			return nil
+		}
+		regs[i] = o.reg
+	}
+	return regs
+}
+
+// image returns the group's tile image.
+func (w *Warp) image(g *imageGroup) []uint64 { return w.regs[int(g.r0)*32:][:g.n] }
+
+// inImage reports whether the group is held as its image.
+func (w *Warp) inImage(g *imageGroup) bool { return g != nil && w.imageForm&g.bit != 0 }
+
+// materialize puts an image-form group back into register form: every
+// lane's fragment registers receive their elements' words, as the per-lane
+// path needs them. A group already in register form is left alone.
+func (w *Warp) materialize(g *imageGroup) {
+	if !w.inImage(g) {
+		return
+	}
+	w.mmaWords = grow(w.mmaWords, int(g.n))
+	img := w.mmaWords
+	copy(img, w.image(g))
+	for s, idx := range g.plan.idx {
+		r := w.regVec(int(g.r0) + s)
+		for lane := range r {
+			r[lane] = img[idx[lane]]
+		}
+	}
+	w.imageForm &^= g.bit
+}
+
 // fragVec reports whether the instruction takes the batched fragment
 // path: knob off, no guard predicate, fully populated warp. Callers
-// additionally require the relevant plans (wmma.mma) or the access shape
+// additionally require the image groups (wmma.mma) or the access shape
 // (wmma.load/store) to exist.
 func (w *Warp) fragVec(d *DInstr) bool {
 	return !w.legacyFrag && d.predID < 0 && w.nLanes == 32
@@ -148,11 +307,8 @@ func fragLaneAddrs(addrs []uint64, p *fragPlan, lane, ld int, base, elemBytes ui
 }
 
 // fragRunEnd returns the end j of the maximal run [i,j) of elements step
-// bytes apart — the one definition of "run". Data moves over runs of
-// element bytes; the access emission (fragPieces) passes the element *bits*
-// (sub-byte s4/u4 elements are byte-stored but 4-bit-shaped, so their
-// SASS-level pieces never merge) and splits at 128-bit piece boundaries,
-// neither of which constrains how many bytes one Env call may move.
+// bytes apart — the one definition of "run" the access emission
+// (fragPieces) cuts pieces from.
 func fragRunEnd(addrs []uint64, i int, step uint64) int {
 	j := i + 1
 	for j < len(addrs) && addrs[j] == addrs[j-1]+step {
@@ -174,9 +330,14 @@ type fragShape struct {
 	// groups are the slot-aligned piece groups of the access stream: piece
 	// k of every lane, the Result.Batch layout.
 	groups []fragGroup
-	// runs are the data runs, lane-major and slot-ascending — the per-lane
-	// path's write order, which overlapping stores (ld 0) depend on.
-	runs []fragDataRun
+	// lines[i] is the offset of memory line i of plan, the instruction's
+	// own: plan.lineLen elements, image elements plan.lines[i] + j·step.
+	// nil with the plan's.
+	lines []uint64
+	plan  *fragPlan
+	// alias is set when two tile elements share an address (ld 0, say): a
+	// store then keeps the per-lane loop's write order.
+	alias bool
 }
 
 // fragGroup is piece k of every lane: its width and the lanes' offsets.
@@ -187,26 +348,17 @@ type fragGroup struct {
 	off  [32]uint64
 }
 
-// fragDataRun is n byte-consecutive elements of one lane, fragment slots
-// [slot0, slot0+n), starting off bytes from the base.
-//
-//simlint:frozen
-type fragDataRun struct {
-	lane, slot0, n uint8
-	off            uint64
-}
-
 // fragSpanLimit bounds a shape's offsets: 2^31 elements of leading
 // dimension over 32 rows of 4 bytes stay under it, a negative one does not.
 const fragSpanLimit = 1 << 40
 
 // shapeFragment builds the access shape by running the per-execution
-// definitions — fragLaneAddrs, fragRunEnd, fragPieces — once at base 0:
-// all three are translation-invariant in uint64 arithmetic (addresses are
-// base + offset, runs and pieces compare differences), so base+off is what
-// they produce at any base. It returns nil — the executor then keeps the
-// per-lane path — without a plan, when lanes disagree on piece structure
-// (the slot alignment of the batch cannot hold), or when an offset leaves
+// definitions — fragLaneAddrs and fragPieces — once at base 0: both are
+// translation-invariant in uint64 arithmetic (addresses are base + offset,
+// pieces compare differences), so base+off is what they produce at any
+// base. It returns nil — the executor then keeps the per-lane path —
+// without a plan, when lanes disagree on piece structure (the slot
+// alignment of the batch cannot hold), or when an offset leaves
 // [0, fragSpanLimit), which a negative leading dimension does.
 //
 //simlint:ctor
@@ -219,11 +371,6 @@ func shapeFragment(p *fragPlan, ld int, elemBytes uint64, elemBits int) *fragSha
 	var pieces []fragPiece
 	for lane := 0; lane < 32; lane++ {
 		fragLaneAddrs(addrs, p, lane, ld, 0, elemBytes)
-		for i := 0; i < len(addrs); {
-			j := fragRunEnd(addrs, i, elemBytes)
-			sh.runs = append(sh.runs, fragDataRun{lane: uint8(lane), slot0: uint8(i), n: uint8(j - i), off: addrs[i]})
-			i = j
-		}
 		for _, a := range addrs {
 			if a >= fragSpanLimit {
 				return nil
@@ -247,6 +394,16 @@ func shapeFragment(p *fragPlan, ld int, elemBytes uint64, elemBits int) *fragSha
 			g.off[lane] = pc.addr
 		}
 	}
+	var offs []uint64
+	sh.plan = p
+	for i := range p.lines {
+		sh.lines = append(sh.lines, uint64(i*ld)*elemBytes)
+		for j := range p.lineLen {
+			offs = append(offs, sh.lines[i]+uint64(j)*elemBytes)
+		}
+	}
+	slices.Sort(offs)
+	sh.alias = len(slices.Compact(offs)) < len(offs)
 	return sh
 }
 
@@ -274,16 +431,22 @@ func (w *Warp) fragSpace(space Space, lo, hi uint64) (sp Space, sub uint64, ok b
 
 // execFragShape is the batched wmma.load/store: one space resolution, the
 // access stream as base + offset per piece group, and — unless the
-// execution is value-free — the data over the precomputed runs. It reports
-// false, having done nothing, for what the shape does not cover: no shape
-// (a register stride, lanes that disagree on piece structure), a guard
-// predicate or a partial warp, either legacy knob, and a span that
-// fragSpace leaves to the per-lane path.
+// execution is value-free — the data between memory and the fragment's
+// image. It reports false, having done nothing, for what the shape does
+// not cover: no shape (a register stride, lanes that disagree on piece
+// structure), a guard predicate or a partial warp, either legacy knob, a
+// span that fragSpace leaves to the per-lane path, and values the image
+// cannot carry: a fragment that is no image group, a store of one held in
+// registers, a store whose elements alias.
 //
 //simlint:hotpath
 func (w *Warp) execFragShape(d *DInstr, res *Result, base uint64, store bool) bool {
-	sh := d.wshape
+	sh, g := d.wshape, d.img[0]
 	if sh == nil || !w.fragVec(d) || w.legacy {
+		return false
+	}
+	values := !w.valueFree(d)
+	if values && (g == nil || store && (sh.alias || !w.inImage(g))) {
 		return false
 	}
 	sp, sub, ok := w.fragSpace(d.In.Space, base+sh.lo, base+sh.hi)
@@ -291,46 +454,47 @@ func (w *Warp) execFragShape(d *DInstr, res *Result, base uint64, store bool) bo
 		return false
 	}
 	for gi := range sh.groups {
-		g := &sh.groups[gi]
+		pg := &sh.groups[gi]
 		var wa *WarpAccess
 		res.Batch, wa = appendBatchSlot(res.Batch)
-		wa.Mask, wa.Bits, wa.Space, wa.Store = fullMask, g.bits, sp, store
+		wa.Mask, wa.Bits, wa.Space, wa.Store = fullMask, pg.bits, sp, store
 		for lane := range wa.Addr {
-			wa.Addr[lane] = base + g.off[lane]
+			wa.Addr[lane] = base + pg.off[lane]
 		}
 	}
-	if !w.valueFree(d) {
-		w.moveFragRuns(d, sp, base-sub, store)
+	if values {
+		w.moveImage(d, g, sp, base-sub, store)
 	}
 	return true
 }
 
-// moveFragRuns moves a shape's data, run by run, between the registers and
-// the resolved space, in which the base operand is offset origin: one
-// Memory call or one window slice per run, the 2- and 4-byte element codecs
-// spelled out.
+// moveImage moves a fragment's image between memory and the group's
+// register rows, line by line through the resolved space, in which the
+// base operand is offset origin: one Memory call or one window slice per
+// line, the 2- and 4-byte element codecs spelled out. A load leaves the
+// group in image form.
 //
 //simlint:hotpath
-func (w *Warp) moveFragRuns(d *DInstr, sp Space, origin uint64, store bool) {
-	nb := int(d.membytes)
+func (w *Warp) moveImage(d *DInstr, g *imageGroup, sp Space, origin uint64, store bool) {
+	p := d.wshape.plan
+	nb, n, step := int(d.membytes), int(p.lineLen), int(p.step)
 	signExt := d.In.WMap.Elem == wmma.S8 || d.In.WMap.Elem == wmma.S4
-	for ri := range d.wshape.runs {
-		r := &d.wshape.runs[ri]
-		a, lane, n := origin+r.off, int(r.lane), int(r.n)
+	img := w.image(g)
+	for i, off := range d.wshape.lines {
+		a, e := origin+off, int(p.lines[i])
 		buf := w.bulk[:n*nb]
 		if sp == Shared {
 			buf = w.Env.Shared[a : a+uint64(n*nb)]
 		}
 		if store {
-			srcs := d.srcs[2+int(r.slot0):][:n]
-			for i := range srcs {
-				switch v := d.val(w, lane, &srcs[i]); nb {
+			for j := 0; j < n; j, e = j+1, e+step {
+				switch v := img[e]; nb {
 				case 2:
-					binary.LittleEndian.PutUint16(buf[2*i:], uint16(v))
+					binary.LittleEndian.PutUint16(buf[2*j:], uint16(v))
 				case 4:
-					binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+					binary.LittleEndian.PutUint32(buf[4*j:], uint32(v))
 				default:
-					buf[i] = byte(v)
+					buf[j] = byte(v)
 				}
 			}
 			if sp != Shared {
@@ -341,83 +505,28 @@ func (w *Warp) moveFragRuns(d *DInstr, sp Space, origin uint64, store bool) {
 		if sp != Shared {
 			w.Env.Global.Read(a, buf)
 		}
-		for i, dst := range d.dsts[r.slot0:][:n] {
-			var v uint64
-			switch nb {
-			case 2:
-				v = uint64(binary.LittleEndian.Uint16(buf[2*i:]))
-			case 4:
-				v = uint64(binary.LittleEndian.Uint32(buf[4*i:]))
-			default:
-				v = uint64(buf[i])
+		switch nb {
+		case 2:
+			for j := 0; j < n; j, e = j+1, e+step {
+				img[e] = uint64(binary.LittleEndian.Uint16(buf[2*j:]))
+			}
+		case 4:
+			for j := 0; j < n; j, e = j+1, e+step {
+				img[e] = uint64(binary.LittleEndian.Uint32(buf[4*j:]))
+			}
+		default:
+			for j := 0; j < n; j, e = j+1, e+step {
+				v := uint64(buf[j])
 				if signExt {
 					// Signed integer operands live in registers as s32 values.
 					v = uint64(uint32(int32(int8(v))))
 				}
+				img[e] = v
 			}
-			w.regs[int(dst)*32+lane] = v
 		}
 	}
-}
-
-// The three gathers below fill one register image of wmma.mma (see
-// internal/wmma) from fragment registers: slots in the outer loop (the
-// fragment register is warp-uniform per slot), the plan's lanes in a
-// tight inner loop, one function per element encoding so no loop carries
-// a precision switch.
-
-// gatherF16 widens binary16 fragment elements to their exact binary32
-// image.
-//
-//simlint:hotpath
-func (w *Warp) gatherF16(d *DInstr, p *fragPlan, srcOff int, img []float32) {
-	for s := 0; s < p.slots; s++ {
-		r := w.regVec(int(d.srcs[srcOff+s].reg))
-		idx := &p.idx[s]
-		for _, lane := range p.lanes {
-			img[idx[lane&31]] = h16(r[lane&31]).Float32()
-		}
-	}
-}
-
-// gatherInt clamps integer fragment elements (s32 values in registers)
-// to the operand range [lo, hi].
-//
-//simlint:hotpath
-func (w *Warp) gatherInt(d *DInstr, p *fragPlan, srcOff int, lo, hi int32, img []int32) {
-	for s := 0; s < p.slots; s++ {
-		r := w.regVec(int(d.srcs[srcOff+s].reg))
-		idx := &p.idx[s]
-		for _, lane := range p.lanes {
-			img[idx[lane&31]] = min(max(int32(uint32(r[lane&31])), lo), hi)
-		}
-	}
-}
-
-// gatherWords copies accumulator fragment registers as raw words.
-//
-//simlint:hotpath
-func (w *Warp) gatherWords(d *DInstr, p *fragPlan, srcOff int, img []uint64) {
-	for s := 0; s < p.slots; s++ {
-		r := w.regVec(int(d.srcs[srcOff+s].reg))
-		idx := &p.idx[s]
-		for _, lane := range p.lanes {
-			img[idx[lane&31]] = r[lane&31]
-		}
-	}
-}
-
-// scatterWords is the D scatter, the inverse of gatherWords: every lane's
-// destination registers receive their elements' result words.
-//
-//simlint:hotpath
-func (w *Warp) scatterWords(d *DInstr, p *fragPlan, img []uint64) {
-	for s := 0; s < p.slots; s++ {
-		r := w.regVec(int(d.dsts[s]))
-		idx := &p.idx[s]
-		for lane := range r {
-			r[lane] = img[idx[lane]]
-		}
+	if !store {
+		w.imageForm |= g.bit
 	}
 }
 
@@ -430,35 +539,43 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// execWmmaMMAVec runs wmma.mma on register images: the operands are
-// gathered from the register file into the warp's reusable scratch in the
-// form internal/wmma's kernel computes on, and D's words scattered back.
-// The arithmetic is the kernel the per-lane path reaches through
-// wmma.MMAInto, so the two paths cannot disagree.
-func (w *Warp) execWmmaMMAVec(d *DInstr, nA, nB int) error {
+// execWmmaMMAImages runs wmma.mma on the operands' images and writes D's:
+// the A and B words widen to the kernel's operand form (the binary32 image
+// of a binary16 element, an integer clamped to its range) in one pass into
+// the step scratch, and C and D are the groups' images themselves — the
+// same image when the mma accumulates in place. The arithmetic is the
+// kernel the per-lane path reaches through wmma.MMAInto, so the two paths
+// cannot disagree.
+func (w *Warp) execWmmaMMAImages(d *DInstr) error {
 	cfg := d.In.WConfig
-	sh := cfg.Shape
-	w.mmaWords = grow(w.mmaWords, 2*sh.M*sh.N)
-	c, out := w.mmaWords[:sh.M*sh.N], w.mmaWords[sh.M*sh.N:]
-	w.gatherWords(d, d.wC, nA+nB, c)
+	a, b := w.image(d.img[0]), w.image(d.img[1])
+	c, out := w.image(d.img[2]), w.image(d.img[3])
 	var err error
 	if cfg.AType.IsInt() {
-		w.mmaInts = grow(w.mmaInts, (sh.M+sh.N)*sh.K)
-		a, b := w.mmaInts[:sh.M*sh.K], w.mmaInts[sh.M*sh.K:]
+		w.mmaInts = grow(w.mmaInts, len(a)+len(b))
+		n := w.mmaInts
 		lo, hi := wmma.IntRange(cfg.AType)
-		w.gatherInt(d, d.wA, 0, lo, hi, a)
-		w.gatherInt(d, d.wB, nA, lo, hi, b)
-		err = wmma.MMAIntImages(cfg, a, b, c, out)
+		for i, v := range a {
+			n[i] = min(max(int32(uint32(v)), lo), hi)
+		}
+		for i, v := range b {
+			n[len(a)+i] = min(max(int32(uint32(v)), lo), hi)
+		}
+		err = wmma.MMAIntImages(cfg, n[:len(a)], n[len(a):], c, out)
 	} else {
-		w.mmaFloats = grow(w.mmaFloats, (sh.M+sh.N)*sh.K)
-		a, b := w.mmaFloats[:sh.M*sh.K], w.mmaFloats[sh.M*sh.K:]
-		w.gatherF16(d, d.wA, 0, a)
-		w.gatherF16(d, d.wB, nA, b)
-		err = wmma.MMAImages(cfg, a, b, c, out)
+		w.mmaFloats = grow(w.mmaFloats, len(a)+len(b))
+		f := w.mmaFloats
+		for i, v := range a {
+			f[i] = h16(v).Float32()
+		}
+		for i, v := range b {
+			f[len(a)+i] = h16(v).Float32()
+		}
+		err = wmma.MMAImages(cfg, f[:len(a)], f[len(a):], c, out)
 	}
 	if err != nil {
 		return err
 	}
-	w.scatterWords(d, d.wD, out)
+	w.imageForm |= d.img[3].bit
 	return nil
 }

@@ -8,11 +8,14 @@ import (
 	"repro/internal/wmma"
 )
 
-// Execution of the three wmma instructions. wmma.load/store move fragment
+// Execution of the three wmma instructions. The batched path
+// (wmma_batch.go) keeps fragments as tile images; the per-lane loops here
+// are its fallback and the tests' reference: wmma.load/store move fragment
 // elements between memory and registers following the fragment-to-thread
-// mapping reverse engineered in Section III-B; wmma.mma reconstructs the
-// operand tiles from the fragments, computes D = A×B + C with the tensor
-// core arithmetic of internal/wmma, and scatters D back into registers.
+// mapping reverse engineered in Section III-B, and wmma.mma reconstructs
+// the operand tiles from the fragments, computes D = A×B + C with the
+// tensor core arithmetic of internal/wmma, and scatters D back into
+// registers.
 
 // uniformOperand reads the i-th decoded source operand, which must hold
 // the same value in every enabled lane (wmma base addresses and strides
@@ -129,7 +132,9 @@ func (w *Warp) laneAddrs(n int) []uint64 {
 
 // execWmmaLoad and execWmmaStore hand the instruction to its decode-time
 // access shape (execFragShape, wmma_batch.go) and keep what that declines:
-// the per-lane loops, which are also the tests' reference.
+// the per-lane loops, which are also the tests' reference. A loop that
+// moves values first materializes the fragment's image: the lanes it
+// skips keep their elements, and a store reads registers.
 func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
 	in := d.In
 	m := in.WMap
@@ -150,6 +155,9 @@ func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
 	// A skipped load still bounds-checks every element but leaves the
 	// fragment registers alone: a packed register file has none of them.
 	values := !w.valueFree(d)
+	if values {
+		w.materialize(d.img[0])
+	}
 	for lane := 0; lane < 32; lane++ {
 		if !w.laneEnabled(lane, in) {
 			continue
@@ -201,6 +209,9 @@ func (w *Warp) execWmmaStore(d *DInstr, res *Result) error {
 	// A skipped store reads no fragment register and writes nothing: its
 	// element moves into the scratch buffer, for the bounds check alone.
 	values := !w.valueFree(d)
+	if values {
+		w.materialize(d.img[0])
+	}
 	for lane := 0; lane < 32; lane++ {
 		if !w.laneEnabled(lane, in) {
 			continue
@@ -264,8 +275,11 @@ func (w *Warp) execWmmaMMA(d *DInstr) error {
 	cfg := in.WConfig
 	nA := int(d.fragA)
 	nB := int(d.fragB)
-	if w.fragVec(d) && d.wA != nil && d.wB != nil && d.wC != nil && d.wD != nil {
-		return w.execWmmaMMAVec(d, nA, nB)
+	if w.fragVec(d) && w.inImage(d.img[0]) && w.inImage(d.img[1]) && w.inImage(d.img[2]) && d.img[3] != nil {
+		return w.execWmmaMMAImages(d)
+	}
+	for _, g := range d.img {
+		w.materialize(g)
 	}
 	aTile := w.gatherTile(in, in.WMapA, 0, cfg.AType, 0)
 	bTile := w.gatherTile(in, in.WMapB, nA, cfg.AType, 1)

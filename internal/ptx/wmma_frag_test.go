@@ -1,7 +1,7 @@
 package ptx
 
 import (
-	"math"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -33,23 +33,7 @@ func wmmaRoundTrip(t *testing.T, cfg wmma.Config, cLayout tensor.Layout, shared 
 		smem = b.Shared(shared)
 	}
 	if shared >= 32*4 {
-		// Fill the shared window deterministically: each lane stores a
-		// few id-derived words before the wmma ops read them back. Every
-		// value computed reaches a store, so both paths compute it.
-		lane := b.Reg()
-		b.Mov(U32, lane, SR(SRegLaneID))
-		v := b.Reg()
-		b.Mad(U32, v, R(lane), Imm(2654435761), Imm(97))
-		addr := b.Reg()
-		b.MulWide(addr, R(lane), Imm(4))
-		b.Add(U64, addr, R(addr), Imm(smem))
-		for i := 0; i < shared/(32*4); i++ {
-			if i > 0 {
-				b.Add(U64, addr, R(addr), Imm(128))
-				b.Add(U32, v, R(v), Imm(31))
-			}
-			b.St(Shared, 32, R(addr), []Operand{R(v)})
-		}
+		fillShared(b, smem, shared)
 	}
 	fa := b.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixA, cfg.ALayout, cfg.AType, R(pa), Imm(uint64(cfg.Shape.K)))
 	fb := b.WmmaLoad(cfg.Arch, cfg.Shape, wmma.MatrixB, cfg.BLayout, cfg.AType, R(pa), Imm(uint64(cfg.Shape.K)))
@@ -60,12 +44,36 @@ func wmmaRoundTrip(t *testing.T, cfg wmma.Config, cLayout tensor.Layout, shared 
 	return b.MustBuild()
 }
 
+// fillShared fills n bytes of the shared window from smem on
+// deterministically: each lane stores a few id-derived words before the
+// wmma ops read them back. Every value computed reaches a store, so both
+// paths compute it.
+func fillShared(b *Builder, smem uint64, n int) {
+	lane := b.Reg()
+	b.Mov(U32, lane, SR(SRegLaneID))
+	v := b.Reg()
+	b.Mad(U32, v, R(lane), Imm(2654435761), Imm(97))
+	addr := b.Reg()
+	b.MulWide(addr, R(lane), Imm(4))
+	b.Add(U64, addr, R(addr), Imm(smem))
+	for i := 0; i < n/(32*4); i++ {
+		if i > 0 {
+			b.Add(U64, addr, R(addr), Imm(128))
+			b.Add(U32, v, R(v), Imm(31))
+		}
+		b.St(Shared, 32, R(addr), []Operand{R(v)})
+	}
+}
+
 // fragTestMem is a sparse global memory with deterministic background
-// content: reads of untouched bytes derive from the address, writes
-// land in a map. It accepts any address, so runs that resolve just
+// content: reads of untouched bytes derive from the address (and salt),
+// writes land in a map. It accepts any address, so runs that resolve just
 // below the generic shared window (huge global addresses) execute on
 // both paths instead of overrunning a flat buffer.
-type fragTestMem struct{ writes map[uint64]byte }
+type fragTestMem struct {
+	writes map[uint64]byte
+	salt   byte
+}
 
 func newFragTestMem() *fragTestMem { return &fragTestMem{writes: make(map[uint64]byte)} }
 
@@ -75,7 +83,7 @@ func (m *fragTestMem) Read(addr uint64, buf []byte) {
 		if v, ok := m.writes[a]; ok {
 			buf[i] = v
 		} else {
-			buf[i] = byte(a*13 + 5)
+			buf[i] = byte(a*13+5) + m.salt
 		}
 	}
 }
@@ -99,8 +107,19 @@ type fragRun struct {
 // initial content.
 func runFragKernel(t *testing.T, k *Kernel, legacy bool, block Dim3, args []uint64, shared []byte) fragRun {
 	t.Helper()
+	run, err := execFragKernel(k, legacy, block, args, shared, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// execFragKernel is runFragKernel returning the first error, over global
+// memory whose background content salt varies.
+func execFragKernel(k *Kernel, legacy bool, block Dim3, args []uint64, shared []byte, salt byte) (fragRun, error) {
 	defer SwapLegacyFragmentPath(legacy)()
 	mem := newFragTestMem()
+	mem.salt = salt
 	env := &Env{
 		Global:   mem,
 		Shared:   append(make([]byte, 0, k.SharedBytes), shared...)[:k.SharedBytes],
@@ -114,22 +133,35 @@ func runFragKernel(t *testing.T, k *Kernel, legacy bool, block Dim3, args []uint
 		// Fresh warps per path: the knob is sampled at construction.
 		w, err := NewWarp(k, env, id, args)
 		if err != nil {
-			t.Fatal(err)
+			return run, err
 		}
 		for !w.Exited {
 			res, err := w.Step()
 			if err != nil {
-				t.Fatal(err)
+				return run, err
 			}
 			if acc := res.LaneAccesses(); len(acc) > 0 {
 				run.accesses = append(run.accesses, append([]Access(nil), acc...))
 			}
 		}
-		run.regs = append(run.regs, append([]uint64(nil), w.regs...)...)
+		run.regs = append(run.regs, materializedRegs(w)...)
 	}
 	run.global = mem.writes
 	run.shared = env.Shared
-	return run
+	return run, nil
+}
+
+// materializedRegs returns a copy of the warp's register file with every
+// group it holds as a tile image put back into register form — the
+// registers the per-lane path leaves — so equivalence tests compare every
+// register whatever form the batched path keeps it in.
+func materializedRegs(w *Warp) []uint64 {
+	for i := range w.prog {
+		for _, g := range w.prog[i].img {
+			w.materialize(g)
+		}
+	}
+	return append([]uint64(nil), w.regs...)
 }
 
 func compareFragRuns(t *testing.T, legacy, batched fragRun) {
@@ -225,44 +257,124 @@ func TestFragmentPathMatchesLegacy(t *testing.T) {
 	}
 }
 
-// fragFuzzWarp builds a bare full-warp executor plus the decoded
-// all-register operand shape the image gather/scatter consumes.
-func fragFuzzWarp(nslots int) (*Warp, *DInstr) {
-	k := &Kernel{Name: "fragfuzz", NumRegs: nslots}
-	w := &Warp{Kernel: k, Env: &Env{}}
-	w.nLanes = 32
-	w.active = fullMask
-	w.regs = make([]uint64, 32*nslots)
-	in := &Instr{Op: OpWmmaMMA}
-	d := &DInstr{In: in, predID: -1}
-	for s := 0; s < nslots; s++ {
-		in.Src = append(in.Src, R(Reg{ID: s}))
-		in.Dst = append(in.Dst, Reg{ID: s})
-		d.srcs = append(d.srcs, srcOp{kind: OperandReg, reg: int32(s)})
-		d.dsts = append(d.dsts, int32(s))
+// TestFragmentImagesMatchLegacy covers the image path's own edges
+// against the per-lane path: a CUTLASS-shaped k-loop (A and B from shared
+// memory, accumulating in place, D to global) in both Volta precisions and
+// a Turing float and integer configuration; a store whose C mapping is not
+// the mma's D mapping (no image group), and one stored by columns after a
+// load by rows; a guarded wmma.mma on image-form
+// operands, which materializes them (the lanes it skips keep C's values);
+// and ld 0 and ld 1 stores, whose elements alias.
+func TestFragmentImagesMatchLegacy(t *testing.T) {
+	volta := func(cd wmma.Precision) wmma.Config {
+		return wmma.Config{Arch: wmma.Volta, Shape: wmma.M16N16K16, ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
+			AType: wmma.F16, CType: cd, DType: cd}
 	}
-	return w, d
+	turing := func(sh wmma.Shape, ab, cd wmma.Precision) wmma.Config {
+		return wmma.Config{Arch: wmma.Turing, Shape: sh, ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
+			AType: ab, CType: cd, DType: cd}
+	}
+	// loadAB emits the loads of A and B from shared memory at pa and pb.
+	loadAB := func(b *Builder, cfg wmma.Config, pa, pb Reg) ([]Reg, []Reg) {
+		sh := cfg.Shape
+		return b.WmmaLoad(cfg.Arch, sh, wmma.MatrixA, cfg.ALayout, cfg.AType, R(pa), Imm(uint64(sh.K))),
+			b.WmmaLoad(cfg.Arch, sh, wmma.MatrixB, cfg.BLayout, cfg.AType, R(pb), Imm(uint64(sh.K)))
+	}
+	const steps, panel = 3, 1024 // k steps, bytes per A or B tile in shared memory
+	kloop := func(cfg wmma.Config) func(b *Builder, pc, pd Reg) {
+		return func(b *Builder, pc, pd Reg) {
+			sh := cfg.Shape
+			smem := b.Shared(2 * steps * panel)
+			fillShared(b, smem, 2*steps*panel)
+			fc := b.WmmaLoad(cfg.Arch, sh, wmma.MatrixC, tensor.RowMajor, cfg.CType, R(pc), Imm(uint64(sh.N)))
+			pa, pb, i, p := b.Reg(), b.Reg(), b.Reg(), b.Reg()
+			b.Mov(U64, pa, Imm(smem))
+			b.Mov(U64, pb, Imm(smem+steps*panel))
+			b.Mov(U32, i, Imm(0))
+			b.Label("k")
+			fa, fb := loadAB(b, cfg, pa, pb)
+			if fd := b.WmmaMMA(cfg, fa, fb, fc); &fd[0] != &fc[0] {
+				t.Fatal("the k-loop's mma does not accumulate in place")
+			}
+			b.Add(U64, pa, R(pa), Imm(panel))
+			b.Add(U64, pb, R(pb), Imm(panel))
+			b.Add(U32, i, R(i), Imm(1))
+			b.Setp(U32, CmpLT, p, R(i), Imm(steps))
+			b.BraIf(p, false, "k")
+			b.WmmaStore(cfg.Arch, sh, tensor.RowMajor, cfg.DType, R(pd), fc, Imm(uint64(sh.N)))
+		}
+	}
+	// single is one load A/B/C → mma → store D step; guard, when set,
+	// predicates the mma on lane < 20, and ld, elem and layout are D's
+	// store.
+	single := func(cfg wmma.Config, guard bool, ld uint64, elem wmma.Precision, layout tensor.Layout) func(b *Builder, pc, pd Reg) {
+		return func(b *Builder, pc, pd Reg) {
+			sh := cfg.Shape
+			smem := b.Shared(2 * panel)
+			fillShared(b, smem, 2*panel)
+			pa, pb := b.Reg(), b.Reg()
+			b.Mov(U64, pa, Imm(smem))
+			b.Mov(U64, pb, Imm(smem+panel))
+			fa, fb := loadAB(b, cfg, pa, pb)
+			fc := b.WmmaLoad(cfg.Arch, sh, wmma.MatrixC, tensor.RowMajor, cfg.CType, R(pc), Imm(uint64(sh.N)))
+			if guard {
+				lane, p := b.Reg(), b.Reg()
+				b.Mov(U32, lane, SR(SRegLaneID))
+				b.Setp(U32, CmpLT, p, R(lane), Imm(20))
+				b.At(p, false)
+			}
+			fd := b.WmmaMMA(cfg, fa, fb, fc)
+			b.WmmaStore(cfg.Arch, sh, layout, elem, R(pd), fd, Imm(ld))
+		}
+	}
+	cases := []struct {
+		name   string
+		emit   func(b *Builder, pc, pd Reg)
+		images int // fragment operands that are image groups
+	}{
+		{"kloop_volta_mixed", kloop(volta(wmma.F32)), 8},
+		{"kloop_volta_fp16", kloop(volta(wmma.F16)), 8},
+		{"kloop_turing_32x8x16", kloop(turing(wmma.M32N8K16, wmma.F16, wmma.F32)), 8},
+		{"kloop_turing_s8", kloop(turing(wmma.M16N16K16, wmma.S8, wmma.S32)), 8},
+		// Volta's f16 and f32 accumulators map lanes differently: D is
+		// stored through a mapping the mma did not write it with.
+		{"store_mapping_differs", single(volta(wmma.F32), false, 16, wmma.F16, tensor.RowMajor), 4},
+		// Volta's accumulator lanes do not depend on the layout: the
+		// group loaded by rows is stored by columns, each through its
+		// own memory lines.
+		{"store_colmajor", single(volta(wmma.F32), false, 16, wmma.F32, tensor.ColMajor), 8},
+		{"guarded_mma", single(volta(wmma.F32), true, 16, wmma.F32, tensor.RowMajor), 8},
+		{"store_ld0_alias", single(volta(wmma.F32), false, 0, wmma.F32, tensor.RowMajor), 8},
+		// ld 1 overlaps rows by all but one element: the per-lane write
+		// order, not the line order, decides each address's last writer.
+		{"store_ld1_alias", single(volta(wmma.F32), false, 1, wmma.F32, tensor.RowMajor), 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder(tc.name)
+			pc, pd := b.Param("c", U64), b.Param("d", U64)
+			tc.emit(b, pc, pd)
+			b.Exit()
+			k := b.MustBuild()
+			if got := ImageOperands(k); got != tc.images {
+				t.Fatalf("%d fragment operands are image groups, want %d", got, tc.images)
+			}
+			args := []uint64{0, 4096}
+			compareFragRuns(t, runFragKernel(t, k, true, D1(32), args, nil), runFragKernel(t, k, false, D1(32), args, nil))
+		})
+	}
 }
 
-// coordBits derives a deterministic register value for a tile
-// coordinate. Duplicate fragment copies (Volta A/B) receive identical
-// bits, matching the architectural invariant wmma.load establishes —
-// the property that makes the gather write order immaterial.
-func coordBits(seed uint64, c wmma.Coord) uint64 {
-	h := seed ^ (uint64(c.Row)*0x9E3779B97F4A7C15 + uint64(c.Col)*0xC2B2AE3D27D4EB4F + 1)
-	h ^= h >> 29
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	return h
-}
-
-// FuzzFragGatherMatchesReference drives the batched fragment machinery
-// against a per-element reference walked straight off the mapping,
-// across random mappings, layouts, precisions, strides and register
-// contents: the gathered register image (row-major, transposed for B),
-// the scattered registers, and the per-lane memory addresses must all be
-// bit-identical.
-func FuzzFragGatherMatchesReference(f *testing.F) {
+// FuzzFragImagesMatchReference drives the image path against the
+// per-lane reference across random mappings, layouts, precisions, strides
+// and bases. It pins the decode-time machinery to per-element walks of the
+// mapping — the plan's addresses to memOffsetFor; the shape's pieces,
+// span, memory lines and alias flag, and the space decision, to the
+// per-lane definitions; shape absence exactly where specified — and then
+// runs a load → mma → store sequence around the fragment (fragSequence) on
+// both paths, which must leave the same registers (materialized), memory,
+// access stream and error.
+func FuzzFragImagesMatchReference(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint64(1), int64(16), uint64(1))
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), uint64(2), int64(256), uint64(4096))
 	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), uint8(1), uint64(3), int64(1), uint64(SharedBase))
@@ -271,7 +383,8 @@ func FuzzFragGatherMatchesReference(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), uint8(2), uint64(6), int64(3), uint64(77))
 	f.Add(uint8(1), uint8(0), uint8(2), uint8(0), uint8(6), uint64(7), int64(17), uint64(SharedBase+4096-32))
 	f.Add(uint8(1), uint8(3), uint8(1), uint8(1), uint8(4), uint64(8), int64(32), uint64(1<<63))
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint64(9), int64(16), ^uint64(7)) // the span wraps
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint64(9), int64(16), ^uint64(7))   // the span wraps
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(0), uint8(1), uint64(10), int64(0), uint64(4096)) // stores alias
 	f.Fuzz(func(t *testing.T, archSel, shapeSel, opSel, layoutSel, elemSel uint8, seed uint64, stride int64, base uint64) {
 		arch := wmma.Arch(archSel % 2)
 		shape := []wmma.Shape{wmma.M16N16K16, wmma.M32N8K16, wmma.M8N32K16, wmma.M8N8K32}[shapeSel%4]
@@ -283,83 +396,8 @@ func FuzzFragGatherMatchesReference(f *testing.F) {
 			t.Skip() // unsupported combination: nothing to compare
 		}
 		p := planFragment(m)
-		if p == nil {
-			t.Fatalf("standard mapping %v/%v/%v produced no plan", arch, shape, op)
-		}
-		w, d := fragFuzzWarp(p.slots)
-		in := d.In
-		in.WMap = m
-
-		// Gather: consistent per-coordinate register bits into each image
-		// encoding, compared bitwise (NaN payloads included) with the
-		// image a per-element walk of the mapping produces. Poisoned
-		// scratch proves every element is written.
-		for lane := range m.Lanes {
-			for slot, c := range m.Lanes[lane] {
-				w.setReg(lane, Reg{ID: slot}, coordBits(seed, c))
-			}
-		}
-		rows, cols := m.Shape.Dims(m.Op)
-		imgIdx := func(c wmma.Coord) int {
-			if op == wmma.MatrixB {
-				return c.Col*rows + c.Row // N×K: the kernel's transposed B
-			}
-			return c.Row*cols + c.Col
-		}
-		n := rows * cols
-		wantWords := make([]uint64, n)
-		for lane := range m.Lanes {
-			for _, c := range m.Lanes[lane] {
-				wantWords[imgIdx(c)] = coordBits(seed, c)
-			}
-		}
-		words := make([]uint64, n)
-		for i := range words {
-			words[i] = 0xDEADBEEFDEADBEEF
-		}
-		w.gatherWords(d, p, 0, words)
-		if !reflect.DeepEqual(words, wantWords) {
-			t.Fatalf("gathered words differ (mapping %v/%v/%v %v %v)", arch, shape, op, layout, elem)
-		}
-		floats := make([]float32, n)
-		for i := range floats {
-			floats[i] = -12345
-		}
-		w.gatherF16(d, p, 0, floats)
-		for i, bits := range wantWords {
-			if want := h16(bits).Float32(); math.Float32bits(floats[i]) != math.Float32bits(want) {
-				t.Fatalf("f16 image element %d = %v, want %v (mapping %v/%v/%v %v)",
-					i, floats[i], want, arch, shape, op, layout)
-			}
-		}
-		lo, hi := int32(int8(seed)), int32(int8(seed))+int32(seed>>8&0xff)
-		ints := make([]int32, n)
-		for i := range ints {
-			ints[i] = hi + 1
-		}
-		w.gatherInt(d, p, 0, lo, hi, ints)
-		for i, bits := range wantWords {
-			if want := min(max(int32(uint32(bits)), lo), hi); ints[i] != want {
-				t.Fatalf("int image element %d = %d, want %d (mapping %v/%v/%v %v)",
-					i, ints[i], want, arch, shape, op, layout)
-			}
-		}
-
-		// Scatter: arbitrary result words into every lane's registers.
-		tile := make([]uint64, n)
-		for i := range tile {
-			tile[i] = coordBits(seed^0xABCD, wmma.Coord{Row: i, Col: 7})
-		}
-		refRegs := make([]uint64, len(w.regs))
-		for lane := range m.Lanes {
-			for slot, c := range m.Lanes[lane] {
-				refRegs[slot*32+lane] = tile[imgIdx(c)]
-			}
-		}
-		clear(w.regs)
-		w.scatterWords(d, p, tile)
-		if !reflect.DeepEqual(refRegs, w.regs) {
-			t.Fatalf("scatter registers differ (mapping %v/%v/%v %v %v)", arch, shape, op, layout, elem)
+		if p == nil || p.lines == nil {
+			t.Fatalf("standard mapping %v/%v/%v produced no plan or lines", arch, shape, op)
 		}
 
 		// Addresses: the plan's factored offsets must reproduce
@@ -380,59 +418,175 @@ func FuzzFragGatherMatchesReference(f *testing.F) {
 
 		// The decode-time shape, built at base 0, must be what the
 		// per-execution definitions produce on the absolute addresses:
-		// pieces, runs and span, at any base; and no shape exactly when an
-		// offset is untamed or lanes disagree on piece structure.
+		// pieces and span, at any base; and no shape exactly when an offset
+		// is untamed or lanes disagree on piece structure.
 		sh := shapeFragment(p, int(stride), elemBytes, elem.Bits())
 		if want := fragShapeExpected(m, int(stride)); (sh != nil) != want {
 			t.Fatalf("shape present = %v, expected %v (stride %d)", sh != nil, want, stride)
 		}
-		if sh == nil {
-			return
-		}
-		var runs []fragDataRun
-		for lane := range ref {
-			pieces := fragPieces(nil, ref[lane], elem.Bits())
-			if len(pieces) != len(sh.groups) {
-				t.Fatalf("lane %d: %d pieces, %d groups", lane, len(pieces), len(sh.groups))
-			}
-			for k, pc := range pieces {
-				if g := &sh.groups[k]; g.bits != pc.bits || base+g.off[lane] != pc.addr {
-					t.Fatalf("lane %d piece %d = {%#x %d}, want %+v (stride %d)", lane, k, base+g.off[lane], g.bits, pc, stride)
+		if sh != nil {
+			checkFragShape(t, sh, p, ref, base, elemBytes, elem.Bits())
+			// The once-per-execution space decision must be every element's:
+			// same space, same offset, inside the window.
+			w := &Warp{Kernel: &Kernel{}, Env: &Env{Shared: make([]byte, 4096)}}
+			for _, space := range []Space{Generic, Shared, Global} {
+				sp, sub, ok := w.fragSpace(space, base+sh.lo, base+sh.hi)
+				if !ok {
+					continue
 				}
-			}
-			for i := 0; i < p.slots; {
-				j := fragRunEnd(ref[lane], i, elemBytes)
-				runs = append(runs, fragDataRun{lane: uint8(lane), slot0: uint8(i), n: uint8(j - i), off: ref[lane][i] - base})
-				i = j
-			}
-			for _, a := range ref[lane] {
-				if a-base < sh.lo || a-base+elemBytes > sh.hi {
-					t.Fatalf("lane %d element at +%#x outside the span [%#x,%#x)", lane, a-base, sh.lo, sh.hi)
-				}
-			}
-		}
-		if !reflect.DeepEqual(runs, sh.runs) {
-			t.Fatalf("runs differ (stride %d)\nshape: %v\nwant:  %v", stride, sh.runs, runs)
-		}
-
-		// The once-per-execution space decision must be every element's:
-		// same space, same offset, inside the window.
-		w.Env.Shared = make([]byte, 4096)
-		for _, space := range []Space{Generic, Shared, Global} {
-			sp, sub, ok := w.fragSpace(space, base+sh.lo, base+sh.hi)
-			if !ok {
-				continue
-			}
-			for lane := range ref {
-				for _, a := range ref[lane] {
-					esp, ea := w.Env.resolveSpace(space, a)
-					if esp != sp || ea != a-sub || sp == Shared && w.sharedSpan(ea, elemBytes) != nil {
-						t.Fatalf("%v span resolved to %v-%#x, element %#x to %v %#x", space, sp, sub, a, esp, ea)
+				for lane := range ref {
+					for _, a := range ref[lane] {
+						esp, ea := w.Env.resolveSpace(space, a)
+						if esp != sp || ea != a-sub || sp == Shared && w.sharedSpan(ea, elemBytes) != nil {
+							t.Fatalf("%v span resolved to %v-%#x, element %#x to %v %#x", space, sp, sub, a, esp, ea)
+						}
 					}
 				}
 			}
 		}
+
+		// The sequence, on both paths.
+		b := NewBuilder("fragfuzz")
+		b.Shared(4096)
+		x, out := b.Param("x", U64), b.Param("out", U64)
+		if !fragSequence(b, m, x, Imm(uint64(stride)), out) {
+			return // no wmma.mma consumes this mapping
+		}
+		b.Exit()
+		k := b.MustBuild()
+		args, shared := []uint64{base, fragOut}, seededBytes(4096, int64(seed))
+		legacy, lerr := execFragKernel(k, true, D1(32), args, shared, byte(seed))
+		batched, berr := execFragKernel(k, false, D1(32), args, shared, byte(seed))
+		if fmt.Sprint(lerr) != fmt.Sprint(berr) {
+			t.Fatalf("errors differ: legacy %v, batched %v", lerr, berr)
+		}
+		if lerr == nil {
+			compareFragRuns(t, legacy, batched)
+		}
 	})
+}
+
+// checkFragShape holds a shape to the per-lane definitions on the lanes'
+// absolute addresses ref: every lane's pieces are the shape's groups plus
+// base, every element lies in the span, the memory lines put every tile
+// element at its lanes' address exactly once, and alias says whether two
+// elements share one.
+func checkFragShape(t *testing.T, sh *fragShape, p *fragPlan, ref [][]uint64, base, elemBytes uint64, elemBits int) {
+	t.Helper()
+	for lane := range ref {
+		pieces := fragPieces(nil, ref[lane], elemBits)
+		if len(pieces) != len(sh.groups) {
+			t.Fatalf("lane %d: %d pieces, %d groups", lane, len(pieces), len(sh.groups))
+		}
+		for k, pc := range pieces {
+			if g := &sh.groups[k]; g.bits != pc.bits || base+g.off[lane] != pc.addr {
+				t.Fatalf("lane %d piece %d = {%#x %d}, want %+v", lane, k, base+g.off[lane], g.bits, pc)
+			}
+		}
+		for _, a := range ref[lane] {
+			if a-base < sh.lo || a-base+elemBytes > sh.hi {
+				t.Fatalf("lane %d element at +%#x outside the span [%#x,%#x)", lane, a-base, sh.lo, sh.hi)
+			}
+		}
+	}
+	at := make(map[int32]uint64) // image offset → byte offset, from the lines
+	for i, off := range sh.lines {
+		for j := int32(0); j < sh.plan.lineLen; j++ {
+			e := sh.plan.lines[i] + j*sh.plan.step
+			if _, dup := at[e]; dup {
+				t.Fatalf("image element %d on two lines", e)
+			}
+			at[e] = off + uint64(j)*elemBytes
+		}
+	}
+	offs := make(map[uint64]bool)
+	for slot := range p.idx {
+		for lane, e := range p.idx[slot] {
+			if got, ok := at[e]; !ok || base+got != ref[lane][slot] {
+				t.Fatalf("lane %d slot %d: line offset %#x (on a line: %v), address +%#x", lane, slot, got, ok, ref[lane][slot]-base)
+			}
+		}
+	}
+	for _, off := range at {
+		offs[off] = true
+	}
+	if alias := len(offs) < len(at); alias != sh.alias {
+		t.Fatalf("alias = %v, elements sharing an address: %v", sh.alias, alias)
+	}
+}
+
+// fragConfig returns the wmma.mma configuration that consumes a fragment
+// of mapping m: an A or B operand of its type with f32 or s32
+// accumulators, or an accumulator in place under f16 or s8 operands. ok is
+// false when no configuration takes the mapping.
+func fragConfig(m *wmma.Mapping) (cfg wmma.Config, ok bool) {
+	cfg = wmma.Config{Arch: m.Arch, Shape: m.Shape, ALayout: tensor.RowMajor, BLayout: tensor.RowMajor,
+		AType: m.Elem, CType: wmma.F32, DType: wmma.F32}
+	switch m.Op {
+	case wmma.MatrixA:
+		cfg.ALayout = m.Layout
+	case wmma.MatrixB:
+		cfg.BLayout = m.Layout
+	default:
+		cfg.AType, cfg.CType, cfg.DType = wmma.F16, m.Elem, m.Elem
+		if m.Elem == wmma.S32 {
+			cfg.AType = wmma.S8
+		}
+	}
+	if cfg.AType.IsInt() && m.Op != wmma.MatrixC {
+		cfg.CType, cfg.DType = wmma.S32, wmma.S32
+	}
+	if cfg.Validate() != nil {
+		return cfg, false
+	}
+	for _, op := range []wmma.Operand{wmma.MatrixA, wmma.MatrixB} {
+		l, e := cfg.ALayout, cfg.AType
+		if op == wmma.MatrixB {
+			l = cfg.BLayout
+		}
+		if got, err := wmma.Map(cfg.Arch, cfg.Shape, op, l, e); err != nil || op == m.Op && !reflect.DeepEqual(got.Lanes, m.Lanes) {
+			return cfg, false
+		}
+	}
+	return cfg, true
+}
+
+// fragSequence emits a load → mma → store sequence around a fragment of
+// mapping m loaded from x at leading dimension ld: the other operands come
+// from out at tight leading dimensions, and D goes back to x at ld (m an
+// accumulator, updated in place and stored by the other layout) or to
+// out. Every value reaches memory through wmma alone, so the fragment is
+// an image group. It emits nothing and reports false when no wmma.mma
+// consumes the mapping.
+func fragSequence(b *Builder, m *wmma.Mapping, x Reg, ld Operand, out Reg) bool {
+	cfg, ok := fragConfig(m)
+	if !ok {
+		return false
+	}
+	sh := cfg.Shape
+	frags := map[wmma.Operand][]Reg{m.Op: b.WmmaLoad(m.Arch, sh, m.Op, m.Layout, m.Elem, R(x), ld)}
+	if _, ok := frags[wmma.MatrixA]; !ok {
+		frags[wmma.MatrixA] = b.WmmaLoad(cfg.Arch, sh, wmma.MatrixA, cfg.ALayout, cfg.AType, R(out), Imm(uint64(sh.K)))
+	}
+	if _, ok := frags[wmma.MatrixB]; !ok {
+		frags[wmma.MatrixB] = b.WmmaLoad(cfg.Arch, sh, wmma.MatrixB, cfg.BLayout, cfg.AType, R(out), Imm(uint64(sh.N)))
+	}
+	if _, ok := frags[wmma.MatrixC]; !ok {
+		frags[wmma.MatrixC] = b.WmmaLoad(cfg.Arch, sh, wmma.MatrixC, tensor.RowMajor, cfg.CType, R(out), Imm(uint64(sh.N)))
+	}
+	fd := b.WmmaMMA(cfg, frags[wmma.MatrixA], frags[wmma.MatrixB], frags[wmma.MatrixC])
+	if m.Op == wmma.MatrixC {
+		// Back through the other layout: the accumulator lanes do not
+		// depend on it, the memory lines do.
+		other := tensor.ColMajor
+		if m.Layout == tensor.ColMajor {
+			other = tensor.RowMajor
+		}
+		b.WmmaStore(cfg.Arch, sh, other, cfg.DType, R(x), fd, ld)
+	} else {
+		b.WmmaStore(cfg.Arch, sh, tensor.RowMajor, cfg.DType, R(out), fd, Imm(uint64(sh.N)))
+	}
+	return true
 }
 
 // fragShapeExpected says whether a mapping and leading dimension should
@@ -516,8 +670,8 @@ func TestFragShapeMatchesPerLane(t *testing.T) {
 								if store {
 									frag := b.WmmaLoad(arch, shape, op, layout, elem, Imm(64), Imm(uint64(tight)))
 									b.WmmaStore(arch, shape, layout, elem, R(dst), frag, Imm(uint64(ld)))
-								} else {
-									storeFragment(b, b.WmmaLoad(arch, shape, op, layout, elem, R(dst), Imm(uint64(ld))), b.Param("out", U64))
+								} else if out := b.Param("out", U64); !fragSequence(b, m, dst, Imm(uint64(ld)), out) {
+									storeFragment(b, b.WmmaLoad(arch, shape, op, layout, elem, R(dst), Imm(uint64(ld))), out)
 								}
 								b.Exit()
 								k := b.MustBuild()

@@ -77,10 +77,11 @@ const (
 )
 
 // MMAImages computes D = A×B + C for a floating-point configuration on
-// register images (see above): a is M×K, bT is N×K, c and d are M×N words.
-// It is the only floating-point wmma.mma arithmetic in the repository —
-// the executor's batched path calls it on images gathered straight from
-// registers, and the tile API (MMA, MMAInto) encodes, calls it and
+// register images (see above): a is M×K, bT is N×K, c and d are M×N words;
+// c and d may be the same slice (each C word is read before its D word is
+// written). It is the only floating-point wmma.mma arithmetic in the
+// repository — the executor's batched path calls it on its fragments'
+// tile images, and the tile API (MMA, MMAInto) encodes, calls it and
 // decodes.
 //
 // Results do not depend on whether the compiler fuses a multiply into the
