@@ -6,6 +6,7 @@
 //
 //	simd -addr 127.0.0.1:8080
 //	simd -addr :8080 -workers 8 -cachemb 256 -draintimeout 1m
+//	simd -cpuprofile cpu.pprof -memprofile mem.pprof   # written after the drain
 //
 // API:
 //
@@ -49,6 +50,8 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
+
+	"repro/internal/profiling"
 )
 
 const (
@@ -99,6 +102,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "shared worker-pool budget across all jobs (0 = one per CPU)")
 	cacheMB := fs.Int("cachemb", 64, "content-addressed result cache budget in MiB (0 disables caching)")
 	drainTimeout := fs.Duration("draintimeout", time.Minute, "bound on the SIGTERM drain; past it remaining jobs are canceled (0 = drain forever)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole serving run to this file (hot-spot hunts: go tool pprof)")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file after the drain")
 	if err := fs.Parse(args); err != nil {
 		// -h/-help is a successful usage request, not a usage error.
 		if errors.Is(err, flag.ErrHelp) {
@@ -110,6 +115,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
+
+	// The profiles end after the drain, on the way out of run.
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "simd:", err)
+		return exitUsage
+	}
+	defer stopProfiles()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

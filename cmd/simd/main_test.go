@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -501,5 +504,48 @@ func TestHealthz(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining healthz = %d, want 503", resp.StatusCode)
+	}
+}
+
+// -cpuprofile and -memprofile cover the whole serving run: both files are
+// written, non-empty, once the drain finishes; an unwritable path fails at
+// the flag boundary.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	pr, pw := io.Pipe()
+	ctx, cancel := context.WithCancel(context.Background())
+	codec := make(chan int, 1)
+	go func() {
+		codec <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-cpuprofile", cpu, "-memprofile", mem}, pw, io.Discard)
+		pw.Close()
+	}()
+	line, err := bufio.NewReader(pr).ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	go io.Copy(io.Discard, pr)
+	url, _, _ := strings.Cut(strings.TrimPrefix(line, "simd: serving on "), " ")
+	if code, st := postJob(t, url, `{"experiment":"fig9","quick":true,"wait":true}`); code != http.StatusOK || st.Status != "done" {
+		t.Fatalf("job = %d %+v", code, st)
+	}
+	cancel()
+	if c := <-codec; c != exitOK {
+		t.Fatalf("profiled run exited %d, want %d", c, exitOK)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: no profile written (%v)", filepath.Base(p), err)
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		var stderr bytes.Buffer
+		bad := filepath.Join(dir, "missing", "p.pprof")
+		if code := run(context.Background(), []string{flag, bad}, io.Discard, &stderr); code != exitUsage {
+			t.Errorf("%s to an unwritable path = %d, want %d", flag, code, exitUsage)
+		}
+		if !strings.Contains(stderr.String(), flag) {
+			t.Errorf("%s to an unwritable path did not name the flag: %q", flag, stderr.String())
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/ptx"
+	"repro/internal/wmma"
 )
 
 // LaunchSpec describes one kernel launch.
@@ -113,6 +114,17 @@ type Simulator struct {
 	// rec is the record stream of a pipelined launch (replay.go), nil on
 	// the serial path.
 	rec *replay
+	// mma holds the launch's wmma.mma configurations with their timing,
+	// resolved by Run before cycle 0 (resolveWmma).
+	mma []mmaTiming
+}
+
+// mmaTiming is the calibrated timing of one wmma.mma configuration on the
+// simulated GPU: the instruction's latency and how long it holds the
+// sub-core's tensor-core issue bandwidth.
+type mmaTiming struct {
+	cfg                wmma.Config
+	latency, occupancy uint64
 }
 
 // New builds a simulator for the configuration.
@@ -186,12 +198,57 @@ func (s *Simulator) Run(spec LaunchSpec) (*Stats, error) {
 	if spec.Kernel.SharedBytes > s.cfg.SharedPerSM {
 		return nil, fmt.Errorf("gpu: a CTA's %d shared bytes exceed SharedPerSM %d", spec.Kernel.SharedBytes, s.cfg.SharedPerSM)
 	}
+	if err := s.resolveWmma(spec.Kernel); err != nil {
+		return nil, err
+	}
 	// The values of a separable kernel's launch change nothing the timing
 	// loop sees, so with a second CPU they are computed beside it.
 	if !spec.TimingOnly && spec.Kernel.TimingSeparable() && runtime.GOMAXPROCS(0) > 1 {
 		return s.runPipelined(spec)
 	}
 	return s.run(spec)
+}
+
+// resolveWmma checks that every wmma instruction of k is for the
+// simulated architecture — a Turing mapping or timing on a Volta chip
+// would run without complaint — and resolves each distinct wmma.mma
+// configuration's timing once, so issue reads it instead of rebuilding it.
+func (s *Simulator) resolveWmma(k *ptx.Kernel) error {
+	s.mma = s.mma[:0]
+	for i := range k.Instrs {
+		in := &k.Instrs[i]
+		if in.WMap == nil {
+			continue // not a wmma instruction
+		}
+		arch := in.WMap.Arch
+		if in.Op == ptx.OpWmmaMMA {
+			arch = in.WConfig.Arch
+		}
+		if arch != s.cfg.Arch {
+			return fmt.Errorf("gpu: %s instruction %d (wmma, %v, operand %v) is for %v, the simulated GPU is %v",
+				k.Name, i, in.WMap.Shape, in.WMap.Op, arch, s.cfg.Arch)
+		}
+		if in.Op != ptx.OpWmmaMMA || s.mmaTiming(in.WConfig) != nil {
+			continue
+		}
+		t, err := s.cfg.tensorTiming(in.WConfig)
+		if err != nil {
+			return err
+		}
+		s.mma = append(s.mma, mmaTiming{in.WConfig, uint64(t.Total()), s.cfg.tensorOccupancy(in.WConfig)})
+	}
+	return nil
+}
+
+// mmaTiming returns the launch's resolved timing of cfg, nil before
+// resolveWmma has seen it.
+func (s *Simulator) mmaTiming(cfg wmma.Config) *mmaTiming {
+	for i := range s.mma {
+		if s.mma[i].cfg == cfg {
+			return &s.mma[i]
+		}
+	}
+	return nil
 }
 
 // run simulates a validated launch on the calling goroutine.
@@ -518,12 +575,9 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 		}
 	case ptx.DClassWmmaMMA:
 		st.TensorOps++
-		timing, err := cfg.tensorTiming(in.In.WConfig)
-		if err != nil {
-			return err
-		}
-		sc.ports.freeAt[unitTensor] = now + cfg.tensorOccupancy(in.In.WConfig)
-		done = now + uint64(timing.Total())
+		t := m.sim.mmaTiming(in.In.WConfig)
+		sc.ports.freeAt[unitTensor] = now + t.occupancy
+		done = now + t.latency
 		if st.Trace != nil {
 			st.Trace.WmmaMMA = append(st.Trace.WmmaMMA, float64(done-now))
 		}

@@ -145,8 +145,9 @@ func SwapInterpretALU(on bool) (restore func()) {
 // one that is (see sliceKernel).
 func decodeKernel(k *Kernel) (prog []DInstr, separable bool, rows []int32, nrows int) {
 	prog = make([]DInstr, len(k.Instrs))
+	shapes := make(map[shapeKey]*fragShape)
 	for i := range k.Instrs {
-		decodeInstr(k, &k.Instrs[i], &prog[i])
+		decodeInstr(k, &k.Instrs[i], &prog[i], shapes)
 	}
 	groupFragments(k, prog)
 	separable, rows, nrows = sliceKernel(k, prog)
@@ -454,11 +455,19 @@ func packTiming(k *Kernel, prog []DInstr, rows []int32, n int) (timing []DInstr,
 	return timing, params, total
 }
 
+// shapeKey is what a fragment access shape is a function of.
+type shapeKey struct {
+	plan      *fragPlan
+	ld        int
+	elemBytes uint64
+}
+
 // decodeInstr populates one decoded instruction in place; with sliceKernel
-// and packTiming, DInstr's frozen constructor set.
+// and packTiming, DInstr's frozen constructor set. shapes holds the access
+// shapes the kernel's wmma.load/store instructions share.
 //
 //simlint:ctor
-func decodeInstr(k *Kernel, in *Instr, d *DInstr) {
+func decodeInstr(k *Kernel, in *Instr, d *DInstr, shapes map[shapeKey]*fragShape) {
 	d.In = in
 	d.Class = classOf(in.Op)
 	d.cmp = in.Cmp
@@ -511,7 +520,13 @@ func decodeInstr(k *Kernel, in *Instr, d *DInstr) {
 	case OpWmmaLoad, OpWmmaStore:
 		d.membytes = int32(cuda4BitBytes(in.WMap.Elem))
 		if ld := in.Src[1]; ld.Kind == OperandImm {
-			d.wshape = shapeFragment(planFragment(in.WMap), int(ld.Imm), uint64(d.membytes), in.WMap.Elem.Bits())
+			key := shapeKey{planOf(in.WMap), int(ld.Imm), uint64(d.membytes)}
+			sh, ok := shapes[key]
+			if !ok {
+				sh = shapeFragment(key.plan, key.ld, key.elemBytes, in.WMap.Elem.Bits())
+				shapes[key] = sh
+			}
+			d.wshape = sh
 		}
 	case OpWmmaMMA:
 		d.fragA = int32(in.WMapA.FragmentLen())

@@ -199,7 +199,7 @@ func TestGuardMaskMatchesLaneEnabled(t *testing.T) {
 		}
 		for _, in := range []*Instr{{Op: OpMov}, {Op: OpMov, Pred: &p}, {Op: OpMov, Pred: &p, PNeg: true}} {
 			var d DInstr
-			decodeInstr(k, in, &d)
+			decodeInstr(k, in, &d, nil)
 			var want uint32
 			for lane := 0; lane < 32; lane++ {
 				if w.laneEnabled(lane, in) {

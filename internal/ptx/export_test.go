@@ -27,3 +27,15 @@ func ImageOperands(k *Kernel) (n int) {
 	}
 	return n
 }
+
+// FragmentShapes returns, per wmma.load/store of k's decoded program, its
+// access shape and that shape's fragment plan as opaque pointers, for
+// identity comparisons.
+func FragmentShapes(k *Kernel) (shapes, plans []any) {
+	for i := range k.prog {
+		if sh := k.prog[i].wshape; sh != nil {
+			shapes, plans = append(shapes, sh), append(plans, sh.plan)
+		}
+	}
+	return shapes, plans
+}

@@ -3,6 +3,7 @@ package ptx
 import (
 	"encoding/binary"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/tensor"
@@ -54,9 +55,9 @@ func SwapLegacyFragmentPath(on bool) (restore func()) {
 func LegacyFragmentPathEnabled() bool { return legacyFragmentPath.Load() }
 
 // fragPlan is the decoded form of one wmma.Mapping: per-slot lane
-// vectors of precomputed tile offsets, built once per static
-// instruction (decode time) and shared read-only by every warp — so
-// the type is frozen outside planFragment.
+// vectors of precomputed tile offsets, built once per mapping (planOf)
+// and shared read-only by every warp of every kernel — so the type is
+// frozen outside planFragment.
 //
 //simlint:frozen
 type fragPlan struct {
@@ -76,15 +77,31 @@ type fragPlan struct {
 	step, lineLen int32
 }
 
-// planFragment builds the fragment plan, or returns nil when the
-// mapping is absent or its lanes disagree on fragment structure — the
-// executor then keeps the per-lane path for this instruction.
+// plans holds the fragment plan of each interned mapping, by
+// wmma.Mapping.Identity: a plan is a function of its mapping alone.
+var plans [wmma.NumIdentities]struct {
+	once sync.Once
+	p    *fragPlan
+}
+
+// planOf returns the mapping's fragment plan, one per interned mapping
+// (wmma.Map); a mapping Map did not intern gets a plan of its own.
+func planOf(m *wmma.Mapping) *fragPlan {
+	i := m.Identity()
+	if i < 0 {
+		return planFragment(m)
+	}
+	e := &plans[i]
+	e.once.Do(func() { e.p = planFragment(m) })
+	return e.p
+}
+
+// planFragment builds the fragment plan (planOf's fill function), or
+// returns nil when the mapping's lanes disagree on fragment structure —
+// the executor then keeps the per-lane path for this instruction.
 //
 //simlint:ctor
 func planFragment(m *wmma.Mapping) *fragPlan {
-	if m == nil {
-		return nil
-	}
 	v := m.SlotVecs()
 	if !v.Uniform {
 		return nil
@@ -238,7 +255,7 @@ func groupFragments(k *Kernel, prog []DInstr) {
 		if !g.ok {
 			continue
 		}
-		if p := planFragment(g.m); p != nil && p.lines != nil {
+		if p := planOf(g.m); p != nil && p.lines != nil {
 			images[g] = &imageGroup{bit: 1 << bit, r0: g.regs[0], n: int32(len(p.lines)) * p.lineLen, plan: p}
 		}
 	}

@@ -2,7 +2,9 @@ package wmma
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -47,15 +49,56 @@ type Mapping struct {
 // mapping is layout independent (the layout argument is ignored for C on
 // Volta, matching the paper's observation); elem selects the precision
 // variant where the architecture distinguishes them (Volta C in F16 vs F32
-// mode).
+// mode). A mapping is a fixed property of its identity (these five
+// arguments), so each is built and validated once, on first use, and every
+// later call returns the same read-only *Mapping.
 func Map(arch Arch, shape Shape, op Operand, layout tensor.Layout, elem Precision) (*Mapping, error) {
-	switch arch {
-	case Volta:
-		return voltaMap(shape, op, layout, elem)
-	case Turing:
-		return turingMap(shape, op, layout, elem)
+	i, err := identity(arch, shape, op, layout, elem)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("wmma: unknown arch %v", arch)
+	e := &mappings[i]
+	e.once.Do(func() {
+		if arch == Turing {
+			e.m = turingMap(shape, op, layout, elem)
+		} else {
+			e.m, e.err = voltaMap(shape, op, layout, elem)
+		}
+	})
+	return e.m, e.err
+}
+
+// NumIdentities bounds Mapping.Identity: arch × shape × operand × layout ×
+// precision.
+const NumIdentities = 2 * len(shapes) * 3 * 2 * 7
+
+var shapes = [...]Shape{M16N16K16, M32N8K16, M8N32K16, M8N8K32}
+
+// mappings holds Map's result per identity.
+var mappings [NumIdentities]struct {
+	once sync.Once
+	m    *Mapping
+	err  error
+}
+
+// identity returns the slot of a mapping identity in mappings.
+func identity(arch Arch, shape Shape, op Operand, layout tensor.Layout, elem Precision) (int, error) {
+	s := slices.Index(shapes[:], shape)
+	if arch < Volta || arch > Turing || s < 0 || op < MatrixA || op > MatrixC ||
+		layout < tensor.RowMajor || layout > tensor.ColMajor || elem < F16 || elem > S32 {
+		return 0, fmt.Errorf("wmma: no %v %v %v mapping in layout %d, precision %v", arch, shape, op, int(layout), elem)
+	}
+	return (((int(arch)*len(shapes)+s)*3+int(op))*2+int(layout))*7 + int(elem), nil
+}
+
+// Identity returns m's slot in [0, NumIdentities), or -1 when m is not the
+// mapping Map returns for its identity (a hand-built one, or a copy).
+func (m *Mapping) Identity() int {
+	i, err := identity(m.Arch, m.Shape, m.Op, m.Layout, m.Elem)
+	if im, _ := Map(m.Arch, m.Shape, m.Op, m.Layout, m.Elem); err != nil || im != m {
+		return -1
+	}
+	return i
 }
 
 // MustMap is Map but panics on error; for use with known-valid parameters.

@@ -1,10 +1,6 @@
 package wmma
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Turing fragment-to-thread mappings (Figure 8 of the paper).
 //
@@ -17,11 +13,11 @@ import (
 // Both rectangular 16-bit tiles (32×8×16 and 8×32×16) use the same
 // distribution rule, as the paper observes.
 
+// turingMap builds the mapping of one of the shapes Map admits, all four
+// of which Turing supports.
+//
 //simlint:ctor
-func turingMap(shape Shape, op Operand, layout tensor.Layout, elem Precision) (*Mapping, error) {
-	if err := turingShapeOK(shape); err != nil {
-		return nil, err
-	}
+func turingMap(shape Shape, op Operand, layout tensor.Layout, elem Precision) *Mapping {
 	rows, cols := shape.Dims(op)
 
 	// A and C distribute by row; B distributes by column.
@@ -30,9 +26,6 @@ func turingMap(shape Shape, op Operand, layout tensor.Layout, elem Precision) (*
 	if op == MatrixB {
 		slices, sliceLen = cols, rows
 		at = func(slice, e int) Coord { return Coord{Row: e, Col: slice} }
-	}
-	if sliceLen%ThreadgroupSize != 0 {
-		return nil, fmt.Errorf("wmma: turing slice length %d not divisible by threadgroup size", sliceLen)
 	}
 	per := sliceLen / ThreadgroupSize
 
@@ -48,13 +41,5 @@ func turingMap(shape Shape, op Operand, layout tensor.Layout, elem Precision) (*
 		}
 		m.Lanes[lane] = frag
 	}
-	return m.validateCoverage(), nil
-}
-
-func turingShapeOK(shape Shape) error {
-	switch shape {
-	case M16N16K16, M32N8K16, M8N32K16, M8N8K32:
-		return nil
-	}
-	return fmt.Errorf("wmma: turing does not support shape %v", shape)
+	return m.validateCoverage()
 }

@@ -75,8 +75,6 @@ func voltaMap(shape Shape, op Operand, layout tensor.Layout, elem Precision) (*M
 		default:
 			return nil, fmt.Errorf("wmma: volta C must be f16 or f32, got %v", elem)
 		}
-	default:
-		return nil, fmt.Errorf("wmma: unknown operand %v", op)
 	}
 	return m.validateCoverage(), nil
 }
