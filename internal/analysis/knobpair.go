@@ -21,8 +21,7 @@ import (
 // counts, and a non-literal argument (a sweep variable such as
 // `for _, legacy := range []bool{false, true}`) counts as both
 // positions. Knob definitions are collected from packages under
-// internal/ — facade re-exports (tcgpu) delegate to the internal knob
-// and are not separate contracts.
+// internal/.
 var KnobpairAnalyzer = &Analyzer{
 	Name:      "knobpair",
 	Doc:       "require tests to exercise every Legacy* equivalence knob in both positions",

@@ -97,6 +97,11 @@ func TestAllExperimentsQuick(t *testing.T) {
 			}
 		})
 	}
+	// One golden per registered experiment: an experiment dropped from
+	// the registry leaves its golden behind and fails here.
+	if golden, _ := filepath.Glob(filepath.Join("testdata", "quick", "*.txt")); len(golden) != len(All()) {
+		t.Errorf("%d quick goldens for %d registered experiments", len(golden), len(All()))
+	}
 }
 
 func TestByID(t *testing.T) {

@@ -40,9 +40,8 @@ type WarpAccess struct {
 // legacyAccessPath, when set, routes warps constructed afterwards
 // through the per-lane Access path instead of the batched WarpAccess
 // path. It exists so tests can assert the batched path is
-// semantics-preserving (bit-identical Stats and experiment tables) and
-// so the ablation benchmark can quantify the difference; production
-// code never sets it.
+// semantics-preserving (bit-identical Stats and experiment tables);
+// production code never sets it.
 //
 //simlint:processknob equivalence/ablation knob: CLI plumbing and Swap-helper tests only, never flipped while simulators run
 var legacyAccessPath atomic.Bool

@@ -30,8 +30,7 @@ import (
 // through the per-element wmma fragment path instead of the batched
 // image path. It exists so tests can assert the batched path is
 // semantics-preserving (bit-identical registers, memory, Stats and
-// experiment tables) and so the ablation benchmark can quantify the
-// difference; production code never sets it.
+// experiment tables); production code never sets it.
 //
 //simlint:processknob equivalence/ablation knob: CLI plumbing and Swap-helper tests only, never flipped while simulators run
 var legacyFragmentPath atomic.Bool
