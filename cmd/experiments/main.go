@@ -44,20 +44,17 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
-	"repro/internal/gpu"
 	"repro/internal/profiling"
 	"repro/internal/ptx"
 )
 
-// Flag bounds: values beyond these are almost certainly typos (the full
-// Titan V has 80 SMs) and would otherwise surface as panics or absurd
-// memory use deep inside gpu.New.
+// Flag bounds: values beyond these are almost certainly typos and would
+// otherwise surface as panics or absurd memory use. -sms and -tlactive
+// take experiments.Options.Validate's.
 const (
-	maxSMs     = 1024
-	maxWorkers = 4096
-	// maxTLActive bounds -tlactive at the architectural warp budget: no
-	// sub-core ever holds more warps than the SM-wide maximum.
-	maxTLActive = 64
+	maxSMs      = experiments.MaxSMs
+	maxWorkers  = 4096
+	maxTLActive = experiments.MaxTwoLevelActive
 	maxRetries  = 16
 )
 
@@ -73,21 +70,10 @@ const (
 // unknown -sched spellings at the flag boundary with a clear error
 // instead of letting them misbehave deep in the simulator.
 func validateFlags(sms, workers, tlActive int, sched string) error {
-	if sms < 0 || sms > maxSMs {
-		return fmt.Errorf("experiments: -sms %d out of range (want 0 for the default, or 1..%d)", sms, maxSMs)
-	}
 	if workers < 0 || workers > maxWorkers {
 		return fmt.Errorf("experiments: -workers %d out of range (want 0 for one per CPU, or 1..%d)", workers, maxWorkers)
 	}
-	if tlActive < 0 || tlActive > maxTLActive {
-		return fmt.Errorf("experiments: -tlactive %d out of range (want 0 for the config default, or 1..%d)", tlActive, maxTLActive)
-	}
-	if sched != "" {
-		if _, err := gpu.ParseSchedulerPolicy(sched); err != nil {
-			return fmt.Errorf("experiments: -sched: %v", err)
-		}
-	}
-	return nil
+	return experiments.Options{SMs: sms, TwoLevelActive: tlActive, Scheduler: sched}.Validate()
 }
 
 // validateFaultFlags checks the fault-tolerance flag combinations.

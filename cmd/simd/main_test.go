@@ -179,6 +179,9 @@ func TestRequestValidation(t *testing.T) {
 		`{"experiment":"nope","wait":true}`,
 		`{"experiment":"fig9","sched":"fifo","wait":true}`,
 		`{"experiment":"fig9","tlactive":-1,"wait":true}`,
+		`{"experiment":"fig17","quick":true,"sms":-1,"wait":true}`,
+		`{"experiment":"fig17","quick":true,"sms":1025,"wait":true}`,
+		`{"experiment":"fig9","tlactive":65,"wait":true}`,
 		`not json`,
 		`{"experiment":"fig9","wait":true} {"experiment":"tab1"}`,
 		`{"experiment":"fig9","wait":true}]`,

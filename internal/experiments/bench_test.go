@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cutlass"
@@ -13,7 +14,9 @@ import (
 // device, memory and simulation included — at the two registry points that
 // dominate the quick wall-clock: fig17's SIMT SGEMM cell and a fig14b
 // CUTLASS cell. It launches as the registry does (TimingOnly); this file
-// compiles unchanged at the commit before TimingOnly, for the pair.
+// compiles unchanged at the commit before TimingOnly, for the pair. Each
+// point runs at the host's GOMAXPROCS and at procs=1, so the serial path
+// keeps a number of its own beside the one whose warps step ahead.
 func BenchmarkLaunchOn(b *testing.B) {
 	opt := Options{Quick: true}
 	points := []struct {
@@ -32,22 +35,31 @@ func BenchmarkLaunchOn(b *testing.B) {
 		}, wmma.F32, 256, 256, func(gpu.Config) int { return 0 }},
 	}
 	for _, p := range points {
-		b.Run(p.name, func(b *testing.B) {
-			cfg, err := opt.titanV(p.sms)
-			if err != nil {
-				b.Fatal(err)
+		for _, procs := range []int{0, 1} {
+			name := p.name
+			if procs == 1 {
+				name += "/procs=1"
 			}
-			l, err := p.build()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, err := opt.launchOn(cfg, l, gemmElems(p.cd), gemmDims(p.n, p.n, p.k), p.ctas(cfg), false)
-				if err != nil || st.Cycles == 0 {
-					b.Fatal(st, err)
+			b.Run(name, func(b *testing.B) {
+				if procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				}
-			}
-		})
+				cfg, err := opt.titanV(p.sms)
+				if err != nil {
+					b.Fatal(err)
+				}
+				l, err := p.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st, err := opt.launchOn(cfg, l, gemmElems(p.cd), gemmDims(p.n, p.n, p.k), p.ctas(cfg), false)
+					if err != nil || st.Cycles == 0 {
+						b.Fatal(st, err)
+					}
+				}
+			})
+		}
 	}
 }

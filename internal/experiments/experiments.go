@@ -226,18 +226,32 @@ func scaledTitanV(sms int) gpu.Config {
 	return cfg
 }
 
-// Validate rejects malformed options upfront — in particular a
-// misspelled Scheduler, which would otherwise be accepted silently by
-// experiments that never simulate (the analytic tables) and reported
-// once per simulating experiment under RunAll.
+// The ranges Validate accepts: beyond them a value is almost certainly a
+// typo (the full Titan V has 80 SMs, and no sub-core ever holds more warps
+// than the SM-wide maximum of 64) and would otherwise surface as a panic
+// or absurd memory use deep inside gpu.New.
+const (
+	MaxSMs            = 1024
+	MaxTwoLevelActive = 64
+)
+
+// Validate rejects malformed options upfront — a misspelled Scheduler,
+// which would otherwise be accepted silently by experiments that never
+// simulate (the analytic tables) and reported once per simulating
+// experiment under RunAll, and an SMs or TwoLevelActive out of range, which
+// a caller that does not validate would run under a launch key of its own.
 func (o Options) Validate() error {
 	if o.Scheduler != "" {
 		if _, err := gpu.ParseSchedulerPolicy(o.Scheduler); err != nil {
 			return err
 		}
 	}
-	if o.TwoLevelActive < 0 {
-		return fmt.Errorf("experiments: TwoLevelActive must be ≥ 0 (0 = config default)")
+	if o.SMs < 0 || o.SMs > MaxSMs {
+		return fmt.Errorf("experiments: SMs %d out of range (want 0 for the default, or 1..%d)", o.SMs, MaxSMs)
+	}
+	if o.TwoLevelActive < 0 || o.TwoLevelActive > MaxTwoLevelActive {
+		return fmt.Errorf("experiments: TwoLevelActive %d out of range (want 0 for the config default, or 1..%d)",
+			o.TwoLevelActive, MaxTwoLevelActive)
 	}
 	return nil
 }

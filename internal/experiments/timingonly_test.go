@@ -24,7 +24,7 @@ func fullValues(spec *gpu.LaunchSpec) { spec.TimingOnly = false }
 var fullValueRegistry struct {
 	sync.Once
 	tables  map[string]*Table
-	kernels map[string]bool // kernel name → TimingSeparable
+	kernels map[string]bool // kernel name → TimingSeparable and StepsAhead
 	wasOn   bool            // every launch arrived with TimingOnly set
 	err     error
 }
@@ -38,7 +38,7 @@ func runFullValueRegistry(t *testing.T) {
 		opt := Options{Quick: true, launchMod: func(spec *gpu.LaunchSpec) {
 			mu.Lock()
 			defer mu.Unlock()
-			r.kernels[spec.Kernel.Name] = spec.Kernel.TimingSeparable()
+			r.kernels[spec.Kernel.Name] = spec.Kernel.TimingSeparable() && spec.Kernel.StepsAhead()
 			r.wasOn = r.wasOn && spec.TimingOnly
 			spec.TimingOnly = false
 		}}
@@ -61,7 +61,8 @@ func runFullValueRegistry(t *testing.T) {
 
 // Every generator the registry launches must be timing-separable: one
 // that is not silently falls back to full execution and costs the ≈40 %
-// the skip saves, with every table still right.
+// the skip saves, with every table still right. It must step ahead too
+// (gpu's ahead.go), or it silently loses the second goroutine.
 func TestRegistryKernelsSeparable(t *testing.T) {
 	runFullValueRegistry(t)
 	r := &fullValueRegistry
@@ -72,7 +73,7 @@ func TestRegistryKernelsSeparable(t *testing.T) {
 	for name, separable := range r.kernels {
 		names = append(names, name)
 		if !separable {
-			t.Errorf("kernel %s is not timing-separable", name)
+			t.Errorf("kernel %s is not timing-separable or does not step ahead", name)
 		}
 	}
 	sort.Strings(names)
@@ -94,8 +95,8 @@ func TestRegistryKernelsSeparable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !l.Kernel.TimingSeparable() {
-			t.Errorf("kernel %s is not timing-separable", l.Kernel.Name)
+		if !l.Kernel.TimingSeparable() || !l.Kernel.StepsAhead() {
+			t.Errorf("kernel %s is not timing-separable or does not step ahead", l.Kernel.Name)
 		}
 	}
 	for _, p := range []kernels.GemmPrecision{kernels.TensorMixed, kernels.TensorFP16} {

@@ -15,7 +15,7 @@ import (
 	"repro/internal/ptx"
 )
 
-// Timing and values on two goroutines (DESIGN.md): a full-value launch of
+// Values replayed (DESIGN.md "Two goroutines"): a full-value launch of
 // a separable kernel with GOMAXPROCS > 1 replays its values beside the
 // timing loop. The oracle is the serial path of the same Run, selected
 // with GOMAXPROCS 1.

@@ -7,8 +7,8 @@ import (
 	"repro/internal/ptx"
 )
 
-// Timing and values on two goroutines (DESIGN.md). A full-value launch of
-// a timing-separable kernel needs its operand values only for what it
+// Values replayed (DESIGN.md "Two goroutines"). A full-value launch of a
+// timing-separable kernel needs its operand values only for what it
 // leaves in Global: its Stats and faults are those of a TimingOnly launch.
 // runPipelined therefore runs the TimingOnly simulation on the caller's
 // goroutine, on a Global that discards, and records every CTA dispatch and
@@ -42,9 +42,70 @@ const (
 	batches     = 4
 )
 
-// errValuesStopped ends the timing loop once the value goroutine has
-// stopped on an error or a panic, which runPipelined reports instead.
-var errValuesStopped = errors.New("gpu: value replay stopped")
+// errSideStopped ends the timing loop once a launch's second goroutine has
+// stopped on an error or a panic, which Run reports instead.
+var errSideStopped = errors.New("gpu: second goroutine stopped")
+
+// sidecar is the lifecycle of a launch's second goroutine, the value
+// replay's or the warps stepped ahead (ahead.go): Run starts it, waits for
+// done before returning, and re-raises its panic or returns its error.
+type sidecar struct {
+	quit   chan struct{} // closed: the goroutine stops at its next check
+	done   chan struct{} // closed when the goroutine returns
+	halted bool
+	// err and panicked are read after done.
+	err      error
+	panicked any
+}
+
+// start runs fn on the second goroutine.
+func (sc *sidecar) start(fn func() error) {
+	sc.quit, sc.done = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sc.done)
+		defer func() {
+			//simlint:ok the panic is re-raised on Run's goroutine by outcome
+			if p := recover(); p != nil {
+				sc.panicked = p
+			}
+		}()
+		sc.err = fn()
+	}()
+}
+
+// quitting reports whether the goroutine has been told to stop.
+func (sc *sidecar) quitting() bool {
+	select {
+	case <-sc.quit:
+		return true
+	default:
+		return false
+	}
+}
+
+// halt tells the goroutine to stop at its next check.
+func (sc *sidecar) halt() {
+	if !sc.halted {
+		sc.halted = true
+		close(sc.quit)
+	}
+}
+
+// outcome waits for the goroutine and returns Run's result: its panic
+// re-raised, else its error — earlier in issue order than anything the
+// timing loop raised after it — else the timing loop's.
+func (sc *sidecar) outcome(st *Stats, err error) (*Stats, error) {
+	<-sc.done
+	switch {
+	case sc.panicked != nil:
+		panic(sc.panicked)
+	case sc.err != nil:
+		return nil, sc.err
+	case err != nil:
+		return nil, err
+	}
+	return st, nil
+}
 
 // discard is the timing loop's Global. A TimingOnly warp of a separable
 // kernel never calls it; the per-lane twins that do read zeros, which no
@@ -56,6 +117,8 @@ func (discard) Write(uint64, []byte)      {}
 
 // replay is one pipelined launch: the record stream and its value side.
 type replay struct {
+	side sidecar
+
 	// The timing goroutine's fields.
 	buf    []event  // the batch being filled
 	slots  []uint32 // CTA slots freed by retirement
@@ -64,42 +127,35 @@ type replay struct {
 
 	// full and free each have room for every batch there is, so no send
 	// on them ever blocks.
-	full chan []event  // recorded batches, in order
-	free chan []event  // replayed batches, for reuse
-	quit chan struct{} // closed: the value side stops at its next batch
-	done chan struct{} // closed when the value goroutine returns
+	full chan []event // recorded batches, in order
+	free chan []event // replayed batches, for reuse
 
-	// The value goroutine's fields; err and panicked are read after done.
-	spec     LaunchSpec
-	perCTA   int         // warps per CTA
-	envs     []*ptx.Env  // by CTA slot
-	warps    []*ptx.Warp // by warp slot
-	files    [][]uint64  // by warp slot: its register file, reused per CTA
-	now      uint64      // the cycle of the issue being replayed
-	res      ptx.Result
-	err      error
-	panicked any
+	// The value goroutine's fields.
+	spec   LaunchSpec
+	perCTA int         // warps per CTA
+	envs   []*ptx.Env  // by CTA slot
+	warps  []*ptx.Warp // by warp slot
+	files  [][]uint64  // by warp slot: its register file, reused per CTA
+	now    uint64      // the cycle of the issue being replayed
+	res    ptx.Result
 }
 
 // runPipelined is Run for a full-value launch of a timing-separable kernel
 // with a second CPU to replay its values on. Stats and timing faults come
-// from the timing loop; an error or panic of the value side, which is
-// earlier in issue order than anything the timing loop raises after it,
-// takes precedence. No goroutine outlives it.
+// from the timing loop; an error or panic of the value side takes
+// precedence (sidecar.outcome). No goroutine outlives it.
 func (s *Simulator) runPipelined(spec LaunchSpec) (*Stats, error) {
 	r := &replay{
 		buf:    make([]event, 0, batchEvents),
 		full:   make(chan []event, batches),
 		free:   make(chan []event, batches),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
 		spec:   spec,
 		perCTA: (spec.Block.Count() + 31) / 32,
 	}
 	for range batches - 1 {
 		r.free <- make([]event, 0, batchEvents)
 	}
-	go r.replay()
+	r.side.start(r.replay)
 	s.rec = r
 	defer func() {
 		s.rec = nil
@@ -113,15 +169,7 @@ func (s *Simulator) runPipelined(spec LaunchSpec) (*Stats, error) {
 	// run leaves at that issue, however the Ctx stands by now: a launch
 	// that ran to completion returns its full memory.
 	r.stop(!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded))
-	switch {
-	case r.panicked != nil:
-		panic(r.panicked)
-	case r.err != nil:
-		return nil, r.err
-	case err != nil:
-		return nil, err
-	}
-	return st, nil
+	return r.side.outcome(st, err)
 }
 
 // takeSlot returns a CTA slot for a dispatch: a retired CTA's, else a new
@@ -154,8 +202,8 @@ func (r *replay) flush() error {
 	case b := <-r.free:
 		r.buf = b[:0]
 		return nil
-	case <-r.done:
-		return errValuesStopped
+	case <-r.side.done:
+		return errSideStopped
 	}
 }
 
@@ -171,34 +219,25 @@ func (r *replay) stop(drain bool) {
 		r.full <- r.buf
 	}
 	if !drain {
-		close(r.quit)
+		r.side.halt()
 	}
 	close(r.full)
-	<-r.done
+	<-r.side.done
 }
 
 // replay is the value goroutine: it applies the batches in order until the
-// record ends, it is told to quit, or a step fails or panics.
-func (r *replay) replay() {
-	defer close(r.done)
-	defer func() {
-		//simlint:ok the panic is re-raised on Run's goroutine by runPipelined
-		if p := recover(); p != nil {
-			r.panicked = p
-		}
-	}()
+// record ends, it is told to quit, or a step fails.
+func (r *replay) replay() error {
 	for b := range r.full {
-		select {
-		case <-r.quit:
-			return
-		default:
+		if r.side.quitting() {
+			return nil
 		}
 		if err := r.apply(b); err != nil {
-			r.err = err
-			return
+			return err
 		}
 		r.free <- b // never blocks, as in flush
 	}
+	return nil
 }
 
 // apply replays one batch.

@@ -239,7 +239,7 @@ func (m *sm) tryWarp(sc *subcore, idx int, now uint64, st *Stats) (issued bool, 
 	if w.stallUntil > now {
 		return false, w.stallUntil, nil
 	}
-	in := w.warp.PeekD()
+	in := w.peek()
 	if in == nil {
 		m.finishWarp(w, now)
 		// A finish without an issue still changes scheduler state (active

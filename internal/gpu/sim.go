@@ -111,9 +111,11 @@ type Simulator struct {
 	sys   *mem.System
 	sms   []*sm
 	cycle uint64
-	// rec is the record stream of a pipelined launch (replay.go), nil on
+	// rec is the record stream of a pipelined launch (replay.go), ahead
+	// the warps of a launch that steps them ahead (ahead.go); both nil on
 	// the serial path.
-	rec *replay
+	rec   *replay
+	ahead *ahead
 	// mma holds the launch's wmma.mma configurations with their timing,
 	// resolved by Run before cycle 0 (resolveWmma).
 	mma []mmaTiming
@@ -166,13 +168,9 @@ type sm struct {
 	// rescanning every scheduler. It resets to the next cycle whenever the
 	// SM issues or receives a new CTA.
 	nextWake uint64
-	// Reusable per-instruction request buffers for accessMemory: the
-	// batched vector groups (default) and the per-lane request slices of
-	// the legacy access path.
-	sharedVecs []mem.AddrVec
-	globalVecs []mem.AddrVec
-	sharedReqs []mem.Request
-	globalReqs []mem.Request
+	// Reusable per-instruction buffers for accessMemory.
+	split   accessSplit
+	sectors []uint64
 	// releaseWake collects barrier wake-ups triggered while this step's
 	// scan is in flight (see step).
 	releaseWake uint64
@@ -202,9 +200,15 @@ func (s *Simulator) Run(spec LaunchSpec) (*Stats, error) {
 		return nil, err
 	}
 	// The values of a separable kernel's launch change nothing the timing
-	// loop sees, so with a second CPU they are computed beside it.
-	if !spec.TimingOnly && spec.Kernel.TimingSeparable() && runtime.GOMAXPROCS(0) > 1 {
-		return s.runPipelined(spec)
+	// loop sees, so with a second CPU they are computed beside it; and
+	// where there are none to compute, the warps are stepped beside it.
+	if runtime.GOMAXPROCS(0) > 1 {
+		switch k := spec.Kernel; {
+		case !spec.TimingOnly && k.TimingSeparable():
+			return s.runPipelined(spec)
+		case spec.TimingOnly && k.StepsAhead() && len(spec.Args) == len(k.Params):
+			return s.runAhead(spec)
+		}
 	}
 	return s.run(spec)
 }
@@ -405,29 +409,44 @@ func (d *dispatcher) fillOne(m *sm) (bool, error) {
 	id := d.next
 	d.next++
 	d.started++
-	env := &ptx.Env{
-		Global:     d.spec.Global,
-		Shared:     make([]byte, k.SharedBytes),
-		GridDim:    d.spec.Grid,
-		BlockDim:   d.spec.Block,
-		CtaID:      ctaIndex(d.spec.Grid, id),
-		TimingOnly: d.spec.TimingOnly,
-	}
 	sim := d.sim
-	env.Clock = func() uint64 { return sim.cycle }
-	cta := &simCTA{env: env}
+	cta := &simCTA{}
+	var ahead *aheadCTA
+	if a := sim.ahead; a != nil {
+		c, err := a.take()
+		if err != nil {
+			return false, err
+		}
+		cta.env, ahead = c.env, c
+	} else {
+		cta.env = &ptx.Env{
+			Global:     d.spec.Global,
+			Shared:     make([]byte, k.SharedBytes),
+			GridDim:    d.spec.Grid,
+			BlockDim:   d.spec.Block,
+			CtaID:      ctaIndex(d.spec.Grid, id),
+			TimingOnly: d.spec.TimingOnly,
+			Clock:      func() uint64 { return sim.cycle },
+		}
+	}
 	if sim.rec != nil {
 		cta.slot = sim.rec.takeSlot()
 	}
 	for wi := 0; wi < warpsPerCTA; wi++ {
-		w, err := ptx.NewWarp(k, env, wi, d.spec.Args)
-		if err != nil {
-			return false, err
-		}
 		sc := m.subcores[(m.warps+wi)%cfg.SubCores]
 		sc.nextWake = 0 // new warps can issue immediately
-		sw := &simWarp{warp: w, cta: cta, sc: sc, regReady: make([]uint64, k.NumRegs),
+		sw := &simWarp{cta: cta, sc: sc, regReady: make([]uint64, k.NumRegs),
+			lanes: uint64(min(32, d.spec.Block.Count()-wi*32)),
 			vslot: cta.slot*uint32(warpsPerCTA) + uint32(wi)}
+		if ahead != nil {
+			sw.cur = cursor{s: &ahead.streams[wi], prog: sim.ahead.prog}
+		} else {
+			w, err := ptx.NewWarp(k, cta.env, wi, d.spec.Args)
+			if err != nil {
+				return false, err
+			}
+			sw.warp = w
+		}
 		cta.live++ // a valid block gives every warp a lane
 		cta.warps = append(cta.warps, sw)
 		sc.enqueue(sw, sw.noteHazard())
@@ -530,7 +549,12 @@ func (m *sm) finishWarp(w *simWarp, now uint64) {
 func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stats) error {
 	cfg := &m.sim.cfg
 	var res ptx.Result
-	if err := w.warp.StepInto(&res); err != nil {
+	if c := &w.cur; c.s != nil {
+		if err := c.next(m.sim.ahead); err != nil {
+			return err
+		}
+		res.Exited, res.Barrier = c.flags&entExited != 0, c.flags&entBarrier != 0
+	} else if err := w.warp.StepInto(&res); err != nil {
 		return err
 	}
 	if r := m.sim.rec; r != nil {
@@ -539,7 +563,7 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 		}
 	}
 	st.WarpInstructions++
-	st.ThreadInstructions += uint64(w.warp.NLanes())
+	st.ThreadInstructions += w.lanes
 	w.lastIssue = now
 
 	// A guarded exit or barrier that no lane takes falls through like bra.
@@ -562,9 +586,9 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 		sc.ports.freeAt[unitSFU] = now + uint64(cfg.SFUII)
 		done += uint64(cfg.SFULatency)
 	case ptx.DClassLd, ptx.DClassSt:
-		done = m.accessMemory(&res, now) + uint64(cfg.IssueLatency)
+		done = m.accessMemory(w, &res, now) + uint64(cfg.IssueLatency)
 	case ptx.DClassWmmaLoad, ptx.DClassWmmaStore:
-		done = m.accessMemory(&res, now) + uint64(cfg.IssueLatency+cfg.WmmaMemOverhead)
+		done = m.accessMemory(w, &res, now) + uint64(cfg.IssueLatency+cfg.WmmaMemOverhead)
 		if st.Trace != nil {
 			lat := float64(done - now)
 			if in.Class == ptx.DClassWmmaLoad {
@@ -611,13 +635,50 @@ func (m *sm) issue(sc *subcore, w *simWarp, in *ptx.DInstr, now uint64, st *Stat
 	return nil
 }
 
-// accessMemory routes an instruction's accesses through the SM port. The
-// batched path hands the executor's address vectors to the memory system
-// directly (mem.AddrVec aliases each group's address array — no per-lane
-// copy); the legacy path re-materializes per-lane request slices.
-func (m *sm) accessMemory(res *ptx.Result, now uint64) uint64 {
+// accessMemory charges an instruction's accesses to the SM port: the
+// verdict the warp's stream holds when it steps ahead, else the port's
+// classifier's verdict on res.
+func (m *sm) accessMemory(w *simWarp, res *ptx.Result, now uint64) uint64 {
+	if c := &w.cur; c.s != nil {
+		a := m.sim.ahead
+		sectors := expandRuns(m.sectors[:0], c.runs, a.shift)
+		m.sectors = sectors[:0]
+		return m.charge(now, c.passes, sectors, c.flags&entStore != 0)
+	}
+	passes, sectors, store := m.split.classify(m.port.Classifier(), res, m.sectors[:0])
+	m.sectors = sectors[:0]
+	return m.charge(now, passes, sectors, store)
+}
+
+// charge issues a verdict through the SM port: the shared accesses' bank
+// passes (0: none) and the global accesses' sectors, a store's when store.
+// It returns the cycle the last completes.
+func (m *sm) charge(now uint64, passes int, sectors []uint64, store bool) uint64 {
+	done := now
+	if passes > 0 {
+		done = max(done, m.port.SharedTiming(now, passes))
+	}
+	if len(sectors) > 0 {
+		done = max(done, m.port.GlobalTiming(now, sectors, store))
+	}
+	return done
+}
+
+// accessSplit sorts an instruction's accesses by space into reusable
+// request buffers: the batched vector groups (default) or the per-lane
+// requests of the legacy access path. mem.AddrVec aliases each group's
+// address array — no per-lane copy.
+type accessSplit struct {
+	sharedVecs, globalVecs []mem.AddrVec
+	sharedReqs, globalReqs []mem.Request
+}
+
+// classify returns the verdict on res's accesses: the bank passes of the
+// shared ones (0 when there are none) and the sectors of the global ones,
+// appended to out, with whether they store.
+func (x *accessSplit) classify(cls *mem.Classifier, res *ptx.Result, out []uint64) (passes int, sectors []uint64, store bool) {
 	if len(res.Batch) > 0 {
-		shared, global := m.sharedVecs[:0], m.globalVecs[:0]
+		shared, global := x.sharedVecs[:0], x.globalVecs[:0]
 		for i := range res.Batch {
 			g := &res.Batch[i]
 			v := mem.AddrVec{Addr: &g.Addr, Mask: g.Mask, Bits: g.Bits, Store: g.Store}
@@ -627,21 +688,16 @@ func (m *sm) accessMemory(res *ptx.Result, now uint64) uint64 {
 				global = append(global, v)
 			}
 		}
-		m.sharedVecs, m.globalVecs = shared[:0], global[:0]
-		done := now
+		x.sharedVecs, x.globalVecs = shared[:0], global[:0]
 		if len(shared) > 0 {
-			if t := m.port.AccessSharedVecs(now, shared); t > done {
-				done = t
-			}
+			passes = cls.SharedPassesVecs(shared)
 		}
 		if len(global) > 0 {
-			if t := m.port.AccessGlobalVecs(now, global); t > done {
-				done = t
-			}
+			out, store = cls.SectorsVecs(out, global), global[0].Store
 		}
-		return done
+		return passes, out, store
 	}
-	shared, global := m.sharedReqs[:0], m.globalReqs[:0]
+	shared, global := x.sharedReqs[:0], x.globalReqs[:0]
 	for _, a := range res.Accesses {
 		r := mem.Request{Addr: a.Addr, Bits: a.Bits, Store: a.Store}
 		if a.Space == ptx.Shared {
@@ -650,19 +706,14 @@ func (m *sm) accessMemory(res *ptx.Result, now uint64) uint64 {
 			global = append(global, r)
 		}
 	}
-	m.sharedReqs, m.globalReqs = shared[:0], global[:0]
-	done := now
+	x.sharedReqs, x.globalReqs = shared[:0], global[:0]
 	if len(shared) > 0 {
-		if t := m.port.AccessShared(now, shared); t > done {
-			done = t
-		}
+		passes = cls.SharedPasses(shared)
 	}
 	if len(global) > 0 {
-		if t := m.port.AccessGlobal(now, global); t > done {
-			done = t
-		}
+		out, store = cls.Sectors(out, global), global[0].Store
 	}
-	return done
+	return passes, out, store
 }
 
 // maybeReleaseBarrier releases the CTA's barrier once every live warp has
@@ -679,7 +730,9 @@ func (m *sm) maybeReleaseBarrier(cta *simCTA, now uint64) {
 		if w.state != warpAtBarrier {
 			continue
 		}
-		w.warp.AtBarrier = false
+		if w.warp != nil {
+			w.warp.AtBarrier = false
+		}
 		w.sc.release(w, until)
 		if until < m.releaseWake {
 			m.releaseWake = until

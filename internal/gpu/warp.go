@@ -70,7 +70,11 @@ type simCTA struct {
 }
 
 type simWarp struct {
+	// The warp itself, or when the launch steps it ahead (ahead.go) the
+	// timing loop's place in its stream.
 	warp       *ptx.Warp
+	cur        cursor
+	lanes      uint64 // populated lanes
 	cta        *simCTA
 	sc         *subcore
 	slot       int    // index in sc.warps, maintained across compaction
@@ -517,6 +521,17 @@ func (w *simWarp) hazardClear(in *ptx.DInstr) uint64 {
 	return latest
 }
 
+// peek returns the instruction the warp executes next, nil when it has
+// none left.
+//
+//simlint:hotpath
+func (w *simWarp) peek() *ptx.DInstr {
+	if w.cur.s != nil {
+		return w.cur.peek()
+	}
+	return w.warp.PeekD()
+}
+
 // noteHazard records the hazard-clear cycle of the instruction the warp
 // executes next (zero when it has none left) and returns the port that
 // instruction issues on, for setUnit — one peek serves both.
@@ -524,7 +539,7 @@ func (w *simWarp) hazardClear(in *ptx.DInstr) uint64 {
 //simlint:hotpath
 func (w *simWarp) noteHazard() unit {
 	w.hazardAt = 0
-	next := w.warp.PeekD()
+	next := w.peek()
 	if next == nil {
 		return unitNone
 	}

@@ -184,18 +184,29 @@ func TestCacheInvalidate(t *testing.T) {
 	}
 }
 
+// accessGlobal and accessShared charge one warp's requests through the
+// port as the simulator does: the port classifier's verdict, then the
+// port's timing.
+func accessGlobal(p *SMPort, now uint64, reqs []Request) uint64 {
+	return p.GlobalTiming(now, p.Classifier().Sectors(nil, reqs), len(reqs) > 0 && reqs[0].Store)
+}
+
+func accessShared(p *SMPort, now uint64, reqs []Request) uint64 {
+	return p.SharedTiming(now, p.Classifier().SharedPasses(reqs))
+}
+
 func TestSMPortGlobalLatencies(t *testing.T) {
 	cfg := TitanV()
 	sys := NewSystem(cfg)
 	p := sys.NewSMPort()
 	// Cold access: L1 miss → L2 miss → DRAM.
-	cold := p.AccessGlobal(0, reqs32(0))
+	cold := accessGlobal(p, 0, reqs32(0))
 	wantCold := uint64(1 + cfg.L1HitLatency + cfg.L2HitLatency + cfg.DRAMLatency)
 	if cold < wantCold {
 		t.Errorf("cold access done at %d, want ≥ %d", cold, wantCold)
 	}
 	// Warm access hits L1.
-	warm := p.AccessGlobal(1000, reqs32(0))
+	warm := accessGlobal(p, 1000, reqs32(0))
 	if warm-1000 > uint64(cfg.L1HitLatency+2) {
 		t.Errorf("warm access took %d cycles, want ≈ L1 hit %d", warm-1000, cfg.L1HitLatency)
 	}
@@ -208,13 +219,13 @@ func TestSMPortStoreInvalidatesL1(t *testing.T) {
 	cfg := TitanV()
 	sys := NewSystem(cfg)
 	p := sys.NewSMPort()
-	p.AccessGlobal(0, reqs32(0))                                     // fill (miss)
-	p.AccessGlobal(500, []Request{{Addr: 0, Bits: 32, Store: true}}) // write-evict
-	p.AccessGlobal(1500, reqs32(0))                                  // must miss again
+	accessGlobal(p, 0, reqs32(0))                                     // fill (miss)
+	accessGlobal(p, 500, []Request{{Addr: 0, Bits: 32, Store: true}}) // write-evict
+	accessGlobal(p, 1500, reqs32(0))                                  // must miss again
 	if p.L1Hits != 0 || p.L1Misses != 2 {
 		t.Errorf("write-evict: hits=%d misses=%d, want 0/2", p.L1Hits, p.L1Misses)
 	}
-	p.AccessGlobal(3000, reqs32(0)) // now resident again
+	accessGlobal(p, 3000, reqs32(0)) // now resident again
 	if p.L1Hits != 1 {
 		t.Errorf("refill did not hit: hits=%d misses=%d", p.L1Hits, p.L1Misses)
 	}
@@ -231,7 +242,7 @@ func TestDRAMBandwidthQueueing(t *testing.T) {
 	// Stream far-apart sectors so everything misses to one DRAM channel.
 	var last uint64
 	for i := 0; i < 64; i++ {
-		last = p.AccessGlobal(uint64(i), reqs32(uint64(i)*4096))
+		last = accessGlobal(p, uint64(i), reqs32(uint64(i)*4096))
 	}
 	// With 1 sector/cycle service the 64th access cannot complete before
 	// ~64 cycles of serialized service plus fixed latency.
@@ -252,7 +263,7 @@ func TestSMPortShared(t *testing.T) {
 	for lane := 0; lane < 32; lane++ {
 		rs = append(rs, Request{Addr: uint64(128 * lane), Bits: 32})
 	}
-	done := p.AccessShared(0, rs)
+	done := accessShared(p, 0, rs)
 	want := uint64(cfg.SharedLatency + 31)
 	if done < want {
 		t.Errorf("32-way conflicted shared access done at %d, want ≥ %d", done, want)
@@ -267,8 +278,8 @@ func TestL2SharedAcrossPorts(t *testing.T) {
 	sys := NewSystem(cfg)
 	p1 := sys.NewSMPort()
 	p2 := sys.NewSMPort()
-	p1.AccessGlobal(0, reqs32(4096)) // warms L2
-	t2 := p2.AccessGlobal(5000, reqs32(4096))
+	accessGlobal(p1, 0, reqs32(4096)) // warms L2
+	t2 := accessGlobal(p2, 5000, reqs32(4096))
 	// p2 misses its own L1 but must hit L2 (no DRAM latency).
 	if t2-5000 >= uint64(cfg.DRAMLatency) {
 		t.Errorf("second SM's access took %d cycles; expected an L2 hit", t2-5000)

@@ -84,7 +84,8 @@ func (s *System) accessDRAM(now uint64, sector uint64) uint64 {
 
 // SMPort is one SM's window into the memory system: a private L1, the
 // SM-local shared memory timing, and an LSU issue port able to start one
-// coalesced transaction per cycle.
+// coalesced transaction per cycle. A warp instruction's accesses are a
+// Classifier verdict that SharedTiming and GlobalTiming charge.
 type SMPort struct {
 	sys *System
 	l1  *Cache
@@ -94,13 +95,11 @@ type SMPort struct {
 	lsuFree    uint64
 	sharedFree uint64
 
-	// Reusable per-instruction scratch: coalesced sector list, the
-	// shared-memory bank conflict counter's per-bank word lists, and the
-	// batched coalescer's dedup set. An SMPort belongs to exactly one SM
-	// of one Simulator, so the scratch is never shared.
+	// Reusable per-instruction scratch: the classifier's and the coalesced
+	// sector list. An SMPort belongs to exactly one SM of one Simulator, so
+	// the scratch is never shared.
+	cls     Classifier
 	sectors []uint64
-	banks   bankScratch
-	secSet  sectorSet
 
 	L1Hits, L1Misses   uint64
 	GlobalTransactions uint64
@@ -114,33 +113,31 @@ func (s *System) NewSMPort() *SMPort {
 	return &SMPort{
 		sys: s,
 		l1:  NewCache(cfg.L1SizeBytes, cfg.L1LineBytes, cfg.L1Ways, cfg.SectorBytes),
+		cls: Classifier{cfg: cfg, shift: s.secShift},
 	}
 }
 
-// AccessGlobal serves one warp instruction's global accesses: coalesce
-// into sectors, issue one transaction per cycle through the LSU, look up
-// the L1, and descend the hierarchy on misses. It returns the cycle the
-// last sector arrives (loads) or is accepted by the write buffer
-// (stores, which retire once handed to the LSU — the L2/DRAM traversal
-// still consumes downstream bandwidth but the warp does not wait on it).
-func (p *SMPort) AccessGlobal(now uint64, reqs []Request) uint64 {
-	p.sectors = coalesceInto(p.sectors[:0], &p.sys.cfg, reqs)
-	return p.globalTiming(now, len(reqs) > 0 && reqs[0].Store)
-}
+// Classifier returns the port's classifier, for a caller that splits
+// classifying an access from charging it.
+func (p *SMPort) Classifier() *Classifier { return &p.cls }
 
-// AccessGlobalVecs is AccessGlobal for batched warp access groups: same
-// LSU/L1/L2 timing over the sector list of the vectorized coalescer.
+// AccessGlobalVecs serves one warp instruction's batched global access
+// groups: GlobalTiming over the classifier's sectors.
 func (p *SMPort) AccessGlobalVecs(now uint64, vecs []AddrVec) uint64 {
-	p.sectors = coalesceVecsInto(p.sectors[:0], &p.secSet, p.sys.secShift, vecs)
-	return p.globalTiming(now, len(vecs) > 0 && vecs[0].Store)
+	p.sectors = p.cls.SectorsVecs(p.sectors[:0], vecs)
+	return p.GlobalTiming(now, p.sectors, len(vecs) > 0 && vecs[0].Store)
 }
 
-// globalTiming issues the coalesced sectors in p.sectors through the LSU
-// and memory hierarchy, returning the completion cycle.
-func (p *SMPort) globalTiming(now uint64, store bool) uint64 {
+// GlobalTiming serves one warp instruction's coalesced sectors (a store's
+// when store): issue one transaction per cycle through the LSU, look up
+// the L1, and descend the hierarchy on misses. It returns the cycle the
+// last sector arrives (loads) or is accepted by the write buffer (stores,
+// which retire once handed to the LSU — the L2/DRAM traversal still
+// consumes downstream bandwidth but the warp does not wait on it).
+func (p *SMPort) GlobalTiming(now uint64, sectors []uint64, store bool) uint64 {
 	cfg := &p.sys.cfg
 	done := now
-	for _, sec := range p.sectors {
+	for _, sec := range sectors {
 		p.GlobalTransactions++
 		// LSU issues one transaction per cycle.
 		issue := now
@@ -170,19 +167,9 @@ func (p *SMPort) globalTiming(now uint64, store bool) uint64 {
 	return done
 }
 
-// AccessShared serves one warp instruction's shared-memory accesses,
-// serializing bank conflicts.
-func (p *SMPort) AccessShared(now uint64, reqs []Request) uint64 {
-	return p.sharedTiming(now, sharedConflictPasses(&p.banks, &p.sys.cfg, reqs))
-}
-
-// AccessSharedVecs is AccessShared for batched warp access groups.
-func (p *SMPort) AccessSharedVecs(now uint64, vecs []AddrVec) uint64 {
-	return p.sharedTiming(now, sharedConflictPassesVecs(&p.banks, &p.sys.cfg, vecs))
-}
-
-// sharedTiming charges one shared-memory access of the given pass count.
-func (p *SMPort) sharedTiming(now uint64, passes int) uint64 {
+// SharedTiming serves one warp instruction's shared-memory accesses, of
+// the given bank pass count, returning the completion cycle.
+func (p *SMPort) SharedTiming(now uint64, passes int) uint64 {
 	cfg := &p.sys.cfg
 	p.SharedAccesses++
 	p.SharedConflicts += uint64(passes - 1)
@@ -201,4 +188,36 @@ func (p *SMPort) L1HitRate() float64 {
 		return 0
 	}
 	return float64(p.L1Hits) / float64(t)
+}
+
+// Classifier is the pure half of an SM's memory port: what one warp
+// instruction's accesses amount to — the bank passes of its shared groups,
+// the sectors its global groups touch — with no cache, queue or counter
+// touched, so it may run ahead of the timing that charges it. It holds
+// scratch: one per goroutine.
+type Classifier struct {
+	cfg    Config
+	shift  uint // a sector is 1<<shift bytes
+	banks  bankScratch
+	secSet sectorSet
+}
+
+// SharedPasses is SharedConflictPasses on the classifier's scratch.
+func (c *Classifier) SharedPasses(reqs []Request) int {
+	return sharedConflictPasses(&c.banks, &c.cfg, reqs)
+}
+
+// SharedPassesVecs is SharedConflictPassesVecs on the classifier's scratch.
+func (c *Classifier) SharedPassesVecs(vecs []AddrVec) int {
+	return sharedConflictPassesVecs(&c.banks, &c.cfg, vecs)
+}
+
+// Sectors appends Coalesce's sector list to out.
+func (c *Classifier) Sectors(out []uint64, reqs []Request) []uint64 {
+	return coalesceInto(out, &c.cfg, reqs)
+}
+
+// SectorsVecs appends CoalesceVecs' sector list to out.
+func (c *Classifier) SectorsVecs(out []uint64, vecs []AddrVec) []uint64 {
+	return coalesceVecsInto(out, &c.secSet, c.shift, vecs)
 }

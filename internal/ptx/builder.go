@@ -282,8 +282,8 @@ func (b *Builder) Build() (*Kernel, error) {
 	k := b.k
 	// Decode once per kernel: every warp of every launch shares this
 	// read-only program instead of re-classifying operands per execution.
-	prog, separable, rows, nrows := decodeKernel(&k)
-	k.prog, k.separable = prog, separable
+	prog, separable, ahead, rows, nrows := decodeKernel(&k)
+	k.prog, k.separable, k.ahead = prog, separable, ahead
 	if separable {
 		k.timing, k.timingParams, k.timingRegs = packTiming(&k, prog, rows, nrows)
 	}

@@ -141,17 +141,18 @@ func SwapInterpretALU(on bool) (restore func()) {
 }
 
 // decodeKernel builds the decoded program of a kernel and reports whether
-// the kernel is timing-separable, with the TimingOnly register layout of
-// one that is (see sliceKernel).
-func decodeKernel(k *Kernel) (prog []DInstr, separable bool, rows []int32, nrows int) {
+// the kernel is timing-separable and whether its TimingOnly warps may step
+// ahead, with the TimingOnly register layout of a separable one (see
+// sliceKernel).
+func decodeKernel(k *Kernel) (prog []DInstr, separable, ahead bool, rows []int32, nrows int) {
 	prog = make([]DInstr, len(k.Instrs))
 	shapes := make(map[shapeKey]*fragShape)
 	for i := range k.Instrs {
 		decodeInstr(k, &k.Instrs[i], &prog[i], shapes)
 	}
 	groupFragments(k, prog)
-	separable, rows, nrows = sliceKernel(k, prog)
-	return prog, separable, rows, nrows
+	separable, ahead, rows, nrows = sliceKernel(k, prog)
+	return prog, separable, ahead, rows, nrows
 }
 
 // Skip classes: the bits of DInstr.skip and of Warp.skip.
@@ -191,10 +192,14 @@ const (
 // control solve's, so on a separable kernel it is skipTiming as well.
 //
 // On a separable kernel it also lays out the register file of the warps
-// that honour skipTiming (timingRows).
+// that honour skipTiming (timingRows), and decides whether such a warp may
+// step ahead of the timing model: only if nothing it reads is %clock — the
+// sources of every instruction it executes, the control operands of every
+// one it skips — since a %clock value that reaches control depends on when
+// the warp issues.
 //
 //simlint:ctor
-func sliceKernel(k *Kernel, prog []DInstr) (separable bool, rows []int32, nrows int) {
+func sliceKernel(k *Kernel, prog []DInstr) (separable, ahead bool, rows []int32, nrows int) {
 	n, words := len(prog), (k.NumRegs+63)/64
 	in := make([]uint64, (n+1)*words) // row i: the set before instruction i; row n: empty
 	out, cur := make([]uint64, words), make([]uint64, words)
@@ -262,6 +267,17 @@ func sliceKernel(k *Kernel, prog []DInstr) (separable bool, rows []int32, nrows 
 	}
 	if separable {
 		rows, nrows = timingRows(k, prog, in, flow, out)
+		ahead = true
+		for i := range prog {
+			d := &prog[i]
+			read := d.srcs
+			if d.skip&skipTiming != 0 {
+				read = d.srcs[:controlOperands(d)]
+			}
+			for _, o := range read {
+				ahead = ahead && (o.kind != OperandSReg || o.sreg != SRegClock)
+			}
+		}
 	}
 	solve(storeOperands)
 	for i := range prog {
@@ -270,7 +286,7 @@ func sliceKernel(k *Kernel, prog []DInstr) (separable bool, rows []int32, nrows 
 			d.skip |= skipDead
 		}
 	}
-	return separable, rows, nrows
+	return separable, ahead, rows, nrows
 }
 
 // infallible reports whether the instruction's executor cannot fail on

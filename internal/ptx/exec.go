@@ -178,10 +178,6 @@ type stepScratch struct {
 	mmaWords  []uint64  // a fragment image being materialized
 }
 
-// NLanes returns the number of active lanes (fixed at construction:
-// branches are warp-uniform, so the active set never changes).
-func (w *Warp) NLanes() int { return w.nLanes }
-
 // NewWarp builds warp id of a CTA, loading kernel arguments into the
 // parameter registers of every lane. args must match the kernel's
 // parameter list.
@@ -215,7 +211,7 @@ func NewWarpOn(k *Kernel, env *Env, id int, args []uint64, regs func(words int) 
 	if w.prog == nil {
 		// Hand-assembled kernels (no Builder.Build pass) decode a private
 		// program; built kernels share the per-kernel cache.
-		w.prog, _, _, _ = decodeKernel(k)
+		w.prog, _, _, _, _ = decodeKernel(k)
 	}
 	if w.skip&skipTiming != 0 && k.timing != nil {
 		w.prog, numRegs, params = k.timing, k.timingRegs, k.timingParams
@@ -334,15 +330,6 @@ func (w *Warp) laneEnabled(lane int, in *Instr) bool {
 		return false
 	}
 	return in.Pred == nil || (w.reg(lane, *in.Pred) != 0) != in.PNeg
-}
-
-// Peek returns the instruction the warp will execute next, or nil if the
-// warp has exited.
-func (w *Warp) Peek() *Instr {
-	if w.PeekD() != nil {
-		return &w.Kernel.Instrs[w.PC]
-	}
-	return nil
 }
 
 // PeekD returns the decoded form of the instruction the warp will execute

@@ -301,6 +301,9 @@ type Kernel struct {
 	timing       []DInstr
 	timingParams []Reg
 	timingRegs   int
+	// ahead: separable, and no TimingOnly warp reads %clock (see
+	// sliceKernel).
+	ahead bool
 	// digest is the kernel's content address (see digest.go), set with
 	// prog by Builder.Build.
 	digest string
@@ -315,6 +318,20 @@ func (k *Kernel) Program() []DInstr { return k.prog }
 // loaded value steer an address, a guard or a fault, and for
 // hand-assembled kernels that skipped Builder.Build.
 func (k *Kernel) TimingSeparable() bool { return k.separable }
+
+// StepsAhead reports whether every TimingOnly warp of a launch of the
+// kernel takes the same pcs, exits, barriers, faults and addresses however
+// far ahead of the timing model it is stepped: the kernel is separable, no
+// such warp reads %clock, and neither legacy path, which a warp samples
+// when it is built, is on.
+func (k *Kernel) StepsAhead() bool {
+	return k.ahead && !legacyAccessPath.Load() && !legacyFragmentPath.Load()
+}
+
+// TimingProgram returns the decoded program a TimingOnly warp of a
+// separable kernel steps through (the packed copy of Program), nil for
+// any other kernel.
+func (k *Kernel) TimingProgram() []DInstr { return k.timing }
 
 // Param is one kernel parameter.
 type Param struct {
