@@ -43,9 +43,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 	"repro/internal/profiling"
-	"repro/internal/ptx"
 )
 
 // Flag bounds: values beyond these are almost certainly typos and would
@@ -55,7 +53,6 @@ const (
 	maxSMs      = experiments.MaxSMs
 	maxWorkers  = 4096
 	maxTLActive = experiments.MaxTwoLevelActive
-	maxRetries  = 16
 )
 
 // Exit codes of the fault-tolerance contract (see the package comment).
@@ -74,20 +71,6 @@ func validateFlags(sms, workers, tlActive int, sched string) error {
 		return fmt.Errorf("experiments: -workers %d out of range (want 0 for one per CPU, or 1..%d)", workers, maxWorkers)
 	}
 	return experiments.Options{SMs: sms, TwoLevelActive: tlActive, Scheduler: sched}.Validate()
-}
-
-// validateFaultFlags checks the fault-tolerance flag combinations.
-func validateFaultFlags(checkpoint string, resume bool, retries int, faults string) error {
-	if resume && checkpoint == "" {
-		return fmt.Errorf("experiments: -resume requires -checkpoint <file>")
-	}
-	if retries < 0 || retries > maxRetries {
-		return fmt.Errorf("experiments: -retries %d out of range (want 0..%d)", retries, maxRetries)
-	}
-	if _, err := faultinject.Parse(faults); err != nil {
-		return fmt.Errorf("experiments: -faults: %v", err)
-	}
-	return nil
 }
 
 func main() {
@@ -121,10 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	resume := fs.Bool("resume", false, "replay completed points from the -checkpoint journal instead of re-simulating them")
 	keepGoing := fs.Bool("keepgoing", false, "a failing data point becomes an annotated table cell instead of aborting its experiment")
 	maxCycles := fs.Uint64("maxcycles", 0, "per-launch simulated-cycle budget; runaway kernels fail with a cycle-budget error (0 = generous backstop)")
-	retries := fs.Int("retries", 0, "retry budget per data point for transient failures (deterministic backoff)")
-	faults := fs.String("faults", "", "fault-injection spec, e.g. 'panic@fig9:0,transient@*:*~5' (testing/debug)")
-	faultSeed := fs.Uint64("faultseed", 0, "seed for probabilistic fault sampling")
-	legacyFrag := fs.Bool("legacyfrag", false, "route wmma fragments through the per-element legacy path (debug/ablation; tables are bit-identical, just slower)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (hot-spot hunts: go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -140,16 +119,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return exitUsage
 	}
-	if err := validateFaultFlags(*checkpoint, *resume, *retries, *faults); err != nil {
-		fmt.Fprintln(stderr, err)
+	if *resume && *checkpoint == "" {
+		fmt.Fprintln(stderr, "experiments: -resume requires -checkpoint <file>")
 		return exitUsage
-	}
-	if *legacyFrag {
-		// Swap-and-restore, not a bare set: run() is re-entered
-		// in-process by the CLI tests, and leaking the process-global
-		// knob across invocations is exactly what the Swap discipline
-		// (PR 6) exists to prevent.
-		defer ptx.SwapLegacyFragmentPath(true)()
 	}
 
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile, stderr)
@@ -170,25 +142,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exitOK
 	}
 
-	// The injected Kill fault cancels the same context a SIGINT does: an
-	// in-process stand-in for hard kills that makes the interrupt path
-	// deterministically testable.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	plan, err := faultinject.Parse(*faults) // validated above
-	if err != nil {
-		fmt.Fprintln(stderr, "experiments: -faults:", err)
-		return exitUsage
-	}
-	if plan != nil {
-		plan.Seed = *faultSeed
-		plan.Kill = cancel
-	}
-
 	opt := experiments.Options{Quick: *quick, SMs: *sms, Workers: *workers,
 		Scheduler: *sched, TwoLevelActive: *tlActive,
-		Ctx: ctx, MaxCycles: *maxCycles, KeepGoing: *keepGoing,
-		Retries: *retries, Faults: plan}
+		Ctx: ctx, MaxCycles: *maxCycles, KeepGoing: *keepGoing}
 	var todo []experiments.Experiment
 	if *runID == "all" {
 		todo = experiments.All()

@@ -3,11 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/ptx"
 )
 
 // The -sms, -workers and -tlactive flags must be rejected at the flag
@@ -67,20 +66,6 @@ func TestExitOKOnHelp(t *testing.T) {
 	}
 }
 
-// Regression: -legacyfrag must restore the process-global fragment
-// knob when run returns. A bare set used to leak it across in-process
-// invocations — the exact leak the Swap discipline exists to prevent.
-func TestLegacyFragRestoredOnReturn(t *testing.T) {
-	t.Cleanup(ptx.SwapLegacyFragmentPath(false))
-	code, _, _ := execRun(t, "-run", "fig7", "-legacyfrag")
-	if code != exitOK {
-		t.Fatalf("-run fig7 -legacyfrag = %d, want %d", code, exitOK)
-	}
-	if ptx.LegacyFragmentPathEnabled() {
-		t.Error("-legacyfrag leaked the fragment-path knob past run()")
-	}
-}
-
 func TestExitOKAndListing(t *testing.T) {
 	code, out, _ := execRun(t, "-list")
 	if code != exitOK || !strings.Contains(out, "fig12c") {
@@ -92,17 +77,20 @@ func TestExitOKAndListing(t *testing.T) {
 	}
 }
 
-// Flag and infrastructure errors exit 2: undefined flags, out-of-range
-// values, unknown experiments, malformed fault specs, -resume without a
+// Flag and infrastructure errors exit 2: undefined flags (among them
+// the deleted -retries, -faults, -faultseed and -legacyfrag),
+// out-of-range values, unknown experiments, -resume without a
 // checkpoint, and an unwritable checkpoint path.
 func TestExitUsage(t *testing.T) {
 	cases := [][]string{
 		{"-bogus"},
 		{"-run", "fig9", "-sms", "-1"},
 		{"-run", "nope"},
-		{"-run", "fig9", "-faults", "explode@fig9:0"},
 		{"-run", "fig9", "-resume"},
-		{"-run", "fig9", "-retries", "-1"},
+		{"-run", "fig9", "-retries", "1"},
+		{"-run", "fig9", "-faults", "panic@fig9:0"},
+		{"-run", "fig9", "-faultseed", "1"},
+		{"-run", "fig9", "-legacyfrag"},
 		{"-run", "fig9", "-checkpoint", "/nonexistent-dir/ckpt"},
 	}
 	for _, args := range cases {
@@ -113,10 +101,11 @@ func TestExitUsage(t *testing.T) {
 }
 
 // An experiment failure exits 1; under -keepgoing the partial table
-// still prints with its failed cells marked.
+// still prints with its failed cells marked. A one-cycle budget fails
+// every point.
 func TestExitFailedAndKeepGoing(t *testing.T) {
 	args := []string{"-run", "fig12c", "-quick", "-workers", "1",
-		"-faults", "panic@fig12c:2"}
+		"-maxcycles", "1"}
 	code, out, _ := execRun(t, args...)
 	if code != exitFailed || strings.Contains(out, "fig12c") {
 		t.Fatalf("failing run = %d with table %q, want %d and no table", code, out, exitFailed)
@@ -128,37 +117,60 @@ func TestExitFailedAndKeepGoing(t *testing.T) {
 	if !strings.Contains(out, "ERR!") || !strings.Contains(out, "fig12c") {
 		t.Errorf("keepgoing stdout lacks the partial table: %q", out)
 	}
-	if !strings.Contains(serr, "point 2") {
+	if !strings.Contains(serr, "fig12c point 0: gpu: cycle budget exceeded after 1 cycles") {
 		t.Errorf("stderr lacks the failed point: %q", serr)
 	}
 }
 
-// The acceptance path: a run killed mid-sweep exits 130 with its
-// completed points checkpointed; rerunning with -resume exits 0 and the
-// resumed stdout is byte-identical to an uninterrupted run's.
+// The acceptance path: an interrupted run exits 130 and points at
+// -resume; resuming from a journal that holds only the first points
+// exits 0, replays exactly those points, and prints stdout
+// byte-identical to an uninterrupted run's.
 func TestExitInterruptedAndResume(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "ckpt")
 	base := []string{"-run", "fig12c", "-quick", "-workers", "1"}
 
-	_, ref, _ := execRun(t, base...)
+	t.Run("interrupted", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var stdout, stderr bytes.Buffer
+		ckpt := filepath.Join(t.TempDir(), "ckpt")
+		code := run(ctx, append(base, "-checkpoint", ckpt), &stdout, &stderr)
+		if code != exitInterrupted {
+			t.Fatalf("interrupted run = %d, want %d (stderr %q)", code, exitInterrupted, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "-resume") {
+			t.Errorf("interrupted stderr does not point at -resume: %q", stderr.String())
+		}
+	})
 
-	code, _, serr := execRun(t, append(base,
-		"-checkpoint", ckpt, "-faults", "kill@fig12c:3")...)
-	if code != exitInterrupted {
-		t.Fatalf("killed run = %d, want %d (stderr %q)", code, exitInterrupted, serr)
-	}
-	if !strings.Contains(serr, "-resume") {
-		t.Errorf("interrupted stderr does not point at -resume: %q", serr)
-	}
+	t.Run("resume", func(t *testing.T) {
+		ckpt := filepath.Join(t.TempDir(), "ckpt")
+		code, ref, serr := execRun(t, append(base, "-checkpoint", ckpt)...)
+		if code != exitOK {
+			t.Fatalf("journaled run = %d, want %d (stderr %q)", code, exitOK, serr)
+		}
+		// Keep the first 3 journal lines: a run cut after its third point.
+		raw, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(raw), "\n")
+		if len(lines) < 4 {
+			t.Fatalf("journal holds %d lines, want 8 points", len(lines)-1)
+		}
+		if err := os.WriteFile(ckpt, []byte(strings.Join(lines[:3], "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	code, out, serr := execRun(t, append(base, "-checkpoint", ckpt, "-resume")...)
-	if code != exitOK {
-		t.Fatalf("resumed run = %d, want %d (stderr %q)", code, exitOK, serr)
-	}
-	if out != ref {
-		t.Fatalf("resumed stdout differs from the uninterrupted run:\n--- resumed\n%s\n--- reference\n%s", out, ref)
-	}
-	if !strings.Contains(serr, "3 replayed") {
-		t.Errorf("stderr does not report the 3 replayed points: %q", serr)
-	}
+		code, out, serr := execRun(t, append(base, "-checkpoint", ckpt, "-resume")...)
+		if code != exitOK {
+			t.Fatalf("resumed run = %d, want %d (stderr %q)", code, exitOK, serr)
+		}
+		if out != ref {
+			t.Fatalf("resumed stdout differs from the uninterrupted run:\n--- resumed\n%s\n--- reference\n%s", out, ref)
+		}
+		if !strings.Contains(serr, "8 points journaled, 3 replayed") {
+			t.Errorf("stderr does not report 3 of 8 points replayed: %q", serr)
+		}
+	})
 }

@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,7 +27,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/profiling"
-	"repro/internal/ptx"
 	"repro/internal/tensor"
 	"repro/internal/wmma"
 )
@@ -43,20 +43,19 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-// run is main's body with a normal return path, so the -legacyfrag
-// restore and the pprof writers' defers run before exit (os.Exit skips
-// defers) and CLI tests can pin the exit-code contract in-process
-// (tables still print to the process stdout).
+// run is main's body with a normal return path, so the pprof writers'
+// defers run before exit (os.Exit skips defers) and CLI tests can pin
+// the exit-code contract in-process (tables still print to the process
+// stdout).
 func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tcsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	kernel := fs.String("kernel", "wmma", "wmma | wmma-naive | sgemm | hgemm | cutlass | maxperf")
+	kernel := fs.String("kernel", "wmma", strings.Join(kernelNames, " | "))
 	m := fs.Int("m", 256, "rows of A and D")
 	n := fs.Int("n", 256, "columns of B and D")
 	k := fs.Int("k", 256, "inner dimension")
 	sms := fs.Int("sms", 0, "simulated SM count (default: full 80)")
 	sched := fs.String("sched", "gto", "warp scheduler: gto | lrr | twolevel")
-	fs.StringVar(sched, "scheduler", "gto", "alias for -sched")
 	policy := fs.String("policy", "b64x64_w32x32", "cutlass tile policy")
 	fp16acc := fs.Bool("fp16acc", false, "accumulate in FP16 instead of FP32")
 	verify := fs.Bool("verify", true, "check the result against the float64 reference")
@@ -64,7 +63,6 @@ func run(args []string, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "worker pool size for -sizes sweeps (0 = one per CPU)")
 	tlActive := fs.Int("tlactive", 0, "two-level scheduler active-subset size per sub-core (0 = config default; other policies ignore it)")
 	maxCycles := fs.Uint64("maxcycles", 0, "simulated-cycle budget per launch; a runaway kernel fails with a cycle-budget error instead of spinning (0 = generous backstop)")
-	legacyFrag := fs.Bool("legacyfrag", false, "route wmma fragments through the per-element legacy path (debug/ablation; results are bit-identical, just slower)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (hot-spot hunts: go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -76,15 +74,10 @@ func run(args []string, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	if err := validateFlags(*m, *n, *k, *sms, *workers, *tlActive, *sched); err != nil {
+	sweep, err := validateFlags(*kernel, *m, *n, *k, *sms, *workers, *tlActive, *sched, *sizes)
+	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitUsage
-	}
-	if *legacyFrag {
-		// Swap-and-restore, not a bare set: leaking the process-global
-		// knob past run() is the leak PR 6's Swap discipline exists to
-		// prevent.
-		defer ptx.SwapLegacyFragmentPath(true)()
 	}
 
 	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile, stderr)
@@ -103,8 +96,8 @@ func run(args []string, stderr io.Writer) int {
 		cfg.TwoLevelActive = *tlActive
 	}
 
-	if *sizes != "" {
-		if err := runSweep(cfg, *kernel, *policy, *fp16acc, *sizes, *workers, *maxCycles); err != nil {
+	if sweep != nil {
+		if err := runSweep(cfg, *kernel, *policy, *fp16acc, sweep, *workers, *maxCycles); err != nil {
 			fmt.Fprintln(stderr, err)
 			return exitFailed
 		}
@@ -198,31 +191,50 @@ const (
 	maxTLActive = 64
 )
 
-// validateFlags rejects negative or absurd flag values at the boundary:
-// they used to panic in the kernel generators or be silently ignored
-// (a negative -sms ran the full 80-SM chip without saying so).
-func validateFlags(m, n, k, sms, workers, tlActive int, scheduler string) error {
+// kernelNames are the -kernel values buildLaunch generates.
+var kernelNames = []string{"wmma", "wmma-naive", "sgemm", "hgemm", "cutlass", "maxperf"}
+
+// validateFlags rejects unknown names and negative or absurd values at
+// the flag boundary: they used to panic in the kernel generators or be
+// silently ignored (a negative -sms ran the full 80-SM chip without
+// saying so). It returns the parsed -sizes sweep, nil when sizesCSV is
+// empty.
+func validateFlags(kernel string, m, n, k, sms, workers, tlActive int, scheduler, sizesCSV string) ([]int, error) {
+	if !slices.Contains(kernelNames, kernel) {
+		return nil, fmt.Errorf("tcsim: unknown -kernel %q (want %s)", kernel, strings.Join(kernelNames, " | "))
+	}
 	for _, d := range []struct {
 		name string
 		v    int
 	}{{"-m", m}, {"-n", n}, {"-k", k}} {
 		if d.v < 1 || d.v > maxDim {
-			return fmt.Errorf("tcsim: %s %d out of range (want 1..%d)", d.name, d.v, maxDim)
+			return nil, fmt.Errorf("tcsim: %s %d out of range (want 1..%d)", d.name, d.v, maxDim)
 		}
 	}
 	if sms < 0 || sms > maxSMs {
-		return fmt.Errorf("tcsim: -sms %d out of range (want 0 for the full chip, or 1..%d)", sms, maxSMs)
+		return nil, fmt.Errorf("tcsim: -sms %d out of range (want 0 for the full chip, or 1..%d)", sms, maxSMs)
 	}
 	if workers < 0 || workers > maxWorkers {
-		return fmt.Errorf("tcsim: -workers %d out of range (want 0 for one per CPU, or 1..%d)", workers, maxWorkers)
+		return nil, fmt.Errorf("tcsim: -workers %d out of range (want 0 for one per CPU, or 1..%d)", workers, maxWorkers)
 	}
 	if tlActive < 0 || tlActive > maxTLActive {
-		return fmt.Errorf("tcsim: -tlactive %d out of range (want 0 for the config default, or 1..%d)", tlActive, maxTLActive)
+		return nil, fmt.Errorf("tcsim: -tlactive %d out of range (want 0 for the config default, or 1..%d)", tlActive, maxTLActive)
 	}
 	if _, err := gpu.ParseSchedulerPolicy(scheduler); err != nil {
-		return fmt.Errorf("tcsim: -sched: %v", err)
+		return nil, fmt.Errorf("tcsim: -sched: %v", err)
 	}
-	return nil
+	if sizesCSV == "" {
+		return nil, nil
+	}
+	var sizes []int
+	for _, f := range strings.Split(sizesCSV, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || v <= 0 || v > maxDim {
+			return nil, fmt.Errorf("tcsim: bad -sizes entry %q (want 1..%d)", f, maxDim)
+		}
+		sizes = append(sizes, v)
+	}
+	return sizes, nil
 }
 
 // buildLaunch generates the requested kernel, returning the launch and
@@ -259,18 +271,10 @@ func buildLaunch(cfg gpu.Config, kernel, policy string, prec kernels.GemmPrecisi
 	return l, ab, cd, err
 }
 
-// runSweep runs the kernel across the comma-separated square sizes, one
-// independent device per point, fanned across the worker pool. Results
-// print in size order whatever the completion order.
-func runSweep(cfg gpu.Config, kernel, policy string, fp16acc bool, sizesCSV string, workers int, maxCycles uint64) error {
-	var sizes []int
-	for _, f := range strings.Split(sizesCSV, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v <= 0 || v > maxDim {
-			return fmt.Errorf("bad -sizes entry %q (want 1..%d)", f, maxDim)
-		}
-		sizes = append(sizes, v)
-	}
+// runSweep runs the kernel across the square sizes, one independent
+// device per point, fanned across the worker pool. Results print in size
+// order whatever the completion order.
+func runSweep(cfg gpu.Config, kernel, policy string, fp16acc bool, sizes []int, workers int, maxCycles uint64) error {
 	prec := kernels.TensorMixed
 	cd := wmma.F32
 	if fp16acc {

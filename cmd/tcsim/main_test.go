@@ -5,15 +5,16 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/ptx"
 )
 
 // The exit-code contract, pinned in-process: -h/-help is a successful
 // usage request (exit 0 with usage text — flag.ErrHelp used to exit 2
-// like a typo), bad flags exit 2, and a fast runtime failure exits 1.
+// like a typo), and bad flags exit 2: undefined ones (among them the
+// deleted -scheduler alias and -legacyfrag) and bad values, -sizes and
+// -kernel included (they used to exit 1 like a simulation failure).
 func TestRunExitCodes(t *testing.T) {
 	for _, h := range []string{"-h", "-help"} {
 		var stderr bytes.Buffer
@@ -29,27 +30,15 @@ func TestRunExitCodes(t *testing.T) {
 		{"-m", "-1"},
 		{"-sms", "bogus"},
 		{"-sched", "fifo"},
+		{"-scheduler", "lrr"},
+		{"-legacyfrag"},
+		{"-sizes", "bogus"},
+		{"-sizes", "16,0"},
+		{"-kernel", "bogus"},
 	} {
 		if code := run(args, &bytes.Buffer{}); code != exitUsage {
 			t.Errorf("run(%v) = %d, want %d", args, code, exitUsage)
 		}
-	}
-	if code := run([]string{"-sizes", "bogus"}, &bytes.Buffer{}); code != exitFailed {
-		t.Errorf("bad -sizes entry = %d, want %d", code, exitFailed)
-	}
-}
-
-// Regression: -legacyfrag must restore the process-global fragment
-// knob when run returns instead of leaking it across in-process
-// invocations. The bad -sizes entry exits after the knob is set but
-// before any simulation, keeping the test instant.
-func TestLegacyFragRestoredOnReturn(t *testing.T) {
-	t.Cleanup(ptx.SwapLegacyFragmentPath(false))
-	if code := run([]string{"-legacyfrag", "-sizes", "bogus"}, &bytes.Buffer{}); code != exitFailed {
-		t.Fatalf("run = %d, want %d", code, exitFailed)
-	}
-	if ptx.LegacyFragmentPathEnabled() {
-		t.Error("-legacyfrag leaked the fragment-path knob past run()")
 	}
 }
 
@@ -155,31 +144,41 @@ func TestStdoutIdenticalAcrossGOMAXPROCS(t *testing.T) {
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name         string
+		kernel       string
 		m, n, k      int
 		sms, workers int
 		tlActive     int
 		scheduler    string
+		sizes        string
 		ok           bool
 	}{
-		{"defaults", 256, 256, 256, 0, 0, 0, "gto", true},
-		{"lrr", 64, 64, 64, 16, 2, 0, "lrr", true},
-		{"twolevel", 64, 64, 64, 16, 2, 0, "twolevel", true},
-		{"max bounds", maxDim, maxDim, maxDim, maxSMs, maxWorkers, 0, "gto", true},
-		{"negative m", -64, 256, 256, 0, 0, 0, "gto", false},
-		{"zero n", 256, 0, 256, 0, 0, 0, "gto", false},
-		{"huge k", 256, 256, maxDim + 1, 0, 0, 0, "gto", false},
-		{"negative sms", 256, 256, 256, -5, 0, 0, "gto", false},
-		{"huge sms", 256, 256, 256, maxSMs + 1, 0, 0, "gto", false},
-		{"negative workers", 256, 256, 256, 0, -1, 0, "gto", false},
-		{"tlactive", 256, 256, 256, 0, 0, 8, "twolevel", true},
-		{"negative tlactive", 256, 256, 256, 0, 0, -1, "gto", false},
-		{"huge tlactive", 256, 256, 256, 0, 0, maxTLActive + 1, "gto", false},
-		{"bad scheduler", 256, 256, 256, 0, 0, 0, "fifo", false},
+		{"defaults", "wmma", 256, 256, 256, 0, 0, 0, "gto", "", true},
+		{"lrr", "sgemm", 64, 64, 64, 16, 2, 0, "lrr", "", true},
+		{"twolevel", "hgemm", 64, 64, 64, 16, 2, 0, "twolevel", "", true},
+		{"max bounds", "cutlass", maxDim, maxDim, maxDim, maxSMs, maxWorkers, 0, "gto", "", true},
+		{"sizes", "wmma-naive", 256, 256, 256, 0, 0, 0, "gto", "16, 32,64", true},
+		{"unknown kernel", "dgemm", 256, 256, 256, 0, 0, 0, "gto", "", false},
+		{"negative m", "wmma", -64, 256, 256, 0, 0, 0, "gto", "", false},
+		{"zero n", "wmma", 256, 0, 256, 0, 0, 0, "gto", "", false},
+		{"huge k", "wmma", 256, 256, maxDim + 1, 0, 0, 0, "gto", "", false},
+		{"negative sms", "wmma", 256, 256, 256, -5, 0, 0, "gto", "", false},
+		{"huge sms", "wmma", 256, 256, 256, maxSMs + 1, 0, 0, "gto", "", false},
+		{"negative workers", "wmma", 256, 256, 256, 0, -1, 0, "gto", "", false},
+		{"tlactive", "maxperf", 256, 256, 256, 0, 0, 8, "twolevel", "", true},
+		{"negative tlactive", "wmma", 256, 256, 256, 0, 0, -1, "gto", "", false},
+		{"huge tlactive", "wmma", 256, 256, 256, 0, 0, maxTLActive + 1, "gto", "", false},
+		{"bad scheduler", "wmma", 256, 256, 256, 0, 0, 0, "fifo", "", false},
+		{"bad size", "wmma", 256, 256, 256, 0, 0, 0, "gto", "16,x", false},
+		{"zero size", "wmma", 256, 256, 256, 0, 0, 0, "gto", "16,0", false},
+		{"huge size", "wmma", 256, 256, 256, 0, 0, 0, "gto", "16,262144", false},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.m, c.n, c.k, c.sms, c.workers, c.tlActive, c.scheduler)
+		sizes, err := validateFlags(c.kernel, c.m, c.n, c.k, c.sms, c.workers, c.tlActive, c.scheduler, c.sizes)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: validateFlags = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if c.name == "sizes" && !slices.Equal(sizes, []int{16, 32, 64}) {
+			t.Errorf("sizes: parsed %v, want [16 32 64]", sizes)
 		}
 	}
 }

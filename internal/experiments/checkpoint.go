@@ -32,8 +32,8 @@ const pointKeyVersion = "tcgpu-point-v1"
 // Options knob that can change the point's payload (Quick, SMs,
 // Scheduler, TwoLevelActive). Workers is excluded — tables are
 // byte-identical at any pool size — as are the fault-tolerance knobs
-// themselves (checkpointing, retry and keep-going never change what a
-// *successful* point computes, and only successes are journaled).
+// themselves (checkpointing, the watchdog and keep-going never change
+// what a *successful* point computes, and only successes are journaled).
 func PointKey(expID string, index int, opt Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%s\x00%d\x00quick=%t sms=%d sched=%s tla=%d",
@@ -49,7 +49,7 @@ func PointKey(expID string, index int, opt Options) string {
 // spaces can never collide and a cache entry inherits PointKey's
 // invalidation story — bumping pointKeyVersion invalidates both.
 // Like PointKey it hashes only the table-affecting knobs: the
-// fault-tolerance options (MaxCycles, Retries, KeepGoing, …) bound how
+// fault-tolerance options (MaxCycles, KeepGoing, Journal) bound how
 // a run can fail, never what a *successful* table contains, and only
 // successes are cached.
 func ExperimentKey(expID string, opt Options) string {

@@ -31,7 +31,6 @@ func TestPointKeyIdentity(t *testing.T) {
 	same := base
 	same.Workers = 7
 	same.KeepGoing = true
-	same.Retries = 3
 	same.MaxCycles = 1 << 20
 	if PointKey("fig12c", 3, same) != k {
 		t.Error("PointKey depends on Workers or fault-tolerance knobs; resume would re-simulate everything")
@@ -237,7 +236,7 @@ func TestExperimentKeyIdentity(t *testing.T) {
 	if k == ExperimentKey("fig12c", Options{Quick: true, SMs: 16}) {
 		t.Error("ExperimentKey ignores SMs")
 	}
-	if k != ExperimentKey("fig12c", Options{Quick: true, Workers: 7, MaxCycles: 99, KeepGoing: true, Retries: 3}) {
+	if k != ExperimentKey("fig12c", Options{Quick: true, Workers: 7, MaxCycles: 99, KeepGoing: true}) {
 		t.Error("ExperimentKey is perturbed by non-table-affecting knobs")
 	}
 	for i := 0; i < 64; i++ {

@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/ptx"
@@ -53,35 +51,28 @@ type Options struct {
 	// tables still stream and journaled points survive for -resume.
 	Ctx context.Context
 	// MaxCycles is the per-simulation cycle-budget watchdog (0 = off,
-	// i.e. the simulator's 4e9 backstop): a malformed or injected
-	// infinite-loop kernel is reaped with gpu.ErrCycleBudget instead of
-	// occupying a shared pool worker forever.
+	// i.e. the simulator's 4e9 backstop): a malformed infinite-loop
+	// kernel is reaped with gpu.ErrCycleBudget instead of occupying a
+	// shared pool worker forever.
 	MaxCycles uint64
 	// KeepGoing isolates point failures: a failing data point renders
 	// as an annotated error cell and is aggregated into the
 	// experiment's PointFailures error, instead of discarding the
 	// experiment's remaining points.
 	KeepGoing bool
-	// Retries bounds retry of the typed Transient error class per data
-	// point (0 = no retry), with the deterministic backoff schedule
-	// retryDelay documents.
-	Retries int
 	// Journal, when non-nil, checkpoints every completed data point and
 	// replays journaled points instead of re-simulating them (see
 	// checkpoint.go).
 	Journal *Journal
-	// Faults, when non-nil, is the deterministic fault-injection plan
-	// (internal/faultinject) the tests use to prove isolation, retry,
-	// watchdog and resume behavior.
-	Faults *faultinject.Plan
 
-	// retryBase overrides the backoff base (tests collapse the
-	// schedule; <0 means no sleep at all).
-	retryBase time.Duration
 	// launchMod, when set, edits each launch before it simulates: the
 	// tests' seam for turning TimingOnly off (to pin that it changes no
 	// table) and for seeing which kernels the registry launches.
 	launchMod func(*gpu.LaunchSpec)
+	// pointHook, when set, runs inside each data point's panic
+	// isolation before the point computes, and a non-nil error fails the
+	// point: the tests' seam for panicking, hanging or killing a point.
+	pointHook func(expID string, i int) error
 	// pool, when set by RunAll, routes every data point of every
 	// experiment through one shared cross-experiment worker pool so the
 	// Workers budget is global rather than per experiment.

@@ -3,27 +3,70 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/gpu"
+	"repro/internal/ptx"
 )
 
 // The fault-tolerance integration suite. fig12c in Quick mode is the
 // workhorse grid: 8 cheap one-SM points, so an every-boundary resume
 // sweep stays in the tens of milliseconds.
 
-func mustPlan(t *testing.T, spec string) *faultinject.Plan {
-	t.Helper()
-	p, err := faultinject.Parse(spec)
-	if err != nil {
-		t.Fatal(err)
+// faultAt returns a pointHook that runs fault at point i of experiment
+// exp and leaves every other point alone.
+func faultAt(exp string, i int, fault func() error) func(string, int) error {
+	return func(e string, j int) error {
+		if e == exp && j == i {
+			return fault()
+		}
+		return nil
 	}
-	return p
+}
+
+func injectPanic() error { panic("injected panic") }
+
+// hangKernel builds an infinite-loop kernel: a single warp spinning on
+// an unconditional branch, the malformed workload the cycle-budget
+// watchdog exists to reap.
+func hangKernel() (*ptx.Kernel, error) {
+	b := ptx.NewBuilder("hang")
+	b.Label("spin")
+	b.Bra("spin")
+	b.Exit()
+	return b.Build()
+}
+
+// runHang simulates the infinite-loop kernel on a one-SM slice under
+// the run's cycle budget and cancellation context. With the watchdog
+// off it spins until the 4e9-cycle backstop — exactly the hang the
+// MaxCycles option exists to bound — so tests always set MaxCycles.
+func runHang(o Options) error {
+	k, err := hangKernel()
+	if err != nil {
+		return err
+	}
+	cfg := gpu.TitanV()
+	cfg.NumSMs = 1
+	sim, err := gpu.New(cfg)
+	if err != nil {
+		return err
+	}
+	_, err = sim.Run(gpu.LaunchSpec{
+		Kernel:    k,
+		Grid:      ptx.Dim3{X: 1, Y: 1, Z: 1},
+		Block:     ptx.Dim3{X: 32, Y: 1, Z: 1},
+		Global:    newZeroMemory(),
+		MaxCycles: o.MaxCycles,
+		Ctx:       o.Ctx,
+	})
+	if err == nil {
+		return errors.New("hang kernel finished, which should be impossible")
+	}
+	return err
 }
 
 // A panicking data point must surface as that point's error — never a
@@ -37,7 +80,7 @@ func TestPanicPointSurfacesAsError(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		opt := Options{Quick: true, Workers: workers,
-			Faults: mustPlan(t, "panic@fig12c:2")}
+			pointHook: faultAt("fig12c", 2, injectPanic)}
 		tb, err := e.Run(opt)
 		if err == nil || tb != nil {
 			t.Fatalf("workers=%d: Run = (%v, %v), want a point-2 panic error", workers, tb, err)
@@ -58,7 +101,7 @@ func TestKeepGoingIsolatesFailedPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb, err := e.Run(Options{Quick: true, Workers: 1, KeepGoing: true,
-		Faults: mustPlan(t, "panic@fig12c:2")})
+		pointHook: faultAt("fig12c", 2, injectPanic)})
 	if tb == nil {
 		t.Fatalf("KeepGoing discarded the table: %v", err)
 	}
@@ -84,73 +127,6 @@ func TestKeepGoingIsolatesFailedPoint(t *testing.T) {
 	}
 }
 
-// A transient failure retries within the budget and the healed run's
-// table is byte-identical to a fault-free run; an exhausted budget
-// surfaces the typed error.
-func TestTransientRetry(t *testing.T) {
-	ref := runQuick(t, "fig12c")
-	e, err := ByID("fig12c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{Quick: true, Workers: 1, Retries: 2, retryBase: -1,
-		Faults: mustPlan(t, "transient@fig12c:1*2")}
-	tb, err := e.Run(opt)
-	if err != nil {
-		t.Fatalf("retry within budget still failed: %v", err)
-	}
-	if tb.String() != ref.String() {
-		t.Error("retried run's table differs from a fault-free run")
-	}
-
-	opt.Retries = 1 // two injected failures, one retry: exhausted
-	if _, err := e.Run(opt); !IsTransient(err) {
-		t.Fatalf("exhausted retry budget returned %v, want the typed transient error", err)
-	}
-}
-
-// The deterministic backoff schedule: base << attempt, no jitter.
-func TestRetryDelaySchedule(t *testing.T) {
-	o := Options{retryBase: 4}
-	for attempt, want := range []int64{4, 8, 16} {
-		if got := o.retryDelay(attempt); int64(got) != want {
-			t.Errorf("retryDelay(%d) = %d, want %d", attempt, got, want)
-		}
-	}
-	if got := (Options{retryBase: -1}).retryDelay(3); got != 0 {
-		t.Errorf("negative base retryDelay = %d, want 0 (test mode)", got)
-	}
-	if got := (Options{}).retryDelay(0); got <= 0 {
-		t.Errorf("default retryDelay = %d, want a positive base", got)
-	}
-}
-
-// Regression: the doubling is clamped, never overflowed. A
-// programmatic Retries beyond the CLI's cap used to shift the base
-// past 63 bits, turning the backoff negative — time.Sleep treats that
-// as zero, so an exhausted-budget retry loop span instantly.
-func TestRetryDelayClamped(t *testing.T) {
-	for _, o := range []Options{{}, {retryBase: 4}, {retryBase: time.Hour}} {
-		prev := time.Duration(0)
-		for attempt := 0; attempt <= 200; attempt++ {
-			d := o.retryDelay(attempt)
-			if d <= 0 {
-				t.Fatalf("retryBase %d: retryDelay(%d) = %d, want positive (overflow)",
-					o.retryBase, attempt, d)
-			}
-			if d < prev {
-				t.Fatalf("retryBase %d: retryDelay(%d) = %d shrank below %d",
-					o.retryBase, attempt, d, prev)
-			}
-			prev = d
-		}
-		// Past the clamp the schedule is flat, still deterministic.
-		if a, b := o.retryDelay(150), o.retryDelay(200); a != b {
-			t.Errorf("retryBase %d: clamped schedule not flat: %d vs %d", o.retryBase, a, b)
-		}
-	}
-}
-
 // An injected infinite-loop kernel is reaped by the cycle-budget
 // watchdog and, under KeepGoing, costs exactly its own cell.
 func TestHangReapedByWatchdog(t *testing.T) {
@@ -158,8 +134,9 @@ func TestHangReapedByWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := e.Run(Options{Quick: true, Workers: 1, KeepGoing: true, MaxCycles: 10_000,
-		Faults: mustPlan(t, "hang@fig12c:0")})
+	opt := Options{Quick: true, Workers: 1, KeepGoing: true, MaxCycles: 10_000}
+	opt.pointHook = faultAt("fig12c", 0, func() error { return runHang(opt) })
+	tb, err := e.Run(opt)
 	if tb == nil {
 		t.Fatalf("KeepGoing discarded the table: %v", err)
 	}
@@ -184,8 +161,8 @@ func TestWatchdogSharedPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Quick: true, Workers: 2, MaxCycles: 10_000,
-		Faults: mustPlan(t, "hang@fig12c:0")}
+	opt := Options{Quick: true, Workers: 2, MaxCycles: 10_000}
+	opt.pointHook = faultAt("fig12c", 0, func() error { return runHang(opt) })
 	results := RunAll([]Experiment{hang, healthy}, opt, nil)
 	if !errors.Is(results[0].Err, gpu.ErrCycleBudget) {
 		t.Errorf("hanging experiment: %v, want gpu.ErrCycleBudget", results[0].Err)
@@ -216,10 +193,12 @@ func TestResumeEquivalenceEveryBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		plan := mustPlan(t, "kill@fig12c:"+strconv.Itoa(b))
-		plan.Kill = cancel
+		kill := func() error {
+			cancel()
+			return fmt.Errorf("killed at point %d: %w", b, context.Canceled)
+		}
 		_, runErr := e.Run(Options{Quick: true, Workers: 1, Ctx: ctx,
-			Journal: j, Faults: plan})
+			Journal: j, pointHook: faultAt("fig12c", b, kill)})
 		cancel()
 		if err := j.Close(); err != nil {
 			t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 // GEMM-scale experiments: Section V's evaluation (Figures 14–17).
 //
 // Every point loop routes through runPoints (points.go), so the whole
-// section inherits checkpoint/resume, keep-going failure isolation,
-// bounded retry and fault injection. Point payload types carry exported
+// section inherits checkpoint/resume and keep-going failure isolation.
+// Point payload types carry exported
 // fields only: they are journaled as JSON and must replay byte-exactly.
 
 // gemmDims returns the operand allocation dims for an m×n×k GEMM launch
@@ -262,8 +262,8 @@ func Fig15(opt Options) (*Table, error) {
 	}
 	maxCTAs := cfg.NumSMs * 8
 	// A single simulation, but still routed through runPoints so RunAll's
-	// shared pool budget, the checkpoint journal and fault injection all
-	// cover it like every other data point.
+	// shared pool budget, the checkpoint journal and keep-going all cover
+	// it like every other data point.
 	rows, perr, err := runPoints(opt, "fig15", 1, func(int) ([3]fig15Row, error) {
 		st, err := opt.launchOn(cfg, l, gemmElems(wmma.F32), gemmDims(n, n, n), maxCTAs, true)
 		if err != nil {

@@ -1,17 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/faultinject"
-	"repro/internal/gpu"
-	"repro/internal/ptx"
 )
 
 // The fault-tolerant data-point engine. runPoints wraps forEach with
@@ -22,10 +15,9 @@ import (
 //   - per-point panic isolation and, under Options.KeepGoing, failure
 //     isolation: a failing point becomes an annotated table cell
 //     instead of discarding the experiment's remaining points
-//   - bounded retry with deterministic backoff for the typed Transient
-//     error class (the seam the multi-node coordinator will reuse)
-//   - deterministic fault injection (internal/faultinject), gated
-//     entirely by Options.Faults — a nil plan costs one predicate
+//
+// The simulator is deterministic, so a failed point fails the same way
+// on every attempt: there is no retry.
 //
 // Every simulating experiment routes its point loop through runPoints,
 // so the whole registry inherits the layer at once.
@@ -35,7 +27,7 @@ import (
 const errMark = "ERR!"
 
 // PointError is one data point's failure, carrying the identity the
-// checkpoint and retry machinery key on.
+// checkpoint journal keys on.
 type PointError struct {
 	Exp   string
 	Index int
@@ -71,50 +63,6 @@ func AsPointFailures(err error) (*PointFailures, bool) {
 	return pf, ok
 }
 
-// transienter is the typed transient-error class: any error exposing
-// Transient() bool true is safe to retry (faultinject.TransientError
-// implements it; real transient failures — a lost shard, a flaky
-// remote worker — will too).
-type transienter interface{ Transient() bool }
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var t transienter
-	return errors.As(err, &t) && t.Transient()
-}
-
-// retries resolves the bounded-retry knob: how many times a transient
-// point failure is retried (0 = no retry).
-func (o Options) retries() int {
-	if o.Retries < 0 {
-		return 0
-	}
-	return o.Retries
-}
-
-// retryDelay is the deterministic backoff schedule: base << attempt,
-// with no jitter — run-to-run reproducibility extends to the retry
-// path. The unexported base lets tests collapse the schedule. The
-// shift is clamped to the last exact doubling that fits in a
-// time.Duration: a programmatic Retries beyond the CLI's cap used to
-// shift the base past 63 bits and overflow into a negative — i.e.
-// instant — backoff, the opposite of backing off. Past the clamp the
-// schedule stays flat.
-func (o Options) retryDelay(attempt int) time.Duration {
-	base := o.retryBase
-	if base == 0 {
-		base = 10 * time.Millisecond
-	}
-	if base < 0 {
-		return 0
-	}
-	maxShift := bits.LeadingZeros64(uint64(base)) - 1
-	if attempt > maxShift {
-		attempt = maxShift
-	}
-	return base << uint(attempt)
-}
-
 // runPoints runs one experiment's n data points through the
 // fault-tolerance layer and returns their payloads in index order.
 //
@@ -146,7 +94,7 @@ func runPoints[T any](opt Options, expID string, n int, compute func(i int) (T, 
 				return nil
 			}
 		}
-		v, err := computePoint(opt, expID, i, compute)
+		v, err := runPoint(opt, expID, i, compute)
 		if err != nil {
 			if cerr := opt.ctx().Err(); cerr != nil {
 				// Cancellation trumps keep-going: an interrupted point
@@ -177,82 +125,20 @@ func runPoints[T any](opt Options, expID string, n int, compute func(i int) (T, 
 	return vals, nil, nil
 }
 
-// computePoint runs one point with fault injection and bounded retry.
-func computePoint[T any](opt Options, expID string, i int, compute func(i int) (T, error)) (T, error) {
-	var zero T
-	for attempt := 0; ; attempt++ {
-		v, err := runPointOnce(opt, expID, i, attempt, compute)
-		if err == nil {
-			return v, nil
-		}
-		if attempt >= opt.retries() || !IsTransient(err) || opt.ctx().Err() != nil {
-			return zero, err
-		}
-		time.Sleep(opt.retryDelay(attempt))
-	}
-}
-
-// runPointOnce runs a single attempt: injected faults first, then the
-// real computation with panic isolation.
-func runPointOnce[T any](opt Options, expID string, i, attempt int, compute func(i int) (T, error)) (v T, err error) {
+// runPoint runs one point with panic isolation: the test hook first,
+// then the real computation.
+func runPoint[T any](opt Options, expID string, i int, compute func(i int) (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiments: %s point %d panicked: %v", expID, i, r)
 		}
 	}()
-	switch opt.Faults.At(expID, i, attempt) {
-	case faultinject.Panic:
-		panic(fmt.Sprintf("faultinject: injected panic at %s point %d", expID, i))
-	case faultinject.Hang:
-		return v, opt.runHang()
-	case faultinject.Transient:
-		return v, &faultinject.TransientError{Attempt: attempt,
-			Msg: fmt.Sprintf("injected at %s point %d", expID, i)}
-	case faultinject.Kill:
-		opt.Faults.InvokeKill()
-		return v, fmt.Errorf("faultinject: killed at %s point %d: %w", expID, i, context.Canceled)
+	if opt.pointHook != nil {
+		if err := opt.pointHook(expID, i); err != nil {
+			return v, err
+		}
 	}
 	return compute(i)
-}
-
-// hangKernel builds the injected infinite-loop kernel: a single warp
-// spinning on an unconditional branch, the malformed workload the
-// cycle-budget watchdog exists to reap.
-func hangKernel() (*ptx.Kernel, error) {
-	b := ptx.NewBuilder("faultinject_hang")
-	b.Label("spin")
-	b.Bra("spin")
-	b.Exit()
-	return b.Build()
-}
-
-// runHang simulates the infinite-loop kernel on a one-SM slice under
-// the run's cycle budget and cancellation context. With the watchdog
-// off it spins until the 4e9-cycle backstop — exactly the hang the
-// MaxCycles option exists to bound — so tests always set MaxCycles.
-func (o Options) runHang() error {
-	k, err := hangKernel()
-	if err != nil {
-		return err
-	}
-	cfg := gpu.TitanV()
-	cfg.NumSMs = 1
-	sim, err := gpu.New(cfg)
-	if err != nil {
-		return err
-	}
-	_, err = sim.Run(gpu.LaunchSpec{
-		Kernel:    k,
-		Grid:      ptx.Dim3{X: 1, Y: 1, Z: 1},
-		Block:     ptx.Dim3{X: 32, Y: 1, Z: 1},
-		Global:    newZeroMemory(),
-		MaxCycles: o.MaxCycles,
-		Ctx:       o.Ctx,
-	})
-	if err == nil {
-		return fmt.Errorf("faultinject: hang kernel finished, which should be impossible")
-	}
-	return err
 }
 
 // pointFailures folds per-point errors into the experiment's aggregate

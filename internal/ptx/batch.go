@@ -43,7 +43,7 @@ type WarpAccess struct {
 // semantics-preserving (bit-identical Stats and experiment tables);
 // production code never sets it.
 //
-//simlint:processknob equivalence/ablation knob: CLI plumbing and Swap-helper tests only, never flipped while simulators run
+//simlint:processknob equivalence/ablation knob: Swap-helper tests only, never flipped while simulators run
 var legacyAccessPath atomic.Bool
 
 // LegacyAccessPath switches subsequently constructed warps between the

@@ -123,7 +123,7 @@ func (d *DInstr) DstRegs() []int32 { return d.wb }
 // tests can verify the decoded cache is semantics-preserving; it affects
 // only kernels decoded after the toggle.
 //
-//simlint:processknob equivalence knob: CLI plumbing and Swap-helper tests only, never flipped while simulators run
+//simlint:processknob equivalence knob: Swap-helper tests only, never flipped while simulators run
 var interpretALU atomic.Bool
 
 // InterpretALU switches subsequently decoded kernels between the

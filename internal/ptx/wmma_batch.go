@@ -32,7 +32,7 @@ import (
 // semantics-preserving (bit-identical registers, memory, Stats and
 // experiment tables); production code never sets it.
 //
-//simlint:processknob equivalence/ablation knob: CLI plumbing and Swap-helper tests only, never flipped while simulators run
+//simlint:processknob equivalence/ablation knob: Swap-helper tests only, never flipped while simulators run
 var legacyFragmentPath atomic.Bool
 
 // LegacyFragmentPath switches subsequently constructed warps between
@@ -47,11 +47,6 @@ func SwapLegacyFragmentPath(on bool) (restore func()) {
 	prev := legacyFragmentPath.Swap(on)
 	return func() { legacyFragmentPath.Store(prev) }
 }
-
-// LegacyFragmentPathEnabled reports the knob's current setting. CLI
-// tests use it to pin that -legacyfrag restores the process-global on
-// return instead of leaking across in-process invocations.
-func LegacyFragmentPathEnabled() bool { return legacyFragmentPath.Load() }
 
 // fragPlan is the decoded form of one wmma.Mapping: per-slot lane
 // vectors of precomputed tile offsets, built once per mapping (planOf)
