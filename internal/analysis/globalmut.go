@@ -37,10 +37,10 @@ import (
 // rule: the store site itself is the finding.
 //
 // The module pass extends the contract to tests: a _test.go file
-// calling a knob setter directly (ptx.LegacyAccessPath(true)) leaks the
+// calling a knob setter directly (ptx.LegacyFragmentPath(true)) leaks the
 // knob into every other test of the process; under t.Parallel the
 // interleaving is a coin flip. Tests must use the Swap helper and
-// register the restore (defer ptx.SwapLegacyAccessPath(true)() or
+// register the restore (defer ptx.SwapLegacyFragmentPath(true)() or
 // t.Cleanup).
 var GlobalmutAnalyzer = &Analyzer{
 	Name:      "globalmut",
@@ -218,7 +218,7 @@ func checkAtomicStore(pass *Pass, dirs map[int][]Directive, knobs map[types.Obje
 
 // isKnobSetter matches the CLI-flag-plumbing shape: an exported
 // top-level func taking a single bool and returning nothing
-// (ptx.LegacyAccessPath, ptx.InterpretALU).
+// (ptx.LegacyFragmentPath, ptx.InterpretALU).
 func isKnobSetter(fd *ast.FuncDecl) bool {
 	return fd.Recv == nil && fd.Name.IsExported() &&
 		singleBoolParam(fd.Type) && resultCount(fd.Type) == 0

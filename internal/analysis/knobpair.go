@@ -11,7 +11,7 @@ import (
 // The knobpair analyzer. Every exported Legacy* function taking a single
 // bool is an equivalence knob: it swaps a legacy implementation back in
 // so tests can assert the optimized path is bit-identical
-// (ptx.LegacyAccessPath, ptx.LegacyFragmentPath).
+// (ptx.LegacyFragmentPath).
 // The 4-level equivalence contract is only honest while both positions
 // of every knob stay exercised, so this analyzer requires each knob to
 // be called from test files with true and with false.
@@ -75,7 +75,7 @@ func runKnobpair(m *Module, report func(Diagnostic)) {
 				default:
 					return true
 				}
-				// The Swap helper (SwapLegacyAccessPath — globalmut's
+				// The Swap helper (SwapLegacyFragmentPath — globalmut's
 				// sanctioned test shape) exercises the knob it wraps.
 				name = strings.TrimPrefix(name, "Swap")
 				u, ok := uses[name]

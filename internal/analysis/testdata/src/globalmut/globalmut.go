@@ -49,7 +49,7 @@ func FlipBare(on bool) {
 
 // legacyKnob is a declared process-global equivalence knob.
 //
-//simlint:processknob fixture knob mirroring ptx.legacyAccessPath; toggled only for equivalence tests
+//simlint:processknob fixture knob mirroring ptx.legacyFragmentPath; toggled only for equivalence tests
 var legacyKnob atomic.Bool
 
 // LegacyKnob is the CLI flag plumbing shape: allowed.

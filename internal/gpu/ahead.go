@@ -361,7 +361,7 @@ func (a *ahead) fill(s *stream) {
 			f = entJump
 			ch.words = append(ch.words, uint64(w.PC))
 		}
-		if err == nil && (len(res.Batch) > 0 || len(res.Accesses) > 0) {
+		if err == nil && len(res.Batch) > 0 {
 			passes, sectors, store := a.split.classify(a.cls, res, a.sectors[:0])
 			a.sectors = sectors[:0]
 			if len(sectors) == 0 && passes <= maxPasses {

@@ -664,54 +664,33 @@ func (m *sm) charge(now uint64, passes int, sectors []uint64, store bool) uint64
 	return done
 }
 
-// accessSplit sorts an instruction's accesses by space into reusable
-// request buffers: the batched vector groups (default) or the per-lane
-// requests of the legacy access path. mem.AddrVec aliases each group's
-// address array — no per-lane copy.
+// accessSplit sorts an instruction's access groups by space into
+// reusable vector buffers. mem.AddrVec aliases each group's address
+// array — no per-lane copy.
 type accessSplit struct {
 	sharedVecs, globalVecs []mem.AddrVec
-	sharedReqs, globalReqs []mem.Request
 }
 
 // classify returns the verdict on res's accesses: the bank passes of the
 // shared ones (0 when there are none) and the sectors of the global ones,
 // appended to out, with whether they store.
 func (x *accessSplit) classify(cls *mem.Classifier, res *ptx.Result, out []uint64) (passes int, sectors []uint64, store bool) {
-	if len(res.Batch) > 0 {
-		shared, global := x.sharedVecs[:0], x.globalVecs[:0]
-		for i := range res.Batch {
-			g := &res.Batch[i]
-			v := mem.AddrVec{Addr: &g.Addr, Mask: g.Mask, Bits: g.Bits, Store: g.Store}
-			if g.Space == ptx.Shared {
-				shared = append(shared, v)
-			} else {
-				global = append(global, v)
-			}
-		}
-		x.sharedVecs, x.globalVecs = shared[:0], global[:0]
-		if len(shared) > 0 {
-			passes = cls.SharedPassesVecs(shared)
-		}
-		if len(global) > 0 {
-			out, store = cls.SectorsVecs(out, global), global[0].Store
-		}
-		return passes, out, store
-	}
-	shared, global := x.sharedReqs[:0], x.globalReqs[:0]
-	for _, a := range res.Accesses {
-		r := mem.Request{Addr: a.Addr, Bits: a.Bits, Store: a.Store}
-		if a.Space == ptx.Shared {
-			shared = append(shared, r)
+	shared, global := x.sharedVecs[:0], x.globalVecs[:0]
+	for i := range res.Batch {
+		g := &res.Batch[i]
+		v := mem.AddrVec{Addr: &g.Addr, Mask: g.Mask, Bits: g.Bits, Store: g.Store}
+		if g.Space == ptx.Shared {
+			shared = append(shared, v)
 		} else {
-			global = append(global, r)
+			global = append(global, v)
 		}
 	}
-	x.sharedReqs, x.globalReqs = shared[:0], global[:0]
+	x.sharedVecs, x.globalVecs = shared[:0], global[:0]
 	if len(shared) > 0 {
-		passes = cls.SharedPasses(shared)
+		passes = cls.SharedPassesVecs(shared)
 	}
 	if len(global) > 0 {
-		out, store = cls.Sectors(out, global), global[0].Store
+		out, store = cls.SectorsVecs(out, global), global[0].Store
 	}
 	return passes, out, store
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +14,50 @@ func reqs32(addrs ...uint64) []Request {
 	return out
 }
 
+// laneVecs packs requests into access groups whose lane-major expansion
+// is the request list: request i in lane i of one group when they fit a
+// warp and share a width, else one group per request, all in lane 0.
+func laneVecs(reqs []Request) []AddrVec {
+	uniform := len(reqs) <= 32
+	for _, r := range reqs {
+		uniform = uniform && r.Bits == reqs[0].Bits && r.Store == reqs[0].Store
+	}
+	if uniform && len(reqs) > 0 {
+		var a [32]uint64
+		for i, r := range reqs {
+			a[i] = r.Addr
+		}
+		return []AddrVec{vecOf(a, uint32(1<<len(reqs)-1), int32(reqs[0].Bits), reqs[0].Store)}
+	}
+	vecs := make([]AddrVec, len(reqs))
+	for i, r := range reqs {
+		vecs[i] = vecOf([32]uint64{r.Addr}, 1, int32(r.Bits), r.Store)
+	}
+	return vecs
+}
+
+// coalesce is CoalesceVecs on the requests' groups, which the simulator
+// runs, checked against the per-lane reference Coalesce.
+func coalesce(t *testing.T, cfg Config, reqs []Request) []uint64 {
+	t.Helper()
+	got, want := CoalesceVecs(cfg, laneVecs(reqs)), Coalesce(cfg, reqs)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("CoalesceVecs = %v, reference Coalesce = %v", got, want)
+	}
+	return got
+}
+
+// sharedPasses is SharedConflictPassesVecs on the requests' groups,
+// checked against the per-lane reference SharedConflictPasses.
+func sharedPasses(t *testing.T, cfg Config, reqs []Request) int {
+	t.Helper()
+	got, want := SharedConflictPassesVecs(cfg, laneVecs(reqs)), SharedConflictPasses(cfg, reqs)
+	if got != want {
+		t.Fatalf("SharedConflictPassesVecs = %d, reference SharedConflictPasses = %d", got, want)
+	}
+	return got
+}
+
 func TestCoalesceFullyCoalesced(t *testing.T) {
 	cfg := TitanV()
 	// 32 lanes × 4 bytes consecutive = 128 bytes = 4 sectors.
@@ -20,7 +65,7 @@ func TestCoalesceFullyCoalesced(t *testing.T) {
 	for lane := 0; lane < 32; lane++ {
 		rs = append(rs, Request{Addr: uint64(4 * lane), Bits: 32})
 	}
-	if got := Coalesce(cfg, rs); len(got) != 4 {
+	if got := coalesce(t, cfg, rs); len(got) != 4 {
 		t.Errorf("consecutive warp access coalesces to %d sectors, want 4", len(got))
 	}
 }
@@ -32,7 +77,7 @@ func TestCoalesceScattered(t *testing.T) {
 	for lane := 0; lane < 32; lane++ {
 		rs = append(rs, Request{Addr: uint64(128 * lane), Bits: 32})
 	}
-	if got := Coalesce(cfg, rs); len(got) != 32 {
+	if got := coalesce(t, cfg, rs); len(got) != 32 {
 		t.Errorf("scattered warp access coalesces to %d sectors, want 32", len(got))
 	}
 }
@@ -40,12 +85,12 @@ func TestCoalesceScattered(t *testing.T) {
 func TestCoalesceWideAccessSpansSectors(t *testing.T) {
 	cfg := TitanV()
 	// A 128-bit access crossing a sector boundary touches two sectors.
-	got := Coalesce(cfg, []Request{{Addr: 24, Bits: 128}})
+	got := coalesce(t, cfg, []Request{{Addr: 24, Bits: 128}})
 	if len(got) != 2 {
 		t.Errorf("boundary-crossing 128-bit access = %d sectors, want 2", len(got))
 	}
 	// Aligned it stays within one.
-	got = Coalesce(cfg, []Request{{Addr: 32, Bits: 128}})
+	got = coalesce(t, cfg, []Request{{Addr: 32, Bits: 128}})
 	if len(got) != 1 {
 		t.Errorf("aligned 128-bit access = %d sectors, want 1", len(got))
 	}
@@ -53,14 +98,14 @@ func TestCoalesceWideAccessSpansSectors(t *testing.T) {
 
 func TestCoalesceDuplicatesMerge(t *testing.T) {
 	cfg := TitanV()
-	got := Coalesce(cfg, reqs32(0, 4, 8, 0, 4))
+	got := coalesce(t, cfg, reqs32(0, 4, 8, 0, 4))
 	if len(got) != 1 {
 		t.Errorf("same-sector accesses = %d sectors, want 1", len(got))
 	}
 }
 
 // Property: sector count never exceeds request count × ceil(width/sector)
-// and sectors are unique.
+// and sectors are unique; CoalesceVecs agrees with the reference.
 func TestCoalesceProperties(t *testing.T) {
 	cfg := TitanV()
 	f := func(seed []uint16) bool {
@@ -68,8 +113,8 @@ func TestCoalesceProperties(t *testing.T) {
 		for _, s := range seed {
 			rs = append(rs, Request{Addr: uint64(s) * 4, Bits: 32})
 		}
-		secs := Coalesce(cfg, rs)
-		if len(secs) > len(rs) {
+		secs := CoalesceVecs(cfg, laneVecs(rs))
+		if !reflect.DeepEqual(secs, Coalesce(cfg, rs)) || len(secs) > len(rs) {
 			return false
 		}
 		seen := map[uint64]bool{}
@@ -93,7 +138,7 @@ func TestSharedConflictFree(t *testing.T) {
 	for lane := 0; lane < 32; lane++ {
 		rs = append(rs, Request{Addr: uint64(4 * lane), Bits: 32})
 	}
-	if got := SharedConflictPasses(cfg, rs); got != 1 {
+	if got := sharedPasses(t, cfg, rs); got != 1 {
 		t.Errorf("conflict-free access takes %d passes, want 1", got)
 	}
 }
@@ -105,7 +150,7 @@ func TestSharedBroadcast(t *testing.T) {
 	for lane := 0; lane < 32; lane++ {
 		rs = append(rs, Request{Addr: 64, Bits: 32})
 	}
-	if got := SharedConflictPasses(cfg, rs); got != 1 {
+	if got := sharedPasses(t, cfg, rs); got != 1 {
 		t.Errorf("broadcast takes %d passes, want 1", got)
 	}
 }
@@ -117,7 +162,7 @@ func TestSharedWorstCaseConflict(t *testing.T) {
 	for lane := 0; lane < 32; lane++ {
 		rs = append(rs, Request{Addr: uint64(128 * lane), Bits: 32})
 	}
-	if got := SharedConflictPasses(cfg, rs); got != 32 {
+	if got := sharedPasses(t, cfg, rs); got != 32 {
 		t.Errorf("stride-128 access takes %d passes, want 32", got)
 	}
 }
@@ -130,7 +175,7 @@ func TestSharedTwoWayConflict(t *testing.T) {
 	for lane := 0; lane < 32; lane++ {
 		rs = append(rs, Request{Addr: uint64(8 * lane), Bits: 32})
 	}
-	if got := SharedConflictPasses(cfg, rs); got != 2 {
+	if got := sharedPasses(t, cfg, rs); got != 2 {
 		t.Errorf("stride-8 access takes %d passes, want 2", got)
 	}
 	// Stride 64 bytes lands on banks 0 and 16 only: 16-way conflict.
@@ -138,7 +183,7 @@ func TestSharedTwoWayConflict(t *testing.T) {
 	for lane := 0; lane < 32; lane++ {
 		rs = append(rs, Request{Addr: uint64(64 * lane), Bits: 32})
 	}
-	if got := SharedConflictPasses(cfg, rs); got != 16 {
+	if got := sharedPasses(t, cfg, rs); got != 16 {
 		t.Errorf("stride-64 access takes %d passes, want 16", got)
 	}
 }

@@ -202,19 +202,9 @@ type Classifier struct {
 	secSet sectorSet
 }
 
-// SharedPasses is SharedConflictPasses on the classifier's scratch.
-func (c *Classifier) SharedPasses(reqs []Request) int {
-	return sharedConflictPasses(&c.banks, &c.cfg, reqs)
-}
-
 // SharedPassesVecs is SharedConflictPassesVecs on the classifier's scratch.
 func (c *Classifier) SharedPassesVecs(vecs []AddrVec) int {
 	return sharedConflictPassesVecs(&c.banks, &c.cfg, vecs)
-}
-
-// Sectors appends Coalesce's sector list to out.
-func (c *Classifier) Sectors(out []uint64, reqs []Request) []uint64 {
-	return coalesceInto(out, &c.cfg, reqs)
 }
 
 // SectorsVecs appends CoalesceVecs' sector list to out.

@@ -2,21 +2,26 @@ package mem
 
 import "math/bits"
 
-// The batched (struct-of-arrays) warp access path. The per-lane Request
-// slice forces the coalescer and the shared-memory conflict counter to
-// re-discover warp structure — uniform broadcasts, unit-stride streams —
-// one lane at a time, with a linear dedup scan per touched sector that
-// degenerates to O(sectors²) for scattered warps. AddrVec keeps the whole
-// warp's addresses in one fixed vector with an active-lane bitmask, so
-// both consumers can classify the access shape once and take an
-// arithmetic fast path (uniform, unit-stride) or a hash/sorted-run dedup
-// that stays O(sectors) even for fully scattered warps.
+// The warp access path, in struct-of-arrays form. A per-lane request
+// list would force the coalescer and the shared-memory conflict counter
+// to re-discover warp structure — uniform broadcasts, unit-stride
+// streams — one lane at a time, with a linear dedup scan per touched
+// sector that degenerates to O(sectors²) for scattered warps. AddrVec
+// keeps the whole warp's addresses in one fixed vector with an
+// active-lane bitmask, so both consumers can classify the access shape
+// once and take an arithmetic fast path (uniform, unit-stride) or a
+// hash/sorted-run dedup that stays O(sectors) even for fully scattered
+// warps.
 //
-// Equivalence contract (asserted by FuzzVecMatchesReference and the
-// ptx/gpu-level LegacyAccessPath tests): for any address vector, mask and
-// geometry, CoalesceVecs returns exactly the sector list Coalesce returns
-// for the lane-major expansion of the vectors, and SharedConflictPassesVecs
-// returns exactly SharedConflictPasses' pass count.
+// Equivalence contract: both are defined on the lane-major expansion of
+// the vectors — lane 0's accesses in group order, then lane 1's, and so
+// on — which is the per-lane access list of the instruction, also where
+// a wmma fragment falls back to one-lane groups. For any address vectors,
+// masks and geometry, CoalesceVecs returns exactly the first-touch sector
+// list of a linear per-lane coalescer over that expansion, and
+// SharedConflictPassesVecs exactly its per-bank distinct-word pass count.
+// The per-lane reference lives in the package's tests (Coalesce,
+// SharedConflictPasses), checked by FuzzVecMatchesReference.
 
 // AddrVec is the struct-of-arrays form of one warp access group: 32 lane
 // addresses (stale in unmasked lanes), an active-lane bitmask and the
@@ -103,7 +108,7 @@ func classifyVec(v *AddrVec, bytes uint64) vecShape {
 	return vecScattered
 }
 
-// vecBytes mirrors coalesceInto's width handling (zero-width clamps to
+// vecBytes is the coalescer's access width in bytes (zero-width clamps to
 // one byte).
 func vecBytes(bits int32) uint64 {
 	b := uint64(bits+7) / 8
@@ -113,9 +118,10 @@ func vecBytes(bits int32) uint64 {
 	return b
 }
 
-// CoalesceVecs is the batched Coalesce: the distinct sectors touched by
-// the access groups, in the first-touch order of their lane-major
-// expansion (so it matches Coalesce on the equivalent Request slice).
+// CoalesceVecs merges a warp instruction's access groups into the
+// distinct memory sectors they touch, in the first-touch order of their
+// lane-major expansion — the number of memory transactions the
+// instruction generates. An access wider than a sector spans several.
 // cfg.SectorBytes must be a power of two, as Validate requires.
 func CoalesceVecs(cfg Config, vecs []AddrVec) []uint64 {
 	return coalesceVecsInto(nil, &sectorSet{}, log2(cfg.SectorBytes), vecs)
@@ -165,7 +171,7 @@ func coalesceOneVec(out []uint64, set *sectorSet, shift uint, v *AddrVec) []uint
 		// The warp reads one contiguous byte range: the sector list is
 		// the ascending aligned cover, no dedup needed. A range that
 		// wraps the address space (unreachable from PTX, but possible
-		// through the exported API) keeps per-lane legacy semantics via
+		// through the exported API) keeps per-lane semantics via
 		// the general path.
 		if a := v.Addr[0]; a <= a+32*bytes-1 {
 			for s := a >> shift; s <= (a+32*bytes-1)>>shift; s++ {
@@ -203,10 +209,10 @@ func coalesceSorted(out []uint64, shift uint, v *AddrVec, bytes uint64) []uint64
 }
 
 // coalesceHash is the general path: lane-major first-touch dedup through
-// an open-addressing set, O(1) per sector instead of the legacy linear
-// rescan of everything emitted so far. If an instruction somehow touches
-// more sectors than the set's capacity the tail degrades to the legacy
-// linear scan rather than failing.
+// an open-addressing set, O(1) per sector instead of a linear rescan of
+// everything emitted so far. If an instruction somehow touches more
+// sectors than the set's capacity the tail degrades to that linear scan
+// rather than failing.
 func coalesceHash(out []uint64, set *sectorSet, shift uint, vecs []AddrVec) []uint64 {
 	set.reset()
 	linear := false
@@ -290,9 +296,10 @@ func (s *sectorSet) insert(k uint64) (added, full bool) {
 	}
 }
 
-// SharedConflictPassesVecs is the batched SharedConflictPasses: the
-// serialized bank passes of the access groups, matching the per-lane
-// Request path exactly.
+// SharedConflictPassesVecs returns how many serialized passes the shared
+// memory needs for one warp instruction's access groups: the maximum,
+// over banks, of distinct bank words addressed (identical words
+// broadcast in one pass).
 func SharedConflictPassesVecs(cfg Config, vecs []AddrVec) int {
 	return sharedConflictPassesVecs(&bankScratch{}, &cfg, vecs)
 }
@@ -304,7 +311,7 @@ func sharedConflictPassesVecs(bs *bankScratch, cfg *Config, vecs []AddrVec) int 
 	}
 	if len(vecs) == 1 {
 		v := &vecs[0]
-		bytes := uint64(v.Bits+7) / 8 // no zero clamp: mirrors the Request path
+		bytes := uint64(v.Bits+7) / 8 // no zero clamp: a zero-width access touches no bank
 		if v.Mask != 0 && bytes > 0 {
 			switch classifyVec(v, bytes) {
 			case vecUniform:
@@ -462,9 +469,8 @@ func conflictCount(bs *bankScratch, cfg *Config, vecs []AddrVec) int {
 	return passes
 }
 
-// conflictGeneralVecs mirrors sharedConflictPasses for arbitrary bank
-// geometry, iterating the vectors' masked lanes instead of a Request
-// slice.
+// conflictGeneralVecs counts the passes for arbitrary bank geometry:
+// per-bank distinct-word lists over the vectors' masked lanes.
 func conflictGeneralVecs(bs *bankScratch, cfg *Config, vecs []AddrVec) int {
 	if len(bs.words) < cfg.SharedBanks {
 		bs.words = make([][]uint64, cfg.SharedBanks)

@@ -264,19 +264,25 @@ func TestSectorSetOverflowDegrades(t *testing.T) {
 // identically on the vectorized and per-lane reference paths. The
 // mirror input folds lanes 16..31 onto 0..15, the wmma fragment shape
 // (Volta A/B piece groups repeat across half-warps) the mirrored-halves
-// fast paths dispatch on.
+// fast paths dispatch on. A nonzero fallback cuts the groups the way a
+// wmma fragment does whose lane L = fallback%32 stops fitting them: the
+// groups keep lanes below L, and every later lane reports its pieces —
+// one to three, of mixed widths — as one-lane groups, lane by lane; the
+// groups then split by space (bit 5 of fallback for the kept groups, a
+// seed bit per piece), as the simulator splits them, and each space's
+// groups are checked on their own.
 func FuzzVecMatchesReference(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4}, uint32(0xffffffff), uint8(2), uint8(0), false, false)
-	f.Add([]byte{0, 0, 0, 0, 255, 255}, uint32(0x0000ffff), uint8(4), uint8(1), true, false)
-	f.Add([]byte{7, 13, 255, 0, 1, 1, 2, 2}, uint32(0xdeadbeef), uint8(0), uint8(2), false, false)
-	f.Add([]byte{9}, uint32(1), uint8(3), uint8(3), true, false)
+	f.Add([]byte{1, 2, 3, 4}, uint32(0xffffffff), uint8(2), uint8(0), false, false, uint8(0))
+	f.Add([]byte{0, 0, 0, 0, 255, 255}, uint32(0x0000ffff), uint8(4), uint8(1), true, false, uint8(0))
+	f.Add([]byte{7, 13, 255, 0, 1, 1, 2, 2}, uint32(0xdeadbeef), uint8(0), uint8(2), false, false, uint8(0))
+	f.Add([]byte{9}, uint32(1), uint8(3), uint8(3), true, false, uint8(0))
 	// wmma-shaped seeds: mirrored fragment halves (128- and 32-bit
 	// pieces), a mirrored partial mask, and slot-aligned two-group runs.
-	f.Add([]byte{16, 32, 48, 64, 80, 96, 112, 128}, uint32(0xffffffff), uint8(4), uint8(0), false, true)
-	f.Add([]byte{8, 8, 8, 8, 40, 40, 40, 40}, uint32(0xffffffff), uint8(2), uint8(0), false, true)
-	f.Add([]byte{64, 1, 191, 17}, uint32(0x0f0f0f0f), uint8(4), uint8(1), true, true)
-	f.Add([]byte{12, 24, 36, 48, 60, 72}, uint32(0xffffffff), uint8(3), uint8(0), true, true)
-	f.Fuzz(func(t *testing.T, seed []byte, mask uint32, widthSel, geoSel uint8, store, mirror bool) {
+	f.Add([]byte{16, 32, 48, 64, 80, 96, 112, 128}, uint32(0xffffffff), uint8(4), uint8(0), false, true, uint8(0))
+	f.Add([]byte{8, 8, 8, 8, 40, 40, 40, 40}, uint32(0xffffffff), uint8(2), uint8(0), false, true, uint8(0))
+	f.Add([]byte{64, 1, 191, 17}, uint32(0x0f0f0f0f), uint8(4), uint8(1), true, true, uint8(0))
+	f.Add([]byte{12, 24, 36, 48, 60, 72}, uint32(0xffffffff), uint8(3), uint8(0), true, true, uint8(0))
+	f.Fuzz(func(t *testing.T, seed []byte, mask uint32, widthSel, geoSel uint8, store, mirror bool, fallback uint8) {
 		widths := []int32{8, 16, 32, 64, 128}
 		bits := widths[int(widthSel)%len(widths)]
 		cfg := TitanV()
@@ -313,16 +319,44 @@ func FuzzVecMatchesReference(f *testing.F) {
 			}
 			vecs = append(vecs, vecOf(rev, mask>>3|mask<<7, bits, store))
 		}
-		reqs := expand(vecs)
-		gotSec := CoalesceVecs(cfg, vecs)
-		wantSec := Coalesce(cfg, reqs)
-		if !reflect.DeepEqual(gotSec, wantSec) && !(len(gotSec) == 0 && len(wantSec) == 0) {
-			t.Fatalf("CoalesceVecs = %v, want %v (vecs %+v)", gotSec, wantSec, vecs)
+		check := func(vecs []AddrVec) {
+			reqs := expand(vecs)
+			gotSec := CoalesceVecs(cfg, vecs)
+			wantSec := Coalesce(cfg, reqs)
+			if !reflect.DeepEqual(gotSec, wantSec) && !(len(gotSec) == 0 && len(wantSec) == 0) {
+				t.Fatalf("CoalesceVecs = %v, want %v (vecs %+v)", gotSec, wantSec, vecs)
+			}
+			gotP := SharedConflictPassesVecs(cfg, vecs)
+			wantP := SharedConflictPasses(cfg, reqs)
+			if gotP != wantP {
+				t.Fatalf("SharedConflictPassesVecs = %d, want %d (vecs %+v)", gotP, wantP, vecs)
+			}
 		}
-		gotP := SharedConflictPassesVecs(cfg, vecs)
-		wantP := SharedConflictPasses(cfg, reqs)
-		if gotP != wantP {
-			t.Fatalf("SharedConflictPassesVecs = %d, want %d (vecs %+v)", gotP, wantP, vecs)
+		if fallback == 0 {
+			check(vecs)
+			return
 		}
+		cut := int(fallback % 32)
+		var spaces [2][]AddrVec
+		for _, v := range vecs {
+			v.Mask &= 1<<cut - 1
+			spaces[fallback>>5&1] = append(spaces[fallback>>5&1], v)
+		}
+		k := 0
+		for lane := cut; lane < 32; lane++ {
+			if mask&(1<<lane) == 0 {
+				continue
+			}
+			for p := 0; p <= int(seed[lane%len(seed)]%3); p++ {
+				b := seed[k%len(seed)]
+				k++
+				var one [32]uint64
+				one[lane] = a[lane] + uint64(p)*uint64(b%24)
+				sp := b >> 7
+				spaces[sp] = append(spaces[sp], vecOf(one, 1<<lane, widths[int(b)%len(widths)], store))
+			}
+		}
+		check(spaces[0])
+		check(spaces[1])
 	})
 }

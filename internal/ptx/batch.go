@@ -4,62 +4,34 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
 
-// The batched warp access path. The legacy executor reports one Access
-// struct per lane per instruction and reads or writes memory one lane at
-// a time; for a 32-lane warp that is 32 struct appends, 32 generic-space
-// resolutions and up to 32 Memory interface calls per load or store —
-// the dominant cost of memory-bound SIMT kernels once ALU dispatch and
-// scheduling are decoded (the fig17 profile). The batched path instead
-// generates all 32 lane addresses in one pass into a WarpAccess — a
-// struct-of-arrays vector with an active-lane bitmask and the shared
-// width/space/store attributes — resolves the state space once per
-// instruction, and moves contiguous data in bulk: a warp whose lanes
-// read one unit-stride range becomes a single Memory.Read, and runs of
-// consecutive lanes become one call per run. The timing model consumes
-// the vector directly (mem.AddrVec aliases the address array), so no
-// per-lane request list is ever materialized.
+// The warp access path. A load or store generates all 32 lane addresses
+// in one pass into a WarpAccess — a struct-of-arrays vector with an
+// active-lane bitmask and the shared width/space/store attributes —
+// resolves the state space once per instruction, and moves contiguous
+// data in bulk: a warp whose lanes read one unit-stride range becomes a
+// single Memory.Read, and runs of consecutive lanes become one call per
+// run. The timing model consumes the vector directly (mem.AddrVec
+// aliases the address array), so no per-lane request list is ever
+// materialized; the per-lane form — one access per lane, in lane order —
+// survives only as the tests' reference, the lane-major expansion of the
+// groups.
 
-// WarpAccess is the batched form of one warp instruction's memory access
-// group: per-lane addresses (stale in unmasked lanes), the active-lane
-// bitmask and the attributes every lane shares. Ordinary ld/st produce
-// one group (two when generic addressing splits the warp across spaces);
-// wmma.load/store produce one group per fragment piece. Like
-// Result.Accesses, the groups alias per-warp scratch valid until the
-// warp's next Step.
+// WarpAccess is one group of a warp instruction's memory accesses:
+// per-lane addresses (stale in unmasked lanes), the active-lane bitmask
+// and the attributes every lane shares. Ordinary ld/st produce one group
+// (two when generic addressing splits the warp across spaces);
+// wmma.load/store produce one group per fragment piece, or one-lane
+// groups where the lanes' pieces do not line up (emitFragAccesses). The
+// groups alias scratch the CTA's warps share, valid until the next Step
+// of any warp on the same Env.
 type WarpAccess struct {
 	Addr  [32]uint64
 	Mask  uint32
 	Bits  int32
 	Space Space // Global or Shared after generic resolution
 	Store bool
-}
-
-// legacyAccessPath, when set, routes warps constructed afterwards
-// through the per-lane Access path instead of the batched WarpAccess
-// path. It exists so tests can assert the batched path is
-// semantics-preserving (bit-identical Stats and experiment tables);
-// production code never sets it.
-//
-//simlint:processknob equivalence/ablation knob: Swap-helper tests only, never flipped while simulators run
-var legacyAccessPath atomic.Bool
-
-// LegacyAccessPath switches subsequently constructed warps between the
-// batched struct-of-arrays access path (the default) and the per-lane
-// legacy path, mirroring InterpretALU.
-func LegacyAccessPath(on bool) { legacyAccessPath.Store(on) }
-
-// SwapLegacyAccessPath sets the knob and returns the restore that puts
-// the previous value back. Tests must use this shape — registered with
-// defer or t.Cleanup — so a process-global knob can never leak across
-// parallel tests:
-//
-//	defer ptx.SwapLegacyAccessPath(true)()
-func SwapLegacyAccessPath(on bool) (restore func()) {
-	prev := legacyAccessPath.Swap(on)
-	return func() { legacyAccessPath.Store(prev) }
 }
 
 // appendBatchSlot extends the batch by one group without zeroing the
@@ -71,36 +43,6 @@ func appendBatchSlot(b []WarpAccess) ([]WarpAccess, *WarpAccess) {
 		b = append(b, WarpAccess{})
 	}
 	return b, &b[len(b)-1]
-}
-
-// LaneAccesses returns the instruction's memory accesses in per-lane
-// form: Result.Accesses when the legacy path produced them, otherwise
-// the lane-major expansion of the batched groups — the exact order the
-// legacy path would have emitted. Tests and tools use it; the timing
-// model consumes the batch directly.
-func (r *Result) LaneAccesses() []Access {
-	if len(r.Accesses) > 0 || len(r.Batch) == 0 {
-		return r.Accesses
-	}
-	return expandBatch(nil, r.Batch)
-}
-
-// expandBatch appends the lane-major expansion of batched groups.
-func expandBatch(out []Access, batch []WarpAccess) []Access {
-	for lane := 0; lane < 32; lane++ {
-		bit := uint32(1) << lane
-		for gi := range batch {
-			g := &batch[gi]
-			if g.Mask&bit == 0 {
-				continue
-			}
-			out = append(out, Access{
-				Lane: lane, Addr: g.Addr[lane], Bits: int(g.Bits),
-				Space: g.Space, Store: g.Store,
-			})
-		}
-	}
-	return out
 }
 
 // genLdStAddrs fills the group's address vector and mask for a decoded
@@ -185,8 +127,8 @@ func (w *Warp) sharedSpan(a, n uint64) error {
 	return nil
 }
 
-// execLoadBatched is execLoad on the batched path: one address pass, one
-// space resolution, then bulk data movement — a single read for a
+// execLoadBatched executes ld: one address pass, one space resolution,
+// then bulk data movement — a single read for a
 // uniform broadcast, one read per maximal unit-stride lane run for
 // everything else global, and direct slice reads for shared memory.
 //
@@ -274,7 +216,8 @@ func (w *Warp) unpackLoad(d *DInstr, mask uint32, src []byte, off *[32]uint64) {
 	}
 }
 
-// execStoreBatched is execStore on the batched path.
+// execStoreBatched executes st: one address pass, one space resolution,
+// then one Memory.Write per maximal unit-stride lane run.
 //
 //simlint:hotpath
 func (w *Warp) execStoreBatched(d *DInstr, res *Result) error {
@@ -299,8 +242,8 @@ func (w *Warp) execStoreBatched(d *DInstr, res *Result) error {
 
 // storeGroup moves one group's register values into memory. Lane order
 // is preserved (within a run addresses are disjoint; runs are emitted in
-// lane order), so overlapping stores resolve exactly as the per-lane
-// path does: last lane wins.
+// lane order), so overlapping stores resolve as a lane-by-lane store
+// would: last lane wins.
 //
 //simlint:hotpath
 func (w *Warp) storeGroup(d *DInstr, g *WarpAccess) {

@@ -10,11 +10,11 @@ import (
 
 // The batched access path must be invisible at the architectural level:
 // for any kernel, the registers written, the bytes moved, and the
-// per-lane access stream the timing model sees must match the legacy
-// per-lane path exactly. The torture kernel below exercises the shapes
-// the batched fast paths dispatch on — unit-stride, broadcast, scattered,
-// mirrored — plus the edges the ISSUE calls out: predicated
-// (partially-active) lanes, 16-bit accesses, misaligned and
+// lane-major expansion of the access groups the timing model sees must
+// match the per-lane reference stepper (refStep) exactly. The torture
+// kernel below exercises the shapes the batched fast paths dispatch on —
+// unit-stride, broadcast, scattered, mirrored — plus their edges:
+// predicated (partially-active) lanes, 16-bit accesses, misaligned and
 // sector-spanning addresses, and a partially populated warp.
 
 // buildBatchTorture builds the load/store torture kernel. Every lane
@@ -123,8 +123,9 @@ func buildBatchTorture() *Kernel {
 	return b.MustBuild()
 }
 
-// batchRun executes the torture kernel on one CTA and records everything
-// the two paths must agree on.
+// batchRun executes the torture kernel on one CTA, through the per-lane
+// reference stepper when ref is set, and records everything the two
+// paths must agree on.
 type batchRun struct {
 	global   []byte
 	shared   []byte
@@ -132,9 +133,8 @@ type batchRun struct {
 	accesses [][]Access
 }
 
-func runBatchTorture(t *testing.T, legacy bool, block Dim3) batchRun {
+func runBatchTorture(t *testing.T, ref bool, block Dim3) batchRun {
 	t.Helper()
-	defer SwapLegacyAccessPath(legacy)()
 	k := buildBatchTorture()
 	mem := NewFlatMemory(1 << 16)
 	for i := range mem.Data {
@@ -150,17 +150,24 @@ func runBatchTorture(t *testing.T, legacy bool, block Dim3) batchRun {
 	run := batchRun{}
 	nWarps := (block.Count() + 31) / 32
 	for id := 0; id < nWarps; id++ {
-		w, err := NewWarp(k, env, id, []uint64{0})
+		newWarp, step := NewWarp, func(w *Warp) ([]Access, error) {
+			res, err := w.Step()
+			return res.LaneAccesses(), err
+		}
+		if ref {
+			newWarp, step = newRefWarp, (*Warp).refStep
+		}
+		w, err := newWarp(k, env, id, []uint64{0})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for !w.Exited {
-			res, err := w.Step()
+			acc, err := step(w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if acc := res.LaneAccesses(); len(acc) > 0 {
-				run.accesses = append(run.accesses, append([]Access(nil), acc...))
+			if len(acc) > 0 {
+				run.accesses = append(run.accesses, acc)
 			}
 		}
 		run.regs = append(run.regs, append([]uint64(nil), w.regs...)...)
@@ -170,7 +177,7 @@ func runBatchTorture(t *testing.T, legacy bool, block Dim3) batchRun {
 	return run
 }
 
-func TestBatchedLoadStoreMatchesLegacy(t *testing.T) {
+func TestBatchedLoadStoreMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		block Dim3
@@ -179,33 +186,33 @@ func TestBatchedLoadStoreMatchesLegacy(t *testing.T) {
 		{"partial_warp", D1(40)}, // second warp has 8 active lanes
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy := runBatchTorture(t, true, tc.block)
+			ref := runBatchTorture(t, true, tc.block)
 			batched := runBatchTorture(t, false, tc.block)
-			if !reflect.DeepEqual(legacy.accesses, batched.accesses) {
-				for i := range legacy.accesses {
-					if i < len(batched.accesses) && !reflect.DeepEqual(legacy.accesses[i], batched.accesses[i]) {
-						t.Fatalf("access stream %d differs:\nlegacy:  %v\nbatched: %v",
-							i, legacy.accesses[i], batched.accesses[i])
+			if !reflect.DeepEqual(ref.accesses, batched.accesses) {
+				for i := range ref.accesses {
+					if i < len(batched.accesses) && !reflect.DeepEqual(ref.accesses[i], batched.accesses[i]) {
+						t.Fatalf("access stream %d differs:\nreference: %v\nbatched:   %v",
+							i, ref.accesses[i], batched.accesses[i])
 					}
 				}
-				t.Fatalf("access stream lengths differ: legacy %d, batched %d",
-					len(legacy.accesses), len(batched.accesses))
+				t.Fatalf("access stream lengths differ: reference %d, batched %d",
+					len(ref.accesses), len(batched.accesses))
 			}
-			if !reflect.DeepEqual(legacy.global, batched.global) {
-				t.Error("global memory differs between legacy and batched paths")
+			if !reflect.DeepEqual(ref.global, batched.global) {
+				t.Error("global memory differs between the reference and batched paths")
 			}
-			if !reflect.DeepEqual(legacy.shared, batched.shared) {
-				t.Error("shared memory differs between legacy and batched paths")
+			if !reflect.DeepEqual(ref.shared, batched.shared) {
+				t.Error("shared memory differs between the reference and batched paths")
 			}
-			if !reflect.DeepEqual(legacy.regs, batched.regs) {
-				t.Error("register state differs between legacy and batched paths")
+			if !reflect.DeepEqual(ref.regs, batched.regs) {
+				t.Error("register state differs between the reference and batched paths")
 			}
 		})
 	}
 }
 
 // The batched ld/st path must produce exactly one group per space with
-// the lane addresses the legacy path reported — and resolve generic
+// the lane addresses a per-lane access reports — and resolve generic
 // space statically at decode time.
 func TestBatchedLdStGroupShapes(t *testing.T) {
 	b := NewBuilder("group_shapes")
@@ -247,8 +254,7 @@ func TestBatchedLdStGroupShapes(t *testing.T) {
 }
 
 // wmmaLoadStoreKernel is a full wmma round trip (load A/B/C, mma, store
-// D) with mixed row/col-major fragment mappings, so both the batchable
-// and structure-divergent per-lane shapes appear.
+// D) with mixed row/col-major fragment mappings.
 func wmmaLoadStoreKernel() *Kernel {
 	cfg := wmma.Config{
 		Arch: wmma.Volta, Shape: wmma.M16N16K16,
@@ -267,37 +273,69 @@ func wmmaLoadStoreKernel() *Kernel {
 	return b.MustBuild()
 }
 
-// A wmma load must batch into slot-aligned groups that expand to the
-// identical per-lane access list the legacy path emits.
-func TestBatchedWmmaMatchesLegacy(t *testing.T) {
-	step := func(legacy bool) ([]Access, []byte) {
-		defer SwapLegacyAccessPath(legacy)()
-		k := wmmaLoadStoreKernel()
-		mem := NewFlatMemory(4096)
-		for i := range mem.Data {
-			mem.Data[i] = byte(i * 5)
+// fragLaneList is the per-lane access list of a wmma.load/store at base
+// with an immediate leading dimension, built lane by lane from the
+// fragment plan (fragLaneAddrs) and the piece cut (fragPieces): lane 0's
+// pieces in order, then lane 1's, and so on. space resolves a lane from
+// its first element's address.
+func fragLaneList(t *testing.T, d *DInstr, base uint64, space func(first uint64) Space) []Access {
+	t.Helper()
+	m := d.In.WMap
+	p := planOf(m)
+	if p == nil {
+		t.Fatalf("%v: mapping has no fragment plan", d.In.Op)
+	}
+	ld := int(d.srcs[1].imm)
+	addrs := make([]uint64, p.slots)
+	var out []Access
+	for lane := 0; lane < 32; lane++ {
+		fragLaneAddrs(addrs, p, lane, ld, base, uint64(d.membytes))
+		sp := space(addrs[0])
+		for _, pc := range fragPieces(nil, addrs, m.Elem.Bits()) {
+			out = append(out, Access{Lane: lane, Addr: pc.addr, Bits: int(pc.bits), Space: sp,
+				Store: d.Class == DClassWmmaStore})
 		}
-		env := &Env{Global: mem, GridDim: D1(1), BlockDim: D1(32), Clock: func() uint64 { return 0 }}
-		w, err := NewWarp(k, env, 0, []uint64{0, 2048})
+	}
+	return out
+}
+
+func allGlobal(uint64) Space { return Global }
+
+// A wmma load or store must batch into slot-aligned groups whose
+// lane-major expansion is the per-lane piece list, lane by lane.
+func TestBatchedWmmaMatchesLegacy(t *testing.T) {
+	k := wmmaLoadStoreKernel()
+	mem := NewFlatMemory(4096)
+	for i := range mem.Data {
+		mem.Data[i] = byte(i * 5)
+	}
+	env := &Env{Global: mem, GridDim: D1(1), BlockDim: D1(32), Clock: func() uint64 { return 0 }}
+	w, err := NewWarp(k, env, 0, []uint64{0, 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves := 0
+	for !w.Exited {
+		d := w.PeekD()
+		if d == nil || d.Class != DClassWmmaLoad && d.Class != DClassWmmaStore {
+			if _, err := w.Step(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		base := w.reg(0, d.In.Src[0].Reg)
+		res, err := w.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var accesses []Access
-		for !w.Exited {
-			res, err := w.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			accesses = append(accesses, res.LaneAccesses()...)
+		moves++
+		want := fragLaneList(t, d, base, allGlobal)
+		if got := res.LaneAccesses(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v at %d: access stream of %d entries, want %d:\ngot:  %v\nwant: %v",
+				d.In.Op, w.PC-1, len(got), len(want), got, want)
 		}
-		return accesses, mem.Data
 	}
-	legacyAcc, legacyMem := step(true)
-	batchedAcc, batchedMem := step(false)
-	if !reflect.DeepEqual(legacyAcc, batchedAcc) {
-		t.Errorf("wmma access streams differ: legacy %d entries, batched %d", len(legacyAcc), len(batchedAcc))
-	}
-	if !reflect.DeepEqual(legacyMem, batchedMem) {
-		t.Error("wmma memory state differs between paths")
+	if moves != 4 {
+		t.Fatalf("stepped %d wmma.load/store, want 4", moves)
 	}
 }

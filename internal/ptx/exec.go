@@ -84,30 +84,16 @@ func (e *Env) resolveSpace(space Space, addr uint64) (Space, uint64) {
 	return Global, addr
 }
 
-// Access is one memory access performed by an executed instruction, as the
-// timing model's coalescer sees it.
-type Access struct {
-	Lane  int
-	Addr  uint64 // post-resolution address (shared offsets are window-relative)
-	Bits  int
-	Space Space // Global or Shared after generic resolution
-	Store bool
-}
-
 // Result reports the architectural effects of one executed instruction
-// that the timing model needs. Memory accesses arrive on exactly one of
-// two mutually exclusive paths: Batch holds the batched struct-of-arrays
-// groups (the default), Accesses the per-lane legacy form (the
-// LegacyAccessPath knob, plus wmma warps whose lanes disagree on
-// fragment structure). Both alias per-warp scratch buffers: they are
-// valid until the warp's next Step call, which is the synchronous
-// consumption pattern of the timing model.
+// that the timing model needs. Batch holds its memory accesses as
+// struct-of-arrays groups (WarpAccess); it aliases scratch the CTA's
+// warps share, valid until the next Step of any warp on the same Env,
+// which is the synchronous consumption pattern of the timing model.
 type Result struct {
-	Instr    *Instr
-	Accesses []Access
-	Batch    []WarpAccess
-	Barrier  bool
-	Exited   bool
+	Instr   *Instr
+	Batch   []WarpAccess
+	Barrier bool
+	Exited  bool
 }
 
 // Warp executes one warp of a CTA instruction by instruction.
@@ -132,17 +118,13 @@ type Warp struct {
 	// warps of the kernel; see decode.go).
 	prog []DInstr
 
-	// legacy routes this warp through the per-lane access path; sampled
-	// from the LegacyAccessPath knob at construction, like the decoded
-	// ALU dispatch samples InterpretALU at decode time.
-	legacy bool
 	// legacyFrag routes this warp's wmma instructions through the
 	// per-element fragment path; sampled from LegacyFragmentPath at
 	// construction.
 	legacyFrag bool
 	// skip is the mask of skip classes the warp honours, sampled at
-	// construction: skipDead on the batched paths, plus skipTiming under
-	// Env.TimingOnly. The per-lane twins above compute as ever.
+	// construction: skipDead on the batched fragment path, plus skipTiming
+	// under Env.TimingOnly. The per-element twin above computes as ever.
 	skip uint8
 	// imageForm has the bit of every image group (DInstr.img) the warp
 	// holds as its tile image; the others are in register form. A new warp
@@ -150,26 +132,24 @@ type Warp struct {
 	imageForm uint64
 
 	// Scratch buffers reused across Step calls so the hot execution path
-	// stays allocation-free: the staging and operand vectors every warp of
-	// the CTA shares (stepScratch), the
-	// Result.Accesses and Result.Batch backing arrays, the address and
-	// piece lists of the per-lane wmma.load/store loop, and the tiles of
-	// the per-lane wmma.mma.
+	// stays allocation-free: what every warp of the CTA shares
+	// (stepScratch), the address and piece lists of the per-lane
+	// wmma.load/store loop, and the tiles of the per-lane wmma.mma.
 	*stepScratch
-	accBuf   []Access
-	batchBuf []WarpAccess
 	addrBuf  []uint64
 	pieceBuf []fragPiece
 	tiles    [4]*tensor.Matrix // per-lane wmma.mma A/B/C/D tile scratch
 }
 
-// stepScratch is what one step needs and no later step reads: staging
-// buffers for loads and stores (membuf for one lane, bulk for a whole
-// warp's contiguous runs), the special-register operand vectors and
-// load offsets (vecs), and what the image path of wmma.mma widens its
-// operands into or materialize copies an image to. A CTA's warps step one
-// at a time, so they share one, kept on their Env.
+// stepScratch is what one step needs and no later step reads: the
+// Result.Batch backing array, staging buffers for loads and stores
+// (membuf for one element, bulk for a whole warp's contiguous runs), the
+// special-register operand vectors and load offsets (vecs), and what the
+// image path of wmma.mma widens its operands into or materialize copies
+// an image to. A CTA's warps step one at a time, each Result consumed
+// before the next step, so they share one, kept on their Env.
 type stepScratch struct {
+	batchBuf  []WarpAccess
 	membuf    [16]byte
 	bulk      [512]byte // 32 lanes × 16 bytes
 	vecs      [3][32]uint64
@@ -198,9 +178,8 @@ func NewWarpOn(k *Kernel, env *Env, id int, args []uint64, regs func(words int) 
 		env.scratch = new(stepScratch)
 	}
 	w := &Warp{Kernel: k, Env: env, ID: id, stepScratch: env.scratch}
-	w.legacy = legacyAccessPath.Load()
 	w.legacyFrag = legacyFragmentPath.Load()
-	if !w.legacy && !w.legacyFrag {
+	if !w.legacyFrag {
 		w.skip = skipDead
 		if env.TimingOnly {
 			w.skip |= skipTiming
@@ -354,14 +333,11 @@ func (w *Warp) Step() (Result, error) {
 }
 
 // StepInto is Step writing into a caller-owned Result, so the hot
-// issue loop moves no Result copies (the struct carries two slice
-// headers and crosses two call boundaries per instruction otherwise).
-// *res is fully overwritten.
+// issue loop moves no Result copies (the struct carries a slice header
+// and crosses two call boundaries per instruction otherwise). *res is
+// fully overwritten.
 func (w *Warp) StepInto(res *Result) error {
 	err := w.step(res)
-	if cap(res.Accesses) > cap(w.accBuf) {
-		w.accBuf = res.Accesses[:0]
-	}
 	if cap(res.Batch) > cap(w.batchBuf) {
 		w.batchBuf = res.Batch[:0]
 	}
@@ -378,7 +354,7 @@ func (w *Warp) step(res *Result) error {
 	in := d.In
 	// The kernel's own instruction: a packed program's copy numbers its
 	// registers differently.
-	*res = Result{Instr: &w.Kernel.Instrs[w.PC], Accesses: w.accBuf[:0], Batch: w.batchBuf[:0]}
+	*res = Result{Instr: &w.Kernel.Instrs[w.PC], Batch: w.batchBuf[:0]}
 
 	switch d.Class {
 	case DClassBra:
@@ -425,15 +401,11 @@ func (w *Warp) step(res *Result) error {
 			return err
 		}
 	case DClassLd:
-		if w.legacy {
-			w.execLoad(d, res)
-		} else if err := w.execLoadBatched(d, res); err != nil {
+		if err := w.execLoadBatched(d, res); err != nil {
 			return err
 		}
 	case DClassSt:
-		if w.legacy {
-			w.execStore(d, res)
-		} else if err := w.execStoreBatched(d, res); err != nil {
+		if err := w.execStoreBatched(d, res); err != nil {
 			return err
 		}
 	default:
@@ -460,61 +432,6 @@ func (w *Warp) valueFree(d *DInstr) bool { return w.skip&d.skip != 0 }
 func (w *Warp) branchVote(d *DInstr) (taken, uniform bool) {
 	on := d.guard(w)
 	return on != 0, on == 0 || on == w.active
-}
-
-func (w *Warp) execLoad(d *DInstr, res *Result) {
-	in := d.In
-	words := int(d.words)
-	nbytes := uint64(d.membytes)
-	buf := w.membuf[:nbytes]
-	addr0 := &d.srcs[0]
-	for m := d.guard(w); m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		addr := d.val(w, lane, addr0)
-		sp, a := w.Env.resolveSpace(in.Space, addr)
-		res.Accesses = append(res.Accesses, Access{Lane: lane, Addr: a, Bits: in.Width, Space: sp})
-		if sp == Shared {
-			copy(buf, w.Env.Shared[a:a+nbytes])
-		} else {
-			w.Env.Global.Read(a, buf)
-		}
-		if in.Width == 16 {
-			w.setReg(lane, in.Dst[0], uint64(buf[0])|uint64(buf[1])<<8)
-			continue
-		}
-		for i := 0; i < words; i++ {
-			v := uint64(buf[4*i]) | uint64(buf[4*i+1])<<8 | uint64(buf[4*i+2])<<16 | uint64(buf[4*i+3])<<24
-			w.setReg(lane, in.Dst[i], v)
-		}
-	}
-}
-
-func (w *Warp) execStore(d *DInstr, res *Result) {
-	in := d.In
-	words := int(d.words)
-	nbytes := uint64(d.membytes)
-	buf := w.membuf[:nbytes]
-	addr0 := &d.srcs[0]
-	for m := d.guard(w); m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
-		addr := d.val(w, lane, addr0)
-		sp, a := w.Env.resolveSpace(in.Space, addr)
-		res.Accesses = append(res.Accesses, Access{Lane: lane, Addr: a, Bits: in.Width, Space: sp, Store: true})
-		if in.Width == 16 {
-			v := d.val(w, lane, &d.srcs[1])
-			buf[0], buf[1] = byte(v), byte(v>>8)
-		} else {
-			for i := 0; i < words; i++ {
-				v := d.val(w, lane, &d.srcs[1+i])
-				buf[4*i], buf[4*i+1], buf[4*i+2], buf[4*i+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-			}
-		}
-		if sp == Shared {
-			copy(w.Env.Shared[a:a+nbytes], buf)
-		} else {
-			w.Env.Global.Write(a, buf)
-		}
-	}
 }
 
 func (w *Warp) execALU(lane int, in *Instr) error {

@@ -333,7 +333,7 @@ func stepTogether(t *testing.T, full, timing *ctaRun) error {
 				return ferr
 			}
 			if fr.Instr != tr.Instr || fr.Barrier != tr.Barrier || fr.Exited != tr.Exited ||
-				len(fr.Accesses) != 0 || len(tr.Accesses) != 0 || len(fr.Batch) != len(tr.Batch) ||
+				len(fr.Batch) != len(tr.Batch) ||
 				!reflect.DeepEqual(fr.LaneAccesses(), tr.LaneAccesses()) {
 				t.Fatalf("warp %d at %v: results differ\nfull:        %+v\ntiming-only: %+v", wi, fr.Instr.Op, fr, tr)
 			}
@@ -395,9 +395,8 @@ func TestTimingOnlyStepsMatchFull(t *testing.T) {
 	}
 }
 
-// A non-separable kernel, and the per-lane twins, ignore the bit: the
-// TimingOnly copy computes every value a store can see, so its memory ends
-// up equal too.
+// A non-separable kernel ignores the bit: the TimingOnly copy computes
+// every value a store can see, so its memory ends up equal too.
 func TestTimingOnlyInertWhenNotSeparable(t *testing.T) {
 	run := func(t *testing.T, k *Kernel) {
 		seed := seededBytes(4<<10, 22)
@@ -417,29 +416,6 @@ func TestTimingOnlyInertWhenNotSeparable(t *testing.T) {
 		for _, c := range sliceCases {
 			if c.name == "loaded-index" {
 				run(t, buildSliceCase(c))
-			}
-		}
-	})
-	t.Run("legacy-access-path", func(t *testing.T) {
-		defer SwapLegacyAccessPath(true)()
-		full := newCTARun(t, mixedKernel(), D1(64), false, seededBytes(16<<10, 23), 0, 8<<10)
-		timing := newCTARun(t, mixedKernel(), D1(64), true, seededBytes(16<<10, 23), 0, 8<<10)
-		for wi, fw := range full.warps {
-			tw := timing.warps[wi]
-			if len(tw.regs) != len(fw.regs) {
-				t.Fatalf("warp %d: a TimingOnly warp that computes every value got a packed register file", wi)
-			}
-			for !fw.Exited {
-				fw.AtBarrier, tw.AtBarrier = false, false
-				if _, err := fw.Step(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := tw.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if string(fw.Env.Global.(*FlatMemory).Data) != string(tw.Env.Global.(*FlatMemory).Data) {
-				t.Fatalf("warp %d: final memory differs under the legacy access path", wi)
 			}
 		}
 	})

@@ -37,7 +37,7 @@ var legacyFragmentPath atomic.Bool
 
 // LegacyFragmentPath switches subsequently constructed warps between
 // the batched wmma fragment path (the default) and the per-element
-// legacy path, mirroring LegacyAccessPath.
+// legacy path.
 func LegacyFragmentPath(on bool) { legacyFragmentPath.Store(on) }
 
 // SwapLegacyFragmentPath sets the knob and returns the restore that
@@ -445,7 +445,7 @@ func (w *Warp) fragSpace(space Space, lo, hi uint64) (sp Space, sub uint64, ok b
 // execution is value-free — the data between memory and the fragment's
 // image. It reports false, having done nothing, for what the shape does
 // not cover: no shape (a register stride, lanes that disagree on piece
-// structure), a guard predicate or a partial warp, either legacy knob, a
+// structure), a guard predicate or a partial warp, the legacy knob, a
 // span that fragSpace leaves to the per-lane path, and values the image
 // cannot carry: a fragment that is no image group, a store of one held in
 // registers, a store whose elements alias.
@@ -453,7 +453,7 @@ func (w *Warp) fragSpace(space Space, lo, hi uint64) (sp Space, sub uint64, ok b
 //simlint:hotpath
 func (w *Warp) execFragShape(d *DInstr, res *Result, base uint64, store bool) bool {
 	sh, g := d.wshape, d.img[0]
-	if sh == nil || !w.fragVec(d) || w.legacy {
+	if sh == nil || !w.fragVec(d) {
 		return false
 	}
 	values := !w.valueFree(d)

@@ -70,7 +70,7 @@ func fragPieces(out []fragPiece, addrs []uint64, elemBits int) []fragPiece {
 // warp's k-th piece addresses as one vector. ok is false — and the batch
 // untouched — when this lane's piece structure (width or resolved space
 // per slot) deviates from the groups earlier lanes laid down; the caller
-// then falls back to the per-lane Access list, whose coalescing order
+// then falls back to one-lane groups, which keep the lane-major order
 // the slot alignment exists to preserve.
 func fragBatch(batch []WarpAccess, lane int, pieces []fragPiece, space Space, store bool) ([]WarpAccess, bool) {
 	for slot := range pieces {
@@ -100,11 +100,14 @@ func fragBatch(batch []WarpAccess, lane int, pieces []fragPiece, space Space, st
 	return batch, true
 }
 
-// emitFragAccesses routes one lane's fragment pieces onto the batched or
-// legacy path. batched is carried across the instruction's lanes: once a
-// lane's structure forces the legacy fallback, the groups built so far
-// are expanded (in the exact lane-major order the legacy path would have
-// produced) and every remaining lane appends per-lane Accesses.
+// emitFragAccesses commits one lane's fragment pieces to the batch.
+// batched is carried across the instruction's lanes, in lane order: while
+// it holds, the pieces join the slot-aligned groups (fragBatch); from the
+// first lane whose structure does not fit them on, each piece of that and
+// every later lane is a one-lane group of its own. The slot-aligned groups
+// hold only earlier lanes, so the lane-major expansion of the batch — what
+// the coalescer and the bank-conflict count are defined on — is every
+// lane's pieces in order, lane by lane.
 func (w *Warp) emitFragAccesses(res *Result, batched bool, lane int, addrs []uint64, elemBits int, space Space, store bool) bool {
 	pieces := fragPieces(w.pieceBuf[:0], addrs, elemBits)
 	w.pieceBuf = pieces
@@ -113,13 +116,12 @@ func (w *Warp) emitFragAccesses(res *Result, batched bool, lane int, addrs []uin
 		if res.Batch, ok = fragBatch(res.Batch, lane, pieces, space, store); ok {
 			return true
 		}
-		res.Accesses = expandBatch(res.Accesses, res.Batch)
-		res.Batch = res.Batch[:0]
 	}
 	for _, p := range pieces {
-		res.Accesses = append(res.Accesses, Access{
-			Lane: lane, Addr: p.addr, Bits: int(p.bits), Space: space, Store: store,
-		})
+		var g *WarpAccess
+		res.Batch, g = appendBatchSlot(res.Batch)
+		g.Mask, g.Bits, g.Space, g.Store = 1<<lane, p.bits, space, store
+		g.Addr[lane] = p.addr
 	}
 	return false
 }
@@ -151,7 +153,7 @@ func (w *Warp) execWmmaLoad(d *DInstr, res *Result) error {
 	}
 	elemBytes := uint64(d.membytes)
 	buf := w.membuf[:elemBytes]
-	batched := !w.legacy
+	batched := true
 	// A skipped load still bounds-checks every element but leaves the
 	// fragment registers alone: a packed register file has none of them.
 	values := !w.valueFree(d)
@@ -205,7 +207,7 @@ func (w *Warp) execWmmaStore(d *DInstr, res *Result) error {
 	}
 	elemBytes := uint64(d.membytes)
 	buf := w.membuf[:elemBytes]
-	batched := !w.legacy
+	batched := true
 	// A skipped store reads no fragment register and writes nothing: its
 	// element moves into the scratch buffer, for the bounds check alone.
 	values := !w.valueFree(d)

@@ -2,6 +2,7 @@ package ptx
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -731,24 +732,126 @@ func storeFragment(b *Builder, frag []Reg, out Reg) {
 	}
 }
 
-// No supported mapping cuts its lanes into different pieces at any leading
-// dimension, so the refusal — the batch's slot alignment cannot hold — is
-// pinned on a hand-made one: lane 0 holds halves 0, 1 and 3 of a row (a
-// 32-bit piece, then a 16-bit one), every other lane halves 0, 2 and 3 (16
-// bits, then 32).
-func TestFragShapeRefusesRaggedLanes(t *testing.T) {
+// raggedMapping returns a hand-made Volta A mapping whose lanes all hold
+// halves 0, 2 and 3 of row 0 (16 bits, then 32) — even — and its copy in
+// which lane 0 holds halves 0, 1 and 3 instead (32 bits, then 16) —
+// ragged. No supported mapping cuts its lanes into different pieces at
+// any leading dimension, so this is how the ragged case is pinned.
+func raggedMapping() (even, ragged *wmma.Mapping) {
 	var lanes [wmma.WarpSize][]wmma.Coord
 	for lane := range lanes {
 		lanes[lane] = []wmma.Coord{{Row: 0, Col: 0}, {Row: 0, Col: 2}, {Row: 0, Col: 3}}
 	}
-	even := &wmma.Mapping{Arch: wmma.Volta, Shape: wmma.M16N16K16, Op: wmma.MatrixA, Layout: tensor.RowMajor, Elem: wmma.F16, Lanes: lanes}
+	even = &wmma.Mapping{Arch: wmma.Volta, Shape: wmma.M16N16K16, Op: wmma.MatrixA, Layout: tensor.RowMajor, Elem: wmma.F16, Lanes: lanes}
+	r := *even
+	r.Lanes[0] = []wmma.Coord{{Row: 0, Col: 0}, {Row: 0, Col: 1}, {Row: 0, Col: 3}}
+	return even, &r
+}
+
+// The ragged mapping's refusal: the batch's slot alignment cannot hold.
+func TestFragShapeRefusesRaggedLanes(t *testing.T) {
+	even, ragged := raggedMapping()
 	if sh := shapeFragment(planFragment(even), 16, 2, 16); sh == nil || len(sh.groups) != 2 || !fragShapeExpected(even, 16) {
 		t.Fatalf("lanes that agree got shape %+v", sh)
 	}
-	lanes[0] = []wmma.Coord{{Row: 0, Col: 0}, {Row: 0, Col: 1}, {Row: 0, Col: 3}}
-	ragged := *even
-	ragged.Lanes = lanes
-	if sh := shapeFragment(planFragment(&ragged), 16, 2, 16); sh != nil || fragShapeExpected(&ragged, 16) {
+	if sh := shapeFragment(planFragment(ragged), 16, 2, 16); sh != nil || fragShapeExpected(ragged, 16) {
 		t.Fatalf("lanes that disagree on piece structure got shape %+v", sh)
+	}
+}
+
+// Where a lane's pieces stop fitting the slot-aligned groups — ragged
+// widths, or a lane that resolves to another space than the lanes before
+// it — that lane and every later one report each piece as a one-lane
+// group, so the lane-major expansion of the batch is still the per-lane
+// piece list. Two instructions get there: a wmma.load on the ragged
+// mapping (lane 1 is the first that does not fit), and a generic one of
+// C whose lanes split between global memory and the shared window.
+func TestFragFallbackKeepsLaneOrder(t *testing.T) {
+	const window = 4096
+	_, ragged := raggedMapping()
+	inWindow := func(a uint64) Space {
+		if a >= SharedBase && a < SharedBase+window {
+			return Shared
+		}
+		return Global
+	}
+	cfg := wmma.Config{Arch: wmma.Volta, Shape: wmma.M16N16K16, ALayout: tensor.RowMajor, BLayout: tensor.ColMajor,
+		AType: wmma.F16, CType: wmma.F32, DType: wmma.F32}
+	for _, tc := range []struct {
+		name  string
+		m     *wmma.Mapping // nil: the builder's
+		op    wmma.Operand
+		prec  wmma.Precision
+		base  uint64
+		space func(uint64) Space
+	}{
+		{"ragged", ragged, wmma.MatrixA, cfg.AType, 512, allGlobal},
+		{"window_straddle", nil, wmma.MatrixC, cfg.CType, SharedBase - 16, inWindow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder("frag_fallback")
+			pa := b.Param("a", U64)
+			b.Shared(window)
+			b.WmmaLoad(cfg.Arch, cfg.Shape, tc.op, tensor.RowMajor, tc.prec, R(pa), Imm(16))
+			b.Exit()
+			k := b.MustBuild()
+			if tc.m != nil {
+				// A mapping Map does not intern: the warp decodes the
+				// kernel privately, planning it afresh.
+				k.Instrs[0].WMap, k.prog = tc.m, nil
+			}
+			env := &Env{Global: newFragTestMem(), Shared: make([]byte, window), GridDim: D1(1), BlockDim: D1(32),
+				Clock: func() uint64 { return 0 }}
+			w, err := NewWarp(k, env, 0, []uint64{tc.base})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := w.PeekD()
+			res, err := w.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fragLaneList(t, d, tc.base, tc.space)
+			if got := res.LaneAccesses(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("access stream of %d entries, want %d:\ngot:  %v\nwant: %v", len(got), len(want), got, want)
+			}
+			// The fallback lane: the first whose pieces differ in width or
+			// space, slot by slot, from lane 0's.
+			pieces := func(lane int) (ws []Access) {
+				for _, a := range want {
+					if a.Lane == lane {
+						a.Lane, a.Addr = 0, 0
+						ws = append(ws, a)
+					}
+				}
+				return ws
+			}
+			fallback := 1
+			for fallback < 32 && reflect.DeepEqual(pieces(fallback), pieces(0)) {
+				fallback++
+			}
+			if fallback == 32 {
+				t.Fatal("every lane fits the slot-aligned groups: no fallback exercised")
+			}
+			tail := 0
+			for _, a := range want {
+				if a.Lane >= fallback {
+					tail++
+				}
+			}
+			head, lane := res.Batch[:len(res.Batch)-tail], fallback
+			for i, g := range res.Batch[len(head):] {
+				if bits.OnesCount32(g.Mask) != 1 || bits.TrailingZeros32(g.Mask) < lane {
+					t.Fatalf("group %d after the fallback lane %d has mask %#x, want one lane ≥ %d",
+						len(head)+i, fallback, g.Mask, lane)
+				}
+				lane = bits.TrailingZeros32(g.Mask)
+			}
+			for i, g := range head {
+				if g.Mask>>fallback != 0 {
+					t.Fatalf("slot-aligned group %d holds lanes %#x at or after the fallback lane %d", i, g.Mask, fallback)
+				}
+			}
+		})
 	}
 }
