@@ -1,6 +1,6 @@
 // Command simlint runs the repository's static-analysis suite: the
 // seven analyzers that mechanically enforce the simulator's
-// determinism, hot-path, equivalence-knob and concurrency-safety
+// determinism, hot-path, stat-reporting and concurrency-safety
 // invariants (see internal/analysis and DESIGN.md "Enforced
 // invariants").
 //

@@ -13,8 +13,8 @@ func TestListAnalyzers(t *testing.T) {
 		t.Fatalf("run(-list) = %d, stderr %q", code, errb.String())
 	}
 	for _, name := range []string{
-		"determinism", "hotpath", "knobpair", "statcomplete",
-		"globalmut", "frozen", "guardedby",
+		"determinism", "hotpath", "statcomplete",
+		"globalmut", "frozen", "guardedby", "recoversurface",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())

@@ -1,6 +1,6 @@
 // Package analysis is simlint's static-analysis core: a small,
 // stdlib-only framework in the shape of golang.org/x/tools/go/analysis
-// (Analyzer / Pass / Diagnostic), plus the eight analyzers that turn the
+// (Analyzer / Pass / Diagnostic), plus the seven analyzers that turn the
 // simulator's reproducibility, concurrency and fault-tolerance
 // conventions into mechanically enforced invariants:
 //
@@ -10,14 +10,10 @@
 //   - hotpath:      no per-iteration allocations in functions annotated
 //     //simlint:hotpath (the per-cycle issue/execute/coalesce/fragment
 //     paths of PRs 2-5)
-//   - knobpair:     every exported Legacy* equivalence knob is
-//     exercised by tests in both positions
 //   - statcomplete: every numeric gpu.Stats counter reaches a
 //     //simlint:emitter report function
 //   - globalmut:    simulator packages do not write package-level state
-//     outside init; process-global equivalence knobs are atomic,
-//     declared with //simlint:processknob, and written only through
-//     their setter/Swap helper (tests must use the Swap helper)
+//     outside init, and store to no package-level atomic at all
 //   - frozen:       //simlint:frozen types (decoded DInstr programs,
 //     fragPlans, wmma mappings) are field-written only in their
 //     same-package //simlint:ctor constructor set — the shared-read-only
@@ -39,7 +35,6 @@
 //	//simlint:frozen
 //	//simlint:ctor
 //	//simlint:guardedby <mutex field>
-//	//simlint:processknob <justification>
 //	//simlint:ordered <justification>
 //	//simlint:wallclock <justification>
 //	//simlint:ok <justification>
@@ -66,7 +61,7 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one simlint check. Run inspects a single package;
 // RunModule inspects the whole module at once (for cross-package
-// contracts like knobpair and statcomplete). Either may be nil.
+// contracts like statcomplete). Either may be nil.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -99,7 +94,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns the full simlint suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DeterminismAnalyzer, HotpathAnalyzer, KnobpairAnalyzer, StatcompleteAnalyzer,
+		DeterminismAnalyzer, HotpathAnalyzer, StatcompleteAnalyzer,
 		GlobalmutAnalyzer, FrozenAnalyzer, GuardedbyAnalyzer, RecoversurfaceAnalyzer,
 	}
 }

@@ -86,9 +86,6 @@ func collectWants(t *testing.T, m *analysis.Module) []*want {
 		for _, f := range pkg.Files {
 			addFile(f)
 		}
-		for _, f := range pkg.TestFiles {
-			addFile(f)
-		}
 	}
 	return wants
 }

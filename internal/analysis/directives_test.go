@@ -35,11 +35,6 @@ type Frozen struct {
 }
 
 type Thawed struct{ n int }
-
-//simlint:processknob equivalence knob justification
-var knob int
-
-var bare int
 `
 
 func parseDirectiveSrc(t *testing.T) (*token.FileSet, *ast.File, map[int][]Directive) {
@@ -68,8 +63,8 @@ func TestFileDirectives(t *testing.T) {
 	for _, ds := range dirs {
 		got = append(got, ds...)
 	}
-	if len(got) != 6 {
-		t.Fatalf("parsed %d directives, want 6: %+v", len(got), got)
+	if len(got) != 5 {
+		t.Fatalf("parsed %d directives, want 5: %+v", len(got), got)
 	}
 	byName := map[string]Directive{}
 	for _, d := range got {
@@ -133,37 +128,6 @@ func TestTypeDirective(t *testing.T) {
 		if got := typeDirective(dirs, fset, gd, ts, "frozen"); got != want {
 			t.Errorf("typeDirective(%s, frozen) = %v, want %v", name, got, want)
 		}
-	}
-}
-
-func TestDeclDirective(t *testing.T) {
-	fset, f, dirs := parseDirectiveSrc(t)
-	found := 0
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs := spec.(*ast.ValueSpec)
-			for _, name := range vs.Names {
-				found++
-				d, ok := declDirective(dirs, fset, gd, vs, name, "processknob")
-				switch name.Name {
-				case "knob":
-					if !ok || d.Arg != "equivalence knob justification" {
-						t.Errorf("knob: directive = %+v, ok = %v", d, ok)
-					}
-				case "bare":
-					if ok {
-						t.Errorf("bare: unexpected processknob directive %+v", d)
-					}
-				}
-			}
-		}
-	}
-	if found != 2 {
-		t.Fatalf("walked %d var names, want 2", found)
 	}
 }
 

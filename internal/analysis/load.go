@@ -21,8 +21,8 @@ import (
 // `go list -export -deps -json` invocation yields compiler export data
 // for every dependency (the go build cache does the heavy lifting), the
 // matched packages are re-parsed and type-checked from source against
-// that export data, and test files ride along syntax-only for the
-// analyzers that read them (knobpair).
+// that export data. Test files are not loaded: every contract is about
+// the simulator's own code.
 
 // Package is one loaded, type-checked package.
 type Package struct {
@@ -30,12 +30,8 @@ type Package struct {
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File // compiled (non-test) files, type-checked
-	// TestFiles holds the package's _test.go files — in-package and
-	// external — parsed but not type-checked. Knob references are
-	// matched syntactically there.
-	TestFiles []*ast.File
-	Types     *types.Package
-	Info      *types.Info
+	Types *types.Package
+	Info  *types.Info
 }
 
 // Module is the full set of packages one simlint run analyzes.
@@ -46,16 +42,14 @@ type Module struct {
 
 // listedPackage is the subset of `go list -json` output the loader uses.
 type listedPackage struct {
-	ImportPath   string
-	Dir          string
-	Export       string
-	Standard     bool
-	GoFiles      []string
-	CgoFiles     []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Incomplete   bool
-	Error        *struct{ Err string }
+	ImportPath string
+	Dir        string
+	Export     string
+	Standard   bool
+	GoFiles    []string
+	CgoFiles   []string
+	Incomplete bool
+	Error      *struct{ Err string }
 }
 
 // Load lists patterns from dir (a directory inside the module), builds
@@ -131,24 +125,13 @@ func typeCheck(fset *token.FileSet, imp types.Importer, lp listedPackage) (*Pack
 	if len(lp.CgoFiles) > 0 {
 		return nil, fmt.Errorf("load %s: cgo packages are not supported", lp.ImportPath)
 	}
-	parse := func(names []string) ([]*ast.File, error) {
-		files := make([]*ast.File, 0, len(names))
-		for _, name := range names {
-			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
+	files := make([]*ast.File, 0, len(lp.GoFiles))
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
 		}
-		return files, nil
-	}
-	files, err := parse(lp.GoFiles)
-	if err != nil {
-		return nil, err
-	}
-	testFiles, err := parse(append(append([]string{}, lp.TestGoFiles...), lp.XTestGoFiles...))
-	if err != nil {
-		return nil, err
+		files = append(files, f)
 	}
 
 	info := &types.Info{
@@ -164,13 +147,12 @@ func typeCheck(fset *token.FileSet, imp types.Importer, lp listedPackage) (*Pack
 		return nil, fmt.Errorf("typecheck %s: %w", lp.ImportPath, err)
 	}
 	return &Package{
-		Path:      lp.ImportPath,
-		Dir:       lp.Dir,
-		Fset:      fset,
-		Files:     files,
-		TestFiles: testFiles,
-		Types:     tpkg,
-		Info:      info,
+		Path:  lp.ImportPath,
+		Dir:   lp.Dir,
+		Fset:  fset,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -128,4 +129,12 @@ func runStatcomplete(m *Module, report func(Diagnostic)) {
 			report(d)
 		}
 	}
+}
+
+// internalPackage reports whether the import path is under internal/
+// (or is a fixture package, which has no internal element but is only
+// ever loaded explicitly by the tests).
+func internalPackage(path string) bool {
+	return slices.Contains(strings.Split(path, "/"), "internal") ||
+		slices.Contains(strings.Split(path, "/"), "testdata")
 }

@@ -18,10 +18,6 @@ func TestHotpathFixture(t *testing.T) {
 	analysistest.Run(t, moduleRoot, analysis.HotpathAnalyzer, "./internal/analysis/testdata/src/hotpath")
 }
 
-func TestKnobpairFixture(t *testing.T) {
-	analysistest.Run(t, moduleRoot, analysis.KnobpairAnalyzer, "./internal/analysis/testdata/src/knobpair")
-}
-
 func TestStatcompleteFixture(t *testing.T) {
 	analysistest.Run(t, moduleRoot, analysis.StatcompleteAnalyzer, "./internal/analysis/testdata/src/statcomplete")
 }

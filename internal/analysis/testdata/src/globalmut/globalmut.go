@@ -1,7 +1,6 @@
 // Package globalmut is the simlint globalmut fixture: package-level
-// writes in every sanctioned and flagged position, plus the processknob
-// directive's whole lifecycle (declared, set, swapped, backdoored,
-// unjustified, non-atomic).
+// writes in every sanctioned and flagged position, and stores to
+// package-level atomics, which nothing excuses.
 package globalmut
 
 import "sync/atomic"
@@ -39,48 +38,37 @@ func Local(n int) int {
 	return table[0]
 }
 
-// bareAtomic is a package-level atomic with no processknob directive.
+// bareAtomic is a package-level atomic.
 var bareAtomic atomic.Bool
 
-// FlipBare mutates an undeclared process global.
+// FlipBare mutates a process global.
 func FlipBare(on bool) {
-	bareAtomic.Store(on) // want "package-level atomic with no //simlint:processknob directive"
+	bareAtomic.Store(on) // want "mutates a package-level atomic"
 }
 
-// legacyKnob is a declared process-global equivalence knob.
+// legacyKnob carries the directive that once declared a process-global
+// knob; it excuses nothing any more.
 //
-//simlint:processknob fixture knob mirroring ptx.legacyFragmentPath; toggled only for equivalence tests
+//simlint:processknob fixture knob mirroring a retired equivalence knob
 var legacyKnob atomic.Bool
 
-// LegacyKnob is the CLI flag plumbing shape: allowed.
-func LegacyKnob(on bool) { legacyKnob.Store(on) }
+// LegacyKnob is the old setter shape: flagged like any other store.
+func LegacyKnob(on bool) { legacyKnob.Store(on) } // want "mutates a package-level atomic"
 
-// SwapLegacyKnob is the test-safe set-and-restore helper: allowed.
+// SwapLegacyKnob is the old set-and-restore shape: both stores flagged.
 func SwapLegacyKnob(on bool) func() {
-	prev := legacyKnob.Swap(on)
-	return func() { legacyKnob.Store(prev) }
+	prev := legacyKnob.Swap(on)              // want "legacyKnob.Swap mutates a package-level atomic"
+	return func() { legacyKnob.Store(prev) } // want "mutates a package-level atomic"
 }
 
-// Backdoor writes the knob outside the sanctioned shapes.
-func Backdoor() {
-	legacyKnob.Store(true) // want "may be written only by its exported setter or Swap helper"
+// counter is an atomic whose store carries the plain-write escape,
+// which does not cover atomics.
+var counter atomic.Int64
+
+// Count justifies itself in vain.
+func Count() {
+	counter.Add(1) //simlint:ok fixture: the escape covers plain writes only // want "counter.Add mutates a package-level atomic"
 }
 
-// lazyKnob's directive has no justification.
-//
-//simlint:processknob
-var lazyKnob atomic.Bool // want "needs a justification"
-
-// LazyKnob keeps lazyKnob referenced through its sanctioned setter.
-func LazyKnob(on bool) { lazyKnob.Store(on) }
-
-// plainKnob is declared as a knob but is not atomic-typed.
-//
-//simlint:processknob justified but mistyped
-var plainKnob bool // want "must be atomic-typed"
-
-// PlainKnob keeps plainKnob referenced; the write is an ordinary global
-// write because the mistyped declaration is rejected from the knob set.
-func PlainKnob(on bool) {
-	plainKnob = on // want "writes package-level plainKnob outside init"
-}
+// Load reads the atomics: allowed.
+func Load() bool { return bareAtomic.Load() && counter.Load() > 0 }

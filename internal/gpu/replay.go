@@ -108,7 +108,8 @@ func (sc *sidecar) outcome(st *Stats, err error) (*Stats, error) {
 }
 
 // discard is the timing loop's Global. A TimingOnly warp of a separable
-// kernel never calls it; the per-lane twins that do read zeros, which no
+// kernel calls it only from the per-lane wmma fallback, which
+// bounds-checks every element it skips by reading it: zeros, which no
 // control value depends on.
 type discard struct{}
 

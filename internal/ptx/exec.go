@@ -118,13 +118,8 @@ type Warp struct {
 	// warps of the kernel; see decode.go).
 	prog []DInstr
 
-	// legacyFrag routes this warp's wmma instructions through the
-	// per-element fragment path; sampled from LegacyFragmentPath at
-	// construction.
-	legacyFrag bool
-	// skip is the mask of skip classes the warp honours, sampled at
-	// construction: skipDead on the batched fragment path, plus skipTiming
-	// under Env.TimingOnly. The per-element twin above computes as ever.
+	// skip is the mask of skip classes the warp honours, set at
+	// construction: skipDead, plus skipTiming under Env.TimingOnly.
 	skip uint8
 	// imageForm has the bit of every image group (DInstr.img) the warp
 	// holds as its tile image; the others are in register form. A new warp
@@ -178,12 +173,9 @@ func NewWarpOn(k *Kernel, env *Env, id int, args []uint64, regs func(words int) 
 		env.scratch = new(stepScratch)
 	}
 	w := &Warp{Kernel: k, Env: env, ID: id, stepScratch: env.scratch}
-	w.legacyFrag = legacyFragmentPath.Load()
-	if !w.legacyFrag {
-		w.skip = skipDead
-		if env.TimingOnly {
-			w.skip |= skipTiming
-		}
+	w.skip = skipDead
+	if env.TimingOnly {
+		w.skip |= skipTiming
 	}
 	w.prog = k.prog
 	numRegs, params := k.NumRegs, k.ParamRegs

@@ -39,3 +39,47 @@ func FragmentShapes(k *Kernel) (shapes, plans []any) {
 	}
 	return shapes, plans
 }
+
+// PerLaneFragments returns a copy of k whose wmma instructions all take
+// the per-lane fragment loops: no instruction has an access shape or an
+// image group, none is skipped, and the copy is neither separable nor
+// steps ahead, so a TimingOnly warp runs the full program. It is the
+// reference the batched fragment path is compared against. The copy keeps
+// k's digest; k is unchanged.
+func PerLaneFragments(k *Kernel) *Kernel {
+	c := *k
+	c.prog, _, _, _, _ = decodeKernel(&c)
+	for i := range c.prog {
+		d := &c.prog[i]
+		d.wshape, d.img, d.skip = nil, [4]*imageGroup{}, 0
+	}
+	c.timing, c.timingParams, c.timingRegs = nil, nil, 0
+	c.separable, c.ahead = false, false
+	return &c
+}
+
+// InterpretedALU returns a copy of k whose ALU and SFU instructions all
+// decode to the per-lane interpreted executor (aluGeneric), sliced again
+// as Builder.Build slices: the reference the decoded dispatch is compared
+// against. The copy keeps k's digest; k is unchanged.
+func InterpretedALU(k *Kernel) *Kernel {
+	c := *k
+	prog, _, _, _, _ := decodeKernel(&c)
+	for i := range prog {
+		if d := &prog[i]; d.Class == DClassALU || d.Class == DClassSFU {
+			d.alu = aluGeneric
+		}
+		prog[i].skip = 0
+	}
+	separable, ahead, rows, nrows := sliceKernel(&c, prog)
+	c.prog, c.separable, c.ahead = prog, separable, ahead
+	c.timing, c.timingParams, c.timingRegs = nil, nil, 0
+	if separable {
+		c.timing, c.timingParams, c.timingRegs = packTiming(&c, prog, rows, nrows)
+	}
+	return &c
+}
+
+// Interpreted reports whether d decodes to the per-lane interpreted ALU
+// executor.
+func Interpreted(d *DInstr) bool { return d.alu == aluGeneric }

@@ -128,7 +128,6 @@ func TestMadF32StepIntoRoundsOnce(t *testing.T) {
 	for _, interpret := range []bool{false, true} {
 		for _, guarded := range []bool{false, true} {
 			t.Run(fmt.Sprintf("interpret=%v/guarded=%v", interpret, guarded), func(t *testing.T) {
-				defer SwapInterpretALU(interpret)()
 				b := NewBuilder("mad_f32")
 				in, out := b.Param("in", U64), b.Param("out", U64)
 				tid, p, off, src, dst := b.Reg(), b.Reg(), b.Reg(), b.Reg(), b.Reg()
@@ -148,6 +147,9 @@ func TestMadF32StepIntoRoundsOnce(t *testing.T) {
 				b.St(Global, 32, R(dst), []Operand{R(r)})
 				b.Exit()
 				k := b.MustBuild()
+				if interpret {
+					k = InterpretedALU(k)
+				}
 
 				const outBase = 32 * 16
 				mem := NewFlatMemory(outBase + 32*4)

@@ -321,11 +321,10 @@ func (k *Kernel) TimingSeparable() bool { return k.separable }
 
 // StepsAhead reports whether every TimingOnly warp of a launch of the
 // kernel takes the same pcs, exits, barriers, faults and addresses however
-// far ahead of the timing model it is stepped: the kernel is separable, no
-// such warp reads %clock, and the legacy fragment path, which a warp
-// samples when it is built, is off.
+// far ahead of the timing model it is stepped: the kernel is separable and
+// no such warp reads %clock.
 func (k *Kernel) StepsAhead() bool {
-	return k.ahead && !legacyFragmentPath.Load()
+	return k.ahead
 }
 
 // TimingProgram returns the decoded program a TimingOnly warp of a

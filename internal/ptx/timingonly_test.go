@@ -190,11 +190,10 @@ func TestFallibleExecutorsNeverDataOnly(t *testing.T) {
 		t.Error("the address arithmetic decoded dataOnly")
 	}
 
-	// Under InterpretALU every ALU instruction is aluGeneric: none may be
-	// skipped, whatever plane it writes.
-	defer SwapInterpretALU(true)()
+	// On the InterpretedALU copy every ALU instruction is aluGeneric: none
+	// may be skipped, whatever plane it writes.
 	for _, c := range sliceCases {
-		skipped, _ := dataOnlyOps(buildSliceCase(c))
+		skipped, _ := dataOnlyOps(InterpretedALU(buildSliceCase(c)))
 		for op := range skipped {
 			if cl := classOf(op); cl == DClassALU || cl == DClassSFU {
 				t.Errorf("%s: interpreted opcode %d decoded dataOnly", c.name, op)
@@ -425,7 +424,7 @@ func TestTimingOnlyInertWhenNotSeparable(t *testing.T) {
 // the same error whether or not the data would have moved, and, for
 // fragments, whichever path executes it — the decode-time shape (a full,
 // unguarded warp), or the per-lane loop a partial warp, a guard predicate
-// or the legacy knob selects.
+// or the PerLaneFragments copy selects.
 func TestSharedBoundsFaultMatches(t *testing.T) {
 	// Generic addressing sends anything past the window to global memory,
 	// so a fragment leaves the window only by straddling its end: the
@@ -486,16 +485,15 @@ func TestSharedBoundsFaultMatches(t *testing.T) {
 				t.Fatal("kernel is not separable")
 			}
 			seed := make([]byte, 4096)
-			fault := func() string {
+			fault := func(k *Kernel) string {
 				err := stepTogether(t, newCTARun(t, k, D1(c.lanes), false, seed), newCTARun(t, k, D1(c.lanes), true, seed))
 				if err == nil || !strings.Contains(err.Error(), "outside the 2048-byte window") {
 					t.Fatalf("error = %v, want a shared-window fault", err)
 				}
 				return err.Error()
 			}
-			batched := fault()
-			defer SwapLegacyFragmentPath(true)()
-			if perLane := fault(); perLane != batched {
+			batched := fault(k)
+			if perLane := fault(PerLaneFragments(k)); perLane != batched {
 				t.Errorf("the paths report different faults\nbatched:  %s\nper-lane: %s", batched, perLane)
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/tensor"
 	"repro/internal/wmma"
@@ -22,31 +21,9 @@ import (
 // writes D's, a store writes the image back by lines: no fragment element
 // passes through lane registers. Whatever the image path declines — a
 // guard predicate, a partial warp, a group read outside wmma, an operand
-// still in register form, a span straddling the shared window, the
-// LegacyFragmentPath knob — takes the per-lane loops, which first turn the
-// images they name back into registers (materialize).
-
-// legacyFragmentPath, when set, routes warps constructed afterwards
-// through the per-element wmma fragment path instead of the batched
-// image path. It exists so tests can assert the batched path is
-// semantics-preserving (bit-identical registers, memory, Stats and
-// experiment tables); production code never sets it.
-//
-//simlint:processknob equivalence/ablation knob: Swap-helper tests only, never flipped while simulators run
-var legacyFragmentPath atomic.Bool
-
-// LegacyFragmentPath switches subsequently constructed warps between
-// the batched wmma fragment path (the default) and the per-element
-// legacy path.
-func LegacyFragmentPath(on bool) { legacyFragmentPath.Store(on) }
-
-// SwapLegacyFragmentPath sets the knob and returns the restore that
-// puts the previous value back; the only sanctioned test shape
-// (defer ptx.SwapLegacyFragmentPath(true)() or t.Cleanup).
-func SwapLegacyFragmentPath(on bool) (restore func()) {
-	prev := legacyFragmentPath.Swap(on)
-	return func() { legacyFragmentPath.Store(prev) }
-}
+// still in register form, a span straddling the shared window — takes the
+// per-lane loops, which first turn the images they name back into
+// registers (materialize).
 
 // fragPlan is the decoded form of one wmma.Mapping: per-slot lane
 // vectors of precomputed tile offsets, built once per mapping (planOf)
@@ -299,11 +276,11 @@ func (w *Warp) materialize(g *imageGroup) {
 }
 
 // fragVec reports whether the instruction takes the batched fragment
-// path: knob off, no guard predicate, fully populated warp. Callers
-// additionally require the image groups (wmma.mma) or the access shape
+// path: no guard predicate, fully populated warp. Callers additionally
+// require the image groups (wmma.mma) or the access shape
 // (wmma.load/store) to exist.
 func (w *Warp) fragVec(d *DInstr) bool {
-	return !w.legacyFrag && d.predID < 0 && w.nLanes == 32
+	return d.predID < 0 && w.nLanes == 32
 }
 
 // fragLaneAddrs fills addrs with one lane's element addresses from the
@@ -445,8 +422,8 @@ func (w *Warp) fragSpace(space Space, lo, hi uint64) (sp Space, sub uint64, ok b
 // execution is value-free — the data between memory and the fragment's
 // image. It reports false, having done nothing, for what the shape does
 // not cover: no shape (a register stride, lanes that disagree on piece
-// structure), a guard predicate or a partial warp, the legacy knob, a
-// span that fragSpace leaves to the per-lane path, and values the image
+// structure), a guard predicate or a partial warp, a span that fragSpace
+// leaves to the per-lane path, and values the image
 // cannot carry: a fragment that is no image group, a store of one held in
 // registers, a store whose elements alias.
 //

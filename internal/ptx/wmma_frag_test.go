@@ -13,7 +13,7 @@ import (
 // The batched fragment path must be invisible at the architectural
 // level: for any wmma kernel, the registers written, the bytes moved
 // (global and shared), and the per-lane access stream the timing model
-// sees must match the per-element legacy path exactly. The round-trip
+// sees must match the per-element path (PerLaneFragments) exactly. The round-trip
 // kernels below cover every mapping family the batched plans encode —
 // both Volta layouts and precisions, the three Turing shapes, the
 // integer datapath — plus the edges that force the per-element
@@ -103,9 +103,9 @@ type fragRun struct {
 	accesses [][]Access
 }
 
-// runFragKernel executes the kernel on every warp of one CTA with the
-// fragment path selected by legacy; shared, when not nil, is the window's
-// initial content.
+// runFragKernel executes the kernel on every warp of one CTA, on its
+// PerLaneFragments copy when legacy is set; shared, when not nil, is the
+// window's initial content.
 func runFragKernel(t *testing.T, k *Kernel, legacy bool, block Dim3, args []uint64, shared []byte) fragRun {
 	t.Helper()
 	run, err := execFragKernel(k, legacy, block, args, shared, 0)
@@ -118,7 +118,9 @@ func runFragKernel(t *testing.T, k *Kernel, legacy bool, block Dim3, args []uint
 // execFragKernel is runFragKernel returning the first error, over global
 // memory whose background content salt varies.
 func execFragKernel(k *Kernel, legacy bool, block Dim3, args []uint64, shared []byte, salt byte) (fragRun, error) {
-	defer SwapLegacyFragmentPath(legacy)()
+	if legacy {
+		k = PerLaneFragments(k)
+	}
 	mem := newFragTestMem()
 	mem.salt = salt
 	env := &Env{
@@ -131,7 +133,6 @@ func execFragKernel(k *Kernel, legacy bool, block Dim3, args []uint64, shared []
 	run := fragRun{}
 	nWarps := (block.Count() + 31) / 32
 	for id := 0; id < nWarps; id++ {
-		// Fresh warps per path: the knob is sampled at construction.
 		w, err := NewWarp(k, env, id, args)
 		if err != nil {
 			return run, err
