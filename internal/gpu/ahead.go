@@ -15,11 +15,12 @@ import (
 // stream of pcs, exits, barriers, faults and access verdicts — the bank
 // passes of its shared accesses, the sectors of its global ones — is a
 // function of the warp alone: not of when it issues, nor of what other
-// warps do. runAhead therefore has a second goroutine build and step every
-// warp, CTAs in grid order, into a ring of its own; the timing loop, with
-// its one scheduler and one issue path, reads a warp's next step from the
-// ring where the serial path steps the warp, and charges the ports, L1, L2
-// and DRAM from the verdict.
+// warps do. runAhead therefore has a goroutine of its own build and step
+// every warp, CTAs in grid order, into a ring of its own; the timing loop,
+// with its one scheduler and one issue path, reads a warp's next step from
+// the ring where the serial path steps the warp, and charges the ports, L1,
+// L2 and DRAM from the verdict. It is the timing side of a full-value
+// launch too (runPipelined).
 
 // Each warp has ringChunks chunks of at most chunkSteps steps, a chunk
 // ending early once its words reach chunkWords; the registry's launches
@@ -96,14 +97,17 @@ type stream struct {
 
 	// The ahead goroutine's.
 	warp  *ptx.Warp
+	cta   *aheadCTA
 	ended bool
 }
 
 // aheadCTA is one CTA on the ahead goroutine: its Env, on discard with a
-// Clock that panics, and its warps' streams.
+// Clock that panics, its warps' register files, and their streams.
 type aheadCTA struct {
 	env     *ptx.Env
+	files   [][]uint64
 	streams []stream
+	live    int // streams not ended; the Env, files and live are the ahead goroutine's
 }
 
 // ahead is one launch whose warps step ahead.
@@ -124,7 +128,8 @@ type ahead struct {
 
 	// The ahead goroutine's.
 	started int
-	held    []*stream // the started CTAs' warps, less some that have ended
+	held    []*stream   // the started CTAs' warps, less some that have ended
+	spare   []*aheadCTA // started CTAs whose streams have all ended
 	cls     *mem.Classifier
 	split   accessSplit
 	sectors []uint64
@@ -132,7 +137,9 @@ type ahead struct {
 }
 
 // runAhead is Run for a TimingOnly launch whose warps step ahead, with a
-// second CPU to step them on. No goroutine outlives it.
+// second CPU to step them on, and the timing side of a full-value one
+// (runPipelined): its warps are TimingOnly and on discard either way. No
+// goroutine it starts outlives it.
 func (s *Simulator) runAhead(spec LaunchSpec) (*Stats, error) {
 	a := &ahead{
 		spec:   spec,
@@ -314,30 +321,48 @@ func (a *ahead) canStart() bool {
 
 // start builds the next CTA in grid order and queues it for dispatch with
 // a chunk in every warp's ring: the timing loop issues a new CTA's warps
-// at once.
+// at once. The CTA takes the Env and register files of one whose warps
+// have all ended, cleared, if there is one: the timing loop reads neither.
 func (a *ahead) start() {
 	k, perCTA := a.spec.Kernel, (a.spec.Block.Count()+31)/32
-	c := &aheadCTA{
-		env: &ptx.Env{Global: discard{}, Shared: make([]byte, k.SharedBytes),
-			GridDim: a.spec.Grid, BlockDim: a.spec.Block, CtaID: ctaIndex(a.spec.Grid, a.started),
-			TimingOnly: true, Clock: func() uint64 { panic("gpu: a warp stepped ahead read %clock") }},
-		streams: make([]stream, perCTA),
+	c := &aheadCTA{streams: make([]stream, perCTA), live: perCTA}
+	if n := len(a.spare); n > 0 {
+		c.env, c.files = a.spare[n-1].env, a.spare[n-1].files
+		a.spare = a.spare[:n-1]
+		clear(c.env.Shared)
+	} else {
+		c.env = &ptx.Env{Global: discard{}, Shared: make([]byte, k.SharedBytes),
+			GridDim: a.spec.Grid, BlockDim: a.spec.Block,
+			TimingOnly: true, Clock: func() uint64 { panic("gpu: a warp stepped ahead read %clock") }}
+		c.files = make([][]uint64, perCTA)
 	}
+	c.env.CtaID = ctaIndex(a.spec.Grid, a.started)
 	a.started++
 	a.held = slices.DeleteFunc(a.held, func(s *stream) bool { return s.ended })
 	for i := range c.streams {
-		w, err := ptx.NewWarp(k, c.env, i, a.spec.Args)
+		w, err := ptx.NewWarpOn(k, c.env, i, a.spec.Args, func(n int) []uint64 { return reuse(&c.files[i], n) })
 		if err != nil {
 			panic(err) // Run checked the arguments
 		}
 		s := &c.streams[i]
-		s.warp, s.ended = w, w.PeekD() == nil
-		if !s.ended {
+		s.warp, s.cta = w, c
+		if w.PeekD() == nil {
+			a.end(s)
+		} else {
 			a.fill(s)
 		}
 		a.held = append(a.held, s)
 	}
 	a.ready <- c // never blocks: canStart held
+}
+
+// end ends the stream s, and once it was its CTA's last, spares the CTA's
+// Env and register files for a later CTA while the timing loop catches up.
+func (a *ahead) end(s *stream) {
+	s.warp, s.ended = nil, true
+	if s.cta.live--; s.cta.live == 0 {
+		a.spare = append(a.spare, s.cta)
+	}
 }
 
 // fill steps the warp of s into its next chunk until the chunk is full or
@@ -354,9 +379,9 @@ func (a *ahead) fill(s *stream) {
 		f := uint8(0)
 		switch {
 		case err != nil:
-			s.err, f, s.ended = err, entFault, true
+			s.err, f = err, entFault
 		case res.Exited:
-			f, s.ended = entExited, true
+			f = entExited
 		case w.PC != pc+1:
 			f = entJump
 			ch.words = append(ch.words, uint64(w.PC))
@@ -382,8 +407,8 @@ func (a *ahead) fill(s *stream) {
 		}
 		ch.steps[i] = f
 		i++
-		if s.ended = s.ended || w.PeekD() == nil; s.ended {
-			s.warp = nil // free its registers while the timing loop catches up
+		if f&(entFault|entExited) != 0 || w.PeekD() == nil {
+			a.end(s)
 			break
 		}
 	}

@@ -135,14 +135,16 @@ func TestGoldenStatsRunAhead(t *testing.T) {
 	checkGolden(t, runGolden(t, func(s *LaunchSpec) { s.TimingOnly = true }))
 }
 
-// clockBranchKernel takes a branch on the parity of %clock: a warp's path
-// depends on when it issues, so it must not step ahead.
+// clockBranchKernel stores each thread's index, then takes a branch on the
+// parity of %clock: a warp's path depends on when it issues, so it must
+// not step ahead.
 func clockBranchKernel() *ptx.Kernel {
 	b := ptx.NewBuilder("clock_branch")
 	out := b.Param("out", ptx.U64)
 	c, p, a := b.Reg(), b.Reg(), b.Reg()
 	b.MulWide(a, ptx.SR(ptx.SRegTidX), ptx.Imm(4))
 	b.Add(ptx.U64, a, ptx.R(a), ptx.R(out))
+	b.St(ptx.Global, 32, ptx.R(a), []ptx.Operand{ptx.SR(ptx.SRegTidX)})
 	b.Clock(c)
 	b.And(ptx.U32, c, ptx.R(c), ptx.Imm(1))
 	b.Setp(ptx.U32, ptx.CmpEQ, p, ptx.R(c), ptx.Imm(0))
@@ -154,14 +156,17 @@ func clockBranchKernel() *ptx.Kernel {
 }
 
 // A separable kernel whose branch reads %clock runs serially on both
-// sides — stepped ahead, reading %clock panics — with equal Stats; one
-// that only stores %clock steps ahead.
+// sides, TimingOnly and at full value — stepped ahead, reading %clock
+// panics — with equal Stats and memory; one that only stores %clock steps
+// ahead.
 func TestRunAheadClockSelection(t *testing.T) {
 	k := clockBranchKernel()
 	if !k.TimingSeparable() || k.StepsAhead() {
 		t.Fatalf("clock_branch: separable %v, steps ahead %v; want true, false", k.TimingSeparable(), k.StepsAhead())
 	}
-	checkRunAheadMatchesSerial(t, "clock_branch", twoSMs(), LaunchSpec{Kernel: k, Grid: ptx.D1(6), Block: ptx.D1(80), Args: []uint64{0}})
+	spec := LaunchSpec{Kernel: k, Grid: ptx.D1(6), Block: ptx.D1(80), Args: []uint64{0}}
+	checkRunAheadMatchesSerial(t, "clock_branch", twoSMs(), spec)
+	checkPipelineMatchesSerial(t, "clock_branch/full value", twoSMs(), spec, make([]byte, 4*80))
 	if k := clockStoreKernel(); !k.StepsAhead() {
 		t.Errorf("clock_store does not step ahead: its %%clock reaches only stored data")
 	}

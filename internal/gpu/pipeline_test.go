@@ -94,18 +94,48 @@ func TestPipelineRandomKernels(t *testing.T) {
 	}
 }
 
+// pipelineSeeds are FuzzPipelineMatchesSerial's seeds beside its corpus
+// in testdata. Between them they take every branch of Run's selection.
+var pipelineSeeds = []struct {
+	seed                int64
+	nOps, threads, ctas uint8
+	edges               bool
+}{
+	{1, 20, 64, 3, false},
+	{2, 40, 48, 7, false},
+	{3, 60, 33, 5, true},
+	{19, 30, 64, 5, true}, // separable, but a branch reads %clock
+}
+
 // FuzzPipelineMatchesSerial fuzzes the random kernel's seed and length,
 // the block size (partial warps take the per-lane twins), the CTA count
 // (more CTAs than the two SMs hold recycle CTA slots) and whether
-// data→control edges are allowed (a non-separable kernel runs serially on
-// both sides, which keeps the oracle honest about the selection).
+// data→control edges are allowed. A kernel that steps ahead runs on both
+// sidecars; with edges, a kernel whose control reads %clock or a loaded
+// value runs serially on both sides, which keeps the oracle honest about
+// the selection.
 func FuzzPipelineMatchesSerial(f *testing.F) {
-	f.Add(int64(1), uint8(20), uint8(64), uint8(3), false)
-	f.Add(int64(2), uint8(40), uint8(48), uint8(7), false)
-	f.Add(int64(3), uint8(60), uint8(33), uint8(5), true)
+	for _, c := range pipelineSeeds {
+		f.Add(c.seed, c.nOps, c.threads, c.ctas, c.edges)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, nOps, threads, ctas uint8, edges bool) {
 		checkRandomPipeline(t, seed, int(nOps)%64+1, int(threads)%96+1, int(ctas)%12+1, edges)
 	})
+}
+
+// The fuzz seeds hold a kernel that steps ahead, one that is separable but
+// does not, and one that is not separable.
+func TestPipelineSeedsTakeEveryPath(t *testing.T) {
+	var ahead, clocked, serial bool
+	for _, c := range pipelineSeeds {
+		k := randomKernel(rand.New(rand.NewSource(c.seed)), int(c.nOps)%64+1, c.edges)
+		ahead = ahead || k.StepsAhead()
+		clocked = clocked || k.TimingSeparable() && !k.StepsAhead()
+		serial = serial || !k.TimingSeparable()
+	}
+	if !ahead || !clocked || !serial {
+		t.Errorf("seeds step ahead %v, separable without stepping ahead %v, not separable %v; want all true", ahead, clocked, serial)
+	}
 }
 
 // Every golden workload, on seeded memory under every policy, leaves the
@@ -144,9 +174,19 @@ func clockStoreKernel() *ptx.Kernel {
 
 // %clock on the value side reads the cycle the timing loop issued at:
 // kernels that store clocks — raw, and the clocked mma chain's deltas,
-// whose CTAs overwrite one another's slots — end byte for byte equal.
+// whose CTAs overwrite one another's slots — step ahead, their values
+// replayed beside the timing loop, and end byte for byte equal.
 func TestPipelineClockedStores(t *testing.T) {
 	const ctas, threads = 6, 80
+	l, err := kernels.ClockedMMA(kernels.TensorMixed, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []*ptx.Kernel{clockStoreKernel(), l.Kernel} {
+		if !k.StepsAhead() {
+			t.Fatalf("%s does not step ahead: it would run serially on both sides", k.Name)
+		}
+	}
 	raw := checkPipelineMatchesSerial(t, "clock_store", twoSMs(), LaunchSpec{Kernel: clockStoreKernel(),
 		Grid: ptx.D1(ctas), Block: ptx.D1(threads), Args: []uint64{0}}, make([]byte, 8*ctas*threads))
 	for i := 0; i < ctas*threads; i++ {
@@ -154,10 +194,6 @@ func TestPipelineClockedStores(t *testing.T) {
 		if c1 <= c0 {
 			t.Fatalf("thread %d: clocks %d then %d across a barrier", i, c0, c1)
 		}
-	}
-	l, err := kernels.ClockedMMA(kernels.TensorMixed, 4)
-	if err != nil {
-		t.Fatal(err)
 	}
 	mma := checkPipelineMatchesSerial(t, "clocked_mma", twoSMs(), LaunchSpec{Kernel: l.Kernel,
 		Grid: ptx.D1(ctas), Block: ptx.D1(64), Args: []uint64{0, 4096}}, make([]byte, 4096+8))
@@ -184,13 +220,19 @@ func waitGoroutines(t *testing.T, name string, base int) {
 	}
 }
 
-// A pipelined launch that faults, is canceled before or during the run,
-// or exceeds MaxCycles returns its error with no goroutine left behind.
+// A pipelined launch — its warps stepped ahead and its values replayed,
+// each on a goroutine of its own — that faults, is canceled before or
+// during the run, or exceeds MaxCycles returns the serial path's error
+// with no goroutine left behind. One that faults leaves the serial run's
+// memory: the replay drains every issue recorded before the fault.
 func TestPipelineLeavesNoGoroutine(t *testing.T) {
-	setProcs(t, 2)
-	diverge := func() *ptx.Kernel {
+	diverge := func() *ptx.Kernel { // each thread stores its index, then the warp diverges
 		b := ptx.NewBuilder("diverge")
-		p := b.Reg()
+		out := b.Param("out", ptx.U64)
+		a, p := b.Reg(), b.Reg()
+		b.MulWide(a, ptx.SR(ptx.SRegTidX), ptx.Imm(4))
+		b.Add(ptx.U64, a, ptx.R(a), ptx.R(out))
+		b.St(ptx.Global, 32, ptx.R(a), []ptx.Operand{ptx.SR(ptx.SRegTidX)})
 		b.Setp(ptx.U32, ptx.CmpLT, p, ptx.SR(ptx.SRegLaneID), ptx.Imm(7))
 		b.BraIf(p, false, "out")
 		b.Label("out")
@@ -199,6 +241,10 @@ func TestPipelineLeavesNoGoroutine(t *testing.T) {
 	}()
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
+	global := make([]byte, 256)
+	for i := range global {
+		global[i] = 0xff
+	}
 	for _, c := range []struct {
 		name string
 		spec LaunchSpec
@@ -206,7 +252,7 @@ func TestPipelineLeavesNoGoroutine(t *testing.T) {
 		want error
 		text string
 	}{
-		{name: "fault", spec: LaunchSpec{Kernel: diverge, Grid: ptx.D1(4), Block: ptx.D1(64)}, text: "divergent branch"},
+		{name: "fault", spec: LaunchSpec{Kernel: diverge, Grid: ptx.D1(4), Block: ptx.D1(64), Args: []uint64{0}}, text: "divergent branch"},
 		{name: "canceled", spec: LaunchSpec{Kernel: spinKernel(), Grid: ptx.D1(1), Block: ptx.D1(32), Ctx: canceled}, want: context.Canceled},
 		{name: "canceled-mid-run", spec: LaunchSpec{Kernel: spinKernel(), Grid: ptx.D1(2), Block: ptx.D1(64)},
 			ctx: func() (context.Context, context.CancelFunc) {
@@ -214,25 +260,42 @@ func TestPipelineLeavesNoGoroutine(t *testing.T) {
 			}, want: context.DeadlineExceeded},
 		{name: "max-cycles", spec: LaunchSpec{Kernel: spinKernel(), Grid: ptx.D1(2), Block: ptx.D1(64), MaxCycles: 100_000}, want: ErrCycleBudget},
 	} {
-		if !c.spec.Kernel.TimingSeparable() {
-			t.Fatalf("%s: kernel not separable, the launch would not pipeline", c.name)
+		if !c.spec.Kernel.StepsAhead() {
+			t.Fatalf("%s: kernel does not step ahead, the launch would not run both sidecars", c.name)
 		}
-		base := runtime.NumGoroutine()
-		if c.ctx != nil {
-			ctx, cancel := c.ctx()
-			c.spec.Ctx = ctx
-			defer cancel()
+		var texts [2]string
+		var mems [2][]byte
+		for i, procs := range []int{1, 2} {
+			setProcs(t, procs)
+			base := runtime.NumGoroutine()
+			spec := c.spec
+			if c.ctx != nil {
+				ctx, cancel := c.ctx()
+				spec.Ctx = ctx
+				defer cancel()
+			}
+			sim, err := New(twoSMs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &ptx.FlatMemory{Data: append([]byte(nil), global...)}
+			spec.Global = m
+			_, err = sim.Run(spec)
+			if err == nil || c.want != nil && !errors.Is(err, c.want) || c.text != "" && !strings.Contains(err.Error(), c.text) {
+				t.Fatalf("%s, GOMAXPROCS %d: Run = %v, want %v%s", c.name, procs, err, c.want, c.text)
+			}
+			texts[i], mems[i] = err.Error(), m.Data
+			waitGoroutines(t, fmt.Sprintf("%s, GOMAXPROCS %d", c.name, procs), base)
 		}
-		sim, err := New(twoSMs())
-		if err != nil {
-			t.Fatal(err)
+		if c.ctx == nil && texts[0] != texts[1] {
+			t.Errorf("%s: errors differ\nserial:    %s\npipelined: %s", c.name, texts[0], texts[1])
 		}
-		c.spec.Global = ptx.NewFlatMemory(64)
-		_, err = sim.Run(c.spec)
-		if err == nil || c.want != nil && !errors.Is(err, c.want) || c.text != "" && !strings.Contains(err.Error(), c.text) {
-			t.Fatalf("%s: Run = %v, want %v%s", c.name, err, c.want, c.text)
+		if string(mems[0]) != string(mems[1]) {
+			t.Errorf("%s: the pipelined launch left memory other than the serial run's", c.name)
 		}
-		waitGoroutines(t, c.name, base)
+		if c.name == "fault" && string(mems[0]) == string(global) {
+			t.Errorf("%s: no store landed before the fault: the memory check tests nothing", c.name)
+		}
 	}
 }
 
@@ -270,6 +333,9 @@ func TestPipelineCancelAfterTimingReplaysAll(t *testing.T) {
 	b.St(ptx.Global, 64, ptx.R(a), []ptx.Operand{ptx.R(gid), ptx.R(gid)})
 	b.Exit()
 	k := b.MustBuild()
+	if !k.StepsAhead() {
+		t.Fatal("store_twice does not step ahead: the launch would not run both sidecars")
+	}
 	cfg := TitanV()
 	cfg.NumSMs = 8
 	spec := LaunchSpec{Kernel: k, Grid: ptx.D1(160), Block: ptx.D1(128), Args: []uint64{0}}
@@ -313,27 +379,50 @@ type storePanics struct{ ptx.FlatMemory }
 
 func (*storePanics) Write(uint64, []byte) { panic("store refused") }
 
-// A panic on the value goroutine is re-raised on Run's, as the serial
-// path raises it, so a caller's recover still isolates it.
+// A panic on either sidecar of a pipelined launch is re-raised on Run's
+// goroutine, as the serial path raises it, so a caller's recover still
+// isolates it: the value replay's, on a memory that refuses stores, while
+// the warps step ahead — the launch records more issues than the batches
+// hold, so the timing loop waits on the replay —, and the ahead
+// goroutine's while the replay runs: a negative SharedBytes makes building
+// a CTA's shared window panic.
 func TestPipelineValuePanicReraised(t *testing.T) {
-	for _, procs := range []int{1, 2} {
-		setProcs(t, procs)
-		base := runtime.NumGoroutine()
-		sim, err := New(smallTitanV())
-		if err != nil {
-			t.Fatal(err)
+	const ctas, threads = 256, 128
+	if ctas*threads/32*10 <= batches*batchEvents { // vecadd issues 10 instructions a warp
+		t.Fatal("the launch records fewer issues than the batches hold")
+	}
+	noShared := vecAddKernel()
+	noShared.SharedBytes = -1
+	for _, c := range []struct {
+		name string
+		k    *ptx.Kernel
+		want string
+	}{
+		{"value", vecAddKernel(), "store refused"},
+		{"ahead", noShared, "runtime error: makeslice: len out of range"},
+	} {
+		if !c.k.StepsAhead() {
+			t.Fatalf("%s: kernel does not step ahead, the launch would not run both sidecars", c.name)
 		}
-		got := func() (p any) {
-			defer func() { p = recover() }()
-			_, err := sim.Run(LaunchSpec{Kernel: vecAddKernel(), Grid: ptx.D1(8), Block: ptx.D1(128),
-				Args: []uint64{0, 4096, 8192}, Global: &storePanics{*ptx.NewFlatMemory(12288)}})
-			t.Errorf("GOMAXPROCS %d: Run returned %v instead of panicking", procs, err)
-			return nil
-		}()
-		if got != "store refused" {
-			t.Errorf("GOMAXPROCS %d: recovered %v, want the memory's panic", procs, got)
+		for _, procs := range []int{1, 2} {
+			setProcs(t, procs)
+			base := runtime.NumGoroutine()
+			sim, err := New(smallTitanV())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := func() (p any) {
+				defer func() { p = recover() }()
+				_, err := sim.Run(LaunchSpec{Kernel: c.k, Grid: ptx.D1(ctas), Block: ptx.D1(threads),
+					Args: []uint64{0, 4 * ctas * threads, 8 * ctas * threads}, Global: &storePanics{*ptx.NewFlatMemory(12 * ctas * threads)}})
+				t.Errorf("%s, GOMAXPROCS %d: Run returned %v instead of panicking", c.name, procs, err)
+				return nil
+			}()
+			if fmt.Sprint(got) != c.want {
+				t.Errorf("%s, GOMAXPROCS %d: recovered %v, want %s", c.name, procs, got, c.want)
+			}
+			waitGoroutines(t, fmt.Sprintf("%s, GOMAXPROCS %d", c.name, procs), base)
 		}
-		waitGoroutines(t, fmt.Sprintf("GOMAXPROCS %d", procs), base)
 	}
 }
 
@@ -343,21 +432,37 @@ func goroutineID() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
 }
 
-// offThread is a memory that notes a write from any goroutine but the
-// launching one.
+// offThread is a memory that notes a write, and a write from any goroutine
+// but the launching one.
 type offThread struct {
 	ptx.FlatMemory
-	launcher string
-	off      bool
+	launcher   string
+	wrote, off bool
 }
 
 func (m *offThread) Write(addr uint64, data []byte) {
+	m.wrote = true
 	m.off = m.off || goroutineID() != m.launcher
 	m.FlatMemory.Write(addr, data)
 }
 
-// Only a full-value launch of a separable kernel with a second processor
-// moves its values off Run's goroutine.
+// steppedOnRun reports whether the timing loop of sim's last launch
+// classified a warp's accesses itself, as it does only for the warps it
+// steps on Run's goroutine: the ahead goroutine classifies the steps of
+// the warps stepped ahead.
+func steppedOnRun(sim *Simulator) bool {
+	for _, m := range sim.sms {
+		if cap(m.split.sharedVecs)+cap(m.split.globalVecs) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Only a launch of a kernel that steps ahead, with a second processor,
+// steps its TimingOnly warps off Run's goroutine; a full-value one moves
+// its values off it too. Every other launch — a kernel whose branch reads
+// %clock, as well as one that is not separable — takes the serial path.
 func TestPipelineSelection(t *testing.T) {
 	scatter := func() *ptx.Kernel { // a loaded index addresses the store
 		b := ptx.NewBuilder("scatter")
@@ -376,18 +481,25 @@ func TestPipelineSelection(t *testing.T) {
 	if scatter.TimingSeparable() {
 		t.Fatal("the scatter kernel is separable: its row below tests nothing")
 	}
+	vecAdd, clockBranch := vecAddKernel(), clockBranchKernel()
+	if !vecAdd.StepsAhead() || !clockBranch.TimingSeparable() || clockBranch.StepsAhead() {
+		t.Fatal("vecadd does not step ahead, or clock_branch is not separable or steps ahead: the rows below test nothing")
+	}
 	for _, c := range []struct {
 		name       string
 		kernel     *ptx.Kernel
 		args       []uint64
 		timingOnly bool
 		procs      int
-		want       bool
+		ahead      bool // TimingOnly warps stepped off Run's goroutine
+		values     bool // values written off Run's goroutine
 	}{
-		{"full value", vecAddKernel(), []uint64{0, 4096, 8192}, false, 2, true},
-		{"one processor", vecAddKernel(), []uint64{0, 4096, 8192}, false, 1, false},
-		{"timing only", vecAddKernel(), []uint64{0, 4096, 8192}, true, 2, false},
-		{"not separable", scatter, []uint64{0}, false, 2, false},
+		{"full value", vecAdd, []uint64{0, 4096, 8192}, false, 2, true, true},
+		{"one processor", vecAdd, []uint64{0, 4096, 8192}, false, 1, false, false},
+		{"timing only", vecAdd, []uint64{0, 4096, 8192}, true, 2, true, false},
+		{"timing only, one processor", vecAdd, []uint64{0, 4096, 8192}, true, 1, false, false},
+		{"not separable", scatter, []uint64{0}, false, 2, false, false},
+		{"clock branch", clockBranch, []uint64{0}, false, 2, false, false},
 	} {
 		setProcs(t, c.procs)
 		sim, err := New(smallTitanV())
@@ -399,8 +511,14 @@ func TestPipelineSelection(t *testing.T) {
 			Global: m, TimingOnly: c.timingOnly}); err != nil {
 			t.Fatal(err)
 		}
-		if m.off != c.want {
-			t.Errorf("%s: values written off Run's goroutine = %v, want %v", c.name, m.off, c.want)
+		if !c.timingOnly && !m.wrote {
+			t.Errorf("%s: the launch wrote no value: its row tests nothing", c.name)
+		}
+		if m.off != c.values {
+			t.Errorf("%s: values written off Run's goroutine = %v, want %v", c.name, m.off, c.values)
+		}
+		if ahead := !steppedOnRun(sim); ahead != c.ahead {
+			t.Errorf("%s: warps stepped off Run's goroutine = %v, want %v", c.name, ahead, c.ahead)
 		}
 	}
 }

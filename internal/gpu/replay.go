@@ -8,11 +8,11 @@ import (
 )
 
 // Values replayed (DESIGN.md "Two goroutines"). A full-value launch of a
-// timing-separable kernel needs its operand values only for what it
+// kernel that steps ahead needs its operand values only for what it
 // leaves in Global: its Stats and faults are those of a TimingOnly launch.
-// runPipelined therefore runs the TimingOnly simulation on the caller's
-// goroutine, on a Global that discards, and records every CTA dispatch and
-// every warp issue in fixed-size events; a second goroutine replays the
+// runPipelined therefore runs the TimingOnly launch with its warps stepped
+// ahead (runAhead), and its timing loop records every CTA dispatch and
+// every warp issue in fixed-size events; a third goroutine replays the
 // record on full-value warps in the same order, so every load and store
 // lands as the serial run lands it, and %clock reads the recorded cycle.
 // One goroutine still owns every SM, the L2 and DRAM.
@@ -42,13 +42,14 @@ const (
 	batches     = 4
 )
 
-// errSideStopped ends the timing loop once a launch's second goroutine has
+// errSideStopped ends the timing loop once one of a launch's sidecars has
 // stopped on an error or a panic, which Run reports instead.
-var errSideStopped = errors.New("gpu: second goroutine stopped")
+var errSideStopped = errors.New("gpu: sidecar goroutine stopped")
 
-// sidecar is the lifecycle of a launch's second goroutine, the value
-// replay's or the warps stepped ahead (ahead.go): Run starts it, waits for
-// done before returning, and re-raises its panic or returns its error.
+// sidecar is the lifecycle of a goroutine a launch runs beside the timing
+// loop, the value replay's or the warps stepped ahead (ahead.go): Run
+// starts it, waits for done before returning, and re-raises its panic or
+// returns its error. A full-value launch runs both.
 type sidecar struct {
 	quit   chan struct{} // closed: the goroutine stops at its next check
 	done   chan struct{} // closed when the goroutine returns
@@ -58,7 +59,7 @@ type sidecar struct {
 	panicked any
 }
 
-// start runs fn on the second goroutine.
+// start runs fn on the sidecar's goroutine.
 func (sc *sidecar) start(fn func() error) {
 	sc.quit, sc.done = make(chan struct{}), make(chan struct{})
 	go func() {
@@ -107,8 +108,8 @@ func (sc *sidecar) outcome(st *Stats, err error) (*Stats, error) {
 	return st, nil
 }
 
-// discard is the timing loop's Global. A TimingOnly warp of a separable
-// kernel calls it only from the per-lane wmma fallback, which
+// discard is the Global of the warps stepped ahead. A TimingOnly warp of a
+// separable kernel calls it only from the per-lane wmma fallback, which
 // bounds-checks every element it skips by reading it: zeros, which no
 // control value depends on.
 type discard struct{}
@@ -141,10 +142,11 @@ type replay struct {
 	res    ptx.Result
 }
 
-// runPipelined is Run for a full-value launch of a timing-separable kernel
-// with a second CPU to replay its values on. Stats and timing faults come
-// from the timing loop; an error or panic of the value side takes
-// precedence (sidecar.outcome). No goroutine outlives it.
+// runPipelined is Run for a full-value launch of a kernel that steps
+// ahead, with a second CPU to step its warps and replay its values on.
+// Stats and timing faults come from the timing loop; an error or panic of
+// the value side takes precedence (sidecar.outcome). No goroutine
+// outlives it.
 func (s *Simulator) runPipelined(spec LaunchSpec) (*Stats, error) {
 	r := &replay{
 		buf:    make([]event, 0, batchEvents),
@@ -162,9 +164,7 @@ func (s *Simulator) runPipelined(spec LaunchSpec) (*Stats, error) {
 		s.rec = nil
 		r.stop(false) // reached with the replay still running only on a panic
 	}()
-	timing := spec
-	timing.TimingOnly, timing.Global = true, discard{}
-	st, err := s.run(timing)
+	st, err := s.runAhead(spec)
 	// A launch the timing loop ended on its Ctx stops at once. Any other
 	// ending replays everything recorded, so Global holds what the serial
 	// run leaves at that issue, however the Ctx stands by now: a launch
@@ -280,20 +280,24 @@ func (r *replay) dispatch(slot uint32, id int) error {
 	}
 	env.CtaID = ctaIndex(r.spec.Grid, id)
 	for i := int(slot) * r.perCTA; i < int(slot+1)*r.perCTA; i++ {
-		w, err := ptx.NewWarpOn(k, env, i-int(slot)*r.perCTA, r.spec.Args, func(n int) []uint64 {
-			if len(r.files[i]) != n {
-				r.files[i] = make([]uint64, n)
-			} else {
-				clear(r.files[i])
-			}
-			return r.files[i]
-		})
+		w, err := ptx.NewWarpOn(k, env, i-int(slot)*r.perCTA, r.spec.Args, func(n int) []uint64 { return reuse(&r.files[i], n) })
 		if err != nil {
 			return err
 		}
 		r.warps[i] = w
 	}
 	return nil
+}
+
+// reuse returns *file cleared if it holds n words, else a new file of n
+// words, kept in *file.
+func reuse(file *[]uint64, n int) []uint64 {
+	if len(*file) != n {
+		*file = make([]uint64, n)
+	} else {
+		clear(*file)
+	}
+	return *file
 }
 
 // clock is the value side's %clock: the cycle the timing loop issued the

@@ -199,16 +199,14 @@ func (s *Simulator) Run(spec LaunchSpec) (*Stats, error) {
 	if err := s.resolveWmma(spec.Kernel); err != nil {
 		return nil, err
 	}
-	// The values of a separable kernel's launch change nothing the timing
-	// loop sees, so with a second CPU they are computed beside it; and
-	// where there are none to compute, the warps are stepped beside it.
-	if runtime.GOMAXPROCS(0) > 1 {
-		switch k := spec.Kernel; {
-		case !spec.TimingOnly && k.TimingSeparable():
-			return s.runPipelined(spec)
-		case spec.TimingOnly && k.StepsAhead() && len(spec.Args) == len(k.Params):
+	// With a second CPU, the warps of a kernel that steps ahead are stepped
+	// beside the timing loop, and a full-value launch's values, which
+	// change nothing the timing loop sees, are computed beside both.
+	if k := spec.Kernel; runtime.GOMAXPROCS(0) > 1 && k.StepsAhead() && len(spec.Args) == len(k.Params) {
+		if spec.TimingOnly {
 			return s.runAhead(spec)
 		}
+		return s.runPipelined(spec)
 	}
 	return s.run(spec)
 }
@@ -410,16 +408,17 @@ func (d *dispatcher) fillOne(m *sm) (bool, error) {
 	d.next++
 	d.started++
 	sim := d.sim
-	cta := &simCTA{}
+	cta := &simCTA{shared: k.SharedBytes}
+	var env *ptx.Env
 	var ahead *aheadCTA
 	if a := sim.ahead; a != nil {
 		c, err := a.take()
 		if err != nil {
 			return false, err
 		}
-		cta.env, ahead = c.env, c
+		ahead = c
 	} else {
-		cta.env = &ptx.Env{
+		env = &ptx.Env{
 			Global:     d.spec.Global,
 			Shared:     make([]byte, k.SharedBytes),
 			GridDim:    d.spec.Grid,
@@ -441,7 +440,7 @@ func (d *dispatcher) fillOne(m *sm) (bool, error) {
 		if ahead != nil {
 			sw.cur = cursor{s: &ahead.streams[wi], prog: sim.ahead.prog}
 		} else {
-			w, err := ptx.NewWarp(k, cta.env, wi, d.spec.Args)
+			w, err := ptx.NewWarp(k, env, wi, d.spec.Args)
 			if err != nil {
 				return false, err
 			}
@@ -524,7 +523,7 @@ func (m *sm) step(st *Stats) (issued bool, wake uint64, err error) {
 			continue
 		}
 		m.warps -= len(cta.warps)
-		m.shared -= len(cta.env.Shared)
+		m.shared -= cta.shared
 		if r := m.sim.rec; r != nil {
 			r.slots = append(r.slots, cta.slot)
 		}

@@ -62,7 +62,7 @@ const (
 )
 
 type simCTA struct {
-	env       *ptx.Env
+	shared    int // its shared window's bytes
 	warps     []*simWarp
 	live      int
 	atBarrier int
