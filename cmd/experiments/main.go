@@ -18,9 +18,9 @@
 // others: everything that succeeded still prints, and the command exits
 // non-zero with a failure summary at the end.
 //
-// Fault tolerance: -checkpoint journals every completed data point so an
-// interrupted sweep resumes with -resume, skipping finished points and
-// emitting byte-identical tables. SIGINT/SIGTERM drain gracefully —
+// Fault tolerance: -checkpoint journals every completed launch by its
+// content so an interrupted sweep resumes with -resume, replaying
+// finished launches and emitting byte-identical tables. SIGINT/SIGTERM drain gracefully —
 // in-flight points finish, completed tables still print, the journal
 // stays valid. -keepgoing isolates per-point failures into annotated
 // table cells; -maxcycles reaps runaway kernels.
@@ -100,8 +100,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	sched := fs.String("sched", "", "override warp scheduler for every experiment: gto | lrr | twolevel (default: per-experiment; the sched sweep ignores it)")
 	tlActive := fs.Int("tlactive", 0, "two-level scheduler active-subset size per sub-core (0 = config default; other policies ignore it)")
 	workers := fs.Int("workers", 0, "global worker-pool budget shared by all experiments' data points (0 = one per CPU, 1 = sequential)")
-	checkpoint := fs.String("checkpoint", "", "journal completed data points to this file (crash-safe, append-only)")
-	resume := fs.Bool("resume", false, "replay completed points from the -checkpoint journal instead of re-simulating them")
+	checkpoint := fs.String("checkpoint", "", "journal completed launches to this file (crash-safe, append-only)")
+	resume := fs.Bool("resume", false, "replay completed launches from the -checkpoint journal instead of re-simulating them")
 	keepGoing := fs.Bool("keepgoing", false, "a failing data point becomes an annotated table cell instead of aborting its experiment")
 	maxCycles := fs.Uint64("maxcycles", 0, "per-launch simulated-cycle budget; runaway kernels fail with a cycle-budget error (0 = generous backstop)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (hot-spot hunts: go tool pprof)")
@@ -165,12 +165,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		opt.Journal = j
 		defer func() {
-			points, replayed := j.Stats()
+			launches, replayed := j.Stats()
 			if err := j.Close(); err != nil {
 				fmt.Fprintln(stderr, "experiments: -checkpoint:", err)
 			}
-			fmt.Fprintf(stderr, "checkpoint %s: %d points journaled, %d replayed\n",
-				*checkpoint, points, replayed)
+			fmt.Fprintf(stderr, "checkpoint %s: %d launches journaled, %d replayed\n",
+				*checkpoint, launches, replayed)
 		}()
 	}
 
@@ -196,7 +196,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if ctx.Err() != nil {
 		fmt.Fprintln(stderr, "experiments: interrupted")
 		if *checkpoint != "" {
-			fmt.Fprintf(stderr, "completed points are journaled; rerun with -checkpoint %s -resume\n", *checkpoint)
+			fmt.Fprintf(stderr, "completed launches are journaled; rerun with -checkpoint %s -resume\n", *checkpoint)
 		}
 		return exitInterrupted
 	}

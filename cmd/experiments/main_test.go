@@ -149,14 +149,14 @@ func TestExitInterruptedAndResume(t *testing.T) {
 		if code != exitOK {
 			t.Fatalf("journaled run = %d, want %d (stderr %q)", code, exitOK, serr)
 		}
-		// Keep the first 3 journal lines: a run cut after its third point.
+		// Keep the first 3 journal lines: a run cut after its third launch.
 		raw, err := os.ReadFile(ckpt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lines := strings.SplitAfter(string(raw), "\n")
 		if len(lines) < 4 {
-			t.Fatalf("journal holds %d lines, want 8 points", len(lines)-1)
+			t.Fatalf("journal holds %d lines, want 8 launches", len(lines)-1)
 		}
 		if err := os.WriteFile(ckpt, []byte(strings.Join(lines[:3], "")), 0o644); err != nil {
 			t.Fatal(err)
@@ -169,8 +169,8 @@ func TestExitInterruptedAndResume(t *testing.T) {
 		if out != ref {
 			t.Fatalf("resumed stdout differs from the uninterrupted run:\n--- resumed\n%s\n--- reference\n%s", out, ref)
 		}
-		if !strings.Contains(serr, "8 points journaled, 3 replayed") {
-			t.Errorf("stderr does not report 3 of 8 points replayed: %q", serr)
+		if !strings.Contains(serr, "8 launches journaled, 3 replayed") {
+			t.Errorf("stderr does not report 3 of 8 launches replayed: %q", serr)
 		}
 	})
 }

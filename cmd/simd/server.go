@@ -109,9 +109,9 @@ func (j *job) terminal() (out []byte, errMsg string) {
 }
 
 // jobRequest is the POST /v1/jobs body: an experiment ID plus the
-// table-affecting Options knobs (the same set PointKey hashes, so the
-// request *is* its own cache address) and the run-bounding knobs that
-// never change a successful table.
+// table-affecting Options knobs (the same set ExperimentKey hashes, so
+// the request *is* its own cache address) and the run-bounding knobs
+// that never change a successful table.
 type jobRequest struct {
 	Experiment string `json:"experiment"`
 	Quick      bool   `json:"quick"`

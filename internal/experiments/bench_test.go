@@ -54,6 +54,7 @@ func BenchmarkLaunchOn(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					opt.pool = newSharedPool(0) // a fresh memo: the launch simulates
 					st, err := opt.launchOn(cfg, l, gemmElems(p.cd), gemmDims(p.n, p.n, p.k), p.ctas(cfg), false)
 					if err != nil || st.Cycles == 0 {
 						b.Fatal(st, err)

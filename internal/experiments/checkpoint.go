@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -10,58 +9,28 @@ import (
 	"io/fs"
 	"os"
 	"sync"
+
+	"repro/internal/gpu"
 )
 
 // Checkpoint/resume: an append-only, crash-safe JSONL journal of
-// completed data points. Every point is keyed by a deterministic hash
-// of (experiment ID, point index, table-affecting knobs), so a resumed
-// run replays exactly the points an interrupted run completed and
-// simulates only the remainder. Because tables are assembled in point
-// index order (the PR 1/2 contract), a resumed run's tables are
-// byte-identical to an uninterrupted run's. The same keying is the seed
-// of the content-addressed result cache the serving roadmap item needs:
-// the key is the cache address, the payload the cached value.
+// completed launches. A record is addressed by the launch key the memo
+// uses (memo.go) — kernel digest, canonical config, geometry, operand
+// sizes, CTA cap and trace flag — and holds that launch's Stats. A
+// resumed run replays every launch an interrupted run completed and
+// simulates only the rest; a launch whose kernel or config changed
+// since has another key and simulates. Because tables are assembled in
+// point index order from the same Stats, a resumed run's tables are
+// byte-identical to an uninterrupted run's.
 
-// pointKeyVersion is bumped whenever the key derivation or any payload
-// encoding changes shape, invalidating old journals wholesale instead
-// of replaying stale payloads into new table layouts.
-const pointKeyVersion = "tcgpu-point-v1"
-
-// PointKey returns the deterministic identity of one data point: a
-// 128-bit hex digest of the experiment ID, the point index and every
-// Options knob that can change the point's payload (Quick, SMs,
-// Scheduler, TwoLevelActive). Workers is excluded — tables are
-// byte-identical at any pool size — as are the fault-tolerance knobs
-// themselves (checkpointing, the watchdog and keep-going never change
-// what a *successful* point computes, and only successes are journaled).
-func PointKey(expID string, index int, opt Options) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%d\x00quick=%t sms=%d sched=%s tla=%d",
-		pointKeyVersion, expID, index, opt.Quick, opt.SMs, opt.Scheduler, opt.TwoLevelActive)
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// ExperimentKey returns the deterministic identity of one experiment's
-// whole table under the given options: the content address the serving
-// cache (internal/servecache, cmd/simd) stores rendered tables under.
-// It is the PointKey derivation applied to the reserved whole-table
-// index -1 (real data points are numbered from 0), so the two key
-// spaces can never collide and a cache entry inherits PointKey's
-// invalidation story — bumping pointKeyVersion invalidates both.
-// Like PointKey it hashes only the table-affecting knobs: the
-// fault-tolerance options (MaxCycles, KeepGoing, Journal) bound how
-// a run can fail, never what a *successful* table contains, and only
-// successes are cached.
-func ExperimentKey(expID string, opt Options) string {
-	return PointKey(expID, -1, opt)
-}
-
-// journalRecord is one JSONL line of the checkpoint file.
+// journalRecord is one JSONL line of the checkpoint file. Exp and Point
+// name the data point that first simulated the launch: provenance for a
+// reader of the file, never part of the address.
 type journalRecord struct {
-	Key     string          `json:"key"`
-	Exp     string          `json:"exp"`
-	Point   int             `json:"point"`
-	Payload json.RawMessage `json:"payload"`
+	Key   string     `json:"key"`
+	Exp   string     `json:"exp"`
+	Point int        `json:"point"`
+	Stats *gpu.Stats `json:"stats"`
 }
 
 // Journal is the crash-safe checkpoint store. Records append as single
@@ -73,8 +42,11 @@ type Journal struct {
 	mu sync.Mutex
 	//simlint:guardedby mu
 	f *os.File
+	// seen maps every key on record to its Stats when loaded for replay,
+	// and to nil when this run recorded it: the memo, not the journal,
+	// answers a run's repeats, so the journal holds no Trace it wrote.
 	//simlint:guardedby mu
-	seen map[string]json.RawMessage
+	seen map[string]*gpu.Stats
 	//simlint:guardedby mu
 	replayed int
 }
@@ -103,7 +75,7 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("experiments: checkpoint %s: %w", path, err)
 	}
-	seen := make(map[string]json.RawMessage)
+	seen := make(map[string]*gpu.Stats)
 	if resume {
 		data, err := os.ReadFile(path)
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -111,16 +83,13 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 			return nil, fmt.Errorf("experiments: resume checkpoint %s: %w", path, err)
 		}
 		for _, line := range bytes.Split(data, []byte("\n")) {
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
 			var rec journalRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				// A torn trailing line is the expected crash artifact;
-				// it is simply not replayed (the point re-simulates).
-				continue
+			// A torn trailing line is the expected crash artifact, and a
+			// record without Stats one of an older journal format: neither
+			// replays (the launch re-simulates).
+			if json.Unmarshal(line, &rec) == nil && rec.Stats != nil {
+				seen[rec.Key] = rec.Stats
 			}
-			seen[rec.Key] = rec.Payload
 		}
 	} else if err := f.Truncate(0); err != nil {
 		f.Close()
@@ -147,33 +116,38 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 	return j, nil
 }
 
-// Lookup returns the journaled payload for key, if any.
-func (j *Journal) Lookup(key string) (json.RawMessage, bool) {
+// lookup returns the journaled Stats of the launch addressed by key (a
+// launchKey), if any. A nil journal holds nothing. The Stats is shared
+// and read-only, like a memo hit's.
+func (j *Journal) lookup(key string) (*gpu.Stats, bool) {
+	if j == nil {
+		return nil, false
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	raw, ok := j.seen[key]
-	if ok {
+	st := j.seen[hex.EncodeToString([]byte(key))]
+	if st != nil {
 		j.replayed++
 	}
-	return raw, ok
+	return st, st != nil
 }
 
-// Record journals one completed point. Duplicate keys (a replayed point
-// re-recorded, or two options signatures colliding on the same work)
-// are ignored, keeping the file append-only and replay idempotent.
-func (j *Journal) Record(key, exp string, point int, payload any) error {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("experiments: checkpoint %s point %d: %w", exp, point, err)
+// record journals one completed launch, with the data point that ran it
+// as provenance. Duplicate keys are ignored, keeping the file
+// append-only and replay idempotent. A nil journal records nothing.
+func (j *Journal) record(key, exp string, point int, st *gpu.Stats) error {
+	if j == nil {
+		return nil
 	}
-	line, err := json.Marshal(journalRecord{Key: key, Exp: exp, Point: point, Payload: raw})
+	hexKey := hex.EncodeToString([]byte(key))
+	line, err := json.Marshal(journalRecord{Key: hexKey, Exp: exp, Point: point, Stats: st})
 	if err != nil {
 		return fmt.Errorf("experiments: checkpoint %s point %d: %w", exp, point, err)
 	}
 	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, dup := j.seen[key]; dup {
+	if _, dup := j.seen[hexKey]; dup {
 		return nil
 	}
 	if j.f != nil {
@@ -181,13 +155,13 @@ func (j *Journal) Record(key, exp string, point int, payload any) error {
 			return fmt.Errorf("experiments: checkpoint write: %w", err)
 		}
 	}
-	j.seen[key] = raw
+	j.seen[hexKey] = nil
 	return nil
 }
 
-// Stats reports the journal's totals: completed points on record and
+// Stats reports the journal's totals: completed launches on record and
 // how many of them this run replayed instead of simulating.
-func (j *Journal) Stats() (points, replayed int) {
+func (j *Journal) Stats() (launches, replayed int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.seen), j.replayed

@@ -1,41 +1,20 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-)
 
-// PointKey must separate every identity axis that changes a point's
-// payload, and nothing else: Workers and the fault-tolerance knobs must
-// not perturb it, or a resumed run would re-simulate everything.
-func TestPointKeyIdentity(t *testing.T) {
-	base := Options{Quick: true}
-	k := PointKey("fig12c", 3, base)
-	distinct := map[string]string{
-		"experiment": PointKey("fig14a", 3, base),
-		"index":      PointKey("fig12c", 4, base),
-		"quick":      PointKey("fig12c", 3, Options{}),
-		"sms":        PointKey("fig12c", 3, Options{Quick: true, SMs: 8}),
-		"sched":      PointKey("fig12c", 3, Options{Quick: true, Scheduler: "lrr"}),
-		"tlactive":   PointKey("fig12c", 3, Options{Quick: true, TwoLevelActive: 4}),
-	}
-	for axis, other := range distinct {
-		if other == k {
-			t.Errorf("PointKey ignores the %s axis", axis)
-		}
-	}
-	same := base
-	same.Workers = 7
-	same.KeepGoing = true
-	same.MaxCycles = 1 << 20
-	if PointKey("fig12c", 3, same) != k {
-		t.Error("PointKey depends on Workers or fault-tolerance knobs; resume would re-simulate everything")
-	}
-}
+	"repro/internal/gpu"
+	"repro/internal/kernels"
+	"repro/internal/keytest"
+)
 
 func TestJournalRecordAndResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt")
@@ -43,19 +22,19 @@ func TestJournalRecordAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type payload struct{ V float64 }
-	if err := j.Record("k1", "fig12c", 0, payload{1.5}); err != nil {
+	first := &gpu.Stats{Cycles: 15, L1HitRate: 0.1, Trace: &gpu.Trace{WmmaMMA: []float64{70, 71.5}}}
+	if err := j.record("k1", "fig12c", 0, first); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record("k2", "fig12c", 1, payload{2.5}); err != nil {
+	if err := j.record("k2", "fig12c", 1, &gpu.Stats{Cycles: 25}); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate keys are idempotent.
-	if err := j.Record("k1", "fig12c", 0, payload{9}); err != nil {
+	if err := j.record("k1", "fig12c", 0, &gpu.Stats{Cycles: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if points, _ := j.Stats(); points != 2 {
-		t.Fatalf("Stats points = %d, want 2", points)
+	if launches, _ := j.Stats(); launches != 2 {
+		t.Fatalf("Stats launches = %d, want 2", launches)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -69,15 +48,15 @@ func TestJournalRecordAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	raw, ok := j2.Lookup("k1")
-	if !ok || string(raw) != `{"V":1.5}` {
-		t.Fatalf("Lookup(k1) = %q, %v; want the first payload", raw, ok)
+	st, ok := j2.lookup("k1")
+	if !ok || !reflect.DeepEqual(st, first) {
+		t.Fatalf("lookup(k1) = %+v, %v; want the first Stats", st, ok)
 	}
-	if _, ok := j2.Lookup("k3"); ok {
-		t.Fatal("Lookup(k3) found a record that was never journaled")
+	if _, ok := j2.lookup("k3"); ok {
+		t.Fatal("lookup(k3) found a record that was never journaled")
 	}
-	if points, replayed := j2.Stats(); points != 2 || replayed != 1 {
-		t.Fatalf("Stats = (%d, %d), want (2, 1)", points, replayed)
+	if launches, replayed := j2.Stats(); launches != 2 || replayed != 1 {
+		t.Fatalf("Stats = (%d, %d), want (2, 1)", launches, replayed)
 	}
 }
 
@@ -88,7 +67,7 @@ func TestJournalTruncatesWithoutResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record("k1", "e", 0, 1); err != nil {
+	if err := j.record("k1", "e", 0, &gpu.Stats{Cycles: 1}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -97,7 +76,7 @@ func TestJournalTruncatesWithoutResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if _, ok := j2.Lookup("k1"); ok {
+	if _, ok := j2.lookup("k1"); ok {
 		t.Fatal("truncating open replayed an old record")
 	}
 }
@@ -111,7 +90,7 @@ func TestJournalTornTrailingLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record("k1", "e", 0, 1); err != nil {
+	if err := j.record("k1", "e", 0, &gpu.Stats{Cycles: 1}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -128,13 +107,13 @@ func TestJournalTornTrailingLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := j2.Lookup("k1"); !ok {
+	if _, ok := j2.lookup("k1"); !ok {
 		t.Fatal("intact record lost behind a torn line")
 	}
-	if _, ok := j2.Lookup("k2"); ok {
+	if _, ok := j2.lookup("k2"); ok {
 		t.Fatal("torn record replayed")
 	}
-	if err := j2.Record("k3", "e", 2, 3); err != nil {
+	if err := j2.record("k3", "e", 2, &gpu.Stats{Cycles: 3}); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -145,7 +124,7 @@ func TestJournalTornTrailingLine(t *testing.T) {
 	}
 	defer j3.Close()
 	for _, k := range []string{"k1", "k3"} {
-		if _, ok := j3.Lookup(k); !ok {
+		if _, ok := j3.lookup(k); !ok {
 			t.Errorf("record %s lost after appending past a torn line", k)
 		}
 	}
@@ -167,10 +146,10 @@ func TestJournalConcurrentRecord(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				key := fmt.Sprintf("k%d-%d", w, i)
-				if err := j.Record(key, "e", i, i); err != nil {
-					t.Errorf("Record(%s): %v", key, err)
+				if err := j.record(key, "e", i, &gpu.Stats{Cycles: uint64(i)}); err != nil {
+					t.Errorf("record(%s): %v", key, err)
 				}
-				j.Lookup(key)
+				j.lookup(key)
 			}
 		}(w)
 	}
@@ -183,8 +162,8 @@ func TestJournalConcurrentRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if points, _ := j2.Stats(); points != workers*per {
-		t.Fatalf("resume found %d records, want %d", points, workers*per)
+	if launches, _ := j2.Stats(); launches != workers*per {
+		t.Fatalf("resume found %d records, want %d", launches, workers*per)
 	}
 }
 
@@ -197,7 +176,7 @@ func TestJournalLockExcludesSecondOpener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Record("k1", "e", 0, 1); err != nil {
+	if err := j.record("k1", "e", 0, &gpu.Stats{Cycles: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, resume := range []bool{false, true} {
@@ -216,32 +195,143 @@ func TestJournalLockExcludesSecondOpener(t *testing.T) {
 		t.Fatalf("reopen after Close: %v", err)
 	}
 	defer j2.Close()
-	if _, ok := j2.Lookup("k1"); !ok {
+	if _, ok := j2.lookup("k1"); !ok {
 		t.Fatal("record lost across a rejected second opener")
 	}
 }
 
-// ExperimentKey is the whole-table content address: it must share
-// PointKey's knob sensitivity (the serving cache serves stale bytes
-// otherwise) while never colliding with any real point's key.
+// A checkpoint cannot outlive its kernel: when a resumed experiment's
+// point launches another kernel than the interrupted run's, the old
+// launch's Stats is not replayed — the new launch simulates.
+func TestResumeSimulatesChangedKernel(t *testing.T) {
+	cfg, k := memoLaunch(t)
+	k2, err := kernels.MMALoop(kernels.TensorMixed, 1, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ckpt")
+	point := func(l *kernels.Launch, j *Journal) *gpu.Stats {
+		vals, _, err := runPoints(Options{Workers: 1, Journal: j}, "stale", 1, func(opt Options, _ int) (*gpu.Stats, error) {
+			return opt.memoLaunchOn(cfg, l)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals[0]
+	}
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := point(k, j)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := point(k2, nil)
+	if old.Cycles == want.Cycles {
+		t.Fatalf("both kernels take %d cycles; the test cannot tell their Stats apart", old.Cycles)
+	}
+
+	j2, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if got := point(k2, j2); *got != *want {
+		t.Errorf("resumed point with a changed kernel = %+v, want the new kernel's %+v", *got, *want)
+	}
+	if _, replayed := j2.Stats(); replayed != 0 {
+		t.Errorf("replayed %d launches of a kernel the resumed run never launched", replayed)
+	}
+}
+
+// The whole quick registry journals and resumes: the resumed tables are
+// byte-identical, every journaled launch is replayed, and the resume
+// simulates nothing.
+func TestResumeWholeRegistry(t *testing.T) {
+	var exps []Experiment
+	for _, e := range All() {
+		if testing.Short() && e.ID == "fig17" {
+			continue // as in TestAllExperimentsQuick
+		}
+		exps = append(exps, e)
+	}
+	path := filepath.Join(t.TempDir(), "ckpt")
+	run := func(resume bool) (out string, sims int64, launches, replayed int) {
+		j, err := OpenJournal(path, resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n atomic.Int64
+		opt := Options{Quick: true, Journal: j, launchMod: func(*gpu.LaunchSpec) { n.Add(1) }}
+		var b strings.Builder
+		results := RunAll(exps, opt, func(r Result) {
+			if r.Table != nil {
+				b.WriteString(r.Table.String())
+			}
+		})
+		if err := Errs(results); err != nil {
+			t.Fatal(err)
+		}
+		launches, replayed = j.Stats()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return b.String(), n.Load(), launches, replayed
+	}
+	ref, sims, journaled, _ := run(false)
+	if sims == 0 || int64(journaled) != sims {
+		t.Fatalf("the journaled run simulated %d launches and journaled %d; want every one journaled", sims, journaled)
+	}
+	got, sims, launches, replayed := run(true)
+	if got != ref {
+		t.Error("resumed registry tables differ from the journaled run's")
+	}
+	if sims != 0 || launches != journaled || replayed != journaled {
+		t.Errorf("resume simulated %d launches and replayed %d of %d (journal now holds %d); want 0 and all",
+			sims, replayed, journaled, launches)
+	}
+}
+
+// A journal of the older point-keyed format (or any record without
+// Stats) loads as empty: it replays nothing and raises no error.
+func TestJournalOldFormatReplaysNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt")
+	old := `{"key":"0123456789abcdef0123456789abcdef","exp":"fig12c","point":0,"payload":123}` + "\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if launches, replayed := j.Stats(); launches != 0 || replayed != 0 {
+		t.Errorf("old-format journal loads as (%d, %d), want (0, 0)", launches, replayed)
+	}
+}
+
+// ExperimentKey is the whole-table content address: every exported
+// Options field must move it — the serving cache serves stale bytes
+// otherwise — unless it is on the list of fields that never change what
+// a successful table contains.
 func TestExperimentKeyIdentity(t *testing.T) {
-	base := Options{Quick: true}
-	k := ExperimentKey("fig12c", base)
-	if k == ExperimentKey("fig14a", base) {
+	exempt := map[string]bool{"Workers": true, "Ctx": true, "MaxCycles": true, "KeepGoing": true, "Journal": true}
+	opt := Options{Quick: true, Ctx: context.Background()}
+	base := ExperimentKey("fig12c", opt)
+	if base == ExperimentKey("fig14a", opt) {
 		t.Error("ExperimentKey ignores the experiment ID")
 	}
-	if k == ExperimentKey("fig12c", Options{}) {
-		t.Error("ExperimentKey ignores Quick")
-	}
-	if k == ExperimentKey("fig12c", Options{Quick: true, SMs: 16}) {
-		t.Error("ExperimentKey ignores SMs")
-	}
-	if k != ExperimentKey("fig12c", Options{Quick: true, Workers: 7, MaxCycles: 99, KeepGoing: true}) {
-		t.Error("ExperimentKey is perturbed by non-table-affecting knobs")
-	}
-	for i := 0; i < 64; i++ {
-		if k == PointKey("fig12c", i, base) {
-			t.Fatalf("ExperimentKey collides with PointKey index %d", i)
+	visited := map[string]bool{}
+	keytest.EachField(&opt, func(path string) {
+		visited[path] = true
+		if moved := ExperimentKey("fig12c", opt) != base; moved == exempt[path] {
+			t.Errorf("changing %s: key moved = %t, want %t", path, moved, !exempt[path])
+		}
+	})
+	for name := range exempt {
+		if !visited[name] {
+			t.Errorf("exception %s is no Options field", name)
 		}
 	}
 }

@@ -39,7 +39,7 @@ type Options struct {
 	TwoLevelActive int
 	// Workers bounds the worker pool that fans an experiment's
 	// independent data points across CPUs: 0 uses one worker per CPU,
-	// 1 forces a sequential run. Parallel runs produce byte-identical
+	// 1 runs one point at a time. Parallel runs produce byte-identical
 	// tables to sequential ones — each point simulates on its own
 	// Simulator and results are assembled in point order. Under RunAll
 	// the same value is the global budget shared by every experiment.
@@ -48,7 +48,7 @@ type Options struct {
 	// Ctx, when non-nil, cancels the run: the pool stops handing out
 	// data points and in-flight simulations abort at their next
 	// cancellation poll, so a SIGINT drains gracefully — completed
-	// tables still stream and journaled points survive for -resume.
+	// tables still stream and journaled launches survive for -resume.
 	Ctx context.Context
 	// MaxCycles is the per-simulation cycle-budget watchdog (0 = off,
 	// i.e. the simulator's 4e9 backstop): a malformed infinite-loop
@@ -60,8 +60,8 @@ type Options struct {
 	// experiment's PointFailures error, instead of discarding the
 	// experiment's remaining points.
 	KeepGoing bool
-	// Journal, when non-nil, checkpoints every completed data point and
-	// replays journaled points instead of re-simulating them (see
+	// Journal, when non-nil, checkpoints every completed launch and
+	// replays journaled launches instead of re-simulating them (see
 	// checkpoint.go).
 	Journal *Journal
 
@@ -73,10 +73,15 @@ type Options struct {
 	// isolation before the point computes, and a non-nil error fails the
 	// point: the tests' seam for panicking, hanging or killing a point.
 	pointHook func(expID string, i int) error
-	// pool, when set by RunAll, routes every data point of every
-	// experiment through one shared cross-experiment worker pool so the
-	// Workers budget is global rather than per experiment.
+	// pool, when set by RunAll or a Pool, routes every data point of
+	// every experiment through one shared cross-experiment worker pool so
+	// the Workers budget is global rather than per experiment; forEach
+	// sets a transient one when the caller has none.
 	pool *sharedPool
+	// exp and point, set by runPoints, name the data point a launch
+	// belongs to: the provenance of its journal record.
+	exp   string
+	point int
 }
 
 // ctx resolves the cancellation context (Background when unset).
@@ -283,10 +288,13 @@ func (o Options) titanV(sms int) (gpu.Config, error) {
 // optional CTA sampling / tracing. The receiver threads the run's
 // cancellation context and cycle-budget watchdog into the simulation,
 // so every experiment's per-point launch is interruptible and bounded.
+// It must carry the pool its point runs on (forEach sets it).
 //
-// Under a shared pool the launch goes through the pool's memo (memo.go):
-// identical launches — across data points, experiments and, on a serving
-// Pool, requests — simulate once. The returned Stats may therefore be
+// The launch goes through the pool's memo (memo.go): identical launches
+// — across data points, experiments and, on a serving Pool, requests —
+// simulate once. The memo's leader consults the run's journal first, so
+// a launch an interrupted run completed replays instead of simulating,
+// and journals what it simulates. The returned Stats may therefore be
 // shared with other callers and is read-only, Trace included.
 func (o Options) launchOn(cfg gpu.Config, l *kernels.Launch, elems []wmma.Precision, dims [][2]int,
 	maxCTAs int, trace bool) (*gpu.Stats, error) {
@@ -294,25 +302,32 @@ func (o Options) launchOn(cfg gpu.Config, l *kernels.Launch, elems []wmma.Precis
 	for i := range elems {
 		argBytes[i] = dims[i][0] * dims[i][1] * bytesOf(elems[i])
 	}
-	run := func() (*gpu.Stats, error) { return o.simulate(cfg, l, argBytes, maxCTAs, trace) }
-	if o.pool == nil {
-		return run()
-	}
+	sim := func() (*gpu.Stats, error) { return o.simulate(cfg, l, argBytes, maxCTAs, trace) }
 	key, ok := launchKey(cfg, l, argBytes, maxCTAs, trace)
 	if !ok {
-		return run()
+		return sim()
 	}
-	st, err := o.pool.memo.do(o.ctx(), key, run)
+	st, err := o.pool.memo.do(o.ctx(), key, func() (*gpu.Stats, error) {
+		if st, ok := o.Journal.lookup(key); ok {
+			return st, nil
+		}
+		st, err := sim()
+		if err != nil {
+			return nil, err
+		}
+		return st, o.Journal.record(key, o.exp, o.point, st)
+	})
 	if err == nil && st.Cycles > gpu.CycleBudget(o.MaxCycles) {
-		// Another caller's larger budget produced this result; ours would
-		// have reaped the run. Let the simulator say so itself.
-		return run()
+		// Another caller's larger budget, or an earlier run's, produced
+		// this result; ours would have reaped the run. Let the simulator
+		// say so itself.
+		return sim()
 	}
 	return st, err
 }
 
-// simulate is launchOn's one simulation path, memoized or not. Tables
-// read Stats and never an operand value, so the launch is TimingOnly.
+// simulate is launchOn's one simulation path. Tables read Stats and
+// never an operand value, so the launch is TimingOnly.
 func (o Options) simulate(cfg gpu.Config, l *kernels.Launch, argBytes []int, maxCTAs int, trace bool) (*gpu.Stats, error) {
 	sim, err := gpu.New(cfg)
 	if err != nil {

@@ -70,8 +70,8 @@ func runHang(o Options) error {
 }
 
 // A panicking data point must surface as that point's error — never a
-// process crash — on the sequential path and on private pool workers
-// alike (the shared-pool path is covered by TestWatchdogSharedPool and
+// process crash — on a bare Run's transient pool of one worker and of
+// four (RunAll's pool is covered by TestWatchdogSharedPool and
 // runall_test.go).
 func TestPanicPointSurfacesAsError(t *testing.T) {
 	e, err := ByID("fig12c")

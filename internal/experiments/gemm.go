@@ -14,9 +14,8 @@ import (
 // GEMM-scale experiments: Section V's evaluation (Figures 14–17).
 //
 // Every point loop routes through runPoints (points.go), so the whole
-// section inherits checkpoint/resume and keep-going failure isolation.
-// Point payload types carry exported
-// fields only: they are journaled as JSON and must replay byte-exactly.
+// section inherits keep-going failure isolation, and every launch goes
+// through launchOn's memo and checkpoint journal.
 
 // gemmDims returns the operand allocation dims for an m×n×k GEMM launch
 // with args (a, b, c, d).
@@ -53,7 +52,7 @@ func Fig14a(opt Options) (*Table, error) {
 		Cycles uint64
 		HW     float64
 	}
-	pts, perr, err := runPoints(opt, "fig14a", len(sizes), func(i int) (point, error) {
+	pts, perr, err := runPoints(opt, "fig14a", len(sizes), func(opt Options, i int) (point, error) {
 		n := sizes[i]
 		l, err := kernels.WMMAGemmShared(kernels.TensorMixed, n, n, n)
 		if err != nil {
@@ -152,7 +151,7 @@ func Fig14b(opt Options) (*Table, error) {
 	t := &Table{ID: "fig14b", Title: "CUTLASS GEMM IPC: simulator vs hardware proxy",
 		Columns: []string{"config", "hw_ipc", "sim_ipc"}}
 	type ipcPoint struct{ HW, Sim float64 }
-	res, perr, err := runPoints(opt, "fig14b", len(pts), func(i int) (ipcPoint, error) {
+	res, perr, err := runPoints(opt, "fig14b", len(pts), func(opt Options, i int) (ipcPoint, error) {
 		hw, sim, err := cutlassPoint(opt, cfg, proxy, pts[i].c, 0)
 		if err != nil {
 			return ipcPoint{}, err
@@ -203,7 +202,7 @@ func Fig14c(opt Options) (*Table, error) {
 	t := &Table{ID: "fig14c", Title: "CUTLASS GEMM IPC vs matrix size",
 		Columns: []string{"size", "hw_ipc", "sim_ipc", "sim/hw"}}
 	type ipcPoint struct{ HW, Sim float64 }
-	res, perr, err := runPoints(opt, "fig14c", len(sizes), func(i int) (ipcPoint, error) {
+	res, perr, err := runPoints(opt, "fig14c", len(sizes), func(opt Options, i int) (ipcPoint, error) {
 		n := sizes[i]
 		cap := maxCTAs
 		if n >= 1024 {
@@ -230,8 +229,7 @@ func Fig14c(opt Options) (*Table, error) {
 	return t, pointFailures(t, "fig14c", perr)
 }
 
-// fig15Row is one op's latency summary — the journaled payload, derived
-// from the (large) trace inside the point so the checkpoint stays small.
+// fig15Row is one op's latency summary, derived from the launch's trace.
 type fig15Row struct {
 	Count              int
 	Min, Med, P95, Max float64
@@ -262,9 +260,9 @@ func Fig15(opt Options) (*Table, error) {
 	}
 	maxCTAs := cfg.NumSMs * 8
 	// A single simulation, but still routed through runPoints so RunAll's
-	// shared pool budget, the checkpoint journal and keep-going all cover
-	// it like every other data point.
-	rows, perr, err := runPoints(opt, "fig15", 1, func(int) ([3]fig15Row, error) {
+	// shared pool budget and keep-going cover it like every other data
+	// point.
+	rows, perr, err := runPoints(opt, "fig15", 1, func(opt Options, _ int) ([3]fig15Row, error) {
 		st, err := opt.launchOn(cfg, l, gemmElems(wmma.F32), gemmDims(n, n, n), maxCTAs, true)
 		if err != nil {
 			return [3]fig15Row{}, err
@@ -312,7 +310,7 @@ func Fig16(opt Options) (*Table, error) {
 	}
 	t := &Table{ID: "fig16", Title: "Median wmma latency vs matrix size (shared vs global operands)",
 		Columns: []string{"size", "load(sh)", "load(gl)", "mma(sh)", "mma(gl)", "store(sh)", "store(gl)"}}
-	rows, perr, err := runPoints(opt, "fig16", len(sizes), func(i int) ([6]float64, error) {
+	rows, perr, err := runPoints(opt, "fig16", len(sizes), func(opt Options, i int) ([6]float64, error) {
 		n := sizes[i]
 		maxCTAs := cfg.NumSMs * 8
 		shared, err := cutlass.Build(cutlass.GemmConfig{
@@ -414,7 +412,7 @@ func Fig17(opt Options) (*Table, error) {
 	// microbenchmark — every cell is an independent launch on its own
 	// simulator, so the whole grid fans out across the worker pool.
 	nCells := len(sizes) * len(series)
-	cells, perr, err := runPoints(opt, "fig17", nCells+1, func(i int) (float64, error) {
+	cells, perr, err := runPoints(opt, "fig17", nCells+1, func(opt Options, i int) (float64, error) {
 		if i == nCells {
 			return fig17MaxPerf(cfg, scale, opt)
 		}

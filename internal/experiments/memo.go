@@ -19,8 +19,9 @@ import (
 // cap and trace flag (launchOn zero-fills the operands, so nothing else
 // feeds the result). Options.launchOn addresses each launch by that
 // content and consults the memo its pool owns: RunAll's for one call,
-// a serving Pool's for the server's life. A bare Experiment.Run has no
-// pool and so no memo.
+// a serving Pool's for the server's life, the transient pool's for a
+// bare Experiment.Run. The same key, hex-encoded, addresses the launch
+// in a checkpoint journal (checkpoint.go).
 
 // launchMemoBytes is the memo's byte budget, Trace slices included.
 const launchMemoBytes = 64 << 20
@@ -163,7 +164,7 @@ func (m *launchMemo) stats() LaunchStats {
 // the kernel digest, the canonical config, the launch geometry, the
 // operand byte sizes (which fix the argument addresses), the CTA
 // sampling cap and the trace flag. ok is false for a hand-assembled
-// kernel, which has no digest and is never memoized.
+// kernel, which has no digest and is never memoized or journaled.
 func launchKey(cfg gpu.Config, l *kernels.Launch, argBytes []int, maxCTAs int, trace bool) (key string, ok bool) {
 	digest := l.Kernel.Digest()
 	if digest == "" {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -95,7 +96,8 @@ func TestLaunchKeyParts(t *testing.T) {
 }
 
 // N goroutines launching one key through a pool simulate exactly once
-// and share the result; a bare Options (no pool) never touches a memo.
+// and share the result; a launch on another pool never touches this
+// pool's memo.
 func TestMemoSingleFlight(t *testing.T) {
 	cfg, l := memoLaunch(t)
 	p := NewPool(4)
@@ -126,15 +128,17 @@ func TestMemoSingleFlight(t *testing.T) {
 		}
 	}
 
-	bare, err := Options{}.memoLaunchOn(cfg, l)
+	q := NewPool(1)
+	defer q.Close()
+	other, err := Options{pool: q.p}.memoLaunchOn(cfg, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare == got[0] || *bare != *got[0] {
-		t.Errorf("a pool-less launch = %+v (shared: %t), want a fresh equal result", *bare, bare == got[0])
+	if other == got[0] || *other != *got[0] {
+		t.Errorf("a launch on another pool = %+v (shared: %t), want a fresh equal result", *other, other == got[0])
 	}
 	if after := p.LaunchStats(); after != ls {
-		t.Errorf("a pool-less launch moved the pool's counters: %+v → %+v", ls, after)
+		t.Errorf("a launch on another pool moved this pool's counters: %+v → %+v", ls, after)
 	}
 }
 
@@ -272,6 +276,51 @@ func TestMemoHonoursMaxCycles(t *testing.T) {
 	}
 	if ls := q.LaunchStats(); ls.Entries != 1 || ls.Hits != 0 {
 		t.Errorf("counters after a reaped leader = %+v, want 1 entry and no hits", ls)
+	}
+}
+
+// The journal twin of TestMemoHonoursMaxCycles: a replayed Stats over
+// the caller's cycle budget is simulated, and fails, instead of being
+// returned; one within the budget replays without simulating.
+func TestJournalHonoursMaxCycles(t *testing.T) {
+	cfg, l := memoLaunch(t)
+	path := filepath.Join(t.TempDir(), "ckpt")
+	var sims atomic.Int64
+	launch := func(j *Journal, maxCycles uint64) (*gpu.Stats, error) {
+		p := NewPool(1)
+		defer p.Close()
+		return Options{pool: p.p, Journal: j, MaxCycles: maxCycles,
+			launchMod: func(*gpu.LaunchSpec) { sims.Add(1) }}.memoLaunchOn(cfg, l)
+	}
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := launch(j, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	sims.Store(0)
+	if got, err := launch(j2, st.Cycles-1); !errors.Is(err, gpu.ErrCycleBudget) || sims.Load() != 1 {
+		t.Errorf("replay under MaxCycles %d (journaled run took %d) = %v, %v after %d simulations; want ErrCycleBudget from one",
+			st.Cycles-1, st.Cycles, got, err, sims.Load())
+	}
+	sims.Store(0)
+	if got, err := launch(j2, st.Cycles); err != nil || *got != *st || sims.Load() != 0 {
+		t.Errorf("replay under an exactly sufficient budget = %v, %v after %d simulations; want the journaled result and none",
+			got, err, sims.Load())
+	}
+	if _, replayed := j2.Stats(); replayed != 2 {
+		t.Errorf("replayed %d launches, want both lookups answered by the journal", replayed)
 	}
 }
 

@@ -259,7 +259,7 @@ func Fig12c(opt Options) (*Table, error) {
 		return nil, err
 	}
 	cfg.NumSMs = 1
-	cycles, perr, err := runPoints(opt, "fig12c", 8, func(i int) (uint64, error) {
+	cycles, perr, err := runPoints(opt, "fig12c", 8, func(opt Options, i int) (uint64, error) {
 		warps := i + 1
 		l, err := kernels.MMALoop(kernels.TensorMixed, warps, iters, 2)
 		if err != nil {

@@ -11,7 +11,7 @@ func TestForEachCoverage(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		n := 53
 		var visits [53]atomic.Int32
-		err := forEach(Options{Workers: workers}, n, func(i int) error {
+		err := forEach(Options{Workers: workers}, n, func(_ Options, i int) error {
 			visits[i].Add(1)
 			return nil
 		})
@@ -30,7 +30,7 @@ func TestForEachCoverage(t *testing.T) {
 func TestForEachError(t *testing.T) {
 	boom3 := errors.New("boom 3")
 	boom7 := errors.New("boom 7")
-	err := forEach(Options{Workers: 4}, 10, func(i int) error {
+	err := forEach(Options{Workers: 4}, 10, func(_ Options, i int) error {
 		switch i {
 		case 3:
 			return boom3
@@ -47,12 +47,13 @@ func TestForEachError(t *testing.T) {
 	if err != boom3 && err != boom7 {
 		t.Fatalf("unexpected error %v", err)
 	}
-	if err := forEach(Options{Workers: 1}, 10, func(i int) error {
+	// fn runs on a pool worker, off the test goroutine: no t.Fatalf.
+	if err := forEach(Options{Workers: 1}, 10, func(_ Options, i int) error {
 		if i == 3 {
 			return boom3
 		}
 		if i > 3 {
-			t.Fatalf("sequential run continued past the error (i=%d)", i)
+			t.Errorf("sequential run continued past the error (i=%d)", i)
 		}
 		return nil
 	}); err != boom3 {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -10,11 +9,12 @@ import (
 // The fault-tolerant data-point engine. runPoints wraps forEach with
 // the per-point concerns the plain index loop cannot express:
 //
-//   - checkpoint replay/record against the Options.Journal (points.go
-//     never re-simulates a journaled point; see checkpoint.go)
 //   - per-point panic isolation and, under Options.KeepGoing, failure
 //     isolation: a failing point becomes an annotated table cell
 //     instead of discarding the experiment's remaining points
+//   - the point's identity on the Options its compute receives, the
+//     provenance a checkpoint record carries (checkpoint/resume itself
+//     happens per launch, in launchOn)
 //
 // The simulator is deterministic, so a failed point fails the same way
 // on every attempt: there is no retry.
@@ -26,8 +26,7 @@ import (
 // Options.KeepGoing preserves the rest of the table.
 const errMark = "ERR!"
 
-// PointError is one data point's failure, carrying the identity the
-// checkpoint journal keys on.
+// PointError is one data point's failure, carrying its identity.
 type PointError struct {
 	Exp   string
 	Index int
@@ -66,35 +65,27 @@ func AsPointFailures(err error) (*PointFailures, bool) {
 // runPoints runs one experiment's n data points through the
 // fault-tolerance layer and returns their payloads in index order.
 //
+// compute receives the Options its point runs under: the caller's, with
+// the pool forEach runs on and the point's identity. Its launches must
+// go through that value — compute closures take it as opt, shadowing
+// the experiment's.
+//
 // The second return value is nil when every point succeeded; under
 // Options.KeepGoing it holds per-point errors (indexed like vals, nil
 // entries for successes). The third is the experiment-fatal error:
 // without KeepGoing the lowest-indexed point failure, and in every mode
-// cancellation, checkpoint I/O failures and corrupt replays.
-//
-// T must round-trip through encoding/json byte-exactly for checkpoint
-// replay to preserve table bytes: exported fields of float64, integers
-// below 2^53, strings, arrays and slices thereof all qualify.
-func runPoints[T any](opt Options, expID string, n int, compute func(i int) (T, error)) ([]T, []error, error) {
+// cancellation.
+func runPoints[T any](opt Options, expID string, n int, compute func(opt Options, i int) (T, error)) ([]T, []error, error) {
 	vals := make([]T, n)
 	perr := make([]error, n)
 	var failed atomic.Bool
-	err := forEach(opt, n, func(i int) error {
+	err := forEach(opt, n, func(opt Options, i int) error {
 		if err := opt.ctx().Err(); err != nil {
 			return PointError{Exp: expID, Index: i,
 				Err: fmt.Errorf("not started: %w", err)}
 		}
-		key := PointKey(expID, i, opt)
-		if opt.Journal != nil {
-			if raw, ok := opt.Journal.Lookup(key); ok {
-				if err := json.Unmarshal(raw, &vals[i]); err != nil {
-					return PointError{Exp: expID, Index: i,
-						Err: fmt.Errorf("corrupt checkpoint payload: %w", err)}
-				}
-				return nil
-			}
-		}
-		v, err := runPoint(opt, expID, i, compute)
+		opt.exp, opt.point = expID, i
+		v, err := runPoint(opt, compute)
 		if err != nil {
 			if cerr := opt.ctx().Err(); cerr != nil {
 				// Cancellation trumps keep-going: an interrupted point
@@ -109,11 +100,6 @@ func runPoints[T any](opt Options, expID string, n int, compute func(i int) (T, 
 			return PointError{Exp: expID, Index: i, Err: err}
 		}
 		vals[i] = v
-		if opt.Journal != nil {
-			if err := opt.Journal.Record(key, expID, i, v); err != nil {
-				return PointError{Exp: expID, Index: i, Err: err}
-			}
-		}
 		return nil
 	})
 	if err != nil {
@@ -127,18 +113,18 @@ func runPoints[T any](opt Options, expID string, n int, compute func(i int) (T, 
 
 // runPoint runs one point with panic isolation: the test hook first,
 // then the real computation.
-func runPoint[T any](opt Options, expID string, i int, compute func(i int) (T, error)) (v T, err error) {
+func runPoint[T any](opt Options, compute func(Options, int) (T, error)) (v T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("experiments: %s point %d panicked: %v", expID, i, r)
+			err = fmt.Errorf("experiments: %s point %d panicked: %v", opt.exp, opt.point, r)
 		}
 	}()
 	if opt.pointHook != nil {
-		if err := opt.pointHook(expID, i); err != nil {
+		if err := opt.pointHook(opt.exp, opt.point); err != nil {
 			return v, err
 		}
 	}
-	return compute(i)
+	return compute(opt, opt.point)
 }
 
 // pointFailures folds per-point errors into the experiment's aggregate

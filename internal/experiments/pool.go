@@ -1,8 +1,15 @@
 package experiments
 
-// The job-submission seam over the shared worker pool. RunAll owns a
-// pool for the span of one batch invocation (the CLI shape); a serving
-// process (cmd/simd) instead keeps one Pool alive for its whole
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+)
+
+// The job-submission seam over the shared worker pool. Every run has a
+// pool: RunAll owns one for the span of one batch invocation (the CLI
+// shape), a bare Experiment.Run gets a transient one from forEach, and
+// a serving process (cmd/simd) keeps one Pool alive for its whole
 // lifetime and submits experiments as jobs arrive, so the Workers
 // budget bounds total simulation concurrency across every in-flight
 // request exactly like it bounds a batch sweep.
@@ -45,4 +52,22 @@ func (p *Pool) Close() { p.p.close() }
 func (p *Pool) Run(e Experiment, opt Options) (*Table, error) {
 	opt.pool = p.p
 	return runSafely(e, opt)
+}
+
+// ExperimentKey returns the deterministic identity of one experiment's
+// whole table under the given options: the content address the serving
+// cache (internal/servecache, cmd/simd) stores rendered tables under, a
+// 128-bit hex digest of the experiment ID and every Options knob that
+// can change the table (Quick, SMs, Scheduler, TwoLevelActive). Workers
+// is excluded — tables are byte-identical at any pool size — as are
+// the fault-tolerance options (Ctx, MaxCycles, KeepGoing, Journal):
+// they bound how a run can fail, never what a successful table
+// contains, and only successes are cached. The key names no kernel and
+// no config: it addresses tables of this process's model, which is all
+// a serving process's in-memory cache ever holds.
+func ExperimentKey(expID string, opt Options) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00quick=%t sms=%d sched=%s tla=%d",
+		expID, opt.Quick, opt.SMs, opt.Scheduler, opt.TwoLevelActive)
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }

@@ -96,7 +96,7 @@ func TestRunAllContinuesPastFailure(t *testing.T) {
 func TestRunAllGlobalWorkerBudget(t *testing.T) {
 	const workers = 2
 	var running, peak atomic.Int32
-	point := func(int) error {
+	point := func(Options, int) error {
 		cur := running.Add(1)
 		defer running.Add(-1)
 		for p := peak.Load(); cur > p; p = peak.Load() {
@@ -135,7 +135,7 @@ func TestRunAllPointErrorIsolation(t *testing.T) {
 	boom := errors.New("point 3 failed")
 	exps := []Experiment{
 		fakeExp("failing", func(opt Options) (*Table, error) {
-			if err := forEach(opt, 10, func(i int) error {
+			if err := forEach(opt, 10, func(_ Options, i int) error {
 				if i == 3 {
 					return boom
 				}
@@ -147,7 +147,7 @@ func TestRunAllPointErrorIsolation(t *testing.T) {
 		}),
 		fakeExp("healthy", func(opt Options) (*Table, error) {
 			var sum atomic.Int64
-			if err := forEach(opt, 100, func(i int) error {
+			if err := forEach(opt, 100, func(_ Options, i int) error {
 				sum.Add(int64(i))
 				return nil
 			}); err != nil {
@@ -175,7 +175,7 @@ func TestRunAllSharedPoolStress(t *testing.T) {
 	for e := 0; e < 8; e++ {
 		exps = append(exps, fakeExp(fmt.Sprintf("s%d", e), func(opt Options) (*Table, error) {
 			slots := make([]int, 64)
-			if err := forEach(opt, len(slots), func(i int) error {
+			if err := forEach(opt, len(slots), func(_ Options, i int) error {
 				slots[i] = i * i
 				return nil
 			}); err != nil {

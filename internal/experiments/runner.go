@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -16,20 +15,21 @@ import (
 // order afterwards, which makes the parallel output byte-identical to a
 // sequential run regardless of completion order.
 //
-// The engine is two-level (see runall.go): RunAll fans the whole
-// registry's data points into one sharedPool bounded by Options.Workers,
-// while a single-experiment Run without a pool spins a private pool of
-// the same size. Either way fn(i) runs at most Workers at a time.
+// Every run's points go through one sharedPool: RunAll's, fanning the
+// whole registry's data points into one pool bounded by Options.Workers
+// (see runall.go); a serving Pool's; or, for a single-experiment Run
+// without either, a transient pool of min(Workers, n) that forEach
+// starts for the call. Either way fn runs at most Workers points at a
+// time, and every launch has a pool and so a memo (memo.go).
 //
-// Fault tolerance (points.go, checkpoint.go) layers on top: every path
-// below — sequential, private pool and shared pool — routes fn through
-// callSafely so a panicking data point surfaces as that point's error
-// instead of crashing the process, and every path stops handing out new
-// indexes once the run's context is canceled so a SIGINT drains
+// Fault tolerance (points.go, checkpoint.go) layers on top: forEach
+// routes fn through callSafely so a panicking data point surfaces as
+// that point's error instead of crashing the process, and stops handing
+// out new indexes once the run's context is canceled so a SIGINT drains
 // gracefully.
 
 // workers resolves the Options.Workers knob: 0 means one worker per CPU,
-// 1 forces the sequential path.
+// 1 runs the points one at a time, in index order.
 func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -37,57 +37,45 @@ func (o Options) workers() int {
 	return runtime.NumCPU()
 }
 
-// forEach runs fn(i) for every i in [0, n) on the option's worker pool.
-// fn must confine its writes to the i-th slot of result slices sized
-// before the call. On error the pool stops handing out new indexes and
-// the lowest-indexed error is returned, matching what a sequential run
-// would surface. When the options carry a shared cross-experiment pool,
-// the indexes are submitted there so the global worker budget bounds all
-// experiments together.
-func forEach(opt Options, n int, fn func(i int) error) error {
+// forEach runs fn(opt, i) for every i in [0, n) on the option's pool,
+// with opt carrying that pool: fn's launches must go through it. fn must
+// confine its writes to the i-th slot of result slices sized before the
+// call. On error (or cancellation) the remaining points of this call
+// no-op — other experiments sharing the pool are unaffected — and the
+// lowest-indexed error is returned, matching what a sequential run
+// would surface.
+func forEach(opt Options, n int, fn func(opt Options, i int) error) error {
+	if opt.pool == nil {
+		p := newSharedPool(min(opt.workers(), n))
+		defer p.close()
+		opt.pool = p
+	}
 	ctx := opt.ctx()
-	if opt.pool != nil {
-		return opt.pool.forEach(ctx, n, fn)
-	}
-	w := min(opt.workers(), n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("experiments: canceled before data point %d: %w", i, err)
-			}
-			if err := callSafely(fn, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var (
-		next   atomic.Int64
-		failed atomic.Bool
 		wg     sync.WaitGroup
+		failed atomic.Bool
 		errs   = make([]error, n)
 	)
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		opt.pool.jobs <- func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = fmt.Errorf("experiments: canceled before data point %d: %w", i, err)
-					failed.Store(true)
-					return
-				}
-				if err := callSafely(fn, i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
+			if failed.Load() {
+				return
 			}
-		}()
+			if err := ctx.Err(); err != nil {
+				errs[i] = fmt.Errorf("experiments: canceled before data point %d: %w", i, err)
+				failed.Store(true)
+				return
+			}
+			// A panicking point must not take down the workers other
+			// experiments may share; surface it as this experiment's
+			// error instead.
+			if err := callSafely(fn, opt, i); err != nil {
+				errs[i] = err
+				failed.Store(true)
+			}
+		}
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -99,23 +87,22 @@ func forEach(opt Options, n int, fn func(i int) error) error {
 }
 
 // callSafely invokes one data-point function, converting a panic into an
-// error. Every engine path routes through it, so a panicking point in a
-// sequential run or a private pool surfaces exactly like one on the
-// shared pool: as that point's error, never a process crash.
-func callSafely(fn func(i int) error, i int) (err error) {
+// error: a panicking point surfaces as that point's error, never a
+// process crash.
+func callSafely(fn func(Options, int) error, opt Options, i int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiments: data point %d panicked: %v", i, r)
 		}
 	}()
-	return fn(i)
+	return fn(opt, i)
 }
 
-// sharedPool is the cross-experiment worker pool: a fixed set of workers
-// draining one job queue. Jobs are leaves — they never block on the pool
-// themselves — so a fixed worker count cannot deadlock, and the pool's
-// size is the global simulation-concurrency budget however many
-// experiments are in flight.
+// sharedPool is the worker pool every run's points go through: a fixed
+// set of workers draining one job queue. Jobs are leaves — they never
+// block on the pool themselves — so a fixed worker count cannot
+// deadlock, and the pool's size is the global simulation-concurrency
+// budget however many experiments are in flight.
 type sharedPool struct {
 	jobs chan func()
 	wg   sync.WaitGroup
@@ -143,45 +130,4 @@ func newSharedPool(workers int) *sharedPool {
 func (p *sharedPool) close() {
 	close(p.jobs)
 	p.wg.Wait()
-}
-
-// forEach submits n point jobs and waits for them. Error semantics match
-// the private-pool forEach: after the first failure (or cancellation)
-// remaining points of this experiment no-op (other experiments sharing
-// the pool are unaffected), and the lowest-indexed error is returned.
-func (p *sharedPool) forEach(ctx context.Context, n int, fn func(i int) error) error {
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
-		errs   = make([]error, n)
-	)
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		p.jobs <- func() {
-			defer wg.Done()
-			if failed.Load() {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				errs[i] = fmt.Errorf("experiments: canceled before data point %d: %w", i, err)
-				failed.Store(true)
-				return
-			}
-			// A panicking point must not take down the shared workers the
-			// other experiments depend on; surface it as this experiment's
-			// error instead.
-			if err := callSafely(fn, i); err != nil {
-				errs[i] = err
-				failed.Store(true)
-			}
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

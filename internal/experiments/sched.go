@@ -37,7 +37,7 @@ func SchedSweep(opt Options) (*Table, error) {
 	t := &Table{ID: "sched", Title: "CUTLASS GEMM IPC by warp scheduler policy",
 		Columns: cols}
 
-	cells, perr, err := runPoints(opt, "sched", len(sizes)*len(pols), func(i int) (float64, error) {
+	cells, perr, err := runPoints(opt, "sched", len(sizes)*len(pols), func(opt Options, i int) (float64, error) {
 		n := sizes[i/len(pols)]
 		cfg := base
 		cfg.Scheduler = pols[i%len(pols)]

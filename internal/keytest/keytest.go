@@ -22,10 +22,13 @@ import (
 //     one, is descended into;
 //   - a map gains a zero-keyed entry;
 //   - a nil pointer is pointed at a zero value, and a non-nil pointer
-//     is both set to nil and descended into.
+//     is both set to nil and descended into;
+//   - a non-nil interface is set to nil.
 //
-// Unexported fields are skipped. Any other kind panics: a keyed struct
-// has grown a field this walk — and probably the key — cannot encode.
+// Unexported fields are skipped. Any other kind panics, and so does a
+// nil interface (the walk has no value of its type to set): a keyed
+// struct has grown a field this walk — and probably the key — cannot
+// encode, or the caller must fill the interface in first.
 func EachField(p any, visit func(path string)) {
 	walk(reflect.ValueOf(p).Elem(), "", visit)
 }
@@ -78,6 +81,12 @@ func walk(v reflect.Value, path string, visit func(string)) {
 		}
 		change(reflect.Zero(v.Type()))
 		walk(v.Elem(), path, visit)
+	case reflect.Interface:
+		if !v.IsNil() {
+			change(reflect.Zero(v.Type()))
+			return
+		}
+		panic(fmt.Sprintf("keytest: %s is a nil interface, which EachField cannot change", path))
 	default:
 		panic(fmt.Sprintf("keytest: %s has kind %v, which EachField cannot change", path, v.Kind()))
 	}

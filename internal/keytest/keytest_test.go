@@ -21,13 +21,14 @@ type outer struct {
 	M    map[string]int
 	P, Q *inner
 	Arr  [2][]int
+	I    any
 }
 
 // Every reachable exported field is changed once per change kind, the
 // change is in place while visit runs, and the value is restored after.
 func TestEachFieldChangesAndRestores(t *testing.T) {
 	fresh := func() outer {
-		return outer{In: inner{b: 7}, L: []inner{{A: 1}}, M: map[string]int{"k": 1}, Q: &inner{A: 2}}
+		return outer{In: inner{b: 7}, L: []inner{{A: 1}}, M: map[string]int{"k": 1}, Q: &inner{A: 2}, I: 3}
 	}
 	v := fresh()
 	var paths []string
@@ -41,7 +42,7 @@ func TestEachFieldChangesAndRestores(t *testing.T) {
 		t.Errorf("value not restored: %+v", v)
 	}
 	sort.Strings(paths)
-	want := []string{"Arr[0]", "B", "F", "In.A", "L", "L[0].A", "M", "N", "P", "Q", "Q.A", "S"}
+	want := []string{"Arr[0]", "B", "F", "I", "In.A", "L", "L[0].A", "M", "N", "P", "Q", "Q.A", "S"}
 	if !reflect.DeepEqual(paths, want) {
 		t.Errorf("visited %v, want %v", paths, want)
 	}
@@ -54,4 +55,13 @@ func TestEachFieldPanicsOnUnknownKind(t *testing.T) {
 		}
 	}()
 	EachField(&struct{ F func() }{}, func(string) {})
+}
+
+func TestEachFieldPanicsOnNilInterface(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a nil interface field did not panic")
+		}
+	}()
+	EachField(&struct{ I any }{}, func(string) {})
 }

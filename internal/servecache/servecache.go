@@ -1,9 +1,9 @@
 // Package servecache is the serving layer's bounded, content-addressed
-// result cache. The simulator is deterministic end-to-end, so a
-// rendered experiment table is fully determined by its content address
-// (experiments.ExperimentKey: experiment ID + the table-affecting
-// Options knobs) — a repeated request can be served the byte-identical
-// cached table without re-simulating anything. Entries are immutable
+// result cache. The simulator is deterministic end-to-end, so within
+// one process a rendered experiment table is fully determined by its
+// content address (experiments.ExperimentKey: experiment ID + the
+// table-affecting Options knobs) — a repeated request can be served the
+// byte-identical cached table without re-simulating anything. Entries are immutable
 // byte slices shared read-only across requests, the same discipline
 // the simlint frozen analyzer pins for decoded-kernel programs; the
 // cache itself is mutex-guarded (guardedby-annotated) so any number of
@@ -11,8 +11,8 @@
 //
 // The LRU itself is generic over its value type: the byte cache of
 // rendered tables (Cache, New) and the launch memo of simulated
-// statistics (internal/experiments) are two instantiations of one
-// bounded, mutex-guarded structure.
+// statistics (internal/experiments, keyed like its checkpoint journal)
+// are two instantiations of one bounded, mutex-guarded structure.
 package servecache
 
 import (
