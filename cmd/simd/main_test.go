@@ -19,6 +19,8 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/keytest"
+	"repro/internal/servecache"
 )
 
 // newTestServer starts the serving core behind an httptest listener.
@@ -551,4 +553,32 @@ func TestProfileFlags(t *testing.T) {
 			t.Errorf("%s to an unwritable path did not name the flag: %q", flag, stderr.String())
 		}
 	}
+}
+
+// Every servecache.Stats and experiments.LaunchStats counter reaches
+// /statsz: changing any one of them changes the JSON, so a counter
+// added to either cannot silently vanish from operations.
+func TestStatszCarriesEveryCounter(t *testing.T) {
+	var cs servecache.Stats
+	var ls experiments.LaunchStats
+	render := func() string {
+		var resp statszResponse
+		resp.Cache, resp.Launches = statszCounters(cs, ls)
+		b, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	base := render()
+	keytest.EachField(&cs, func(path string) {
+		if render() == base {
+			t.Errorf("changing servecache.Stats.%s leaves /statsz unchanged", path)
+		}
+	})
+	keytest.EachField(&ls, func(path string) {
+		if render() == base {
+			t.Errorf("changing experiments.LaunchStats.%s leaves /statsz unchanged", path)
+		}
+	})
 }

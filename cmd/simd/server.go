@@ -23,8 +23,10 @@ import (
 // memoizes the rendered table, so a repeated submission is served the
 // byte-identical bytes with zero simulation. Decoded-kernel programs
 // are shared read-only across concurrent jobs — the immutability the
-// simlint frozen analyzer enforces is what makes one process safe for
-// many tenants without per-request state audits.
+// race-detector tests over shared kernels and wmma mappings hold
+// (TestConcurrentSimulatorsRace, TestMapConcurrentFirstUse) is what
+// makes one process safe for many tenants without per-request state
+// audits.
 
 // Job lifecycle states.
 const (
@@ -42,18 +44,15 @@ type job struct {
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
 
-	mu sync.Mutex
-	//simlint:guardedby mu
+	// mu guards status, output, errMsg and cached.
+	mu     sync.Mutex
 	status string
 	// output is the rendered table; immutable once set (it is also the
 	// cached payload, shared with other requests).
-	//simlint:guardedby mu
 	output []byte
-	//simlint:guardedby mu
 	errMsg string
 	// cached records whether the job was served from the cache instead
 	// of simulating.
-	//simlint:guardedby mu
 	cached bool
 }
 
@@ -147,25 +146,20 @@ type server struct {
 	// jobWG counts accepted jobs; the drain barrier.
 	jobWG sync.WaitGroup
 
+	// mu guards jobs, terminal, nextID, draining, submitted, finished
+	// and failed.
 	mu sync.Mutex
 	// jobs holds every job that has not finished and the newest
 	// maxTerminalJobs that have; older IDs answer 404.
-	//simlint:guardedby mu
 	jobs map[string]*job
 	// terminal is a ring of the finished jobs still in the table, in
 	// finishing order: slot finished%maxTerminalJobs holds the next to go.
-	//simlint:guardedby mu
-	terminal [maxTerminalJobs]string
-	//simlint:guardedby mu
-	nextID int
-	//simlint:guardedby mu
-	draining bool
-	//simlint:guardedby mu
+	terminal  [maxTerminalJobs]string
+	nextID    int
+	draining  bool
 	submitted int64
-	//simlint:guardedby mu
-	finished int64
-	//simlint:guardedby mu
-	failed int64
+	finished  int64
+	failed    int64
 }
 
 // newServer wires the serving core. workers and cacheBytes follow the
@@ -344,12 +338,7 @@ type statszLaunches struct {
 	Bytes     int64 `json:"bytes"`
 }
 
-// handleStatsz is the serving layer's counter surface — the sanctioned
-// emitter for every servecache.Stats and experiments.LaunchStats
-// counter, so a counter added there cannot silently vanish from
-// operations (the statcomplete contract).
-//
-//simlint:emitter
+// handleStatsz is the serving layer's counter surface.
 func (s *server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	cs := s.cache.Stats()
 	ls := s.pool.LaunchStats()
@@ -365,23 +354,30 @@ func (s *server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 		},
 	}
 	s.mu.Unlock()
-	resp.Cache = statszCache{
-		Hits:      cs.Hits,
-		Misses:    cs.Misses,
-		Evictions: cs.Evictions,
-		Entries:   cs.Entries,
-		Bytes:     cs.Bytes,
-		MaxBytes:  cs.MaxBytes,
-	}
-	resp.Launches = statszLaunches{
-		Hits:      ls.Hits,
-		Misses:    ls.Misses,
-		Joined:    ls.Joined,
-		Evictions: ls.Evictions,
-		Entries:   ls.Entries,
-		Bytes:     ls.Bytes,
-	}
+	resp.Cache, resp.Launches = statszCounters(cs, ls)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// statszCounters puts every servecache.Stats and experiments.LaunchStats
+// counter on the wire: TestStatszCarriesEveryCounter changes each field
+// in turn and requires /statsz's JSON to change, so a counter added
+// there cannot silently vanish from operations.
+func statszCounters(cs servecache.Stats, ls experiments.LaunchStats) (statszCache, statszLaunches) {
+	return statszCache{
+			Hits:      cs.Hits,
+			Misses:    cs.Misses,
+			Evictions: cs.Evictions,
+			Entries:   cs.Entries,
+			Bytes:     cs.Bytes,
+			MaxBytes:  cs.MaxBytes,
+		}, statszLaunches{
+			Hits:      ls.Hits,
+			Misses:    ls.Misses,
+			Joined:    ls.Joined,
+			Evictions: ls.Evictions,
+			Entries:   ls.Entries,
+			Bytes:     ls.Bytes,
+		}
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {

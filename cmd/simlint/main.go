@@ -1,13 +1,13 @@
 // Command simlint runs the repository's static-analysis suite: the
-// seven analyzers that mechanically enforce the simulator's
-// determinism, hot-path, stat-reporting and concurrency-safety
-// invariants (see internal/analysis and DESIGN.md "Enforced
-// invariants").
+// determinism and globalmut analyzers, which hold the simulator's
+// packages to run-to-run reproducibility and to no package-level
+// mutable state, plus the directive-grammar check every run makes (see
+// internal/analysis and DESIGN.md "Enforced invariants").
 //
 // Usage:
 //
 //	simlint [packages]                 # default ./...
-//	simlint -analyzers determinism,hotpath ./internal/...
+//	simlint -analyzers determinism ./internal/...
 //	simlint -json ./...
 //	simlint -list
 //

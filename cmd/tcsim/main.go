@@ -151,7 +151,7 @@ func run(args []string, stderr io.Writer) int {
 	fmt.Printf("kernel      : %s\n", l.Kernel.Name)
 	fmt.Printf("gpu         : %s (%d SMs, %s scheduler)\n", cfg.Name, cfg.NumSMs, cfg.Scheduler)
 	fmt.Printf("grid x block: %v x %v\n", l.Grid, l.Block)
-	reportStats(st, cfg, l.FLOPs)
+	reportStats(os.Stdout, st, cfg, l.FLOPs)
 	if *verify && want != nil {
 		got := dev.ReadMatrix(args64[3], *m, *n, tensor.RowMajor, cd)
 		fmt.Printf("max |error| : %g vs float64 reference\n", tensor.MaxAbsDiff(got, want))
@@ -159,24 +159,23 @@ func run(args []string, stderr io.Writer) int {
 	return exitOK
 }
 
-// reportStats prints the post-run statistics block. It is the
-// sanctioned surface for every gpu.Stats counter — the statcomplete
-// analyzer requires each numeric field to appear here, so a counter
-// added to Stats cannot be silently dropped from the report (which is
-// how CTAsSimulated and SharedConflicts used to vanish).
-//
-//simlint:emitter
-func reportStats(st *gpu.Stats, cfg gpu.Config, flops float64) {
-	fmt.Printf("CTAs        : %d simulated of %d launched\n", st.CTAsSimulated, st.CTAsTotal)
-	fmt.Printf("cycles      : %d (%.3f ms at %.0f MHz)\n", st.Cycles, st.Seconds(cfg)*1e3, cfg.ClockMHz)
-	fmt.Printf("instructions: %d warp (%d thread), IPC %.2f\n",
+// reportStats prints the post-run statistics block to w. It is the
+// surface of every gpu.Stats counter: TestReportStatsPrintsEveryCounter
+// changes each numeric field in turn and requires the block to change,
+// so a counter added to Stats cannot be silently dropped from the
+// report (which is how CTAsSimulated and SharedConflicts used to
+// vanish).
+func reportStats(w io.Writer, st *gpu.Stats, cfg gpu.Config, flops float64) {
+	fmt.Fprintf(w, "CTAs        : %d simulated of %d launched\n", st.CTAsSimulated, st.CTAsTotal)
+	fmt.Fprintf(w, "cycles      : %d (%.3f ms at %.0f MHz)\n", st.Cycles, st.Seconds(cfg)*1e3, cfg.ClockMHz)
+	fmt.Fprintf(w, "instructions: %d warp (%d thread), IPC %.2f\n",
 		st.WarpInstructions, st.ThreadInstructions, st.IPC())
-	fmt.Printf("tensor ops  : %d wmma.mma\n", st.TensorOps)
-	fmt.Printf("L1 hit rate : %.1f%%   L2 hit rate: %.1f%%   DRAM accesses: %d\n",
+	fmt.Fprintf(w, "tensor ops  : %d wmma.mma\n", st.TensorOps)
+	fmt.Fprintf(w, "L1 hit rate : %.1f%%   L2 hit rate: %.1f%%   DRAM accesses: %d\n",
 		100*st.L1HitRate, 100*st.L2HitRate, st.DRAMAccesses)
-	fmt.Printf("shared mem  : %d bank-conflict replay passes\n", st.SharedConflicts)
+	fmt.Fprintf(w, "shared mem  : %d bank-conflict replay passes\n", st.SharedConflicts)
 	if flops > 0 {
-		fmt.Printf("throughput  : %.2f TFLOPS\n", flops/st.Seconds(cfg)/1e12)
+		fmt.Fprintf(w, "throughput  : %.2f TFLOPS\n", flops/st.Seconds(cfg)/1e12)
 	}
 }
 

@@ -8,6 +8,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/gpu"
+	"repro/internal/keytest"
 )
 
 // The exit-code contract, pinned in-process: -h/-help is a successful
@@ -181,4 +184,27 @@ func TestValidateFlags(t *testing.T) {
 			t.Errorf("sizes: parsed %v, want [16 32 64]", sizes)
 		}
 	}
+}
+
+// Every numeric gpu.Stats counter reaches the report: changing any one
+// of them changes the printed block, so a counter added to Stats cannot
+// be silently dropped from it.
+func TestReportStatsPrintsEveryCounter(t *testing.T) {
+	cfg := gpu.TitanV()
+	st := gpu.Stats{Cycles: 1000, WarpInstructions: 400, ThreadInstructions: 12800, TensorOps: 16,
+		CTAsSimulated: 2, CTAsTotal: 4, L1HitRate: 0.5, L2HitRate: 0.25, DRAMAccesses: 64, SharedConflicts: 8}
+	report := func() string {
+		var b bytes.Buffer
+		reportStats(&b, &st, cfg, 1e9)
+		return b.String()
+	}
+	base := report()
+	keytest.EachField(&st, func(path string) {
+		if path == "Trace" {
+			return // latency samples, not a counter
+		}
+		if report() == base {
+			t.Errorf("changing Stats.%s leaves the report unchanged:\n%s", path, base)
+		}
+	})
 }

@@ -1,43 +1,32 @@
 // Package analysis is simlint's static-analysis core: a small,
 // stdlib-only framework in the shape of golang.org/x/tools/go/analysis
-// (Analyzer / Pass / Diagnostic), plus the seven analyzers that turn the
-// simulator's reproducibility, concurrency and fault-tolerance
-// conventions into mechanically enforced invariants:
+// (Analyzer / Pass / Diagnostic), plus the two analyzers whose bug
+// classes no cheaper net catches:
 //
-//   - determinism:  no wall clocks, unseeded randomness, map-order leaks
-//     or map formatting in simulator packages (the purity the
-//     content-addressed result cache and sharded sweeps depend on)
-//   - hotpath:      no per-iteration allocations in functions annotated
-//     //simlint:hotpath (the per-cycle issue/execute/coalesce/fragment
-//     paths of PRs 2-5)
-//   - statcomplete: every numeric gpu.Stats counter reaches a
-//     //simlint:emitter report function
-//   - globalmut:    simulator packages do not write package-level state
-//     outside init, and store to no package-level atomic at all
-//   - frozen:       //simlint:frozen types (decoded DInstr programs,
-//     fragPlans, wmma mappings) are field-written only in their
-//     same-package //simlint:ctor constructor set — the shared-read-only
-//     contract the concurrent serving path depends on
-//   - guardedby:    //simlint:guardedby mu fields are accessed only
-//     under a syntactic mu.Lock() / defer mu.Unlock() scope
-//   - recoversurface: every recover() converts the panic into an error
-//     carrying the failing unit's identity (experiment ID, point index)
-//     — the trail the keep-going sweep and its operators depend on
+//   - determinism: no wall clocks, unseeded randomness, map-order leaks
+//     or map formatting in simulator packages (a map-order leak shows
+//     up only as a flaky table)
+//   - globalmut:   simulator packages do not write package-level state
+//     outside init, and store to no package-level atomic at all (a
+//     store to an atomic never races, so -race cannot see it)
+//
+// The simulator's other invariants — no allocation on the per-cycle
+// paths, every counter reported, decoded programs read-only, mutexes
+// held, panics that name their point — are held by tests, not lint
+// (DESIGN.md "Enforced invariants").
 //
 // The framework is intentionally dependency-free: the container pins the
 // module graph, so the x/tools analysis driver is reimplemented here on
 // go/ast + go/types, with package loading via `go list -export` (see
-// load.go). Directives use the grammar documented in DESIGN.md
-// ("Enforced invariants" and "Concurrency invariants"):
+// load.go). The directive grammar has three verbs, each a justified
+// escape from one finding:
 //
-//	//simlint:hotpath
-//	//simlint:emitter
-//	//simlint:frozen
-//	//simlint:ctor
-//	//simlint:guardedby <mutex field>
 //	//simlint:ordered <justification>
 //	//simlint:wallclock <justification>
 //	//simlint:ok <justification>
+//
+// A //simlint: comment with any other verb is itself a finding: a
+// directive no analyzer reads would read like a contract nobody keeps.
 package analysis
 
 import (
@@ -59,20 +48,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Analyzer is one simlint check. Run inspects a single package;
-// RunModule inspects the whole module at once (for cross-package
-// contracts like statcomplete). Either may be nil.
+// Analyzer is one simlint check: Run inspects a single package of the
+// simulator scope (simulatorOrFixture).
 type Analyzer struct {
 	Name string
 	Doc  string
-
-	// Scope, when non-nil, restricts Run to packages it accepts. The
-	// fixture harness bypasses it so testdata packages are analyzed
-	// regardless of import path.
-	Scope func(pkgPath string) bool
-
-	Run       func(*Pass)
-	RunModule func(*Module, func(Diagnostic))
+	Run  func(*Pass)
 }
 
 // Pass carries one package through one analyzer.
@@ -93,57 +74,26 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full simlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		DeterminismAnalyzer, HotpathAnalyzer, StatcompleteAnalyzer,
-		GlobalmutAnalyzer, FrozenAnalyzer, GuardedbyAnalyzer, RecoversurfaceAnalyzer,
-	}
+	return []*Analyzer{DeterminismAnalyzer, GlobalmutAnalyzer}
 }
 
-// RunSuite runs the analyzers over every package of the module
-// (honouring each analyzer's Scope) and returns the findings sorted by
-// position.
+// RunSuite runs the analyzers over every package of the module in the
+// simulator scope, checks every package's directives against the
+// grammar, and returns the findings sorted by position.
 func RunSuite(m *Module, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
-	for _, a := range analyzers {
-		if a.Run != nil {
-			for _, pkg := range m.Pkgs {
-				if a.Scope != nil && !a.Scope(pkg.Path) {
-					continue
-				}
-				a.Run(&Pass{Package: pkg, Analyzer: a, report: report})
-			}
+	for _, pkg := range m.Pkgs {
+		checkDirectives(pkg, report)
+		if !simulatorOrFixture(pkg.Path) {
+			continue
 		}
-		if a.RunModule != nil {
-			a.RunModule(m, report)
-		}
-	}
-	SortDiagnostics(diags)
-	return diags
-}
-
-// RunIgnoringScope runs a single analyzer over every package of m,
-// bypassing its Scope. The fixture harness uses it so testdata packages
-// are analyzed despite their import paths.
-func RunIgnoringScope(m *Module, a *Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	report := func(d Diagnostic) { diags = append(diags, d) }
-	if a.Run != nil {
-		for _, pkg := range m.Pkgs {
+		for _, a := range analyzers {
 			a.Run(&Pass{Package: pkg, Analyzer: a, report: report})
 		}
 	}
-	if a.RunModule != nil {
-		a.RunModule(m, report)
-	}
-	SortDiagnostics(diags)
-	return diags
-}
-
-// SortDiagnostics orders findings by file, line, column, analyzer.
-func SortDiagnostics(ds []Diagnostic) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -155,11 +105,12 @@ func SortDiagnostics(ds []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return diags
 }
 
-// simulatorPackages is the determinism contract's scope: the packages
-// whose outputs feed Stats, tables and the (planned) content-addressed
-// result cache, per ISSUE 6.
+// simulatorPackages is the scope of the determinism and globalmut
+// contracts: the packages whose outputs feed Stats, tables and the
+// content-addressed launch memo and checkpoint journal.
 var simulatorPackages = map[string]bool{
 	"repro/internal/gpu":         true,
 	"repro/internal/ptx":         true,
@@ -173,29 +124,32 @@ var simulatorPackages = map[string]bool{
 	"repro/internal/servecache": true,
 }
 
-// InSimulatorScope reports whether the determinism/statcomplete
-// contracts apply to the package.
-func InSimulatorScope(pkgPath string) bool { return simulatorPackages[pkgPath] }
-
-// fixturePath reports whether the import path is an analyzer fixture
-// package. Fixtures are invisible to ./... sweeps (the go tool skips
-// testdata), but the CI fixture-hygiene step runs cmd/simlint over them
-// explicitly, so the scoped analyzers must accept them.
-func fixturePath(pkgPath string) bool {
-	return strings.Contains(pkgPath, "/testdata/src/")
-}
-
-// simulatorOrFixture is the scope of the simulator-package contracts
-// (determinism, globalmut), extended to explicitly listed fixtures.
+// simulatorOrFixture is the analyzers' scope: the simulator packages,
+// plus the analyzer fixture packages. Fixtures are invisible to ./...
+// sweeps (the go tool skips testdata), but the fixture tests and CI's
+// fixture-hygiene step name them explicitly.
 func simulatorOrFixture(pkgPath string) bool {
-	return InSimulatorScope(pkgPath) || fixturePath(pkgPath)
+	return simulatorPackages[pkgPath] || strings.Contains(pkgPath, "/testdata/src/")
 }
 
 // Directive is one parsed //simlint: comment.
 type Directive struct {
-	Name string // "hotpath", "ordered", "wallclock", "emitter", "ok"
+	Name string // "ordered", "wallclock" or "ok"
 	Arg  string // justification text, may be empty
-	Line int
+}
+
+// directiveVerbs are the directive names some analyzer reads.
+var directiveVerbs = map[string]bool{"ordered": true, "wallclock": true, "ok": true}
+
+// parseDirective splits a comment into a directive's name and argument;
+// ok is false when the comment is not a //simlint: directive.
+func parseDirective(c *ast.Comment) (name, arg string, ok bool) {
+	text, ok := strings.CutPrefix(c.Text, "//simlint:")
+	if !ok {
+		return "", "", false
+	}
+	name, arg, _ = strings.Cut(text, " ")
+	return name, strings.TrimSpace(arg), true
 }
 
 // FileDirectives extracts every //simlint: directive of a file, keyed by
@@ -204,16 +158,32 @@ func FileDirectives(fset *token.FileSet, f *ast.File) map[int][]Directive {
 	out := map[int][]Directive{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text, ok := strings.CutPrefix(c.Text, "//simlint:")
-			if !ok {
-				continue
+			if name, arg, ok := parseDirective(c); ok {
+				line := fset.Position(c.Pos()).Line
+				out[line] = append(out[line], Directive{Name: name, Arg: arg})
 			}
-			name, arg, _ := strings.Cut(text, " ")
-			line := fset.Position(c.Pos()).Line
-			out[line] = append(out[line], Directive{Name: name, Arg: strings.TrimSpace(arg), Line: line})
 		}
 	}
 	return out
+}
+
+// checkDirectives reports every //simlint: comment of the package whose
+// verb no analyzer reads — a directive that outlived its analyzer, or a
+// misspelt one that excuses nothing.
+func checkDirectives(pkg *Package, report func(Diagnostic)) {
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if name, _, ok := parseDirective(c); ok && !directiveVerbs[name] {
+					report(Diagnostic{
+						Pos:      pkg.Fset.Position(c.Pos()),
+						Analyzer: "directive",
+						Message:  fmt.Sprintf("unknown directive //simlint:%s; the verbs are ordered, wallclock and ok", name),
+					})
+				}
+			}
+		}
+	}
 }
 
 // suppressed reports whether a directive of the given name sits on the
@@ -221,29 +191,8 @@ func FileDirectives(fset *token.FileSet, f *ast.File) map[int][]Directive {
 // grammar allows for statement-level justification.
 func suppressed(dirs map[int][]Directive, fset *token.FileSet, pos token.Pos, name string) bool {
 	line := fset.Position(pos).Line
-	for _, d := range dirs[line] {
-		if d.Name == name {
-			return true
-		}
-	}
-	for _, d := range dirs[line-1] {
-		if d.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// funcDirective reports whether a function declaration carries the
-// directive, either in its doc comment or on the line above the decl.
-func funcDirective(dirs map[int][]Directive, fset *token.FileSet, fd *ast.FuncDecl, name string) bool {
-	declLine := fset.Position(fd.Pos()).Line
-	first := declLine - 1
-	if fd.Doc != nil {
-		first = fset.Position(fd.Doc.Pos()).Line
-	}
-	for line := first; line < declLine; line++ {
-		for _, d := range dirs[line] {
+	for _, l := range [2]int{line, line - 1} {
+		for _, d := range dirs[l] {
 			if d.Name == name {
 				return true
 			}

@@ -15,7 +15,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
 	"regexp"
 	"testing"
@@ -34,8 +33,9 @@ type want struct {
 }
 
 // Run loads the fixture package at pattern (relative to dir, the module
-// root) and checks the analyzer's diagnostics against its want
-// comments.
+// root) and checks the analyzer's diagnostics, plus the directive
+// grammar check every suite run makes, against its want comments. A nil
+// analyzer checks the directive grammar alone.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pattern string) {
 	t.Helper()
 	m, err := analysis.Load(dir, pattern)
@@ -43,7 +43,11 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pattern string) {
 		t.Fatalf("load fixture %s: %v", pattern, err)
 	}
 	wants := collectWants(t, m)
-	diags := analysis.RunIgnoringScope(m, a)
+	var analyzers []*analysis.Analyzer
+	if a != nil {
+		analyzers = append(analyzers, a)
+	}
+	diags := analysis.RunSuite(m, analyzers)
 
 	for _, d := range diags {
 		if w := matchWant(wants, d); w == nil {
@@ -98,14 +102,4 @@ func matchWant(wants []*want, d analysis.Diagnostic) *want {
 		}
 	}
 	return nil
-}
-
-// Diagnose is a debugging aid: it formats the diagnostics a fixture
-// run produced, for failure messages.
-func Diagnose(diags []analysis.Diagnostic) string {
-	s := ""
-	for _, d := range diags {
-		s += fmt.Sprintf("  %s\n", d)
-	}
-	return s
 }

@@ -13,8 +13,9 @@ import (
 // the simulator packages it therefore flags:
 //
 //  1. time.Now / time.Since — wall clocks in a stats or timing path
-//     poison the (planned) content-addressed result cache. Sanctioned
-//     diagnostic-only uses carry //simlint:wallclock <why>.
+//     poison the content-addressed launch memo and checkpoint
+//     journal. Sanctioned diagnostic-only uses carry
+//     //simlint:wallclock <why>.
 //  2. math/rand functions that draw from the process-global source —
 //     workload generation must thread an explicitly seeded *rand.Rand.
 //  3. Map iteration whose body writes state that outlives the loop, the
@@ -31,10 +32,9 @@ import (
 // simulator, and the equivalence/fuzz harnesses legitimately use
 // clocks and randomness.
 var DeterminismAnalyzer = &Analyzer{
-	Name:  "determinism",
-	Doc:   "forbid wall clocks, unseeded randomness and map-order leaks in simulator packages",
-	Scope: simulatorOrFixture,
-	Run:   runDeterminism,
+	Name: "determinism",
+	Doc:  "forbid wall clocks, unseeded randomness and map-order leaks in simulator packages",
+	Run:  runDeterminism,
 }
 
 // globalRandExceptions lists the math/rand package-level functions that

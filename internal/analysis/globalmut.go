@@ -27,10 +27,9 @@ import (
 // method parking receiver state in a global — is covered by the same
 // rule: the store site itself is the finding.
 var GlobalmutAnalyzer = &Analyzer{
-	Name:  "globalmut",
-	Doc:   "forbid package-level state writes outside init and any store to a package-level atomic",
-	Scope: simulatorOrFixture,
-	Run:   runGlobalmut,
+	Name: "globalmut",
+	Doc:  "forbid package-level state writes outside init and any store to a package-level atomic",
+	Run:  runGlobalmut,
 }
 
 // atomicStoreMethods are the sync/atomic value methods that mutate.

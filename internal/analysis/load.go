@@ -99,28 +99,6 @@ func Load(dir string, patterns ...string) (*Module, error) {
 	return m, nil
 }
 
-// LoadModule loads every package of the module containing dir.
-func LoadModule(dir string) (*Module, error) {
-	root, err := moduleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-	return Load(root, "./...")
-}
-
-// moduleRoot resolves the root directory of the module containing dir.
-func moduleRoot(dir string) (string, error) {
-	out, err := runGo(dir, "env", "GOMOD")
-	if err != nil {
-		return "", err
-	}
-	gomod := strings.TrimSpace(string(out))
-	if gomod == "" || gomod == os.DevNull {
-		return "", fmt.Errorf("simlint: %s is not inside a module", dir)
-	}
-	return filepath.Dir(gomod), nil
-}
-
 func typeCheck(fset *token.FileSet, imp types.Importer, lp listedPackage) (*Package, error) {
 	if len(lp.CgoFiles) > 0 {
 		return nil, fmt.Errorf("load %s: cgo packages are not supported", lp.ImportPath)

@@ -14,35 +14,14 @@ func TestDeterminismFixture(t *testing.T) {
 	analysistest.Run(t, moduleRoot, analysis.DeterminismAnalyzer, "./internal/analysis/testdata/src/determinism")
 }
 
-func TestHotpathFixture(t *testing.T) {
-	analysistest.Run(t, moduleRoot, analysis.HotpathAnalyzer, "./internal/analysis/testdata/src/hotpath")
-}
-
-func TestStatcompleteFixture(t *testing.T) {
-	analysistest.Run(t, moduleRoot, analysis.StatcompleteAnalyzer, "./internal/analysis/testdata/src/statcomplete")
-}
-
-func TestStatcompleteNoEmitterFixture(t *testing.T) {
-	analysistest.Run(t, moduleRoot, analysis.StatcompleteAnalyzer, "./internal/analysis/testdata/src/statnoemitter")
-}
-
 func TestGlobalmutFixture(t *testing.T) {
 	analysistest.Run(t, moduleRoot, analysis.GlobalmutAnalyzer, "./internal/analysis/testdata/src/globalmut")
 }
 
-// The frozen fixture is two packages (the /... pattern): the defining
-// package plus a foreign package pinning that the constructor set does
-// not cross package boundaries.
-func TestFrozenFixture(t *testing.T) {
-	analysistest.Run(t, moduleRoot, analysis.FrozenAnalyzer, "./internal/analysis/testdata/src/frozen/...")
-}
-
-func TestGuardedbyFixture(t *testing.T) {
-	analysistest.Run(t, moduleRoot, analysis.GuardedbyAnalyzer, "./internal/analysis/testdata/src/guardedby")
-}
-
-func TestRecoversurfaceFixture(t *testing.T) {
-	analysistest.Run(t, moduleRoot, analysis.RecoversurfaceAnalyzer, "./internal/analysis/testdata/src/recoversurface")
+// The directive fixture runs no analyzer: only the grammar check every
+// run makes, which flags a //simlint: verb no analyzer reads.
+func TestDirectiveFixture(t *testing.T) {
+	analysistest.Run(t, moduleRoot, nil, "./internal/analysis/testdata/src/directive")
 }
 
 // TestRepoSweepClean is the in-tree lint gate: the full suite over the

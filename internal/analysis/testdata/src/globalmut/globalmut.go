@@ -46,10 +46,7 @@ func FlipBare(on bool) {
 	bareAtomic.Store(on) // want "mutates a package-level atomic"
 }
 
-// legacyKnob carries the directive that once declared a process-global
-// knob; it excuses nothing any more.
-//
-//simlint:processknob fixture knob mirroring a retired equivalence knob
+// legacyKnob mirrors a retired process-global equivalence knob.
 var legacyKnob atomic.Bool
 
 // LegacyKnob is the old setter shape: flagged like any other store.

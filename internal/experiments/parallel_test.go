@@ -6,14 +6,15 @@ import (
 	"testing"
 )
 
-// forEach must visit every index exactly once, whatever the pool size.
+// runPoints must visit every index exactly once, whatever the pool size,
+// and hand each point's payload back in its slot.
 func TestForEachCoverage(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		n := 53
 		var visits [53]atomic.Int32
-		err := forEach(Options{Workers: workers}, n, func(_ Options, i int) error {
+		vals, _, err := runPoints(Options{Workers: workers}, "cover", n, func(_ Options, i int) (int, error) {
 			visits[i].Add(1)
-			return nil
+			return i * i, nil
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -22,42 +23,47 @@ func TestForEachCoverage(t *testing.T) {
 			if got := visits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
 			}
+			if vals[i] != i*i {
+				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, vals[i], i*i)
+			}
 		}
 	}
 }
 
-// forEach must surface the lowest-indexed error, like a sequential run.
+// runPoints must surface the lowest-indexed error, like a sequential
+// run, named by its experiment and point.
 func TestForEachError(t *testing.T) {
 	boom3 := errors.New("boom 3")
 	boom7 := errors.New("boom 7")
-	err := forEach(Options{Workers: 4}, 10, func(_ Options, i int) error {
+	_, _, err := runPoints(Options{Workers: 4}, "errs", 10, func(_ Options, i int) (struct{}, error) {
 		switch i {
 		case 3:
-			return boom3
+			return struct{}{}, boom3
 		case 7:
-			return boom7
+			return struct{}{}, boom7
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if err == nil {
 		t.Fatal("expected an error")
 	}
 	// With a pool, index 7 may or may not run before the stop flag is
 	// seen; whichever errors were recorded, the lowest index wins.
-	if err != boom3 && err != boom7 {
+	if !errors.Is(err, boom3) && !errors.Is(err, boom7) {
 		t.Fatalf("unexpected error %v", err)
 	}
-	// fn runs on a pool worker, off the test goroutine: no t.Fatalf.
-	if err := forEach(Options{Workers: 1}, 10, func(_ Options, i int) error {
+	// compute runs on a pool worker, off the test goroutine: no t.Fatalf.
+	_, _, err = runPoints(Options{Workers: 1}, "errs", 10, func(_ Options, i int) (struct{}, error) {
 		if i == 3 {
-			return boom3
+			return struct{}{}, boom3
 		}
 		if i > 3 {
 			t.Errorf("sequential run continued past the error (i=%d)", i)
 		}
-		return nil
-	}); err != boom3 {
-		t.Fatalf("sequential error = %v, want boom 3", err)
+		return struct{}{}, nil
+	})
+	if !errors.Is(err, boom3) || err.Error() != "errs point 3: boom 3" {
+		t.Fatalf("sequential error = %v, want errs point 3: boom 3", err)
 	}
 }
 

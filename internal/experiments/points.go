@@ -3,15 +3,18 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
-// The fault-tolerant data-point engine. runPoints wraps forEach with
-// the per-point concerns the plain index loop cannot express:
+// The fault-tolerant data-point engine. runPoints fans one experiment's
+// points onto the run's pool (runner.go) and adds:
 //
 //   - per-point panic isolation and, under Options.KeepGoing, failure
 //     isolation: a failing point becomes an annotated table cell
 //     instead of discarding the experiment's remaining points
+//   - cancellation: once the run's context is canceled no further
+//     point starts
 //   - the point's identity on the Options its compute receives, the
 //     provenance a checkpoint record carries (checkpoint/resume itself
 //     happens per launch, in launchOn)
@@ -65,45 +68,68 @@ func AsPointFailures(err error) (*PointFailures, bool) {
 // runPoints runs one experiment's n data points through the
 // fault-tolerance layer and returns their payloads in index order.
 //
-// compute receives the Options its point runs under: the caller's, with
-// the pool forEach runs on and the point's identity. Its launches must
-// go through that value — compute closures take it as opt, shadowing
-// the experiment's.
+// The points run on the option's pool, or on a transient pool of
+// min(Workers, n) when it has none. compute receives the Options its
+// point runs under: the caller's, with that pool and the point's
+// identity. Its launches must go through that value — compute closures
+// take it as opt, shadowing the experiment's — and it must confine its
+// writes to the i-th slot of anything shared between points.
 //
 // The second return value is nil when every point succeeded; under
 // Options.KeepGoing it holds per-point errors (indexed like vals, nil
 // entries for successes). The third is the experiment-fatal error:
-// without KeepGoing the lowest-indexed point failure, and in every mode
-// cancellation.
+// without KeepGoing the lowest-indexed point failure, matching what a
+// sequential run would surface, and in every mode cancellation. After
+// a fatal error the points not yet started no-op; other experiments
+// sharing the pool are unaffected.
 func runPoints[T any](opt Options, expID string, n int, compute func(opt Options, i int) (T, error)) ([]T, []error, error) {
+	if opt.pool == nil {
+		p := newSharedPool(min(opt.workers(), n))
+		defer p.close()
+		opt.pool = p
+	}
+	ctx := opt.ctx()
 	vals := make([]T, n)
 	perr := make([]error, n)
-	var failed atomic.Bool
-	err := forEach(opt, n, func(opt Options, i int) error {
-		if err := opt.ctx().Err(); err != nil {
-			return PointError{Exp: expID, Index: i,
-				Err: fmt.Errorf("not started: %w", err)}
-		}
-		opt.exp, opt.point = expID, i
-		v, err := runPoint(opt, compute)
-		if err != nil {
-			if cerr := opt.ctx().Err(); cerr != nil {
-				// Cancellation trumps keep-going: an interrupted point
-				// is not a bad cell, it is the run shutting down.
-				return PointError{Exp: expID, Index: i, Err: err}
+	fatal := make([]error, n)
+	var (
+		wg           sync.WaitGroup
+		stop, failed atomic.Bool
+	)
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		opt.pool.jobs <- func() {
+			defer wg.Done()
+			if stop.Load() {
+				return
 			}
-			if opt.KeepGoing {
+			if err := ctx.Err(); err != nil {
+				fatal[i] = PointError{Exp: expID, Index: i, Err: fmt.Errorf("not started: %w", err)}
+				stop.Store(true)
+				return
+			}
+			opt := opt
+			opt.exp, opt.point = expID, i
+			v, err := runPoint(opt, compute)
+			switch {
+			case err == nil:
+				vals[i] = v
+			case opt.KeepGoing && ctx.Err() == nil:
 				perr[i] = err
 				failed.Store(true)
-				return nil
+			default:
+				// Cancellation trumps keep-going: an interrupted point
+				// is not a bad cell, it is the run shutting down.
+				fatal[i] = PointError{Exp: expID, Index: i, Err: err}
+				stop.Store(true)
 			}
-			return PointError{Exp: expID, Index: i, Err: err}
 		}
-		vals[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+	}
+	wg.Wait()
+	for _, err := range fatal {
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	if failed.Load() {
 		return vals, perr, nil

@@ -8,7 +8,7 @@ import (
 
 // The job-submission seam over the shared worker pool. Every run has a
 // pool: RunAll owns one for the span of one batch invocation (the CLI
-// shape), a bare Experiment.Run gets a transient one from forEach, and
+// shape), a bare Experiment.Run gets a transient one from runPoints, and
 // a serving process (cmd/simd) keeps one Pool alive for its whole
 // lifetime and submits experiments as jobs arrive, so the Workers
 // budget bounds total simulation concurrency across every in-flight

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"sync"
 	"testing"
 )
@@ -52,8 +53,8 @@ func TestPoolIsolatesPanickingJob(t *testing.T) {
 	defer p.Close()
 	boom := Experiment{ID: "boom", Paper: "none", Title: "panics",
 		Run: func(Options) (*Table, error) { panic("injected") }}
-	if _, err := p.Run(boom, Options{}); err == nil {
-		t.Fatal("panicking job returned nil error")
+	if _, err := p.Run(boom, Options{}); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking job returned %v, want an error naming the experiment", err)
 	}
 	e, err := ByID("fig9")
 	if err != nil {

@@ -13,10 +13,9 @@ import (
 // frozen-state contract: N simulators execute the SAME kernel — and
 // therefore share one decoded program, its fragment plans and the wmma
 // mappings behind them — concurrently. internal/gpu's concurrency test
-// builds a kernel per goroutine, so only this test would catch a write
-// slipping into the shared decoded artifacts (the exact class of bug
-// simlint's frozen analyzer rejects statically). Run with -race; the
-// stats comparison additionally pins determinism.
+// builds a kernel per goroutine, so only this test catches a write
+// slipping into the shared decoded artifacts after construction. Run
+// with -race; the stats comparison additionally pins determinism.
 func TestConcurrentSimulatorsRace(t *testing.T) {
 	const goroutines = 8
 	l, err := kernels.MMALoop(kernels.TensorMixed, 4, 16, 2)

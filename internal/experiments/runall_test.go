@@ -78,8 +78,10 @@ func TestRunAllContinuesPastFailure(t *testing.T) {
 	if !errors.Is(results[1].Err, boom) {
 		t.Errorf("result[1].Err = %v, want boom", results[1].Err)
 	}
-	if results[2].Err == nil || !strings.Contains(results[2].Err.Error(), "panic") {
-		t.Errorf("panicking experiment should surface as an error, got %v", results[2].Err)
+	// The error itself names the experiment, not just Errs' prefix: a
+	// recover that drops the identity leaves an operator nothing to find.
+	if err := results[2].Err; err == nil || !strings.Contains(err.Error(), "panics") || !strings.Contains(err.Error(), "kaboom") {
+		t.Errorf("panicking experiment should surface as an error naming it and the panic, got %v", err)
 	}
 	err := Errs(results)
 	if err == nil || !strings.Contains(err.Error(), "bad:") || !strings.Contains(err.Error(), "panics:") {
@@ -91,12 +93,12 @@ func TestRunAllContinuesPastFailure(t *testing.T) {
 }
 
 // The Workers budget must be global: with N experiments all fanning
-// points through forEach concurrently, no more than Workers points may
+// points through runPoints concurrently, no more than Workers points may
 // ever run at once.
 func TestRunAllGlobalWorkerBudget(t *testing.T) {
 	const workers = 2
 	var running, peak atomic.Int32
-	point := func(Options, int) error {
+	point := func(Options, int) (struct{}, error) {
 		cur := running.Add(1)
 		defer running.Add(-1)
 		for p := peak.Load(); cur > p; p = peak.Load() {
@@ -108,12 +110,12 @@ func TestRunAllGlobalWorkerBudget(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			_ = i
 		}
-		return nil
+		return struct{}{}, nil
 	}
 	var exps []Experiment
 	for i := 0; i < 6; i++ {
 		exps = append(exps, fakeExp(fmt.Sprintf("e%d", i), func(opt Options) (*Table, error) {
-			if err := forEach(opt, 40, point); err != nil {
+			if _, _, err := runPoints(opt, "e", 40, point); err != nil {
 				return nil, err
 			}
 			return fakeTable("e"), nil
@@ -135,11 +137,11 @@ func TestRunAllPointErrorIsolation(t *testing.T) {
 	boom := errors.New("point 3 failed")
 	exps := []Experiment{
 		fakeExp("failing", func(opt Options) (*Table, error) {
-			if err := forEach(opt, 10, func(_ Options, i int) error {
+			if _, _, err := runPoints(opt, "failing", 10, func(_ Options, i int) (struct{}, error) {
 				if i == 3 {
-					return boom
+					return struct{}{}, boom
 				}
-				return nil
+				return struct{}{}, nil
 			}); err != nil {
 				return nil, err
 			}
@@ -147,9 +149,9 @@ func TestRunAllPointErrorIsolation(t *testing.T) {
 		}),
 		fakeExp("healthy", func(opt Options) (*Table, error) {
 			var sum atomic.Int64
-			if err := forEach(opt, 100, func(_ Options, i int) error {
+			if _, _, err := runPoints(opt, "healthy", 100, func(_ Options, i int) (struct{}, error) {
 				sum.Add(int64(i))
-				return nil
+				return struct{}{}, nil
 			}); err != nil {
 				return nil, err
 			}
@@ -174,11 +176,10 @@ func TestRunAllSharedPoolStress(t *testing.T) {
 	var exps []Experiment
 	for e := 0; e < 8; e++ {
 		exps = append(exps, fakeExp(fmt.Sprintf("s%d", e), func(opt Options) (*Table, error) {
-			slots := make([]int, 64)
-			if err := forEach(opt, len(slots), func(_ Options, i int) error {
-				slots[i] = i * i
-				return nil
-			}); err != nil {
+			slots, _, err := runPoints(opt, "s", 64, func(_ Options, i int) (int, error) {
+				return i * i, nil
+			})
+			if err != nil {
 				return nil, err
 			}
 			tb := fakeTable("s")

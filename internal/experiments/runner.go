@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // The parallel experiment engine. Every experiment is a set of independent
@@ -18,15 +16,14 @@ import (
 // Every run's points go through one sharedPool: RunAll's, fanning the
 // whole registry's data points into one pool bounded by Options.Workers
 // (see runall.go); a serving Pool's; or, for a single-experiment Run
-// without either, a transient pool of min(Workers, n) that forEach
-// starts for the call. Either way fn runs at most Workers points at a
-// time, and every launch has a pool and so a memo (memo.go).
+// without either, a transient pool of min(Workers, n) that runPoints
+// starts for the call. Either way at most Workers points run at a time,
+// and every launch has a pool and so a memo (memo.go).
 //
-// Fault tolerance (points.go, checkpoint.go) layers on top: forEach
-// routes fn through callSafely so a panicking data point surfaces as
-// that point's error instead of crashing the process, and stops handing
-// out new indexes once the run's context is canceled so a SIGINT drains
-// gracefully.
+// Fault tolerance (points.go, checkpoint.go) layers on top: runPoints
+// recovers a panicking data point into that point's error instead of
+// crashing the process, and stops starting points once the run's
+// context is canceled so a SIGINT drains gracefully.
 
 // workers resolves the Options.Workers knob: 0 means one worker per CPU,
 // 1 runs the points one at a time, in index order.
@@ -35,67 +32,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.NumCPU()
-}
-
-// forEach runs fn(opt, i) for every i in [0, n) on the option's pool,
-// with opt carrying that pool: fn's launches must go through it. fn must
-// confine its writes to the i-th slot of result slices sized before the
-// call. On error (or cancellation) the remaining points of this call
-// no-op — other experiments sharing the pool are unaffected — and the
-// lowest-indexed error is returned, matching what a sequential run
-// would surface.
-func forEach(opt Options, n int, fn func(opt Options, i int) error) error {
-	if opt.pool == nil {
-		p := newSharedPool(min(opt.workers(), n))
-		defer p.close()
-		opt.pool = p
-	}
-	ctx := opt.ctx()
-	var (
-		wg     sync.WaitGroup
-		failed atomic.Bool
-		errs   = make([]error, n)
-	)
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		opt.pool.jobs <- func() {
-			defer wg.Done()
-			if failed.Load() {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				errs[i] = fmt.Errorf("experiments: canceled before data point %d: %w", i, err)
-				failed.Store(true)
-				return
-			}
-			// A panicking point must not take down the workers other
-			// experiments may share; surface it as this experiment's
-			// error instead.
-			if err := callSafely(fn, opt, i); err != nil {
-				errs[i] = err
-				failed.Store(true)
-			}
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// callSafely invokes one data-point function, converting a panic into an
-// error: a panicking point surfaces as that point's error, never a
-// process crash.
-func callSafely(fn func(Options, int) error, opt Options, i int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("experiments: data point %d panicked: %v", i, r)
-		}
-	}()
-	return fn(opt, i)
 }
 
 // sharedPool is the worker pool every run's points go through: a fixed

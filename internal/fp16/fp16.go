@@ -143,8 +143,6 @@ const (
 // rebiases the exponent; a carry out of the significand bumps the
 // exponent, which is the right answer. Results below the normal range,
 // overflow to infinity and NaNs are not ok.
-//
-//simlint:hotpath
 func RoundNormal64(f float64) (h Float16, ok bool) {
 	b := math.Float64bits(f)
 	abs := b &^ (1 << 63)

@@ -78,30 +78,3 @@ func TestWmmaArchMismatchRejected(t *testing.T) {
 		}
 	}
 }
-
-// Issuing a wmma.mma reads the timing resolved for the launch: a launch
-// that issues sixteen times the mmas allocates no more.
-func TestMMAIssueAllocatesNothing(t *testing.T) {
-	allocs := func(iters int) float64 {
-		l, err := kernels.MMALoop(kernels.TensorMixed, 4, iters, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := TitanV()
-		cfg.NumSMs = 1
-		sim, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := LaunchSpec{Kernel: l.Kernel, Grid: l.Grid, Block: l.Block,
-			Args: []uint64{0}, Global: ptx.NewFlatMemory(4096), TimingOnly: true}
-		return testing.AllocsPerRun(5, func() {
-			if _, err := sim.Run(spec); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if few, many := allocs(4), allocs(64); many != few {
-		t.Errorf("a launch of 64 mma iterations allocates %v, of 4 %v", many, few)
-	}
-}

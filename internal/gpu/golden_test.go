@@ -78,7 +78,7 @@ func goldenWorkloads(t *testing.T) []goldenWorkload {
 	// the 512 KiB the copy touches, so L1 and L2 both evict and the one
 	// DRAM channel queues. No other cell evicts from L2.
 	const words = 1 << 16
-	copyKernel, err := ptx.Parse(fmt.Sprintf(goldenCopySrc, words-1, 8*256*33))
+	copyKernel, err := ptx.Parse(fmt.Sprintf(goldenCopySrc, words-1, 8*256*33, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func goldenWorkloads(t *testing.T) []goldenWorkload {
 }
 
 // goldenCopySrc is the eviction cell's kernel: thread gid copies word
-// j = gid*33 + it*step (wrapped by the mask) for 16 iterations.
+// j = gid*33 + it*step (wrapped by the mask) for %[3]d iterations.
 const goldenCopySrc = `
 .target sm_70
 .entry copy_stride_33(.param .u64 src, .param .u64 dst)
@@ -132,7 +132,7 @@ loop:
   st.global.32 [%%dp], %%v;
   add.u32      %%j, %%j, %[2]d;
   add.u32      %%it, %%it, 1;
-  setp.lt.u32  %%p, %%it, 16;
+  setp.lt.u32  %%p, %%it, %[3]d;
 @%%p bra loop;
   exit;
 }`

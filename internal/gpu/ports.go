@@ -16,8 +16,6 @@ const (
 )
 
 // unitOf maps a decoded execution class to the port it issues on.
-//
-//simlint:hotpath
 func unitOf(c ptx.DClass) unit {
 	switch c {
 	case ptx.DClassALU:

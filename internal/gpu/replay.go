@@ -65,7 +65,7 @@ func (sc *sidecar) start(fn func() error) {
 	go func() {
 		defer close(sc.done)
 		defer func() {
-			//simlint:ok the panic is re-raised on Run's goroutine by outcome
+			// The panic is re-raised on Run's goroutine by outcome.
 			if p := recover(); p != nil {
 				sc.panicked = p
 			}

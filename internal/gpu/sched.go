@@ -63,7 +63,6 @@ type gtoPolicy struct{}
 
 func (gtoPolicy) preferred(sc *subcore) int { return sc.greedy }
 
-//simlint:hotpath
 func (gtoPolicy) visit(sc *subcore, _ uint64) []uint64 { return sc.readyMask }
 
 // next reads the (lastIssue, rotation distance) order off the incremental
@@ -74,8 +73,6 @@ func (gtoPolicy) visit(sc *subcore, _ uint64) []uint64 { return sc.readyMask }
 // either took it out of the ready set or left it to a busy port, which
 // took it out of cand (a second visit after a barrier release finds the
 // same busy port and changes nothing).
-//
-//simlint:hotpath
 func (gtoPolicy) next(sc *subcore, cand []uint64) int {
 	if slot := firstRotated(sc.andMask(cand, sc.zeroMask), sc.greedy); slot >= 0 {
 		return slot
@@ -96,10 +93,8 @@ type lrrPolicy struct{}
 
 func (lrrPolicy) preferred(*subcore) int { return -1 }
 
-//simlint:hotpath
 func (lrrPolicy) visit(sc *subcore, _ uint64) []uint64 { return sc.readyMask }
 
-//simlint:hotpath
 func (lrrPolicy) next(sc *subcore, cand []uint64) int { return firstRotated(cand, sc.greedy) }
 
 func (lrrPolicy) retired(*subcore, *simWarp) {}
@@ -118,8 +113,6 @@ func (twoLevelPolicy) preferred(*subcore) int { return -1 }
 // visit first updates the active subset — promotion decisions come from
 // readyMask ∧/∧^ tlMask intersections — and then returns the ready part
 // of it.
-//
-//simlint:hotpath
 func (twoLevelPolicy) visit(sc *subcore, now uint64) []uint64 {
 	if !maskIntersects(sc.readyMask, sc.tlMask) {
 		// The whole active subset is blocked: swap in ready pending warps
@@ -156,7 +149,6 @@ func (twoLevelPolicy) visit(sc *subcore, now uint64) []uint64 {
 	return sc.andMask(sc.readyMask, sc.tlMask)
 }
 
-//simlint:hotpath
 func (twoLevelPolicy) next(sc *subcore, cand []uint64) int { return firstRotated(cand, sc.greedy) }
 
 // demoteOne evicts the lowest-slot non-issuable member of the active
@@ -184,8 +176,6 @@ func (twoLevelPolicy) retired(sc *subcore, w *simWarp) {
 // stepSubcore lets the sub-core's scheduler issue at most one warp
 // instruction. Returns whether one issued and the earliest cycle at which
 // a currently blocked warp could become issuable.
-//
-//simlint:hotpath
 func (m *sm) stepSubcore(sc *subcore, now uint64, st *Stats) (issued bool, wake uint64, err error) {
 	wake = math.MaxUint64
 	if len(sc.warps) == 0 {
@@ -228,8 +218,6 @@ func (m *sm) stepSubcore(sc *subcore, now uint64, st *Stats) (issued bool, wake 
 // of: issued (an instruction went out), or blocked with wake holding the
 // earliest cycle the warp could become issuable (MaxUint64 when it has
 // none). Scoreboard hazards move the warp to Stalled as a side effect.
-//
-//simlint:hotpath
 func (m *sm) tryWarp(sc *subcore, idx int, now uint64, st *Stats) (issued bool, wake uint64, err error) {
 	wake = math.MaxUint64
 	w := sc.warps[idx]

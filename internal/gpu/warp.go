@@ -183,8 +183,6 @@ func (sc *subcore) readyBit(slot int) bool {
 // release is the one place a Ready warp can still carry hazardAt > now
 // (noteHazard ran at the bar, release re-arms with the barrier latency
 // only), and that visit must park it as TwoLevel's demotion can observe.
-//
-//simlint:hotpath
 func (sc *subcore) setUnit(w *simWarp, u unit) {
 	if u == w.unit {
 		return
@@ -261,8 +259,6 @@ func (sc *subcore) finish(w *simWarp) {
 // ageAppend links the warp at the age-list tail. The caller just issued
 // it, and at most one warp issues per sub-core per cycle, so the tail
 // append keeps the list strictly ascending in lastIssue.
-//
-//simlint:hotpath
 func (sc *subcore) ageAppend(w *simWarp) {
 	w.agePrev = sc.ageTail
 	w.ageNext = nil
@@ -276,8 +272,6 @@ func (sc *subcore) ageAppend(w *simWarp) {
 }
 
 // ageRemove unlinks the warp from the age list; no-op when absent.
-//
-//simlint:hotpath
 func (sc *subcore) ageRemove(w *simWarp) {
 	if !w.inAge {
 		return
@@ -302,8 +296,6 @@ func (sc *subcore) ageRemove(w *simWarp) {
 // A cycle-0 issue leaves lastIssue at zero, indistinguishable from
 // never-issued under GTO's lastIssue key, so the warp stays in
 // the zero prefix rather than joining the age list.
-//
-//simlint:hotpath
 func (sc *subcore) noteIssued(w *simWarp, now uint64) {
 	if w.state == warpFinished || now == 0 {
 		return
@@ -318,8 +310,6 @@ func (sc *subcore) noteIssued(w *simWarp, now uint64) {
 
 // drainWake moves every Stalled warp whose wake cycle has arrived back to
 // the ready set.
-//
-//simlint:hotpath
 func (sc *subcore) drainWake(now uint64) {
 	for len(sc.wakeHeap) > 0 && sc.wakeHeap[0].at <= now {
 		sc.setReady(sc.heapPop().w)
@@ -334,7 +324,6 @@ func (sc *subcore) heapTop() uint64 {
 	return sc.wakeHeap[0].at
 }
 
-//simlint:hotpath
 func (sc *subcore) heapPush(at uint64, w *simWarp) {
 	h := append(sc.wakeHeap, wakeEntry{at, w})
 	for i := len(h) - 1; i > 0; {
@@ -348,7 +337,6 @@ func (sc *subcore) heapPush(at uint64, w *simWarp) {
 	sc.wakeHeap = h
 }
 
-//simlint:hotpath
 func (sc *subcore) heapPop() wakeEntry {
 	h := sc.wakeHeap
 	top := h[0]
@@ -374,8 +362,6 @@ func (sc *subcore) heapPop() wakeEntry {
 }
 
 // andMask intersects a and b into the sub-core's mask scratch.
-//
-//simlint:hotpath
 func (sc *subcore) andMask(a, b []uint64) []uint64 {
 	out := sc.maskBuf[:0]
 	for i := range a {
@@ -386,8 +372,6 @@ func (sc *subcore) andMask(a, b []uint64) []uint64 {
 }
 
 // maskIntersects reports whether a and b share a set bit.
-//
-//simlint:hotpath
 func maskIntersects(a, b []uint64) bool {
 	for i := range a {
 		if a[i]&b[i] != 0 {
@@ -400,8 +384,6 @@ func maskIntersects(a, b []uint64) bool {
 // firstRotated returns the mask's first set slot in rotation order from
 // g+1 (the slots above g, then the wrap-around from 0 up to g itself), -1
 // when the mask is empty.
-//
-//simlint:hotpath
 func firstRotated(mask []uint64, g int) int {
 	gw := g >> 6
 	low := uint64(1)<<(uint(g&63)+1) - 1 // bits 0..g&63 of g's word; all 64 when g&63 is 63
@@ -428,8 +410,6 @@ func firstRotated(mask []uint64, g int) int {
 // a warp of the visit set waits for it (a TwoLevel pending warp was never
 // visited, and an earlier wake would add a step in which demoteOne can
 // decide differently).
-//
-//simlint:hotpath
 func (sc *subcore) candidates(now uint64, wake *uint64) ([]uint64, bool) {
 	visit := sc.policy.visit(sc, now)
 	cand := sc.candBuf[:len(visit)]
@@ -501,8 +481,6 @@ func (w *simWarp) issuable(now uint64) bool {
 // scoreboards is written back — zero when none are pending. It walks the
 // decode-time packed register set (the ≤64-ID bitmask plus the rare wide
 // spill) instead of the id slice.
-//
-//simlint:hotpath
 func (w *simWarp) hazardClear(in *ptx.DInstr) uint64 {
 	latest := uint64(0)
 	mask, wide := in.ScoreboardSet()
@@ -523,8 +501,6 @@ func (w *simWarp) hazardClear(in *ptx.DInstr) uint64 {
 
 // peek returns the instruction the warp executes next, nil when it has
 // none left.
-//
-//simlint:hotpath
 func (w *simWarp) peek() *ptx.DInstr {
 	if w.cur.s != nil {
 		return w.cur.peek()
@@ -535,8 +511,6 @@ func (w *simWarp) peek() *ptx.DInstr {
 // noteHazard records the hazard-clear cycle of the instruction the warp
 // executes next (zero when it has none left) and returns the port that
 // instruction issues on, for setUnit — one peek serves both.
-//
-//simlint:hotpath
 func (w *simWarp) noteHazard() unit {
 	w.hazardAt = 0
 	next := w.peek()

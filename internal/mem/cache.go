@@ -60,8 +60,6 @@ func NewCache(size, lineBytes, ways, sectorBytes int) *Cache {
 // Access looks up the sector containing addr, filling it on a miss, and
 // reports whether it hit. Stores allocate too (write-allocate), keeping
 // the model simple and symmetric.
-//
-//simlint:hotpath
 func (c *Cache) Access(addr uint64) bool {
 	tag, set := c.sets.divmod(addr >> c.lineShift)
 	sector := uint32(1) << (addr & c.offMask >> c.sectorShift)
@@ -102,8 +100,6 @@ func (c *Cache) Access(addr uint64) bool {
 
 // promote moves way w to the front of a recency order: the nibbles below
 // w's place (the lowest zero nibble of order^w·0x11…1) shift up by one.
-//
-//simlint:hotpath
 func promote(order uint64, w int) uint64 {
 	if order&15 == uint64(w) {
 		return order
@@ -117,8 +113,6 @@ func promote(order uint64, w int) uint64 {
 
 // Invalidate drops the line containing addr if present (used for
 // write-evict policies).
-//
-//simlint:hotpath
 func (c *Cache) Invalidate(addr uint64) {
 	tag, set := c.sets.divmod(addr >> c.lineShift)
 	base := int(set) * c.ways
@@ -146,7 +140,6 @@ type divisor struct{ d, m uint64 }
 
 func newDivisor(d int) divisor { return divisor{uint64(d), ^uint64(0) / uint64(d)} }
 
-//simlint:hotpath
 func (v divisor) divmod(x uint64) (q, r uint64) {
 	q, _ = bits.Mul64(x, v.m)
 	r = x - q*v.d

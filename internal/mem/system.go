@@ -58,8 +58,6 @@ func (s *System) L2HitRate() float64 {
 
 // accessL2 serves one sector at the L2/DRAM level, returning the cycle the
 // data is available.
-//
-//simlint:hotpath
 func (s *System) accessL2(now uint64, sector uint64) uint64 {
 	s.L2Accesses++
 	_, bank := s.banks.divmod(sector >> s.secShift)
@@ -73,7 +71,6 @@ func (s *System) accessL2(now uint64, sector uint64) uint64 {
 	return s.accessDRAM(start+uint64(s.cfg.L2HitLatency), sector)
 }
 
-//simlint:hotpath
 func (s *System) accessDRAM(now uint64, sector uint64) uint64 {
 	s.DRAMAccesses++
 	_, ch := s.channels.divmod(sector >> s.secShift)

@@ -50,8 +50,6 @@ const (
 // classifyVec inspects the masked lanes once. Uniform holds for any mask;
 // unit-stride is only claimed for fully active warps (a mask gap breaks
 // byte-range contiguity); sorted is the weakest useful property.
-//
-//simlint:hotpath
 func classifyVec(v *AddrVec, bytes uint64) vecShape {
 	a := v.Addr
 	if v.Mask == fullMask {
@@ -129,8 +127,6 @@ func CoalesceVecs(cfg Config, vecs []AddrVec) []uint64 {
 
 // coalesceVecsInto is CoalesceVecs appending into a reusable buffer with
 // a reusable dedup set; a sector is 1<<shift bytes.
-//
-//simlint:hotpath
 func coalesceVecsInto(out []uint64, set *sectorSet, shift uint, vecs []AddrVec) []uint64 {
 	if len(vecs) == 1 {
 		v := &vecs[0]
@@ -155,8 +151,6 @@ func coalesceVecsInto(out []uint64, set *sectorSet, shift uint, vecs []AddrVec) 
 
 // coalesceOneVec dispatches a single non-empty group on its classified
 // shape.
-//
-//simlint:hotpath
 func coalesceOneVec(out []uint64, set *sectorSet, shift uint, v *AddrVec) []uint64 {
 	bytes := vecBytes(v.Bits)
 	switch classifyVec(v, bytes) {
@@ -347,8 +341,6 @@ func sharedConflictPassesVecs(bs *bankScratch, cfg *Config, vecs []AddrVec) int 
 // whose first half is unit-stride (row fragments read twice) — and
 // computes their pass count arithmetically. Returns 0 when the shape is
 // not recognized.
-//
-//simlint:hotpath
 func conflictFullWarpFast(v *AddrVec, bytes uint64) int {
 	a := v.Addr
 	// Mirrored halves: lanes 16..31 repeat lanes 0..15, so the second
@@ -436,8 +428,6 @@ func mirroredHalves(a *[32]uint64) bool {
 // lies within 64 rows (8 KiB) of the first — which tile-local accesses,
 // wmma fragment groups included, do. An access that strays further takes
 // the general per-bank lists.
-//
-//simlint:hotpath
 func conflictCount(bs *bankScratch, cfg *Config, vecs []AddrVec) int {
 	var rows [32][2]uint64
 	var row0 uint64 // row of the window's low edge, set by the first word

@@ -48,8 +48,6 @@ func appendBatchSlot(b []WarpAccess) ([]WarpAccess, *WarpAccess) {
 // genLdStAddrs fills the group's address vector and mask for a decoded
 // ld/st: the guard is one mask, and the base operand's vector is copied
 // whole (WarpAccess.Addr is stale in unmasked lanes by contract).
-//
-//simlint:hotpath
 func (w *Warp) genLdStAddrs(d *DInstr, wa *WarpAccess) {
 	wa.Mask = d.guard(w)
 	wa.Addr = *d.srcVec(w, 0)
@@ -131,8 +129,6 @@ func (w *Warp) sharedSpan(a, n uint64) error {
 // then bulk data movement — a single read for a
 // uniform broadcast, one read per maximal unit-stride lane run for
 // everything else global, and direct slice reads for shared memory.
-//
-//simlint:hotpath
 func (w *Warp) execLoadBatched(d *DInstr, res *Result) error {
 	var wa *WarpAccess
 	res.Batch, wa = appendBatchSlot(res.Batch)
@@ -155,8 +151,6 @@ func (w *Warp) execLoadBatched(d *DInstr, res *Result) error {
 
 // loadGroup moves one group's data from memory into the destination
 // registers.
-//
-//simlint:hotpath
 func (w *Warp) loadGroup(d *DInstr, g *WarpAccess) {
 	nb := uint64(d.membytes)
 	if g.Space == Shared {
@@ -196,8 +190,6 @@ func (w *Warp) loadGroup(d *DInstr, g *WarpAccess) {
 // unpackLoad writes the masked lanes' loaded bytes into the destination
 // registers, one destination vector at a time; lane i's bytes start at
 // src[off[i]].
-//
-//simlint:hotpath
 func (w *Warp) unpackLoad(d *DInstr, mask uint32, src []byte, off *[32]uint64) {
 	if d.In.Width == 16 {
 		dst := w.regVec(int(d.dsts[0]))
@@ -218,8 +210,6 @@ func (w *Warp) unpackLoad(d *DInstr, mask uint32, src []byte, off *[32]uint64) {
 
 // execStoreBatched executes st: one address pass, one space resolution,
 // then one Memory.Write per maximal unit-stride lane run.
-//
-//simlint:hotpath
 func (w *Warp) execStoreBatched(d *DInstr, res *Result) error {
 	var wa *WarpAccess
 	res.Batch, wa = appendBatchSlot(res.Batch)
@@ -244,8 +234,6 @@ func (w *Warp) execStoreBatched(d *DInstr, res *Result) error {
 // is preserved (within a run addresses are disjoint; runs are emitted in
 // lane order), so overlapping stores resolve as a lane-by-lane store
 // would: last lane wins.
-//
-//simlint:hotpath
 func (w *Warp) storeGroup(d *DInstr, g *WarpAccess) {
 	nb := uint64(d.membytes)
 	if g.Space == Shared {

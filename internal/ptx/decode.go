@@ -54,9 +54,8 @@ type srcOp struct {
 // need per lane (wmma mappings, timing configuration, diagnostics).
 // Decoded programs are cached per kernel and shared by every warp and
 // every concurrent simulator, so the type is frozen: after decodeInstr
-// returns, nothing may write its fields.
-//
-//simlint:frozen
+// returns, nothing may write its fields (internal/experiments'
+// TestConcurrentSimulatorsRace holds that under -race).
 type DInstr struct {
 	In    *Instr
 	Class DClass
@@ -174,8 +173,6 @@ const (
 // sources of every instruction it executes, the control operands of every
 // one it skips — since a %clock value that reaches control depends on when
 // the warp issues.
-//
-//simlint:ctor
 func sliceKernel(k *Kernel, prog []DInstr) (separable, ahead bool, rows []int32, nrows int) {
 	n, words := len(prog), (k.NumRegs+63)/64
 	in := make([]uint64, (n+1)*words) // row i: the set before instruction i; row n: empty
@@ -393,8 +390,6 @@ func timingRows(k *Kernel, prog []DInstr, live []uint64, flow func(int) bool, ou
 // included (on copies the copied instructions point at), are renumbered;
 // the scoreboard set and DstRegs keep the kernel's numbering, so hazards
 // are the program's.
-//
-//simlint:ctor
 func packTiming(k *Kernel, prog []DInstr, rows []int32, n int) (timing []DInstr, params []Reg, total int) {
 	perm := make([]int32, k.NumRegs)
 	total = n
@@ -456,10 +451,8 @@ type shapeKey struct {
 }
 
 // decodeInstr populates one decoded instruction in place; with sliceKernel
-// and packTiming, DInstr's frozen constructor set. shapes holds the access
-// shapes the kernel's wmma.load/store instructions share.
-//
-//simlint:ctor
+// and packTiming, it is the only code that writes a DInstr. shapes holds
+// the access shapes the kernel's wmma.load/store instructions share.
 func decodeInstr(k *Kernel, in *Instr, d *DInstr, shapes map[shapeKey]*fragShape) {
 	d.In = in
 	d.Class = classOf(in.Op)
@@ -753,8 +746,6 @@ func cvtFnFor(dst, src Type) func(uint64) uint64 {
 // lanes whose predicate (if any) enables them. Evaluating it once per
 // instruction, before any lane writes, equals testing each lane in turn:
 // a lane's guard reads only that lane's own predicate register.
-//
-//simlint:hotpath
 func (d *DInstr) guard(w *Warp) uint32 {
 	if d.predID < 0 {
 		return w.active
@@ -778,8 +769,6 @@ func (d *DInstr) guard(w *Warp) uint32 {
 // special register — its per-lane values computed into the warp's i-th
 // scratch vector. Every operand being a vector is what lets the
 // warp-wide executors run one loop shape whatever the operand kinds.
-//
-//simlint:hotpath
 func (d *DInstr) srcVec(w *Warp, i int) *[32]uint64 {
 	s := &d.srcs[i]
 	switch s.kind {
@@ -940,8 +929,6 @@ func dMov(w *Warp, d *DInstr) error {
 
 // dBin runs a warp-wide two-source ALU op; f replicates the interpreted
 // arithmetic exactly (including destination truncation).
-//
-//simlint:hotpath
 func dBin(w *Warp, d *DInstr, f func(x, y uint64) uint64) {
 	dst, x, y := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1)
 	on := d.guard(w)
@@ -959,8 +946,6 @@ func dBin(w *Warp, d *DInstr, f func(x, y uint64) uint64) {
 
 // dTern runs a warp-wide three-source ALU op; f replicates the
 // interpreted arithmetic exactly.
-//
-//simlint:hotpath
 func dTern(w *Warp, d *DInstr, f func(x, y, z uint64) uint64) {
 	dst, x, y, z := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1), d.srcVec(w, 2)
 	on := d.guard(w)
@@ -996,8 +981,6 @@ func dMadU64(w *Warp, d *DInstr) error {
 // dMadF32 — the inner-loop instruction of the FP32 SIMT GEMM — is dTern
 // with the arithmetic written into the loops: the full-warp loop spells
 // fmaF32 out, so its fast half inlines with no call per lane.
-//
-//simlint:hotpath
 func dMadF32(w *Warp, d *DInstr) error {
 	dst, x, y, z := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1), d.srcVec(w, 2)
 	on := d.guard(w)
@@ -1072,8 +1055,6 @@ func fmaF32Odd(x, y, z uint64) uint64 {
 // dMadF16X2 — the inner-loop instruction of the packed-half SIMT GEMM —
 // has dMadF32's shape: direct loops over the register vectors around one
 // lane's arithmetic.
-//
-//simlint:hotpath
 func dMadF16X2(w *Warp, d *DInstr) error {
 	dst, x, y, z := w.regVec(int(d.dstID)), d.srcVec(w, 0), d.srcVec(w, 1), d.srcVec(w, 2)
 	on := d.guard(w)
@@ -1102,8 +1083,6 @@ func dMadF16X2(w *Warp, d *DInstr) error {
 // Every non-NaN result is bit-equal to fp16.FMA's; which payload a sum of
 // two NaNs keeps follows the operand order the compiler picks for a
 // commutative add, which the repo does not pin (see wmma's FEDP kernel).
-//
-//simlint:hotpath
 func fmaF16X2(x, y, z uint64) uint64 {
 	lo := float64(h16(x).Float32()*h16(y).Float32()) + float64(h16(z).Float32())
 	hi := float64(h16(x>>16).Float32()*h16(y>>16).Float32()) + float64(h16(z>>16).Float32())

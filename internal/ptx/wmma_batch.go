@@ -29,8 +29,6 @@ import (
 // vectors of precomputed tile offsets, built once per mapping (planOf)
 // and shared read-only by every warp of every kernel — so the type is
 // frozen outside planFragment.
-//
-//simlint:frozen
 type fragPlan struct {
 	slots int
 	// idx[slot][lane] is the linear offset of the lane's element in the
@@ -70,8 +68,6 @@ func planOf(m *wmma.Mapping) *fragPlan {
 // planFragment builds the fragment plan (planOf's fill function), or
 // returns nil when the mapping's lanes disagree on fragment structure —
 // the executor then keeps the per-lane path for this instruction.
-//
-//simlint:ctor
 func planFragment(m *wmma.Mapping) *fragPlan {
 	v := m.SlotVecs()
 	if !v.Uniform {
@@ -127,8 +123,6 @@ func planFragment(m *wmma.Mapping) *fragPlan {
 // it. The image is the group's first n register words, in
 // the plan's element order, each the word the element's registers hold.
 // Shared read-only by every warp, like the plan.
-//
-//simlint:frozen
 type imageGroup struct {
 	bit  uint64 // the group's bit in Warp.imageForm
 	r0   int32
@@ -139,8 +133,6 @@ type imageGroup struct {
 // groupFragments finds the image groups of a decoded program and points
 // every wmma operand that names one at it (DInstr.img); an operand that
 // does not qualify stays nil and always takes the per-lane path.
-//
-//simlint:ctor
 func groupFragments(k *Kernel, prog []DInstr) {
 	type group struct {
 		regs []int32
@@ -311,8 +303,6 @@ func fragRunEnd(addrs []uint64, i int, step uint64) int {
 // the leading dimension alone (Section III), never of the base pointer, so
 // it is worked out once at decode and a dynamic execution only adds the
 // base. Offsets are bytes from the base operand.
-//
-//simlint:frozen
 type fragShape struct {
 	lo, hi uint64 // every element lies inside base+[lo,hi)
 	// groups are the slot-aligned piece groups of the access stream: piece
@@ -329,8 +319,6 @@ type fragShape struct {
 }
 
 // fragGroup is piece k of every lane: its width and the lanes' offsets.
-//
-//simlint:frozen
 type fragGroup struct {
 	bits int32
 	off  [32]uint64
@@ -348,8 +336,6 @@ const fragSpanLimit = 1 << 40
 // without a plan, when lanes disagree on piece structure (the slot
 // alignment of the batch cannot hold), or when an offset leaves
 // [0, fragSpanLimit), which a negative leading dimension does.
-//
-//simlint:ctor
 func shapeFragment(p *fragPlan, ld int, elemBytes uint64, elemBits int) *fragShape {
 	if p == nil {
 		return nil
@@ -426,8 +412,6 @@ func (w *Warp) fragSpace(space Space, lo, hi uint64) (sp Space, sub uint64, ok b
 // leaves to the per-lane path, and values the image
 // cannot carry: a fragment that is no image group, a store of one held in
 // registers, a store whose elements alias.
-//
-//simlint:hotpath
 func (w *Warp) execFragShape(d *DInstr, res *Result, base uint64, store bool) bool {
 	sh, g := d.wshape, d.img[0]
 	if sh == nil || !w.fragVec(d) {
@@ -461,8 +445,6 @@ func (w *Warp) execFragShape(d *DInstr, res *Result, base uint64, store bool) bo
 // base operand is offset origin: one Memory call or one window slice per
 // line, the 2- and 4-byte element codecs spelled out. A load leaves the
 // group in image form.
-//
-//simlint:hotpath
 func (w *Warp) moveImage(d *DInstr, g *imageGroup, sp Space, origin uint64, store bool) {
 	p := d.wshape.plan
 	nb, n, step := int(d.membytes), int(p.lineLen), int(p.step)

@@ -5,9 +5,8 @@
 // table-affecting Options knobs) — a repeated request can be served the
 // byte-identical cached table without re-simulating anything. Entries are immutable
 // byte slices shared read-only across requests, the same discipline
-// the simlint frozen analyzer pins for decoded-kernel programs; the
-// cache itself is mutex-guarded (guardedby-annotated) so any number of
-// request goroutines may hit it concurrently.
+// decoded-kernel programs keep; the cache itself is mutex-guarded so
+// any number of request goroutines may hit it concurrently.
 //
 // The LRU itself is generic over its value type: the byte cache of
 // rendered tables (Cache, New) and the launch memo of simulated
@@ -22,8 +21,8 @@ import (
 )
 
 // Stats is the cache's counter snapshot, surfaced on cmd/simd's
-// /statsz endpoint (the //simlint:emitter contract: every counter
-// below must appear there, so none can be silently dropped).
+// /statsz endpoint (cmd/simd's TestStatszCarriesEveryCounter holds
+// every counter below to appearing there).
 type Stats struct {
 	// Hits counts Get calls served from the cache — requests that cost
 	// zero simulation.
@@ -45,20 +44,15 @@ type Stats struct {
 // byte budget; size prices each value. The zero value is not usable;
 // call NewLRU (or New for the byte cache).
 type LRU[V any] struct {
-	mu sync.Mutex
-	//simlint:guardedby mu
+	// mu guards entries, lru, bytes, hits, misses and evictions.
+	mu      sync.Mutex
 	entries map[string]*list.Element
 	// lru orders entries most-recently-used first; evictions pop the
 	// back.
-	//simlint:guardedby mu
-	lru *list.List
-	//simlint:guardedby mu
-	bytes int64
-	//simlint:guardedby mu
-	hits int64
-	//simlint:guardedby mu
-	misses int64
-	//simlint:guardedby mu
+	lru       *list.List
+	bytes     int64
+	hits      int64
+	misses    int64
 	evictions int64
 
 	// maxBytes is immutable after NewLRU; 0 disables storage so a

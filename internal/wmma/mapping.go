@@ -32,9 +32,9 @@ type Coord struct{ Row, Col int }
 // CUDA API), which is also the order wmma.load fills registers.
 // Mappings are shared read-only by the decoded-instruction caches of
 // concurrent simulators, so the type is frozen: only the per-arch fill
-// constructors may write its fields.
-//
-//simlint:frozen
+// constructors may write its fields (TestMapConcurrentFirstUse and
+// internal/experiments' TestConcurrentSimulatorsRace hold that under
+// -race).
 type Mapping struct {
 	Arch   Arch
 	Shape  Shape

@@ -135,8 +135,6 @@ func fedp(a, b *[16]float32, k int) float32 {
 // with constant indices — no bounds checks, and the same accumulation
 // order as DotF32/DotF16. The accumulator lives in d as a binary32 word
 // until the output pass converts it to DType.
-//
-//simlint:hotpath
 func mmaFloatImages(cfg Config, a, bT []float32, c, d []uint64) {
 	m, n := cfg.Shape.M, cfg.Shape.N
 	f16acc := cfg.CType == F16
@@ -187,8 +185,6 @@ func mmaFloatImages(cfg Config, a, bT []float32, c, d []uint64) {
 
 // mmaIntImages is the integer kernel: exact products accumulated in 64
 // bits, then saturated or wrapped to s32.
-//
-//simlint:hotpath
 func mmaIntImages(cfg Config, a, bT []int32, c, d []uint64) {
 	m, n, k := cfg.Shape.M, cfg.Shape.N, cfg.Shape.K
 	for i := 0; i < m; i++ {

@@ -12,8 +12,6 @@ package wmma
 // the executor falls back to the per-lane path otherwise.
 // Like Mapping the view is shared read-only across simulators, so the
 // type is frozen outside its builder.
-//
-//simlint:frozen
 type SlotVecs struct {
 	// Slots is the fragment length shared by all lanes.
 	Slots int
@@ -29,8 +27,6 @@ type SlotVecs struct {
 // is freshly allocated and immutable by convention; callers that need it
 // per static instruction (the decoded-instruction cache) build it once
 // at decode time.
-//
-//simlint:ctor
 func (m *Mapping) SlotVecs() *SlotVecs {
 	v := &SlotVecs{Slots: len(m.Lanes[0]), Uniform: true}
 	for lane := range m.Lanes {

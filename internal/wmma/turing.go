@@ -15,8 +15,6 @@ import "repro/internal/tensor"
 
 // turingMap builds the mapping of one of the shapes Map admits, all four
 // of which Turing supports.
-//
-//simlint:ctor
 func turingMap(shape Shape, op Operand, layout tensor.Layout, elem Precision) *Mapping {
 	rows, cols := shape.Dims(op)
 

@@ -92,8 +92,6 @@ func voltaMap(shape Shape, op Operand, layout tensor.Layout, elem Precision) (*M
 // runs across the segment's four slices, which are the contiguous
 // direction in memory, so the blocks are fetched with four 64-bit loads
 // spaced 64 elements apart (Figure 7a ③).
-//
-//simlint:ctor
 func voltaFillAB(m *Mapping, contiguous bool, at func(slice, k int) Coord, base [NumThreadgroups]int) {
 	for lane := 0; lane < WarpSize; lane++ {
 		tg := ThreadgroupOf(lane)
@@ -126,8 +124,6 @@ func voltaFillAB(m *Mapping, contiguous bool, at func(slice, k int) Coord, base 
 // quarters (Figure 10b). Within a step, lane k holds the two rows of
 // column k of the quarter, so slots (2s, 2s+1) are rows (+0, +1) of
 // column quarterColBase+k.
-//
-//simlint:ctor
 func voltaFillC32(m *Mapping) {
 	for lane := 0; lane < WarpSize; lane++ {
 		tg := ThreadgroupOf(lane)
@@ -150,8 +146,6 @@ func voltaFillC32(m *Mapping) {
 // a set each write one register pair (four fp16 values) per lane; lane k
 // holds row base+k of the threadgroup's 4×8 segment, split into the two
 // 4-element halves the two steps produce (Figure 10c).
-//
-//simlint:ctor
 func voltaFillC16(m *Mapping) {
 	for lane := 0; lane < WarpSize; lane++ {
 		tg := ThreadgroupOf(lane)
