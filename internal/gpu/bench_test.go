@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/ptx"
 )
 
@@ -59,41 +60,62 @@ func checkIssueResults(mem []byte, iters int) error {
 // BenchmarkIssue times issue selection, the scoreboard and the issue
 // bookkeeping per scheduler policy on one SM at both occupancy extremes:
 // 4 resident warps (one per sub-core) and the 64-warp cap (16 per
-// sub-core). The metric is host ns per simulated warp instruction.
+// sub-core). issueKernel keeps most warps ready, so a pick rarely passes
+// over a parked older warp; the sgemm=256 rows launch
+// kernels.SGEMMSimt(256, 256, 256) TimingOnly instead, 64 resident warps
+// over two waves whose shared-memory loads and barriers park most of
+// them, as the SIMT GEMMs of the experiments do. The metric is host ns
+// per simulated warp instruction.
 func BenchmarkIssue(b *testing.B) {
 	const iters = 256
 	k := issueKernel(iters)
+	sgemm, err := kernels.SGEMMSimt(256, 256, 256)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, pol := range Schedulers() {
 		for _, warps := range []int{4, 64} {
 			b.Run(fmt.Sprintf("%v/warps=%d", pol, warps), func(b *testing.B) {
-				cfg := TitanV()
-				cfg.NumSMs = 1
-				cfg.Scheduler = pol
 				mem := ptx.NewFlatMemory(64)
 				spec := LaunchSpec{Kernel: k, Grid: ptx.D1(1), Block: ptx.D1(32 * warps), Global: mem, Args: []uint64{0}}
-				sim, err := New(cfg) // five words per warp are the kernel's only memory traffic: next to nothing stays warm between runs
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Untimed: the loop's work must reach memory, or the timed
-				// runs would skip it.
-				if _, err := sim.Run(spec); err != nil {
-					b.Fatal(err)
-				}
-				if err := checkIssueResults(mem.Data, iters); err != nil {
-					b.Fatal(err)
-				}
-				var instrs uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					st, err := sim.Run(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					instrs += st.WarpInstructions
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/warp-instr")
+				// Five words per warp are the kernel's only memory traffic:
+				// next to nothing stays warm between runs.
+				benchIssue(b, pol, spec, func() error { return checkIssueResults(mem.Data, iters) })
 			})
 		}
+		b.Run(fmt.Sprintf("%v/sgemm=256", pol), func(b *testing.B) {
+			spec := LaunchSpec{Kernel: sgemm.Kernel, Grid: sgemm.Grid, Block: sgemm.Block,
+				Args: []uint64{0, 256 << 10, 512 << 10, 768 << 10}, Global: ptx.NewFlatMemory(1 << 20), TimingOnly: true}
+			benchIssue(b, pol, spec, func() error { return nil })
+		})
 	}
+}
+
+// benchIssue times spec on one SM under pol and reports ns/warp-instr.
+// check runs after an untimed first launch.
+func benchIssue(b *testing.B, pol SchedulerPolicy, spec LaunchSpec, check func() error) {
+	cfg := TitanV()
+	cfg.NumSMs = 1
+	cfg.Scheduler = pol
+	sim, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Untimed: check reads what the first launch stored.
+	if _, err := sim.Run(spec); err != nil {
+		b.Fatal(err)
+	}
+	if err := check(); err != nil {
+		b.Fatal(err)
+	}
+	var instrs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := sim.Run(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += st.WarpInstructions
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/warp-instr")
 }

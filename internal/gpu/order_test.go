@@ -8,25 +8,27 @@ import (
 )
 
 // The issue-selection property harness: a pair of sub-cores — one driven
-// by the production selection (ready mask, zero prefix, age list,
-// per-unit waiting masks, pick-one), one by the full-scan oracle below
-// (per-cycle rescan, sort and full visit: scanReady and scanOrder) —
-// driven through identical randomized sequences of scheduler steps and
-// issue / hazard-park / barrier / release / finish / CTA-retire / fresh
-// dispatch transitions. Every warp carries the port its next instruction
-// issues on and issues hold their port for a few cycles, so the steps see
-// busy units. After every step the harness asserts that the incremental
-// issue order equals the legacy scan order, that the mirrored warp state
-// has not drifted, and that the waiting masks keep their invariant; every
-// scheduler step runs both drivers through the same hazard/port screen
-// and compares the warp that gets past it, the side effects on the warps
-// visited before it (hazard parks, finishes — through the state
-// comparison) and, when none does, the wake cycle. This is the
-// equivalence contract of DESIGN.md's "O(1) issue selection" at the
-// data-structure level; the golden Stats cells are its full-simulation
-// net. The scan twin is an ordinary sub-core: it maintains the masks, the
-// wake heap and the age list like any other, but the oracle never reads
-// them.
+// by the production selection (ready mask, wake heap, per-unit waiting
+// masks, pick-one by the policy's next over the candidate bits), one by
+// the full-scan oracle below (per-cycle rescan, sort and full visit:
+// scanReady and scanOrder) — driven through identical randomized
+// sequences of scheduler steps and issue / hazard-park / barrier /
+// release / finish / CTA-retire / fresh dispatch transitions. Every warp
+// carries the port its next instruction issues on and issues hold their
+// port for a few cycles, so the steps see busy units. After every step
+// the harness asserts that the order next reads off the candidate bits
+// equals the scan order, that the mirrored warp state has not drifted,
+// that the waiting masks keep their invariant, and that no two live
+// warps share a lastIssue ≥ 1 (GTO's next breaks ties by rotation only
+// at zero); every scheduler step runs both drivers through the same
+// hazard/port screen and compares the warp that gets past it, the side
+// effects on the warps visited before it (hazard parks, finishes —
+// through the state comparison) and, when none does, the wake cycle.
+// This is the equivalence contract of DESIGN.md's "Issue selection" at
+// the data-structure level; the golden Stats cells are its
+// full-simulation net. The scan twin is an ordinary sub-core: it
+// maintains the masks and the wake heap like any other, but the oracle
+// never reads them.
 
 // twinNext is what tryWarp would read off a warp's instruction stream:
 // the port its next instruction issues on, or that there is none left.
@@ -327,8 +329,7 @@ type issueAct struct {
 // issue replays the issue/tryWarp flow for the warp in slot on both
 // twins: lastIssue, the port reservation, the stored hazard verdict and
 // next unit, the proactive hazard park (or the next-cycle stallUntil), the
-// barrier park or the exit, the greedy update and the incremental-order
-// update.
+// barrier park or the exit, and the greedy update.
 func (tw *orderTwin) issue(slot int, a issueAct) {
 	cur := tw.next[slot].unit
 	for _, sub := range []*subcore{tw.ev, tw.sc} {
@@ -353,7 +354,6 @@ func (tw *orderTwin) issue(slot int, a issueAct) {
 			}
 		}
 		sub.greedy = slot
-		sub.noteIssued(w, tw.now)
 	}
 	tw.next[slot] = a.next
 }
@@ -377,8 +377,9 @@ func (tw *orderTwin) removeFinished() {
 }
 
 // check asserts the twins agree on issue order, on every warp's
-// scheduling state and on the ports, and that the event twin's waiting
-// masks hold their invariant.
+// scheduling state and on the ports, that the event twin's waiting masks
+// hold their invariant, and that no two of its live warps share a
+// lastIssue ≥ 1.
 func (tw *orderTwin) check(t *testing.T, step int) {
 	t.Helper()
 	ev, legacy := tw.orders()
@@ -393,6 +394,16 @@ func (tw *orderTwin) check(t *testing.T, step int) {
 	}
 	if tw.ev.ports != tw.sc.ports {
 		t.Fatalf("step %d: ports drifted: event %v scan %v", step, tw.ev.ports, tw.sc.ports)
+	}
+	issuedAt := map[uint64]int{}
+	for i, w := range tw.ev.warps {
+		if w.state == warpFinished || w.lastIssue == 0 {
+			continue
+		}
+		if j, ok := issuedAt[w.lastIssue]; ok {
+			t.Fatalf("step %d: live slots %d and %d share lastIssue %d", step, j, i, w.lastIssue)
+		}
+		issuedAt[w.lastIssue] = i
 	}
 	for i := range tw.ev.warps {
 		we, ws := tw.ev.warps[i], tw.sc.warps[i]
@@ -541,10 +552,10 @@ func TestIssueOrderEquivalence(t *testing.T) {
 	}
 }
 
-// TestIssueOrderCycleZeroTie pins the subtlety the zero prefix encodes:
-// a warp that issues at cycle 0 keeps lastIssue == 0, so the legacy GTO
-// comparator cannot distinguish it from never-issued warps — it must
-// stay in the rotation-ordered zero group, not join the age list.
+// TestIssueOrderCycleZeroTie pins the subtlety of GTO's tie rule: a warp
+// that issues at cycle 0 keeps lastIssue == 0, so the comparator cannot
+// tell it from the warps that never issued — it ties with them and is
+// ordered by rotation distance, not behind them.
 func TestIssueOrderCycleZeroTie(t *testing.T) {
 	tw := newOrderTwin(GTO, units(4, unitNone)...)
 	tw.issue(2, issueAct{hazardAt: 1}) // issues at cycle 0; lastIssue stays 0
@@ -554,14 +565,21 @@ func TestIssueOrderCycleZeroTie(t *testing.T) {
 	if !intsEqual(ev, want) || !intsEqual(legacy, want) {
 		t.Fatalf("after cycle-0 issue: event %v scan %v, want %v", ev, legacy, want)
 	}
-	if tw.ev.warps[2].inAge {
-		t.Fatal("cycle-0 issuer must stay in the zero prefix, not the age list")
+	tw.issue(0, issueAct{hazardAt: 2})
+	tw.now = 2
+	ev, legacy = tw.orders()
+	// greedy is 0: the cycle-0 issuer keeps its rotation place among the
+	// zero keys, between 1 and 3, and not behind them.
+	want = []int{1, 2, 3}
+	if !intsEqual(ev, want) || !intsEqual(legacy, want) {
+		t.Fatalf("after a cycle-1 issue: event %v scan %v, want %v", ev, legacy, want)
 	}
 }
 
-// TestIssueOrderReissueAndCompaction pins the age-list splices: re-issue
-// moves a warp to the tail, finish unlinks it, and CTA-retire compaction
-// renumbers slots without breaking the chain.
+// TestIssueOrderReissueAndCompaction pins the order of issued warps:
+// re-issue moves a warp behind every warp that issued before it, finish
+// drops it, and CTA-retire compaction renumbers slots without disturbing
+// the order.
 func TestIssueOrderReissueAndCompaction(t *testing.T) {
 	tw := newOrderTwin(GTO, units(5, unitNone)...)
 	tw.now = 1
@@ -572,7 +590,7 @@ func TestIssueOrderReissueAndCompaction(t *testing.T) {
 	tw.issue(1, issueAct{hazardAt: 5}) // re-issue: 1 moves behind 3 in age order
 	tw.now = 6
 	ev, legacy := tw.orders()
-	// greedy is 1; zero group {0,2,4} rotated from slot 2, then ages 3, (1 excluded).
+	// greedy is 1; zero keys {0,2,4} rotated from slot 2, then 3 (1 excluded).
 	want := []int{2, 4, 0, 3}
 	if !intsEqual(ev, want) || !intsEqual(legacy, want) {
 		t.Fatalf("after re-issue: event %v scan %v, want %v", ev, legacy, want)
@@ -581,9 +599,56 @@ func TestIssueOrderReissueAndCompaction(t *testing.T) {
 	tw.removeFinished() // slot 4 renumbers to 3
 	tw.now = 7
 	tw.check(t, 0)
-	if head := tw.ev.ageHead; head == nil || head.slot != 1 || head.ageNext != nil {
-		t.Fatalf("age list must hold exactly the re-issued warp after compaction")
+	ev, legacy = tw.orders()
+	// greedy is 3 (the renumbered zero-key warp); zero keys {0,2} rotated
+	// from slot 0, then the re-issued warp in slot 1.
+	want = []int{0, 2, 1}
+	if !intsEqual(ev, want) || !intsEqual(legacy, want) {
+		t.Fatalf("after compaction: event %v scan %v, want %v", ev, legacy, want)
 	}
+}
+
+// TestIssueOrderGTOAcrossWordBoundary pins GTO's argmin on a pool of more
+// than 64 warps: the greedy slot in mask word 1, a warp that issued at
+// cycle 0, zero-key candidates on both sides of the word boundary and of
+// the greedy slot, and issued warps on both sides too. The zero keys come
+// first, in rotation order from greedy+1 across the wrap; then the issued
+// warps oldest first, whatever their slots.
+func TestIssueOrderGTOAcrossWordBoundary(t *testing.T) {
+	tw := newOrderTwin(GTO, units(72, unitNone)...)
+	// Only these slots stay live and unissued; the rest exit.
+	keep := map[int]bool{2: true, 63: true, 64: true, 69: true, 71: true}
+	tw.issue(70, issueAct{hazardAt: 1}) // cycle 0: lastIssue stays 0
+	for slot := range 72 {
+		if slot == 70 || keep[slot] || slot == 5 || slot == 66 || slot == 67 {
+			continue
+		}
+		tw.now++
+		tw.issue(slot, issueAct{exit: true})
+	}
+	// Issued warps on both sides of the boundary, 66 oldest, then 5;
+	// 67 issues last and is the greedy slot.
+	for _, slot := range []int{66, 5, 67} {
+		tw.now++
+		tw.issue(slot, issueAct{hazardAt: tw.now + 1})
+	}
+	tw.now += 2
+	tw.check(t, 0)
+	if tw.ev.greedy != 67 {
+		t.Fatalf("set-up: greedy is %d, want 67", tw.ev.greedy)
+	}
+	ev, legacy := tw.orders()
+	want := []int{69, 70, 71, 2, 63, 64, 66, 5}
+	if !intsEqual(ev, want) || !intsEqual(legacy, want) {
+		t.Fatalf("event %v scan %v, want %v", ev, legacy, want)
+	}
+	// The greedy slot stalls, so the pick runs the argmin over the whole
+	// candidate set: the first zero key past greedy, across the boundary.
+	tw.ev.warps[67].hazardAt, tw.sc.warps[67].hazardAt = tw.now+9, tw.now+9
+	if issuer, _ := tw.step(t); issuer != 69 {
+		t.Fatalf("step issued slot %d, want 69", issuer)
+	}
+	tw.check(t, 1)
 }
 
 // A warp released from a barrier may still have a hazard pending on the

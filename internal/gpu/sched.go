@@ -27,9 +27,9 @@ type schedPolicy interface {
 	// active subset first).
 	visit(sc *subcore, now uint64) []uint64
 	// next returns the slot that comes first in the policy's order among
-	// the slots set in cand, -1 when there is none — read straight off the
-	// incrementally maintained structures (zeroMask, the age list), no
-	// per-cycle sort and no materialised order.
+	// the slots set in cand, -1 when there is none — no per-cycle sort and
+	// no materialised order: LRR and TwoLevel take the first set bit in
+	// rotation order, GTO the least lastIssue in one pass over cand.
 	next(sc *subcore, cand []uint64) int
 	// retired notes that w left the sub-core's pool.
 	retired(sc *subcore, w *simWarp)
@@ -65,24 +65,27 @@ func (gtoPolicy) preferred(sc *subcore) int { return sc.greedy }
 
 func (gtoPolicy) visit(sc *subcore, _ uint64) []uint64 { return sc.readyMask }
 
-// next reads the (lastIssue, rotation distance) order off the incremental
-// structures: the lastIssue == 0 group is the zero-prefix in rotation
-// order from greedy+1 (the distance tie-break when every key is zero),
-// and the lastIssue ≥ 1 group is the age list, strictly ascending by
-// construction. The greedy slot needs no exclusion: the preferred attempt
-// either took it out of the ready set or left it to a busy port, which
-// took it out of cand (a second visit after a barrier release finds the
-// same busy port and changes nothing).
+// next returns the candidate with the least lastIssue, in one pass over
+// the set bits of cand. Ties break by rotation distance from greedy+1,
+// and they can only happen at zero: a sub-core issues at most one warp a
+// cycle, and a warp that issues at cycle 0 keeps lastIssue at 0, so it
+// ties with the warps that never issued. The slots ascend, so a later
+// zero-key slot is nearer in rotation only when it lies above greedy and
+// the earlier one does not. The greedy slot needs no exclusion: the
+// preferred attempt either took it out of the ready set or left it to a
+// busy port, which took it out of cand (a second visit after a barrier
+// release finds the same busy port and changes nothing).
 func (gtoPolicy) next(sc *subcore, cand []uint64) int {
-	if slot := firstRotated(sc.andMask(cand, sc.zeroMask), sc.greedy); slot >= 0 {
-		return slot
-	}
-	for w := sc.ageHead; w != nil; w = w.ageNext {
-		if cand[w.slot>>6]&(1<<(w.slot&63)) != 0 {
-			return w.slot
+	best, key, g := -1, uint64(math.MaxUint64), sc.greedy
+	for wi, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			slot := wi<<6 + bits.TrailingZeros64(word)
+			if k := sc.warps[slot].lastIssue; k < key || k == key && best <= g && slot > g {
+				best, key = slot, k
+			}
 		}
 	}
-	return -1
+	return best
 }
 
 func (gtoPolicy) retired(*subcore, *simWarp) {}
@@ -250,6 +253,5 @@ func (m *sm) tryWarp(sc *subcore, idx int, now uint64, st *Stats) (issued bool, 
 		return false, wake, err
 	}
 	sc.greedy = idx // every policy anchors on the last issuer
-	sc.noteIssued(w, now)
 	return true, wake, nil
 }

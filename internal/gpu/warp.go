@@ -15,17 +15,10 @@ import (
 // warp finish. The scheduler then consults only the ready set, and the
 // idle fast-forward reads the next wake straight off the heap top.
 //
-// On top of the ready set, the sub-core maintains the *issue order*
-// incrementally, so no policy re-sorts candidates per cycle:
-//   - zeroMask marks the warps whose lastIssue is still zero (never
-//     issued, or issued only at cycle 0 — GTO's lastIssue key cannot
-//     tell those apart, so neither does the mask). They are
-//     ordered by enumeration in rotation order from the greedy slot.
-//   - the age list (ageHead/ageTail, intrusive in simWarp) chains the
-//     warps with lastIssue ≥ 1 in strictly ascending lastIssue — strict
-//     because at most one warp issues per sub-core per cycle, so a
-//     tail-append at issue time keeps the list sorted with no
-//     comparisons. Issue, finish and re-issue are all O(1) list splices.
+// On top of the ready set, the sub-core keeps the masks the policies
+// read their issue order from, so no policy re-sorts candidates per
+// cycle (GTO reads its order key, lastIssue, off the warps themselves:
+// see gtoPolicy.next):
 //   - tlMask mirrors the TwoLevel active subset as a bitmask so its
 //     visit set is a mask intersection instead of list filtering.
 //   - waiting[u] marks the warps whose next instruction issues on unit u,
@@ -38,8 +31,8 @@ import (
 //     keyed by its current stallUntil (stallUntil never changes while
 //     Stalled, so entries are never stale)
 //   - warpAtBarrier / warpFinished warps appear in neither structure
-//   - a live warp is in zeroMask ⇔ its lastIssue == 0, and in the age
-//     list ⇔ its lastIssue ≥ 1; the age list ascends strictly.
+//   - no two live warps of a sub-core share a lastIssue ≥ 1: at most one
+//     warp issues per sub-core per cycle (GTO's ties are only at zero).
 //   - for u ≠ unitNone a slot's bit is set in waiting[u] ⇔ its warp's
 //     unit field is u, and a Ready warp with that bit set would leave
 //     tryWarp at the port screen while u is busy: it has a next
@@ -94,11 +87,6 @@ type simWarp struct {
 	unit unit
 	// tlActive marks membership in the TwoLevel policy's active subset.
 	tlActive bool
-	// Intrusive age-list links: the sub-core chains warps
-	// with lastIssue ≥ 1 in ascending issue age. Pointers survive slot
-	// compaction, which only renumbers w.slot.
-	agePrev, ageNext *simWarp
-	inAge            bool
 }
 
 type subcore struct {
@@ -120,18 +108,14 @@ type subcore struct {
 	tlActive int
 
 	readyMask []uint64    // bit per warp slot: state == warpReady
-	zeroMask  []uint64    // bit per warp slot: live and lastIssue == 0
 	tlMask    []uint64    // bit per warp slot: in the TwoLevel active subset
 	wakeHeap  []wakeEntry // min-heap over Stalled warps' stallUntil
 	// waiting[u] has a bit per warp slot whose next instruction issues on
 	// unit u. waiting[unitNone] is never read: it is the sink that spares
 	// setUnit a branch per store.
 	waiting [numUnits][]uint64
-	// ageHead/ageTail chain the warps with lastIssue ≥ 1, oldest issue
-	// first.
-	ageHead, ageTail *simWarp
-	maskBuf          []uint64 // scratch: andMask intersections
-	candBuf          []uint64 // scratch: this step's issue candidates
+	maskBuf []uint64 // scratch: andMask intersections
+	candBuf []uint64 // scratch: this step's issue candidates
 }
 
 // wakeEntry parks one Stalled warp in the sub-core's wake min-heap.
@@ -149,13 +133,11 @@ func (sc *subcore) reset() {
 	sc.tlActive = 0
 	sc.clearMasks()
 	sc.wakeHeap = sc.wakeHeap[:0]
-	sc.ageHead, sc.ageTail = nil, nil
 }
 
 // clearMasks zeroes every slot-indexed mask.
 func (sc *subcore) clearMasks() {
 	clear(sc.readyMask)
-	clear(sc.zeroMask)
 	clear(sc.tlMask)
 	for u := range sc.waiting {
 		clear(sc.waiting[u])
@@ -164,9 +146,6 @@ func (sc *subcore) clearMasks() {
 
 func (sc *subcore) setBit(slot int)   { sc.readyMask[slot>>6] |= 1 << (slot & 63) }
 func (sc *subcore) clearBit(slot int) { sc.readyMask[slot>>6] &^= 1 << (slot & 63) }
-
-func (sc *subcore) setZero(slot int)   { sc.zeroMask[slot>>6] |= 1 << (slot & 63) }
-func (sc *subcore) clearZero(slot int) { sc.zeroMask[slot>>6] &^= 1 << (slot & 63) }
 
 func (sc *subcore) setTL(slot int)   { sc.tlMask[slot>>6] |= 1 << (slot & 63) }
 func (sc *subcore) clearTL(slot int) { sc.tlMask[slot>>6] &^= 1 << (slot & 63) }
@@ -202,7 +181,6 @@ func (sc *subcore) enqueue(w *simWarp, next unit) {
 	sc.warps = append(sc.warps, w)
 	for len(sc.readyMask)*64 <= w.slot {
 		sc.readyMask = append(sc.readyMask, 0)
-		sc.zeroMask = append(sc.zeroMask, 0)
 		sc.tlMask = append(sc.tlMask, 0)
 		for u := range sc.waiting {
 			sc.waiting[u] = append(sc.waiting[u], 0)
@@ -211,7 +189,6 @@ func (sc *subcore) enqueue(w *simWarp, next unit) {
 	}
 	if w.state == warpReady {
 		sc.setBit(w.slot)
-		sc.setZero(w.slot) // a fresh warp has lastIssue == 0
 		sc.setUnit(w, next)
 	}
 }
@@ -251,61 +228,7 @@ func (sc *subcore) finish(w *simWarp) {
 	sc.policy.retired(sc, w)
 	w.state = warpFinished
 	sc.clearBit(w.slot)
-	sc.clearZero(w.slot)
 	sc.setUnit(w, unitNone)
-	sc.ageRemove(w)
-}
-
-// ageAppend links the warp at the age-list tail. The caller just issued
-// it, and at most one warp issues per sub-core per cycle, so the tail
-// append keeps the list strictly ascending in lastIssue.
-func (sc *subcore) ageAppend(w *simWarp) {
-	w.agePrev = sc.ageTail
-	w.ageNext = nil
-	if sc.ageTail != nil {
-		sc.ageTail.ageNext = w
-	} else {
-		sc.ageHead = w
-	}
-	sc.ageTail = w
-	w.inAge = true
-}
-
-// ageRemove unlinks the warp from the age list; no-op when absent.
-func (sc *subcore) ageRemove(w *simWarp) {
-	if !w.inAge {
-		return
-	}
-	if w.agePrev != nil {
-		w.agePrev.ageNext = w.ageNext
-	} else {
-		sc.ageHead = w.ageNext
-	}
-	if w.ageNext != nil {
-		w.ageNext.agePrev = w.agePrev
-	} else {
-		sc.ageTail = w.agePrev
-	}
-	w.agePrev, w.ageNext = nil, nil
-	w.inAge = false
-}
-
-// noteIssued maintains the incremental issue order after w issued at
-// now. Exit-class instructions retire the warp inside issue() — its
-// order entry was already dropped by finish, so it is skipped here.
-// A cycle-0 issue leaves lastIssue at zero, indistinguishable from
-// never-issued under GTO's lastIssue key, so the warp stays in
-// the zero prefix rather than joining the age list.
-func (sc *subcore) noteIssued(w *simWarp, now uint64) {
-	if w.state == warpFinished || now == 0 {
-		return
-	}
-	if w.inAge {
-		sc.ageRemove(w)
-	} else {
-		sc.clearZero(w.slot)
-	}
-	sc.ageAppend(w)
 }
 
 // drainWake moves every Stalled warp whose wake cycle has arrived back to
@@ -440,9 +363,8 @@ func (sc *subcore) candidates(now uint64, wake *uint64) ([]uint64, bool) {
 }
 
 // removeFinished compacts the warp pool after a CTA retires, reassigning
-// slots and rebuilding the slot-indexed masks (heap entries and age-list
-// links hold pointers and survive compaction; Finished warps are in
-// neither).
+// slots and rebuilding the slot-indexed masks (heap entries hold
+// pointers and survive compaction; Finished warps have none).
 func (sc *subcore) removeFinished() {
 	kept := sc.warps[:0]
 	for _, w := range sc.warps {
@@ -460,9 +382,6 @@ func (sc *subcore) removeFinished() {
 	for _, w := range kept {
 		if w.state == warpReady {
 			sc.setBit(w.slot)
-		}
-		if w.lastIssue == 0 {
-			sc.setZero(w.slot)
 		}
 		if w.tlActive {
 			sc.setTL(w.slot)
