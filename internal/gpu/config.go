@@ -76,23 +76,8 @@ type Config struct {
 	Scheduler SchedulerPolicy
 
 	// TwoLevelActive is the size of the TwoLevel scheduler's active
-	// subset per sub-core (0 = default 4). Ignored by GTO and LRR.
+	// subset per sub-core (≥ 1; TitanV sets 4). Ignored by GTO and LRR.
 	TwoLevelActive int
-
-	// TensorCoresPerSubCore is 2 on Volta (Section IV); setting it to 1
-	// is the paper's implicit ablation — each warp then pushes its octets
-	// through half the FEDP capacity, doubling HMMA occupancy.
-	TensorCoresPerSubCore int
-
-	// HMMAIIScale stretches the HMMA initiation intervals for ablation
-	// studies (1 = calibrated behaviour).
-	HMMAIIScale int
-
-	// ReuseCache models the operand reuse cache flagged by ".reuse": when
-	// disabled, each HMMA set re-fetches its operands, adding
-	// ReuseMissPenalty cycles per set boundary.
-	ReuseCache       bool
-	ReuseMissPenalty int
 
 	// ALU parameters: a 32-thread warp on 16 FP32 lanes has a 2-cycle
 	// initiation interval.
@@ -116,31 +101,27 @@ type Config struct {
 }
 
 // TitanV returns the calibrated Volta (Titan V) configuration: 80 SMs,
-// 4 sub-cores each, 2 tensor cores per sub-core, 1530 MHz.
+// 4 sub-cores each, 1530 MHz.
 func TitanV() Config {
 	return Config{
-		Name:                  "Titan V",
-		Arch:                  wmma.Volta,
-		NumSMs:                80,
-		SubCores:              4,
-		MaxWarpsPerSM:         64,
-		MaxCTAsPerSM:          32,
-		SharedPerSM:           96 << 10,
-		ClockMHz:              1530,
-		Scheduler:             GTO,
-		TwoLevelActive:        4,
-		TensorCoresPerSubCore: 2,
-		HMMAIIScale:           1,
-		ReuseCache:            true,
-		ReuseMissPenalty:      4,
-		ALULatency:            4,
-		ALUII:                 2,
-		SFULatency:            21,
-		SFUII:                 8,
-		IssueLatency:          4,
-		BarrierLatency:        5,
-		WmmaMemOverhead:       36,
-		Mem:                   mem.TitanV(),
+		Name:            "Titan V",
+		Arch:            wmma.Volta,
+		NumSMs:          80,
+		SubCores:        4,
+		MaxWarpsPerSM:   64,
+		MaxCTAsPerSM:    32,
+		SharedPerSM:     96 << 10,
+		ClockMHz:        1530,
+		Scheduler:       GTO,
+		TwoLevelActive:  4,
+		ALULatency:      4,
+		ALUII:           2,
+		SFULatency:      21,
+		SFUII:           8,
+		IssueLatency:    4,
+		BarrierLatency:  5,
+		WmmaMemOverhead: 36,
+		Mem:             mem.TitanV(),
 	}
 }
 
@@ -157,10 +138,10 @@ func RTX2080() Config {
 }
 
 // PeakTensorTFLOPS returns the configuration's theoretical tensor-core
-// peak: SMs × subcores × tensor cores × 16 FEDPs × 8 FLOPs per FEDP per
-// cycle (4 multiplies + 4 adds) × clock.
+// peak: SMs × subcores × tcore.TensorCoresPerSubCore × 16 FEDPs × 8
+// FLOPs per FEDP per cycle (4 multiplies + 4 adds) × clock.
 func (c Config) PeakTensorTFLOPS() float64 {
-	flopsPerCycle := float64(c.NumSMs * c.SubCores * c.TensorCoresPerSubCore * tcore.FEDPPerTensorCore * 2 * wmma.FEDPWidth)
+	flopsPerCycle := float64(c.NumSMs * c.SubCores * tcore.TensorCoresPerSubCore * tcore.FEDPPerTensorCore * 2 * wmma.FEDPWidth)
 	return flopsPerCycle * c.ClockMHz * 1e6 / 1e12
 }
 
@@ -184,8 +165,8 @@ func (c Config) Validate() error {
 	if c.Scheduler < GTO || c.Scheduler > TwoLevel {
 		return fmt.Errorf("gpu: unknown scheduler policy %d", int(c.Scheduler))
 	}
-	if c.TwoLevelActive < 0 {
-		return fmt.Errorf("gpu: TwoLevelActive must be ≥ 0 (0 = default)")
+	if c.TwoLevelActive < 1 {
+		return fmt.Errorf("gpu: TwoLevelActive must be ≥ 1")
 	}
 	if c.BarrierLatency < 1 {
 		// The schedulers re-arm released warps strictly after the release
@@ -193,12 +174,6 @@ func (c Config) Validate() error {
 		// in the releasing cycle issue a released warp within that cycle,
 		// so the result would depend on the order sub-cores are visited.
 		return fmt.Errorf("gpu: BarrierLatency must be ≥ 1")
-	}
-	if c.TensorCoresPerSubCore < 1 || c.TensorCoresPerSubCore > 2 {
-		return fmt.Errorf("gpu: tensor cores per sub-core must be 1 or 2")
-	}
-	if c.HMMAIIScale < 1 {
-		return fmt.Errorf("gpu: HMMAIIScale must be ≥ 1")
 	}
 	return c.Mem.Validate()
 }
@@ -229,51 +204,7 @@ func (c Config) AppendLaunchKey(b []byte) []byte {
 // sustained throughput to the paper's measured 109.6 of 125 TFLOPS
 // (87.7 %): 8192 FLOP per mma / 36 cycles ≈ 89 % of the 256 FLOP/cycle
 // sub-core peak.
-func (c *Config) tensorOccupancy(w wmma.Config) uint64 {
-	fedpCycles := w.Shape.M * w.Shape.N * w.Shape.K / (32 * wmma.FEDPWidth)
-	if c.TensorCoresPerSubCore == 1 {
-		fedpCycles *= 2
-	}
-	occ := fedpCycles*c.HMMAIIScale + 4
-	if !c.ReuseCache {
-		occ += (tcore.NumSets - 1) * c.ReuseMissPenalty
-	}
-	return uint64(occ)
-}
-
-// tensorTiming returns the calibrated HMMA timing for a wmma.mma under
-// this configuration, applying the ablation knobs.
-func (c *Config) tensorTiming(cfg wmma.Config) (tcore.Timing, error) {
-	t, err := tcore.TimingFor(cfg)
-	if err != nil {
-		return t, err
-	}
-	if c.HMMAIIScale > 1 {
-		scaled := append([]int(nil), t.Cumulative...)
-		for i := range scaled {
-			scaled[i] = t.Cumulative[0] + (t.Cumulative[i]-t.Cumulative[0])*c.HMMAIIScale
-		}
-		t.Cumulative = scaled
-	}
-	if !c.ReuseCache {
-		// Without the operand reuse cache every set boundary refetches.
-		scaled := append([]int(nil), t.Cumulative...)
-		sets := (t.NumHMMA() + t.StepsPerSet - 1) / t.StepsPerSet
-		for s := 1; s < sets; s++ {
-			for i := s * t.StepsPerSet; i < len(scaled); i++ {
-				scaled[i] += c.ReuseMissPenalty
-			}
-		}
-		t.Cumulative = scaled
-	}
-	if c.TensorCoresPerSubCore == 1 {
-		// Half the FEDP capacity: the octets of a warp time-share one
-		// tensor core, doubling every interval past the first result.
-		scaled := append([]int(nil), t.Cumulative...)
-		for i := range scaled {
-			scaled[i] = t.Cumulative[0] + (t.Cumulative[i]-t.Cumulative[0])*2
-		}
-		t.Cumulative = scaled
-	}
-	return t, nil
+func tensorOccupancy(w wmma.Config) uint64 {
+	fedps := tcore.TensorCoresPerSubCore * tcore.FEDPPerTensorCore
+	return uint64(w.Shape.M*w.Shape.N*w.Shape.K/(fedps*wmma.FEDPWidth) + 4)
 }

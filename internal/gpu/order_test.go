@@ -48,8 +48,8 @@ type orderTwin struct {
 func newOrderTwin(pol SchedulerPolicy, nextUnits ...unit) *orderTwin {
 	tw := &orderTwin{
 		pol: pol,
-		ev:  &subcore{policy: policyFor(pol), tlCap: defaultTwoLevelActive},
-		sc:  &subcore{policy: policyFor(pol), tlCap: defaultTwoLevelActive},
+		ev:  &subcore{policy: policyFor(pol), tlCap: TitanV().TwoLevelActive},
+		sc:  &subcore{policy: policyFor(pol), tlCap: TitanV().TwoLevelActive},
 	}
 	tw.ev.reset()
 	tw.sc.reset()

@@ -52,10 +52,6 @@ func policyFor(p SchedulerPolicy) schedPolicy {
 	}
 }
 
-// defaultTwoLevelActive sizes the TwoLevel active subset when
-// Config.TwoLevelActive is zero.
-const defaultTwoLevelActive = 4
-
 // gtoPolicy is greedy-then-oldest: the last issuer first (via preferred),
 // then the remaining ready warps by ascending lastIssue, ties broken by
 // rotation order after the greedy slot.

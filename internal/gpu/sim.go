@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/ptx"
+	"repro/internal/tcore"
 	"repro/internal/wmma"
 )
 
@@ -136,15 +137,11 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s := &Simulator{cfg: cfg, sys: mem.NewSystem(cfg.Mem)}
 	pol := policyFor(cfg.Scheduler)
-	tlCap := cfg.TwoLevelActive
-	if tlCap <= 0 {
-		tlCap = defaultTwoLevelActive
-	}
 	for i := 0; i < cfg.NumSMs; i++ {
 		m := &sm{id: i, sim: s, port: s.sys.NewSMPort()}
 		m.subcores = make([]*subcore, cfg.SubCores)
 		for j := range m.subcores {
-			m.subcores[j] = &subcore{policy: pol, tlCap: tlCap}
+			m.subcores[j] = &subcore{policy: pol, tlCap: cfg.TwoLevelActive}
 		}
 		s.sms = append(s.sms, m)
 	}
@@ -233,11 +230,11 @@ func (s *Simulator) resolveWmma(k *ptx.Kernel) error {
 		if in.Op != ptx.OpWmmaMMA || s.mmaTiming(in.WConfig) != nil {
 			continue
 		}
-		t, err := s.cfg.tensorTiming(in.WConfig)
+		t, err := tcore.TimingFor(in.WConfig)
 		if err != nil {
 			return err
 		}
-		s.mma = append(s.mma, mmaTiming{in.WConfig, uint64(t.Total()), s.cfg.tensorOccupancy(in.WConfig)})
+		s.mma = append(s.mma, mmaTiming{in.WConfig, uint64(t.Total()), tensorOccupancy(in.WConfig)})
 	}
 	return nil
 }

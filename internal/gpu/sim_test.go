@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ptx"
+	"repro/internal/tcore"
 	"repro/internal/tensor"
 	"repro/internal/wmma"
 )
@@ -149,42 +150,6 @@ func TestHMMAWarpKnee(t *testing.T) {
 	}
 	if at8 < at5 {
 		t.Errorf("8 warps (%d cycles) should not beat 5 (%d)", at8, at5)
-	}
-}
-
-func TestTensorAblationKnobs(t *testing.T) {
-	run := func(mod func(*Config)) uint64 {
-		cfg := TitanV()
-		cfg.NumSMs = 1
-		mod(&cfg)
-		sim, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := sim.Run(LaunchSpec{
-			Kernel: mmaLoopKernel(32),
-			Grid:   ptx.D1(1),
-			Block:  ptx.D1(32),
-			Args:   []uint64{0},
-			Global: ptx.NewFlatMemory(4096),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Cycles
-	}
-	base := run(func(*Config) {})
-	oneTC := run(func(c *Config) { c.TensorCoresPerSubCore = 1 })
-	noReuse := run(func(c *Config) { c.ReuseCache = false })
-	slowII := run(func(c *Config) { c.HMMAIIScale = 2 })
-	if oneTC <= base {
-		t.Errorf("1 tensor core/sub-core: %d cycles, want > %d", oneTC, base)
-	}
-	if noReuse <= base {
-		t.Errorf("no reuse cache: %d cycles, want > %d", noReuse, base)
-	}
-	if slowII <= base {
-		t.Errorf("doubled HMMA II: %d cycles, want > %d", slowII, base)
 	}
 }
 
@@ -360,12 +325,67 @@ func TestPeakTFLOPS(t *testing.T) {
 	}
 }
 
+// Every wmma.mma configuration resolves, the way Run resolves a launch's
+// kernel, to tcore's calibrated sequence as its latency (Figure 9's 54 and
+// 64 cycles on Volta) and to M·N·K/128 + 4 cycles of tensor-core
+// occupancy (36 for m16n16k16).
+func TestResolveWmmaTiming(t *testing.T) {
+	for _, arch := range []struct {
+		cfg  Config
+		mmas []wmma.Config
+	}{
+		{TitanV(), wmma.VoltaConfigs()},
+		{RTX2080(), wmma.TuringConfigs()},
+	} {
+		for _, c := range arch.mmas {
+			b := ptx.NewBuilder("mma")
+			pa := b.Param("a", ptx.U64)
+			fa := b.WmmaLoad(c.Arch, c.Shape, wmma.MatrixA, c.ALayout, c.AType, ptx.R(pa), ptx.Imm(32))
+			fb := b.WmmaLoad(c.Arch, c.Shape, wmma.MatrixB, c.BLayout, c.AType, ptx.R(pa), ptx.Imm(32))
+			fc := b.WmmaLoad(c.Arch, c.Shape, wmma.MatrixC, tensor.RowMajor, c.CType, ptx.R(pa), ptx.Imm(32))
+			b.WmmaMMA(c, fa, fb, fc)
+			b.Exit()
+			k, err := b.Build()
+			if err != nil {
+				t.Fatalf("%v: %v", c, err)
+			}
+			sim, err := New(arch.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.resolveWmma(k); err != nil {
+				t.Fatalf("%v: %v", c, err)
+			}
+			got := sim.mmaTiming(c)
+			if got == nil {
+				t.Fatalf("%v: not resolved", c)
+			}
+			tm, err := tcore.TimingFor(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(tm.Total())
+			if c.Arch == wmma.Volta {
+				want = map[tcore.Mode]uint64{tcore.MixedPrecision: 54, tcore.FP16: 64}[tcore.ModeFor(c)]
+			}
+			if got.latency != want || got.latency != uint64(tm.Total()) {
+				t.Errorf("%v: latency %d, want %d (tcore: %d)", c, got.latency, want, tm.Total())
+			}
+			if occ := uint64(c.Shape.M*c.Shape.N*c.Shape.K/128 + 4); got.occupancy != occ {
+				t.Errorf("%v: occupancy %d, want %d", c, got.occupancy, occ)
+			}
+			if c.Shape == wmma.M16N16K16 && got.occupancy != 36 {
+				t.Errorf("%v: occupancy %d, want 36", c, got.occupancy)
+			}
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	for _, c := range []struct {
 		name, field string
 		mod         func(*Config)
 	}{
-		{"three tensor cores", "tensor cores", func(c *Config) { c.TensorCoresPerSubCore = 3 }},
 		// A memory geometry that used to divide by zero inside New.
 		{"zero L2 banks", "L2Banks", func(c *Config) { c.Mem.L2Banks = 0 }},
 		// Occupancy limits no CTA fits under, and a clock no time converts
@@ -374,6 +394,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero CTAs per SM", "MaxCTAsPerSM", func(c *Config) { c.MaxCTAsPerSM = 0 }},
 		{"negative shared memory", "SharedPerSM", func(c *Config) { c.SharedPerSM = -1 }},
 		{"zero clock", "ClockMHz", func(c *Config) { c.ClockMHz = 0 }},
+		{"zero two-level subset", "TwoLevelActive", func(c *Config) { c.TwoLevelActive = 0 }},
 	} {
 		cfg := TitanV()
 		c.mod(&cfg)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/ptx"
+	"repro/internal/tcore"
 	"repro/internal/tensor"
 	"repro/internal/wmma"
 )
@@ -250,7 +251,7 @@ func TestMaxPerfApproachesPeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	flopPerCycle := l.FLOPs / float64(st.Cycles)
-	peak := float64(cfg.SubCores * cfg.TensorCoresPerSubCore * 16 * 8)
+	peak := float64(cfg.SubCores * tcore.TensorCoresPerSubCore * tcore.FEDPPerTensorCore * 8)
 	frac := flopPerCycle / peak
 	if frac < 0.80 || frac > 0.95 {
 		t.Errorf("sustained fraction = %.3f of peak, want ≈ 0.88 (paper: 109.6/125)", frac)

@@ -73,9 +73,9 @@ type DInstr struct {
 	srcs []srcOp
 	dsts []int32 // all destination registers, in Instr.Dst order
 	wb   []int32 // dsts in the kernel's numbering, for the scoreboard (DstRegs)
-	sb   []int32 // deduplicated scoreboard registers
-	// The packed scoreboard set: sbMask holds the registers of sb with
-	// IDs < 64 as a bitmask, sbWide the (rare) spill of larger IDs. The
+	// The packed scoreboard set: sbMask holds the deduplicated scoreboard
+	// registers with IDs < 64 as a bitmask, sbWide the (rare) spill of
+	// larger IDs. The
 	// timing model's hazard screen — and the issue-time hazard-clear
 	// computation that parks blocked warps straight into the wake heap —
 	// walk the mask's set bits instead of ranging the slice.
@@ -101,13 +101,10 @@ type DInstr struct {
 	space Space
 }
 
-// ScoreboardRegs returns the deduplicated register IDs the instruction
+// ScoreboardSet returns the deduplicated register IDs the instruction
 // reads or writes, precomputed at decode time for the timing model's
-// RAW/WAW hazard check.
-func (d *DInstr) ScoreboardRegs() []int32 { return d.sb }
-
-// ScoreboardSet returns the packed form of ScoreboardRegs: a bitmask of
-// the register IDs below 64 plus the spill slice of larger IDs (nil for
+// RAW/WAW hazard check: a bitmask of the register IDs below 64 plus the
+// spill slice of larger IDs (nil for
 // the kernels this repository generates, which stay under 64 virtual
 // registers). Hazard screens iterate the mask's set bits — one
 // TrailingZeros per register, no slice header chase.
@@ -481,8 +478,7 @@ func decodeInstr(k *Kernel, in *Instr, d *DInstr, shapes map[shapeKey]*fragShape
 		d.dsts[i] = int32(r.ID)
 	}
 	d.wb = d.dsts
-	d.sb = appendScoreboardRegs(nil, in)
-	for _, id := range d.sb {
+	for _, id := range appendScoreboardRegs(nil, in) {
 		if id < 64 {
 			d.sbMask |= 1 << uint(id)
 		} else {

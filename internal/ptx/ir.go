@@ -248,8 +248,8 @@ type Instr struct {
 // appendScoreboardRegs collects the deduplicated register IDs an
 // instruction reads or writes (register sources, destinations and the
 // guard predicate), for RAW/WAW hazard checks. It runs once per static
-// instruction, at decode time; the timing model reads the cached copy
-// through DInstr.ScoreboardRegs.
+// instruction, at decode time; the timing model reads the packed copy
+// through DInstr.ScoreboardSet.
 func appendScoreboardRegs(ids []int32, in *Instr) []int32 {
 	add := func(id int) {
 		for _, x := range ids {

@@ -48,18 +48,6 @@ func (t Timing) SetCumulative() []int {
 	return out
 }
 
-// IssueOccupancy returns how many cycles the tensor core's issue stage is
-// held by this sequence — the back-to-back initiation interval between two
-// wmma.mma operations of different warps sharing the unit. It is the span
-// from the first HMMA's issue to the last HMMA's issue plus one steady-
-// state slot.
-func (t Timing) IssueOccupancy() int {
-	if len(t.Cumulative) == 1 {
-		return t.Cumulative[0]
-	}
-	return t.Total() - t.Cumulative[0] + t.Delta(1)
-}
-
 // PipeModel is the parametric HMMA sequencing model of Section IV: a
 // four-deep FEDP pipeline issuing HMMAs back to back, with a longer delta
 // on the last step of each set (the operand buffers refill with the next
@@ -198,10 +186,6 @@ const TensorCoresPerSubCore = 2
 // FEDPPerTensorCore is the number of four-element dot product units in one
 // tensor core: one 4×4 MACC per cycle needs 16 FEDPs.
 const FEDPPerTensorCore = 16
-
-// FEDPPipelineDepth is the FEDP pipeline depth: parallel multiply in stage
-// one, a three-stage accumulation tree behind it.
-const FEDPPipelineDepth = 4
 
 // MaxConcurrentHMMAWarps is how many warps can execute HMMA concurrently
 // on one SM — the knee of Figure 12c: 8 tensor cores per SM at 2 per warp.

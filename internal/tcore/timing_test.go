@@ -156,9 +156,6 @@ func TestTimingAccessors(t *testing.T) {
 	if !eqInts(sc, []int{18, 28, 38, 54}) {
 		t.Errorf("SetCumulative = %v", sc)
 	}
-	if occ := tm.IssueOccupancy(); occ != 54-10+2 {
-		t.Errorf("IssueOccupancy = %d", occ)
-	}
 }
 
 func TestMicroarchConstants(t *testing.T) {

@@ -73,16 +73,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[m.Index(i, j)] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[m.Index(i, j)] = v }
 
-// AtLinear returns the element at a linear offset previously computed by
-// Index. Batched consumers (the SoA wmma fragment path) precompute the
-// offsets once per static instruction and index the storage directly,
-// skipping the per-element layout branch.
-func (m *Matrix) AtLinear(i int) float64 { return m.Data[i] }
-
-// SetLinear assigns the element at a linear offset previously computed
-// by Index.
-func (m *Matrix) SetLinear(i int, v float64) { m.Data[i] = v }
-
 // FillFunc sets every element (i, j) to f(i, j).
 func (m *Matrix) FillFunc(f func(i, j int) float64) {
 	for i := 0; i < m.Rows; i++ {

@@ -368,13 +368,6 @@ func intQuantizer(p Precision) func(float64) int32 {
 	return func(v float64) int32 { return min(max(int32(v), lo), hi) }
 }
 
-// ReferenceGemm returns the float64 D = A×B + C for comparison with MMA
-// results; the expected absolute error of the FP16 datapath against this
-// reference is bounded by Tolerance.
-func ReferenceGemm(cfg Config, a, b, c *tensor.Matrix) *tensor.Matrix {
-	return tensor.Gemm(a, b, c, tensor.RowMajor)
-}
-
 // Tolerance returns a conservative bound on |MMA - float64 reference| for
 // inputs bounded by maxAbs, accounting for input quantization, FP32 FEDP
 // rounding and (in FP16 accumulation mode) per-chunk rounding.
